@@ -24,7 +24,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import string
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -42,6 +45,7 @@ __all__ = [
     "load_dataset",
     "read_normalized",
     "write_normalized",
+    "replace_atomically",
     "MMLU_MED_SUBJECTS",
     "PUBMEDQA_WORDS",
     "POOL_SPLIT",
@@ -475,6 +479,27 @@ def _check_unique_ids(items: list[McqItem]) -> None:
 # ---------------------------------------------------------------------------
 # Normalized on-disk format
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def replace_atomically(path: str | Path):
+    """Yield a binary file that replaces `path` once the block completes.
+
+    The data goes to a uniquely named temp file in the same directory, then
+    `os.replace` moves it over `path`, so a concurrent reader sees the old
+    file or the new one, never part of either. On error the temp file is
+    removed and `path` is left as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_normalized(items: list[McqItem], path: str | Path) -> None:

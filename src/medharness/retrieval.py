@@ -1,15 +1,22 @@
 """Embedding index and exact cosine nearest-neighbor search over the pool.
 
-Similarity is the cosine of question-text embeddings (contexts excluded),
-computed per pair in float64 so results match a brute-force scan bit for bit.
-Ordering is (similarity descending, item id ascending); search is exhaustive,
-never approximate.
+Similarity is the cosine of question-text embeddings (contexts excluded) in
+float64. Ordering is (similarity descending, item id ascending); search is
+exhaustive, never approximate, and its scores equal a brute-force scan of one
+`np.dot` per pair bit for bit. Pool vectors are the rows of one C-contiguous
+matrix `M`. A query scores the whole pool with one `M @ q`, whose rounding
+differs from the per-pair dot by about dim * eps; every row within
+SCORE_TIE_BAND (far wider) of the k-th best is then re-scored with its own
+`np.dot` and sorted. No row of the true top k can fall outside that band, so
+the result is the brute-force one, ties included.
 
 Two embedding providers exist: a remote one backed by an embeddings endpoint,
 and a builtin deterministic lexical one (hashed term frequency weighted by
 inverse document frequency, L2-normalized) that needs no network and anchors
-the offline test suite. Indexes persist as JSON lines: one header with
-provider metadata, then one vector per pool item.
+the offline test suite. An index persists as two files: `<name>.jsonl` holds
+a header with the provider metadata, then one `{"item_id": ...}` row per pool
+item in row order; the sibling `<name>.npy` holds the (count, dim) float64
+matrix.
 """
 
 from __future__ import annotations
@@ -23,11 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import McqItem
+from .corpus import McqItem, replace_atomically
 from .errors import DataError
 
 __all__ = [
-    "EmbeddingVector",
     "NeighborSet",
     "BuiltinProvider",
     "RemoteProvider",
@@ -40,6 +46,11 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 512
+INDEX_SCHEMA = 2
+# Rows whose matrix-product score is within this of the k-th best are
+# re-scored per pair. It is far above the ~dim * eps (~6e-14 at dim 512) by
+# which `M @ q` and a per-pair `np.dot` can differ.
+SCORE_TIE_BAND = 1e-9
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -52,13 +63,6 @@ def token_bucket(token: str, dim: int) -> int:
     """Stable hash bucket for a token; independent of process and platform."""
     digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    item_id: str
-    values: np.ndarray
-    provider_id: str
 
 
 @dataclass(frozen=True)
@@ -150,12 +154,16 @@ class RemoteProvider:
 class VectorIndex:
     """Immutable set of pool vectors with exact cosine search."""
 
-    def __init__(self, provider, ids: list[str], vectors: list[np.ndarray]):
+    def __init__(self, provider, ids: list[str], vectors):
         if len(ids) != len(set(ids)):
             raise DataError("duplicate item ids in index")
         self.provider = provider
         self._ids = list(ids)
-        self._vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+        self._rows = {item_id: row for row, item_id in enumerate(self._ids)}
+        # No copy when `vectors` is already a C-contiguous float64 matrix.
+        self._matrix = np.ascontiguousarray(vectors, dtype=np.float64)
+        if self._matrix.ndim != 2 or self._matrix.shape[0] != len(self._ids):
+            raise DataError(f"{len(self._ids)} ids but vectors of shape {self._matrix.shape}")
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -168,16 +176,31 @@ class VectorIndex:
         # Similarity is over question text only; contexts stay out.
         return self.provider.embed(item.question)
 
-    def rank_all(self, query_vector: np.ndarray, exclude_id: str | None = None) -> list[tuple[str, float]]:
-        scored = []
-        for item_id, vec in zip(self._ids, self._vectors):
-            if item_id == exclude_id:
-                continue
-            # One np.dot per pair keeps the arithmetic identical to the
-            # brute-force oracle; no blocked matmul reassociation.
-            scored.append((item_id, float(np.dot(vec, query_vector))))
+    def rank_all(self, query_vector: np.ndarray, exclude_id: str | None = None,
+                 limit: int | None = None) -> list[tuple[str, float]]:
+        """(id, cosine) pairs, best first; only the first `limit` when given.
+
+        Scores and order are those of one `np.dot` per pair sorted by
+        (-score, id). With a limit, `M @ q` first narrows the rows to those
+        within SCORE_TIE_BAND of the limit-th best; without one, every row
+        is scored per pair.
+        """
+        query_vector = np.asarray(query_vector, dtype=np.float64)
+        excluded = self._rows.get(exclude_id)
+        rows = range(len(self._ids))
+        if limit is not None and limit < len(self._ids) - (excluded is not None):
+            scores = self._matrix @ query_vector
+            if excluded is not None:
+                scores[excluded] = -np.inf
+            kth = np.partition(scores, -limit)[-limit]
+            rows = np.flatnonzero(scores >= kth - SCORE_TIE_BAND)
+        scored = [
+            (self._ids[row], float(np.dot(self._matrix[row], query_vector)))
+            for row in rows
+            if row != excluded
+        ]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored
+        return scored[:limit]
 
     def nearest(self, query: McqItem, k: int) -> NeighborSet:
         if k < 1:
@@ -185,29 +208,31 @@ class VectorIndex:
         if k > len(self._ids):
             raise DataError(f"k={k} exceeds pool size {len(self._ids)}")
         qvec = self.embed_query(query)
-        ranked = self.rank_all(qvec, exclude_id=query.id)
+        ranked = self.rank_all(qvec, exclude_id=query.id, limit=k)
         if len(ranked) < k:
             raise DataError(f"k={k} exceeds available pool after excluding {query.id}")
-        return NeighborSet(query_id=query.id, neighbors=tuple(ranked[:k]), query_vector=qvec)
+        return NeighborSet(query_id=query.id, neighbors=tuple(ranked), query_vector=qvec)
 
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the vectors to the sibling `.npy`, then the header and ids to `path`."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         header: dict = {
-            "schema": 1,
+            "schema": INDEX_SCHEMA,
             "provider_id": self.provider.provider_id,
-            "dim": int(self._vectors[0].shape[0]) if self._vectors else 0,
+            "dim": int(self._matrix.shape[1]),
             "count": len(self._ids),
         }
         if isinstance(self.provider, BuiltinProvider):
             header["idf"] = {str(b): w for b, w in sorted(self.provider.idf.items())}
             header["n_docs"] = self.provider.n_docs
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(header, sort_keys=True) + "\n")
-            for item_id, vec in zip(self._ids, self._vectors):
-                f.write(json.dumps({"item_id": item_id, "values": vec.tolist()}) + "\n")
+        with replace_atomically(_vectors_path(path)) as f:
+            np.save(f, self._matrix, allow_pickle=False)
+        lines = [json.dumps(header, sort_keys=True)]
+        lines += [json.dumps({"item_id": item_id}) for item_id in self._ids]
+        with replace_atomically(path) as f:
+            f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path, provider=None) -> "VectorIndex":
@@ -219,6 +244,11 @@ class VectorIndex:
                 header = json.loads(f.readline())
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: bad index header: {exc}") from exc
+            if header.get("schema") != INDEX_SCHEMA:
+                raise DataError(
+                    f"{path}: index schema {header.get('schema')} is not {INDEX_SCHEMA}; "
+                    f"rebuild it with `medharness index`"
+                )
             if provider is None:
                 if not header["provider_id"].startswith("builtin-tfidf-v1"):
                     raise DataError(
@@ -233,28 +263,45 @@ class VectorIndex:
                 raise DataError(
                     f"{path}: index provider {header['provider_id']} does not match {provider.provider_id}"
                 )
-            ids, vectors = [], []
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                ids.append(row["item_id"])
-                vectors.append(np.asarray(row["values"], dtype=np.float64))
+            ids = [json.loads(line)["item_id"] for line in f if line.strip()]
         if len(ids) != header["count"]:
             raise DataError(f"{path}: header count {header['count']} != {len(ids)} rows")
+        vectors_path = _vectors_path(path)
+        if not vectors_path.exists():
+            raise DataError(f"index vectors missing: {vectors_path}; rebuild with `medharness index`")
+        try:
+            vectors = np.load(vectors_path, allow_pickle=False)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"{vectors_path}: unreadable index vectors: {exc}") from exc
+        expected = (header["count"], header["dim"])
+        if vectors.dtype != np.float64 or vectors.shape != expected:
+            raise DataError(
+                f"{vectors_path}: vectors are {vectors.dtype} {vectors.shape}, "
+                f"header says float64 {expected}; rebuild with `medharness index`"
+            )
         return cls(provider, ids, vectors)
 
 
+def _vectors_path(index_path: Path) -> Path:
+    return index_path.with_suffix(".npy")
+
+
 def build_index(pool: list[McqItem], provider=None) -> VectorIndex:
-    """Embed every pool item's question; fit the builtin provider if none given."""
+    """Embed every pool item's question; fit the builtin provider if none given.
+
+    Rows are written into one preallocated matrix, sized by the first
+    embedding, so the pool's vectors are never held twice.
+    """
     if not pool:
         raise DataError("cannot index an empty pool")
     if provider is None:
         provider = BuiltinProvider.fit([item.question for item in pool])
-    ids = [item.id for item in pool]
-    vectors = [provider.embed(item.question) for item in pool]
-    return VectorIndex(provider, ids, vectors)
+    first = provider.embed(pool[0].question)
+    matrix = np.empty((len(pool), first.shape[0]), dtype=np.float64)
+    matrix[0] = first
+    for row, item in enumerate(pool[1:], start=1):
+        matrix[row] = provider.embed(item.question)
+    return VectorIndex(provider, [item.id for item in pool], matrix)
 
 
 def nearest(query: McqItem, index: VectorIndex, k: int) -> NeighborSet:
@@ -265,7 +312,9 @@ def next_most_similar(neighbor_set: NeighborSet, consumed: set[str], index: Vect
     """Highest-similarity pool id not yet consumed, beyond the initial k if needed."""
     if neighbor_set.query_vector is None:
         raise DataError(f"{neighbor_set.query_id}: neighbor set lacks its query vector")
-    ranked = index.rank_all(neighbor_set.query_vector, exclude_id=neighbor_set.query_id)
+    # At most len(consumed) of the best len(consumed) + 1 can be consumed.
+    ranked = index.rank_all(neighbor_set.query_vector, exclude_id=neighbor_set.query_id,
+                            limit=len(consumed) + 1)
     for item_id, _ in ranked:
         if item_id not in consumed:
             return item_id

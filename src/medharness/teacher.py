@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem
+from .corpus import McqItem, replace_atomically
 from .errors import DataError, EndpointError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
@@ -69,12 +69,21 @@ def _entry_path(cache_dir: Path, fingerprint: str, item_id: str) -> Path:
 
 
 class CotCache:
-    """One JSON file per verified exemplar; corrupt entries read as misses."""
+    """One JSON file per verified exemplar; corrupt entries read as misses.
+
+    Entries read from disk and validated are kept in memory, so each is read
+    once per instance. `put` replaces the entry file atomically and drops any
+    remembered copy; the next `get` reads the new file.
+    """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
+        self._read: dict[tuple[str, str], CotExemplar] = {}
 
     def get(self, item_id: str, fingerprint: str) -> CotExemplar | None:
+        key = (fingerprint, item_id)
+        if key in self._read:
+            return self._read[key]
         path = _entry_path(self.cache_dir, fingerprint, item_id)
         if not path.exists():
             return None
@@ -91,18 +100,21 @@ class CotCache:
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             log.warning("discarding corrupt cache entry %s: %s", path, exc)
             return None
-        return CotExemplar(item=item, explanation=explanation, verified=True)
+        exemplar = CotExemplar(item=item, explanation=explanation, verified=True)
+        self._read[key] = exemplar
+        return exemplar
 
     def put(self, item: McqItem, explanation: str, fingerprint: str) -> None:
         path = _entry_path(self.cache_dir, fingerprint, item.id)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": 1,
             "fingerprint": fingerprint,
             "item": item.to_json_obj(),
             "explanation": explanation,
         }
-        path.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
+        with replace_atomically(path) as f:
+            f.write((json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8"))
+        self._read.pop((fingerprint, item.id), None)
 
 
 def generate_cot(

@@ -1,5 +1,6 @@
 """Embedding provider, exact nearest-neighbor search, index persistence."""
 
+import json
 import math
 import random
 
@@ -166,6 +167,86 @@ class TestNextMostSimilar:
             next_most_similar(ns, set(), index)
 
 
+class TestExactness:
+    """The matrix product plus band re-score equals a per-pair np.dot scan."""
+
+    @pytest.fixture(scope="class")
+    def tied_pool(self):
+        # Word soup plus groups of identical questions (sizes 2..24), so
+        # exact ties straddle every k tested below.
+        pool = word_soup_items(2000, seed=5)
+        rng = random.Random(6)
+        groups = [pool[rng.randrange(len(pool))].question for _ in range(12)]
+        next_id = len(pool)
+        for size, question in zip(range(2, 26, 2), groups):
+            for _ in range(size):
+                pool.append(make_item(next_id, split=Split.TRAIN, question=question))
+                next_id += 1
+        queries = [make_item(i, question=q) for i, q in enumerate(groups)]
+        queries += word_soup_items(8, seed=77, split=Split.TEST)
+        queries.append(pool[0])  # a pool member: its own row is excluded
+        index = build_index(pool)
+        vectors = {item.id: index.provider.embed(item.question) for item in pool}
+        return queries, index, vectors
+
+    @staticmethod
+    def oracle(index, vectors, query):
+        qvec = index.provider.embed(query.question)
+        return sorted(
+            ((item_id, float(np.dot(vec, qvec))) for item_id, vec in vectors.items()
+             if item_id != query.id),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+
+    def test_matrix_product_rounds_differently(self, tied_pool):
+        queries, index, vectors = tied_pool
+        qvec = index.provider.embed(queries[-2].question)
+        per_pair = np.array([np.dot(vectors[item_id], qvec) for item_id in index.ids])
+        assert np.any(index._matrix @ qvec != per_pair)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_nearest_equals_per_pair_oracle(self, tied_pool, k):
+        queries, index, vectors = tied_pool
+        straddled = 0
+        for query in queries:
+            full = self.oracle(index, vectors, query)
+            got = index.nearest(query, k).neighbors
+            assert list(got) == full[:k]
+            straddled += full[k - 1][1] == full[k][1]
+        assert straddled > 0
+
+    def test_near_ties_reordered_by_matrix_rounding(self):
+        # Rows a few ulps apart: `M @ q` puts some of them in a different
+        # order than the per-pair dot, and the result must follow the latter.
+        rng = np.random.default_rng(0)
+        reordered = 0
+        for _ in range(50):
+            query = rng.standard_normal(64)
+            rows = np.tile(rng.standard_normal(64), (16, 1))
+            for row in rows:
+                nudged = rng.integers(0, 64, 4)
+                row[nudged] *= 1 + rng.integers(-50, 50, 4) * 2.2e-16
+            ids = [f"p{j:02d}" for j in range(16)]
+            index = VectorIndex(BuiltinProvider(dim=64), ids, rows)
+            oracle = sorted(((ids[j], float(np.dot(rows[j], query))) for j in range(16)),
+                            key=lambda pair: (-pair[1], pair[0]))
+            for k in (1, 3):
+                assert index.rank_all(query, limit=k) == oracle[:k]
+            gemv_order = sorted(range(16), key=lambda j: (-(rows @ query)[j], ids[j]))
+            reordered += [ids[j] for j in gemv_order[:3]] != [i for i, _ in oracle[:3]]
+        assert reordered > 0
+
+    def test_next_most_similar_equals_per_pair_oracle(self, tied_pool):
+        queries, index, vectors = tied_pool
+        rng = random.Random(8)
+        for query in queries:
+            full = [item_id for item_id, _ in self.oracle(index, vectors, query)]
+            consumed = set(rng.sample(full[:60], 50))
+            expected = next(item_id for item_id in full if item_id not in consumed)
+            ns = index.nearest(query, 5)
+            assert next_most_similar(ns, consumed, index) == expected
+
+
 class TestPersistence:
     def test_round_trip_preserves_results_bit_exactly(self, tmp_path):
         pool = word_soup_items(40)
@@ -201,6 +282,38 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="count"):
+            VectorIndex.load(path)
+
+    def test_vectors_stored_beside_header(self, tmp_path):
+        index = build_index(word_soup_items(5))
+        index.save(tmp_path / "pool.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npy"]
+        header, *rows = (json.loads(line) for line in
+                         (tmp_path / "pool.jsonl").read_text(encoding="utf-8").splitlines())
+        assert (header["schema"], header["count"]) == (2, 5)
+        assert rows == [{"item_id": item_id} for item_id in index.ids]
+        assert np.load(tmp_path / "pool.npy").shape == (5, header["dim"])
+
+    def test_missing_vectors_refused(self, tmp_path):
+        build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
+        (tmp_path / "pool.npy").unlink()
+        with pytest.raises(DataError, match="vectors missing"):
+            VectorIndex.load(tmp_path / "pool.jsonl")
+
+    def test_vector_shape_mismatch_refused(self, tmp_path):
+        build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
+        np.save(tmp_path / "pool.npy", np.zeros((4, 512)))
+        with pytest.raises(DataError, match="shape|header says"):
+            VectorIndex.load(tmp_path / "pool.jsonl")
+
+    def test_json_vector_index_refused(self, tmp_path):
+        # The former layout: schema 1, vectors as JSON float lists.
+        path = tmp_path / "pool.jsonl"
+        header = {"schema": 1, "provider_id": "builtin-tfidf-v1:dim=2", "dim": 2, "count": 1}
+        path.write_text(json.dumps(header) + "\n"
+                        + json.dumps({"item_id": "train-00000", "values": [1.0, 0.0]}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="schema 1.*medharness index"):
             VectorIndex.load(path)
 
 

@@ -145,6 +145,26 @@ class TestCotCache:
         assert cache.get(tiny_pool[0].id, teacher_fingerprint("teach-2")) is None
         assert teacher_fingerprint("teach-1") != teacher_fingerprint("teach-2")
 
+    def test_overwrite_leaves_one_valid_entry(self, tmp_path, tiny_pool):
+        cache = CotCache(tmp_path)
+        fp = teacher_fingerprint("teach-1")
+        cache.put(tiny_pool[0], "First.", fp)
+        cache.put(tiny_pool[0], "Second.", fp)
+        [entry] = list((tmp_path / "cot" / fp).iterdir())
+        assert json.loads(entry.read_text(encoding="utf-8"))["explanation"] == "Second."
+        assert CotCache(tmp_path).get(tiny_pool[0].id, fp).explanation == "Second."
+
+    def test_entries_read_once_per_instance(self, tmp_path, tiny_pool):
+        cache = CotCache(tmp_path)
+        fp = teacher_fingerprint("teach-1")
+        cache.put(tiny_pool[0], "First.", fp)
+        assert cache.get(tiny_pool[0].id, fp).explanation == "First."
+        [entry] = list((tmp_path / "cot" / fp).iterdir())
+        entry.unlink()
+        assert cache.get(tiny_pool[0].id, fp).explanation == "First."
+        cache.put(tiny_pool[0], "Second.", fp)
+        assert cache.get(tiny_pool[0].id, fp).explanation == "Second."
+
     def test_hostile_item_ids_become_safe_filenames(self, tmp_path, tiny_pool):
         item = replace(tiny_pool[0], id="a/b c*d")
         cache = CotCache(tmp_path)
