@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import click
@@ -33,10 +36,9 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
-from .modelgw import default_max_tokens
-from .promptkit import assemble_prompt, identity_permutation
-from .retrieval import RemoteProvider, VectorIndex, build_index, nearest
-from .runner import LADDER, Stage, run_benchmark
+from .promptkit import Strategy, assemble_prompt, identity_permutation
+from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
+from .runner import LADDER, Stage, generation_request, run_benchmark
 from .teacher import CotCache, build_exemplars, build_random_exemplars
 
 STAGE_NAMES = [stage.value for stage in LADDER]
@@ -128,38 +130,95 @@ def _teacher_endpoint(config: RunConfig):
     return build_endpoint(config.teacher, config.retry)
 
 
-def _exemplar_provider(config: RunConfig, dataset: Dataset, stage: Stage,
-                       store: CorpusStore, allow_teacher: bool = True):
-    """Stage-appropriate exemplar source. Returns (provider, n_teacher_like)."""
-    if stage is Stage.ZERO_SHOT:
-        return lambda item: []
-    pool = store.training_pool(dataset)
-    if stage is Stage.RANDOM_FEWSHOT:
-        fixed, _ = build_random_exemplars(pool, config.seed, n=config.n_fewshot, cot=False)
-        return lambda item: fixed
-    cache = CotCache(config.cache_dir)
-    teacher = _teacher_endpoint(config) if allow_teacher else _CacheOnlyTeacher(config)
-    if stage is Stage.RANDOM_FEWSHOT_COT:
-        fixed, _ = build_random_exemplars(
-            pool, config.seed, teacher=teacher, cache=cache, n=config.n_fewshot, cot=True
+class _Sources:
+    """What one command's stages draw on, each read or built at most once.
+
+    The test split is read on construction; the pool, its index and the
+    teacher on first use. kNN exemplars are built once per test item and
+    kept, so the kNN and ensemble stages of one `ablate` share them; query
+    vectors live only until their item's exemplars are built.
+    """
+
+    def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
+                 allow_teacher: bool = True):
+        self.config = config
+        self.dataset = dataset
+        self.store = CorpusStore(config.corpus_dir)
+        all_items = self.store.load(dataset, Split.TEST)
+        self.test_ids = {item.id for item in all_items}
+        self.items = _limited(all_items, limit)
+        self.allow_teacher = allow_teacher
+        self.cache = CotCache(config.cache_dir)
+        self._knn: dict[str, list] = {}
+
+    @cached_property
+    def pool(self) -> list[McqItem]:
+        return self.store.training_pool(self.dataset, test_ids=self.test_ids)
+
+    @cached_property
+    def index(self) -> VectorIndex:
+        return _load_or_build_index(self.config, self.dataset, self.pool)
+
+    @cached_property
+    def teacher(self):
+        return _teacher_endpoint(self.config) if self.allow_teacher else _CacheOnlyTeacher(self.config)
+
+    @cached_property
+    def pool_items(self) -> dict[str, McqItem]:
+        return {item.id: item for item in self.pool}
+
+    def knn_exemplars(self, neighbor_set: NeighborSet):
+        """Build and keep one ranked test item's exemplars; returns (exemplars, outcomes)."""
+        exemplars, outcomes = build_exemplars(
+            neighbor_set, self.index, self.pool_items, self.teacher, cache=self.cache,
+            n=self.config.n_fewshot,
         )
-        return lambda item: fixed
-    index = _load_or_build_index(config, dataset, pool)
-    pool_items = {item.id: item for item in pool}
-    memo: dict[str, list] = {}
+        if any(e.item.id == neighbor_set.query_id for e in exemplars):
+            raise DataError(f"{neighbor_set.query_id}: exemplar pool leaked the test item")
+        self._knn[neighbor_set.query_id] = exemplars
+        return exemplars, outcomes
 
-    def provider(item: McqItem):
-        if item.id not in memo:
-            neighbor_set = nearest(item, index, config.k_neighbors)
-            exemplars, _ = build_exemplars(
-                neighbor_set, index, pool_items, teacher, cache=cache, n=config.n_fewshot
+    def exemplars_for(self, stage: Stage, items: list[McqItem]):
+        """The stage's exemplar provider (item -> exemplars) over `items`."""
+        strategy = stage.strategy
+        if strategy is Strategy.ZERO_SHOT:
+            return lambda item: []
+        if strategy is not Strategy.KNN_FEWSHOT_COT:
+            fixed, _ = build_random_exemplars(
+                self.pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
+                cache=self.cache, n=self.config.n_fewshot, cot=strategy.cot,
             )
-            if any(e.item.id == item.id for e in exemplars):
-                raise DataError(f"{item.id}: exemplar pool leaked the test item")
-            memo[item.id] = exemplars
-        return memo[item.id]
+            return lambda item: fixed
+        # Loaded before the workers start, so they share one of each and a
+        # missing `teacher:` block fails before the first target call.
+        _ = self.pool_items, self.teacher, self.index
+        position = {item.id: i for i, item in enumerate(items)}
+        ranked: set[str] = set()
+        pending: dict[str, NeighborSet] = {}
+        lock = threading.Lock()
 
-    return provider
+        def provider(item: McqItem):
+            if item.id in self._knn:
+                return self._knn[item.id]
+            # A miss ranks the item with the next unranked ones, one block in
+            # one product. Each worker builds its own item's exemplars outside
+            # the lock, so teacher calls for different items still overlap and
+            # an error stays with its item.
+            with lock:
+                neighbor_set = pending.pop(item.id, None)
+                if neighbor_set is None:
+                    start = position[item.id]
+                    block = [item] + [
+                        other for other in items[start + 1:start + QUERY_BLOCK]
+                        if other.id not in ranked and other.id not in self._knn
+                    ]
+                    ranked.update(other.id for other in block)
+                    for ranked_set in self.index.nearest_many(block, self.config.k_neighbors):
+                        pending[ranked_set.query_id] = ranked_set
+                    neighbor_set = pending.pop(item.id)
+            return self.knn_exemplars(neighbor_set)[0]
+
+        return provider
 
 
 class _CacheOnlyTeacher:
@@ -182,22 +241,17 @@ def _report_path(config: RunConfig, dataset: Dataset, stage: Stage) -> Path:
     return config.output_dir / dataset.value / f"{stage.value}.report.json"
 
 
-def _test_items(store: CorpusStore, dataset: Dataset, limit: int | None) -> list[McqItem]:
-    items = store.load(dataset, Split.TEST)
-    if limit is not None:
-        if limit < 1:
-            raise ConfigError(f"--limit must be >= 1, got {limit}")
-        items = items[:limit]
-    return items
+def _limited(items: list[McqItem], limit: int | None) -> list[McqItem]:
+    if limit is not None and limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {limit}")
+    return items[:limit]
 
 
-def _run_stage(config: RunConfig, dataset: Dataset, stage: Stage, resume: bool,
-               concurrency: int | None, limit: int | None, echo=click.echo) -> dict:
-    store = CorpusStore(config.corpus_dir)
-    items = _test_items(store, dataset, limit)
+def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int | None) -> dict:
+    config, dataset, items = sources.config, sources.dataset, sources.items
     instruction = instruction_for(config, dataset)
     target = build_endpoint(config.target, config.retry)
-    provider = _exemplar_provider(config, dataset, stage, store)
+    provider = sources.exemplars_for(stage, items)
     trace_path = _trace_path(config, dataset, stage)
     rows = run_benchmark(
         items,
@@ -219,7 +273,7 @@ def _run_stage(config: RunConfig, dataset: Dataset, stage: Stage, resume: bool,
         expected_ids=[item.id for item in items],
     )
     write_report(report, _report_path(config, dataset, stage))
-    echo(
+    click.echo(
         f"{dataset.value}/{stage.value}: {report['accuracy_percent']:.1f}% "
         f"({report['n_correct']}/{report['n_items']}), "
         f"{report['invalid_count']} invalid, trace {trace_path}"
@@ -227,28 +281,25 @@ def _run_stage(config: RunConfig, dataset: Dataset, stage: Stage, resume: bool,
     return report
 
 
-def _print_dry_run(config: RunConfig, dataset: Dataset, stage: Stage, limit: int | None):
-    store = CorpusStore(config.corpus_dir)
-    items = _test_items(store, dataset, limit)
+def _print_dry_run(sources: _Sources, stage: Stage):
+    config, dataset, items = sources.config, sources.dataset, sources.items
     if not items:
         raise DataError(f"{dataset.value}: no test items")
     item = items[0]
-    provider = _exemplar_provider(config, dataset, stage, store, allow_teacher=False)
-    exemplars = provider(item)
-    strategy = stage.strategy
+    exemplars = sources.exemplars_for(stage, [item])(item)
     bundle = assemble_prompt(
-        strategy, instruction_for(config, dataset), exemplars, item,
+        stage.strategy, instruction_for(config, dataset), exemplars, item,
         permutation=identity_permutation(item),
     )
     temperature = config.ensemble.temperature if stage.is_ensemble else 0.0
-    max_tokens = default_max_tokens(exemplars) if strategy.cot else default_max_tokens([])
+    request = generation_request(config.target.model_id, bundle.text, stage.strategy, exemplars,
+                                 temperature=temperature, seed=config.seed)
     click.echo(bundle.text)
     click.echo("---")
-    click.echo(f"model: {config.target.model_id}")
+    click.echo(f"model: {request.model_id}")
     click.echo(f"stage: {stage.value}  items: {len(items)}")
-    stop_json = json.dumps(["\n### Question:"])
-    click.echo(f"temperature: {temperature}  max_tokens: {max_tokens}  "
-               f"stop: {stop_json}  seed: {config.seed}")
+    click.echo(f"temperature: {request.temperature}  max_tokens: {request.max_tokens}  "
+               f"stop: {json.dumps(list(request.stop_sequences))}  seed: {request.seed}")
     if stage.is_ensemble:
         click.echo(f"ensemble runs: {config.ensemble.n_runs} (shuffled options per run)")
 
@@ -267,19 +318,14 @@ def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
     """Run one prompting stage over a dataset's test split."""
     config = load_config(config_path)
     if seed is not None:
-        config = _with_seed(config, seed)
+        config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
+    sources = _Sources(config, dataset, limit, allow_teacher=not dry_run)
     if dry_run:
-        _print_dry_run(config, dataset, stage, limit)
+        _print_dry_run(sources, stage)
         return
-    _run_stage(config, dataset, stage, resume, concurrency, limit)
-
-
-def _with_seed(config: RunConfig, seed: int) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
+    _run_stage(sources, stage, resume, concurrency)
 
 
 @cli.command()
@@ -293,12 +339,15 @@ def ablate(config_path: Path, dataset_name: str, seed: int | None,
     """Run every ladder stage in order and tabulate the ablation."""
     config = load_config(config_path)
     if seed is not None:
-        config = _with_seed(config, seed)
+        config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
-    reports = [
-        _run_stage(config, dataset, stage, resume=True, concurrency=concurrency, limit=limit)
-        for stage in LADDER
-    ]
+    sources = _Sources(config, dataset, limit)
+    reports = [_run_stage(sources, stage, resume=True, concurrency=concurrency) for stage in LADDER]
+    _write_ablation(config, dataset, reports)
+
+
+def _write_ablation(config: RunConfig, dataset: Dataset, reports: list[dict]) -> None:
+    """Write `ablation.json` and `ablation.txt` beside the traces; echo the text."""
     table = ablation(reports)
     out_dir = config.output_dir / dataset.value
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,29 +368,22 @@ def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
     """Pre-generate verified exemplar explanations into the cache."""
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    store = CorpusStore(config.corpus_dir)
-    pool = store.training_pool(dataset)
-    cache = CotCache(config.cache_dir)
-    teacher = _teacher_endpoint(config)
     if kind == "random":
         exemplars, outcomes = build_random_exemplars(
-            pool, config.seed, teacher=teacher, cache=cache, n=config.n_fewshot, cot=True
+            CorpusStore(config.corpus_dir).training_pool(dataset), config.seed,
+            teacher=_teacher_endpoint(config), cache=CotCache(config.cache_dir),
+            n=config.n_fewshot, cot=True,
         )
         fresh = sum(1 for o in outcomes if o.accepted and not o.from_cache)
         click.echo(f"{dataset.value}: {len(exemplars)} random exemplars verified "
                    f"({fresh} newly generated)")
         return
-    index = _load_or_build_index(config, dataset, pool)
-    pool_items = {item.id: item for item in pool}
-    items = _test_items(store, dataset, limit)
+    sources = _Sources(config, dataset, limit)
     n_fresh = 0
-    for item in items:
-        neighbor_set = nearest(item, index, config.k_neighbors)
-        _, outcomes = build_exemplars(
-            neighbor_set, index, pool_items, teacher, cache=cache, n=config.n_fewshot
-        )
+    for neighbor_set in sources.index.nearest_many(sources.items, config.k_neighbors):
+        _, outcomes = sources.knn_exemplars(neighbor_set)
         n_fresh += sum(1 for o in outcomes if o.accepted and not o.from_cache)
-    click.echo(f"{dataset.value}: exemplars ready for {len(items)} items "
+    click.echo(f"{dataset.value}: exemplars ready for {len(sources.items)} items "
                f"({n_fresh} explanations newly generated)")
 
 
@@ -355,8 +397,7 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
 
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    store = CorpusStore(config.corpus_dir)
-    items = _test_items(store, dataset, limit)
+    items = _limited(CorpusStore(config.corpus_dir).load(dataset, Split.TEST), limit)
     expected = [item.id for item in items]
     fingerprint = config_fingerprint(config, dataset)
     reports = []
@@ -374,13 +415,7 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
     if not reports:
         raise DataError(f"{dataset.value}: no traces under {config.output_dir}")
     if len(reports) == len(LADDER):
-        table = ablation(reports)
-        out_dir = config.output_dir / dataset.value
-        (out_dir / "ablation.json").write_text(
-            json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out_dir / "ablation.txt").write_text(render_ablation_text(table), encoding="utf-8")
-        click.echo(render_ablation_text(table), nl=False)
+        _write_ablation(config, dataset, reports)
     if dataset is Dataset.MMLU_MED:
         best = reports[-1]
         rows = read_trace(_trace_path(config, dataset, Stage(best["stage"])))

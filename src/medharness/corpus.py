@@ -573,8 +573,12 @@ class CorpusStore:
     def has(self, dataset: Dataset, split: Split) -> bool:
         return self.corpus_path(dataset, split).exists()
 
-    def training_pool(self, dataset: Dataset) -> list[McqItem]:
-        """The pool few-shot exemplars are drawn from, disjoint from test."""
+    def training_pool(self, dataset: Dataset, test_ids: set[str] | None = None) -> list[McqItem]:
+        """The pool few-shot exemplars are drawn from, disjoint from test.
+
+        `test_ids` are the ids of the whole test split when the caller has
+        read it already; otherwise the split is read here, if it exists.
+        """
         split = POOL_SPLIT[dataset]
         path = self.corpus_path(dataset, split)
         if not path.exists():
@@ -582,8 +586,9 @@ class CorpusStore:
                 f"pool missing for {dataset.value}: ingest split '{split.value}' first ({path})"
             )
         pool = read_normalized(path)
-        if self.has(dataset, Split.TEST):
+        if test_ids is None and self.has(dataset, Split.TEST):
             test_ids = {item.id for item in self.load(dataset, Split.TEST)}
+        if test_ids:
             overlap = [item.id for item in pool if item.id in test_ids]
             if overlap:
                 raise DataError(

@@ -404,7 +404,6 @@ class MockEndpoint:
         self.policy = policy
         self.model_id = model_id
         self.call_count = 0
-        self.prompts: list[str] = []
         self._occurrences: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -413,7 +412,6 @@ class MockEndpoint:
             n = self._occurrences.get(request.prompt, 0)
             self._occurrences[request.prompt] = n + 1
             self.call_count += 1
-            self.prompts.append(request.prompt)
         text = self.policy(request, n)
         return GenerationResponse(text=text, finish_reason="stop", usage={}, latency=0.0)
 

@@ -41,6 +41,7 @@ __all__ = [
     "ShuffleResult",
     "SENTINEL_ANSWER",
     "SENTINEL_EXPLANATION",
+    "STOP_SEQUENCES",
     "FEWSHOT_SIZE",
     "TEACHER_TEMPLATE",
     "assemble_prompt",
@@ -79,6 +80,8 @@ OPTIONS_HEADING = "### Options:"
 
 SENTINEL_ANSWER = ANSWER_HEADING
 SENTINEL_EXPLANATION = EXPLANATION_HEADING
+# Generation stops where the model would start writing another question.
+STOP_SEQUENCES = ("\n" + QUESTION_HEADING,)
 
 TEACHER_TEMPLATE = (
     "You are a medical expert. Answer the following multiple choice question "

@@ -4,11 +4,12 @@ Similarity is the cosine of question-text embeddings (contexts excluded) in
 float64. Ordering is (similarity descending, item id ascending); search is
 exhaustive, never approximate, and its scores equal a brute-force scan of one
 `np.dot` per pair bit for bit. Pool vectors are the rows of one C-contiguous
-matrix `M`. A query scores the whole pool with one `M @ q`, whose rounding
-differs from the per-pair dot by about dim * eps; every row within
-SCORE_TIE_BAND (far wider) of the k-th best is then re-scored with its own
-`np.dot` and sorted. No row of the true top k can fall outside that band, so
-the result is the brute-force one, ties included.
+matrix `M`. Queries are scored QUERY_BLOCK at a time with one `Q @ M.T`, so
+the pool streams through memory once per block rather than once per query.
+That product's rounding differs from the per-pair dot by about dim * eps;
+every row within SCORE_TIE_BAND (far wider) of a query's k-th best is then
+re-scored with its own `np.dot` and sorted. No row of the true top k can fall
+outside that band, so the result is the brute-force one, ties included.
 
 Two embedding providers exist: a remote one backed by an embeddings endpoint,
 and a builtin deterministic lexical one (hashed term frequency weighted by
@@ -27,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "BuiltinProvider",
     "RemoteProvider",
     "VectorIndex",
+    "QUERY_BLOCK",
     "build_index",
     "nearest",
     "next_most_similar",
@@ -47,6 +50,9 @@ __all__ = [
 
 DEFAULT_DIM = 512
 INDEX_SCHEMA = 2
+# Queries scored per matrix product. Larger blocks stream the pool less often
+# but grow BLAS work buffers; at 16 the product is 1.3 MB for a 10k pool.
+QUERY_BLOCK = 16
 # Rows whose matrix-product score is within this of the k-th best are
 # re-scored per pair. It is far above the ~dim * eps (~6e-14 at dim 512) by
 # which `M @ q` and a per-pair `np.dot` can differ.
@@ -178,40 +184,66 @@ class VectorIndex:
 
     def rank_all(self, query_vector: np.ndarray, exclude_id: str | None = None,
                  limit: int | None = None) -> list[tuple[str, float]]:
-        """(id, cosine) pairs, best first; only the first `limit` when given.
+        """(id, cosine) pairs, best first; only the first `limit` when given."""
+        [ranked] = self._rank_block([query_vector], [exclude_id], limit)
+        return ranked
 
-        Scores and order are those of one `np.dot` per pair sorted by
-        (-score, id). With a limit, `M @ q` first narrows the rows to those
-        within SCORE_TIE_BAND of the limit-th best; without one, every row
-        is scored per pair.
+    def _rank_block(self, query_vectors, exclude_ids: list[str | None],
+                    limit: int | None) -> list[list[tuple[str, float]]]:
+        """Rank up to QUERY_BLOCK queries with at most one `Q @ M.T`.
+
+        Entry i holds the (id, cosine) pairs of query i without the pool row
+        `exclude_ids[i]`, with the scores and order of one `np.dot` per pair
+        sorted by (-score, id). With a limit, the product narrows each query's
+        rows to those within SCORE_TIE_BAND of its limit-th best; without
+        one, every row is scored per pair.
         """
-        query_vector = np.asarray(query_vector, dtype=np.float64)
-        excluded = self._rows.get(exclude_id)
-        rows = range(len(self._ids))
-        if limit is not None and limit < len(self._ids) - (excluded is not None):
-            scores = self._matrix @ query_vector
-            if excluded is not None:
-                scores[excluded] = -np.inf
-            kth = np.partition(scores, -limit)[-limit]
-            rows = np.flatnonzero(scores >= kth - SCORE_TIE_BAND)
-        scored = [
-            (self._ids[row], float(np.dot(self._matrix[row], query_vector)))
-            for row in rows
-            if row != excluded
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:limit]
+        queries = np.asarray(query_vectors, dtype=np.float64)
+        n = len(self._ids)
+        scores = None
+        ranked = []
+        for i, (query_vector, exclude_id) in enumerate(zip(queries, exclude_ids)):
+            excluded = self._rows.get(exclude_id)
+            rows = range(n)
+            if limit is not None and limit < n - (excluded is not None):
+                if scores is None:
+                    scores = queries @ self._matrix.T
+                row_scores = scores[i]
+                if excluded is not None:
+                    row_scores[excluded] = -np.inf
+                kth = np.partition(row_scores, -limit)[-limit]
+                rows = np.flatnonzero(row_scores >= kth - SCORE_TIE_BAND)
+            scored = [
+                (self._ids[row], float(np.dot(self._matrix[row], query_vector)))
+                for row in rows
+                if row != excluded
+            ]
+            scored.sort(key=lambda pair: (-pair[1], pair[0]))
+            ranked.append(scored[:limit])
+        return ranked
 
-    def nearest(self, query: McqItem, k: int) -> NeighborSet:
+    def nearest_many(self, queries: list[McqItem], k: int) -> Iterator[NeighborSet]:
+        """Each query's k nearest pool items, in query order, ranked QUERY_BLOCK at a time.
+
+        A block's query vectors live only as long as its neighbor sets do.
+        """
         if k < 1:
             raise DataError("k must be >= 1")
         if k > len(self._ids):
             raise DataError(f"k={k} exceeds pool size {len(self._ids)}")
-        qvec = self.embed_query(query)
-        ranked = self.rank_all(qvec, exclude_id=query.id, limit=k)
-        if len(ranked) < k:
-            raise DataError(f"k={k} exceeds available pool after excluding {query.id}")
-        return NeighborSet(query_id=query.id, neighbors=tuple(ranked), query_vector=qvec)
+        for start in range(0, len(queries), QUERY_BLOCK):
+            block = queries[start:start + QUERY_BLOCK]
+            vectors = np.stack([self.embed_query(query) for query in block])
+            ranked = self._rank_block(vectors, [query.id for query in block], limit=k)
+            for query, query_vector, neighbors in zip(block, vectors, ranked):
+                if len(neighbors) < k:
+                    raise DataError(f"k={k} exceeds available pool after excluding {query.id}")
+                yield NeighborSet(query_id=query.id, neighbors=tuple(neighbors),
+                                  query_vector=query_vector)
+
+    def nearest(self, query: McqItem, k: int) -> NeighborSet:
+        [neighbor_set] = self.nearest_many([query], k)
+        return neighbor_set
 
     # -- persistence ---------------------------------------------------
 

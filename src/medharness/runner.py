@@ -28,6 +28,7 @@ from .errors import ConfigError, EndpointError, IncompleteRunError
 from .modelgw import GenerationRequest, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
 from .promptkit import (
+    STOP_SEQUENCES,
     CotExemplar,
     Strategy,
     assemble_prompt,
@@ -45,6 +46,7 @@ __all__ = [
     "answer_item",
     "answer_item_ensemble",
     "aggregate_votes",
+    "generation_request",
     "run_benchmark",
     "read_trace",
     "INVALID",
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 MAX_VALIDITY_TRIES = 5
-STOP_SEQUENCES = ("\n### Question:",)
 TRACE_SCHEMA = 1
 
 
@@ -142,6 +143,24 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
     raise AssertionError("unreachable: tied labels came from the decisions")
 
 
+def generation_request(model_id: str, prompt: str, strategy: Strategy,
+                       exemplars: list[CotExemplar], temperature: float = 0.0,
+                       seed: int | None = None) -> GenerationRequest:
+    """The request for one target prompt.
+
+    Only strategies that show explanations size the token budget from them;
+    the others get the answer-only budget.
+    """
+    return GenerationRequest(
+        model_id=model_id,
+        prompt=prompt,
+        temperature=temperature,
+        max_tokens=default_max_tokens(exemplars if strategy.cot else []),
+        stop_sequences=STOP_SEQUENCES,
+        seed=seed,
+    )
+
+
 def answer_item(
     item: McqItem,
     strategy: Strategy,
@@ -172,7 +191,8 @@ def answer_item(
     )
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
-    max_tokens = default_max_tokens(exemplars) if strategy.cot else default_max_tokens([])
+    request = generation_request(endpoint.model_id, bundle.text, strategy, exemplars,
+                                 temperature=temperature, seed=request_seed)
     prompt_sha = hashlib.sha256(bundle.text.encode("utf-8")).hexdigest()
 
     tries = 0
@@ -181,14 +201,6 @@ def answer_item(
     presented_label = INVALID
     while tries < max_tries:
         tries += 1
-        request = GenerationRequest(
-            model_id=endpoint.model_id,
-            prompt=bundle.text,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            stop_sequences=STOP_SEQUENCES,
-            seed=request_seed,
-        )
         try:
             response = complete(request, endpoint)
         except EndpointError:
@@ -277,21 +289,38 @@ def _result_row(result: ItemResult) -> dict:
 
 
 def read_trace(trace_path: str | Path) -> list[dict]:
-    rows = []
-    path = Path(trace_path)
+    """The rows of a trace, in file order.
+
+    A last line that lacks its newline and does not parse is a write cut
+    short by a crash; it is skipped, so the item runs again on resume. A
+    corrupt line anywhere else is an error.
+    """
+    return _scan_trace(Path(trace_path))[0]
+
+
+def _scan_trace(path: Path) -> tuple[list[dict], tuple[int, bytes] | None]:
+    """`read_trace`'s rows, plus how to mend the file's tail before appending.
+
+    The mend is None for a file that ends in a newline, else (offset, tail):
+    cut the file at offset and write tail there. A torn last line is cut
+    off; a last row that parses gets its newline back.
+    """
+    rows: list[dict] = []
     if not path.exists():
-        return rows
-    with open(path, encoding="utf-8") as f:
+        return rows, None
+    offset, line = 0, b"\n"
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            start, offset = offset, offset + len(line)
+            if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rows.append(json.loads(line))
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    return rows, (start, b"")
                 raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
-            rows.append(row)
-    return rows
+    return rows, None if line.endswith(b"\n") else (offset, b"\n")
 
 
 def run_benchmark(
@@ -318,7 +347,7 @@ def run_benchmark(
     Returns the trace rows for all requested items, in item order.
     """
     trace_path = Path(trace_path)
-    existing = read_trace(trace_path)
+    existing, mend = _scan_trace(trace_path)
     for row in existing:
         if row.get("stage") != stage.value:
             raise ConfigError(
@@ -336,6 +365,12 @@ def run_benchmark(
     rows_by_id = {row["item_id"]: row for row in existing}
     if todo:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
+        if mend is not None:
+            offset, tail = mend
+            with open(trace_path, "rb+") as f:
+                f.truncate(offset)
+                f.seek(offset)
+                f.write(tail)
         write_lock = threading.Lock()
 
         def handle(item: McqItem) -> None:

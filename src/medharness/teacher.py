@@ -24,7 +24,8 @@ from .corpus import McqItem, replace_atomically
 from .errors import DataError, EndpointError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
-from .promptkit import CotExemplar, TEACHER_TEMPLATE, extraction_tokens, teacher_prompt
+from .promptkit import (STOP_SEQUENCES, TEACHER_TEMPLATE, CotExemplar, extraction_tokens,
+                        teacher_prompt)
 from .retrieval import NeighborSet, VectorIndex, next_most_similar
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MAX_TEACHER_ATTEMPTS = 3
-STOP_SEQUENCES = ("\n### Question:",)
 
 
 def teacher_fingerprint(model_id: str) -> str:

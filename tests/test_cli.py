@@ -1,13 +1,20 @@
 """Command-line flows against an in-process scripted endpoint."""
 
 import json
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 import yaml
 
 from conftest import make_item
+from medharness import cli, corpus
 from medharness.cli import main
 from medharness.corpus import Split, write_normalized
+from medharness.errors import DataError
+from medharness.retrieval import VectorIndex
 
 
 def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
@@ -254,3 +261,143 @@ class TestExitCodes:
         code = main(["report", "--config", str(config), "--dataset", "medqa"])
         assert code == 4
         assert "unscored" in capsys.readouterr().err
+
+
+class TestRankOnce:
+    """Each command reads each corpus split once and ranks each test item once."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        ids = []
+        rank_block = VectorIndex._rank_block
+
+        def spy(index, query_vectors, exclude_ids, limit):
+            ids.extend(exclude_ids)
+            return rank_block(index, query_vectors, exclude_ids, limit)
+
+        monkeypatch.setattr(VectorIndex, "_rank_block", spy)
+        return ids
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        names = []
+        read_normalized = corpus.read_normalized
+
+        def spy(path):
+            names.append(Path(path).name)
+            return read_normalized(path)
+
+        monkeypatch.setattr(corpus, "read_normalized", spy)
+        return names
+
+    def test_ablate_ranks_each_item_once(self, tmp_path, ranked, loads):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(["ablate", "--config", str(config), "--dataset", "medqa"]) == 0
+        assert sorted(ranked) == sorted(item.id for item in test_items)
+        assert sorted(loads) == ["test.jsonl", "train.jsonl"]
+
+    def test_run_reads_each_split_once(self, tmp_path, loads):
+        config, _, _ = build_env(tmp_path)
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "knn_fewshot_cot"]) == 0
+        assert sorted(loads) == ["test.jsonl", "train.jsonl"]
+
+    def test_resume_ranks_only_unfinished_items(self, tmp_path, ranked):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        args = ["run", "--config", str(config), "--dataset", "medqa",
+                "--stage", "knn_fewshot_cot"]
+        assert main(args + ["--limit", "5"]) == 0
+        assert ranked == [item.id for item in test_items[:5]]
+        ranked.clear()
+        assert main(args + ["--resume"]) == 0
+        assert ranked == [item.id for item in test_items[5:]]
+
+    def test_concurrent_stage_ranks_each_item_once(self, tmp_path, ranked):
+        config, test_items, _ = build_env(tmp_path, n_test=40, n_pool=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = main(["run", "--config", str(config), "--dataset", "medqa",
+                         "--stage", "knn_fewshot_cot", "--concurrency", "8"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert sorted(ranked) == sorted(item.id for item in test_items)
+
+    def test_error_in_a_later_block_keeps_the_rows_before_it(self, tmp_path, monkeypatch):
+        config, test_items, _ = build_env(tmp_path, n_test=40, n_pool=30)
+        rank_block = VectorIndex._rank_block
+        blocks = []
+
+        def failing(index, query_vectors, exclude_ids, limit):
+            if test_items[32].id in exclude_ids:
+                raise DataError("embedding endpoint gone")
+            blocks.append(len(exclude_ids))
+            return rank_block(index, query_vectors, exclude_ids, limit)
+
+        monkeypatch.setattr(VectorIndex, "_rank_block", failing)
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "knn_fewshot_cot"])
+        assert code == 2
+        assert blocks == [16, 16]
+        rows = trace_rows(tmp_path / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl")
+        assert [row["item_id"] for row in rows] == [item.id for item in test_items[:32]]
+
+    def test_teacher_calls_overlap_across_items(self, tmp_path, monkeypatch):
+        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
+        teacher_endpoint = cli._teacher_endpoint
+        in_flight, most = [0], [0]
+        lock = threading.Lock()
+
+        class SlowTeacher:
+            def __init__(self, endpoint):
+                self.endpoint = endpoint
+                self.model_id = endpoint.model_id
+
+            def complete(self, request):
+                with lock:
+                    in_flight[0] += 1
+                    most[0] = max(most[0], in_flight[0])
+                time.sleep(0.02)
+                try:
+                    return self.endpoint.complete(request)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        monkeypatch.setattr(cli, "_teacher_endpoint",
+                            lambda config: SlowTeacher(teacher_endpoint(config)))
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "knn_fewshot_cot", "--concurrency", "4"]) == 0
+        assert most[0] > 1
+
+    def test_gen_cot_then_run_gives_the_prompts_of_run_alone(self, tmp_path):
+        def knn_prompts(root, warm):
+            config, _, _ = build_env(root, n_test=20, n_pool=30)
+            if warm:
+                assert main(["gen-cot", "--config", str(config), "--dataset", "medqa"]) == 0
+            assert main(["run", "--config", str(config), "--dataset", "medqa",
+                         "--stage", "knn_fewshot_cot"]) == 0
+            rows = trace_rows(root / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl")
+            return [run["prompt_sha256"] for row in rows for run in row["per_run"]]
+
+        alone = knn_prompts(tmp_path / "alone", warm=False)
+        assert len(set(alone)) == 20
+        assert knn_prompts(tmp_path / "warm", warm=True) == alone
+
+
+class TestDryRunRequest:
+    def test_prints_the_request_a_run_sends(self, tmp_path, capsys):
+        config, _, _ = build_env(tmp_path)
+        assert main(["gen-cot", "--config", str(config), "--dataset", "medqa",
+                     "--limit", "1"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "ensemble", "--dry-run"]) == 0
+        params = capsys.readouterr().out.partition("\n---\n")[2]
+        assert params == (
+            "model: target-x\n"
+            "stage: ensemble  items: 4\n"
+            'temperature: 0.4  max_tokens: 256  stop: ["\\n### Question:"]  seed: 0\n'
+            "ensemble runs: 5 (shuffled options per run)\n"
+        )

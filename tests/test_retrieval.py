@@ -11,6 +11,7 @@ from conftest import make_item
 from medharness.corpus import Split
 from medharness.errors import DataError
 from medharness.retrieval import (
+    QUERY_BLOCK,
     BuiltinProvider,
     NeighborSet,
     RemoteProvider,
@@ -245,6 +246,80 @@ class TestExactness:
             expected = next(item_id for item_id in full if item_id not in consumed)
             ns = index.nearest(query, 5)
             assert next_most_similar(ns, consumed, index) == expected
+
+    # -- queries ranked QUERY_BLOCK per matrix product ---------------------
+
+    @pytest.fixture(scope="class")
+    def block_queries(self, tied_pool):
+        # 37 queries, three blocks. Four copies of a duplicated pool question
+        # sit at 14, 15, 17 and 18, across the first block boundary; pool
+        # members, whose own rows are excluded, sit at 16 and 36.
+        queries, _, _ = tied_pool
+        soup = word_soup_items(20, seed=91, split=Split.TEST)
+        copies = [make_item(100 + j, question=queries[3].question) for j in range(4)]
+        groups = [make_item(200 + j, question=q.question) for j, q in enumerate(queries[:11])]
+        twin = make_item(2000, split=Split.TRAIN, question=queries[0].question)
+        block = soup[:14] + copies[:2] + [queries[-1]] + copies[2:] + soup[14:] + groups + [twin]
+        assert len(block) == 37 and QUERY_BLOCK == 16
+        return block
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 37])
+    @pytest.mark.parametrize("k", [5, 20])
+    def test_blocks_equal_per_pair_oracle(self, tied_pool, block_queries, n, k):
+        _, index, vectors = tied_pool
+        queries = block_queries[:n]
+        got = list(index.nearest_many(queries, k))
+        assert [ns.query_id for ns in got] == [query.id for query in queries]
+        straddled = 0
+        for ns, query in zip(got, queries):
+            full = self.oracle(index, vectors, query)
+            assert list(ns.neighbors) == full[:k]
+            straddled += full[k - 1][1] == full[k][1]
+        assert straddled > 0 or n < 17
+
+    def test_copies_across_a_block_boundary_agree(self, tied_pool, block_queries):
+        _, index, _ = tied_pool
+        got = list(index.nearest_many(block_queries[:19], 5))
+        assert len({got[i].neighbors for i in (14, 15, 17, 18)}) == 1
+
+    def test_pool_member_query_excludes_its_own_row(self, tied_pool, block_queries):
+        _, index, vectors = tied_pool
+        got = list(index.nearest_many(block_queries, 5))
+        for position in (16, 36):
+            query = block_queries[position]
+            assert query.id in index.ids and query.id not in got[position].ids
+        # The pool items sharing train-02000's question come first, it does not.
+        same = sorted(item_id for item_id, vec in vectors.items()
+                      if item_id != "train-02000" and np.array_equal(vec, vectors["train-02000"]))
+        assert "train-02001" in same and list(got[36].ids[:len(same)]) == same
+
+    def test_one_product_per_block(self, tied_pool, block_queries, monkeypatch):
+        _, index, _ = tied_pool
+        sizes = []
+        rank_block = VectorIndex._rank_block
+
+        def spy(self, query_vectors, exclude_ids, limit):
+            sizes.append(len(query_vectors))
+            return rank_block(self, query_vectors, exclude_ids, limit)
+
+        monkeypatch.setattr(VectorIndex, "_rank_block", spy)
+        assert len(list(index.nearest_many(block_queries, 5))) == 37
+        assert sizes == [16, 16, 5]
+
+    def test_next_most_similar_with_reembedded_query(self, tied_pool):
+        # A neighbor set kept without its vector needs the query embedded
+        # again; embedding is deterministic, so replacements do not change.
+        queries, index, vectors = tied_pool
+        rng = random.Random(9)
+        for query, ns in zip(queries, index.nearest_many(queries, 5)):
+            full = [item_id for item_id, _ in self.oracle(index, vectors, query)]
+            consumed = set(rng.sample(full[:40], 30))
+            expected = next(item_id for item_id in full if item_id not in consumed)
+            dropped = NeighborSet(ns.query_id, ns.neighbors)
+            with pytest.raises(DataError, match="query vector"):
+                next_most_similar(dropped, consumed, index)
+            again = NeighborSet(ns.query_id, ns.neighbors, query_vector=index.embed_query(query))
+            assert next_most_similar(again, consumed, index) == expected
 
 
 class TestPersistence:

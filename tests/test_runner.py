@@ -371,3 +371,61 @@ class TestRunBenchmark:
                              tmp_path / "fs.jsonl")
         assert all(r["correct"] for r in rows)
         assert all(r["stage"] == "random_fewshot" for r in rows)
+
+
+class TestTornTrace:
+    """A crash mid-append leaves a partial last line; resume must get past it."""
+
+    def write_rows(self, bench_items, trace, n):
+        run_benchmark(bench_items[:n], Stage.ZERO_SHOT, gold_endpoint(bench_items),
+                      gd.MEDQA_INSTRUCTION, no_exemplars, trace)
+
+    def test_partial_last_line_is_skipped(self, bench_items, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self.write_rows(bench_items, trace, 3)
+        whole = trace.read_bytes()
+        trace.write_bytes(whole + whole.splitlines(keepends=True)[0][:25])
+        assert [r["item_id"] for r in read_trace(trace)] == [it.id for it in bench_items[:3]]
+
+    def test_partial_multibyte_last_line_is_skipped(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        row = json.dumps({"item_id": "x", "raw_text": "ß"}, ensure_ascii=False).encode("utf-8")
+        trace.write_bytes(row + b"\n" + row[:row.index("ß".encode("utf-8")) + 1])
+        assert read_trace(trace) == [{"item_id": "x", "raw_text": "ß"}]
+
+    def test_resume_after_torn_line_completes_the_stage(self, bench_items, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self.write_rows(bench_items, trace, 3)
+        with open(trace, "ab") as f:
+            f.write(b'{"item_id": "test-00003", "sta')
+        endpoint = gold_endpoint(bench_items)
+        rows = run_benchmark(bench_items, Stage.ZERO_SHOT, endpoint,
+                             gd.MEDQA_INSTRUCTION, no_exemplars, trace, resume=True)
+        assert endpoint.call_count == 3
+        assert [r["item_id"] for r in rows] == [it.id for it in bench_items]
+        assert read_trace(trace) == rows
+
+    def test_complete_last_row_without_newline_is_kept(self, bench_items, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self.write_rows(bench_items, trace, 3)
+        trace.write_bytes(trace.read_bytes().rstrip(b"\n"))
+        endpoint = gold_endpoint(bench_items)
+        rows = run_benchmark(bench_items, Stage.ZERO_SHOT, endpoint,
+                             gd.MEDQA_INSTRUCTION, no_exemplars, trace, resume=True)
+        assert endpoint.call_count == 3
+        assert read_trace(trace) == rows
+
+    def test_corrupt_line_before_the_end_still_fails(self, bench_items, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self.write_rows(bench_items, trace, 3)
+        lines = trace.read_bytes().splitlines(keepends=True)
+        trace.write_bytes(lines[0] + lines[1][:25] + b"\n" + lines[2])
+        with pytest.raises(ConfigError, match=":2: corrupt trace row"):
+            read_trace(trace)
+
+    def test_corrupt_last_line_with_newline_still_fails(self, bench_items, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self.write_rows(bench_items, trace, 3)
+        trace.write_bytes(trace.read_bytes() + b'{"item_id": "te\n')
+        with pytest.raises(ConfigError, match=":4: corrupt trace row"):
+            read_trace(trace)
