@@ -27,7 +27,7 @@ from .config import (
     instruction_for,
     load_config,
 )
-from .corpus import CorpusStore, Dataset, McqItem, Split, load_dataset
+from .corpus import CorpusFile, CorpusStore, Dataset, McqItem, PoolView, Split, load_dataset
 from .errors import ConfigError, DataError, EndpointError, IncompleteRunError
 from .metrics import (
     ablation,
@@ -93,20 +93,10 @@ def _embedding_provider(config: RunConfig):
     return RemoteProvider(endpoint, config.embedding.model_id)
 
 
-def _load_or_build_index(config: RunConfig, dataset: Dataset, pool: list[McqItem],
-                         force: bool = False) -> VectorIndex:
-    path = _index_path(config, dataset)
-    provider = _embedding_provider(config)
-    if path.exists() and not force:
-        index = VectorIndex.load(path, provider=provider)
-        missing = set(item.id for item in pool) - set(index.ids)
-        if missing:
-            raise DataError(
-                f"{path}: index lacks {len(missing)} pool items; rebuild with `index`"
-            )
-        return index
-    index = build_index(pool, provider=provider)
-    index.save(path)
+def _build_index(config: RunConfig, dataset: Dataset, pool: list[McqItem],
+                 pool_sha256: str) -> VectorIndex:
+    index = build_index(pool, provider=_embedding_provider(config), pool_sha256=pool_sha256)
+    index.save(_index_path(config, dataset))
     return index
 
 
@@ -118,8 +108,9 @@ def index_cmd(config_path: Path, dataset_name: str):
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
     store = CorpusStore(config.corpus_dir)
-    pool = store.training_pool(dataset)
-    index = _load_or_build_index(config, dataset, pool, force=True)
+    source = store.pool_file(dataset)
+    index = _build_index(config, dataset, store.training_pool(dataset, source=source),
+                         source.sha256)
     click.echo(f"{dataset.value}: indexed {len(index)} pool items "
                f"({index.provider.provider_id}) -> {_index_path(config, dataset)}")
 
@@ -133,8 +124,10 @@ def _teacher_endpoint(config: RunConfig):
 class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
-    The test split is read on construction; the pool, its index and the
-    teacher on first use. kNN exemplars are built once per test item and
+    The test split is read on construction; the pool file, its index and
+    the teacher on first use. Random stages parse the whole pool. kNN stages
+    parse only the pool items they look up, through an index built from the
+    pool file's exact bytes. kNN exemplars are built once per test item and
     kept, so the kNN and ensemble stages of one `ablate` share them; query
     vectors live only until their item's exemplars are built.
     """
@@ -152,20 +145,36 @@ class _Sources:
         self._knn: dict[str, list] = {}
 
     @cached_property
+    def pool_file(self) -> CorpusFile:
+        return self.store.pool_file(self.dataset)
+
+    @cached_property
     def pool(self) -> list[McqItem]:
-        return self.store.training_pool(self.dataset, test_ids=self.test_ids)
+        return self.store.training_pool(self.dataset, self.test_ids, self.pool_file)
 
     @cached_property
     def index(self) -> VectorIndex:
-        return _load_or_build_index(self.config, self.dataset, self.pool)
+        """The pool's index, loaded if built from the pool file's current bytes."""
+        path = _index_path(self.config, self.dataset)
+        if not path.exists():
+            return _build_index(self.config, self.dataset, self.pool, self.pool_file.sha256)
+        index = VectorIndex.load(path, provider=_embedding_provider(self.config))
+        if index.pool_sha256 != self.pool_file.sha256:
+            raise DataError(f"{path}: not built from the current {self.pool_file.path} "
+                            f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
+                            f"rebuild with `medharness index`")
+        # The digest matches, so the pool's ids are the index's, checked for
+        # validity and uniqueness when `index` parsed these bytes.
+        self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
+        return index
 
     @cached_property
     def teacher(self):
         return _teacher_endpoint(self.config) if self.allow_teacher else _CacheOnlyTeacher(self.config)
 
     @cached_property
-    def pool_items(self) -> dict[str, McqItem]:
-        return {item.id: item for item in self.pool}
+    def pool_items(self) -> PoolView:
+        return PoolView(self.pool_file, self.index.ids)
 
     def knn_exemplars(self, neighbor_set: NeighborSet):
         """Build and keep one ranked test item's exemplars; returns (exemplars, outcomes)."""

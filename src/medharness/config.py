@@ -21,7 +21,7 @@ import yaml
 from .corpus import Dataset
 from .errors import ConfigError
 from .modelgw import RetryPolicy, open_endpoint
-from .promptkit import template_fingerprint
+from .promptkit import FEWSHOT_SIZE, template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
 __all__ = [
@@ -56,7 +56,7 @@ class RunConfig:
     seed: int = 0
     concurrency: int = 1
     k_neighbors: int = 5
-    n_fewshot: int = 5
+    n_fewshot: int = FEWSHOT_SIZE
     max_validity_tries: int = MAX_VALIDITY_TRIES
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -143,6 +143,10 @@ def load_config(path: str | Path) -> RunConfig:
     concurrency = int(raw.get("concurrency", 1))
     if concurrency < 1:
         raise ConfigError(f"{path}: concurrency must be >= 1")
+    n_fewshot = int(raw.get("n_fewshot", FEWSHOT_SIZE))
+    if n_fewshot != FEWSHOT_SIZE:
+        raise ConfigError(f"{path}: n_fewshot must be {FEWSHOT_SIZE}, the exemplar count "
+                          f"every few-shot prompt carries; got {n_fewshot}")
     return RunConfig(
         corpus_dir=_dir("corpus_dir"),
         output_dir=_dir("output_dir"),
@@ -153,7 +157,7 @@ def load_config(path: str | Path) -> RunConfig:
         seed=int(raw.get("seed", 0)),
         concurrency=concurrency,
         k_neighbors=int(raw.get("k_neighbors", 5)),
-        n_fewshot=int(raw.get("n_fewshot", 5)),
+        n_fewshot=n_fewshot,
         max_validity_tries=int(raw.get("max_validity_tries", MAX_VALIDITY_TRIES)),
         ensemble=ensemble,
         retry=retry,

@@ -27,8 +27,9 @@ import json
 import os
 import string
 import tempfile
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -42,6 +43,8 @@ __all__ = [
     "LoadResult",
     "RecordError",
     "CorpusStore",
+    "CorpusFile",
+    "PoolView",
     "load_dataset",
     "read_normalized",
     "write_normalized",
@@ -226,17 +229,6 @@ class CorpusManifest:
             "checksum": self.checksum,
             "rejected_count": self.rejected_count,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CorpusManifest":
-        return cls(
-            dataset=Dataset(obj["dataset"]),
-            split=Split(obj["split"]),
-            item_count=obj["item_count"],
-            source_path=obj["source_path"],
-            checksum=obj["checksum"],
-            rejected_count=obj.get("rejected_count", 0),
-        )
 
 
 @dataclass
@@ -513,22 +505,89 @@ def write_normalized(items: list[McqItem], path: str | Path) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def read_normalized(path: str | Path) -> list[McqItem]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"normalized corpus file missing: {path}")
-    items: list[McqItem] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(McqItem.from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, DataError, ValueError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+class CorpusFile:
+    """A normalized corpus file, read once: its SHA-256 and its lines.
+
+    `sha256` digests exactly the bytes the lines come from. Lines are split
+    on "\n" alone, never on the other separators `str.splitlines` knows, so
+    a raw U+2028 inside a question stays in its line; the "\r" of a CRLF
+    ending is whitespace. A blank line holds no item. It stands in wherever
+    the file's path is expected; `read_normalized` parses its lines as held,
+    without reading the file again.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        if not self.path.exists():
+            raise DataError(f"normalized corpus file missing: {self.path}")
+        data = self.path.read_bytes()
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        try:
+            self.lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: not UTF-8: {exc}") from exc
+
+    def __fspath__(self) -> str:
+        return str(self.path)
+
+    def item_lines(self) -> list[int]:
+        """Index in `lines` of each item, in file order."""
+        return [i for i, line in enumerate(self.lines) if line.strip()]
+
+    def parse(self, i: int) -> McqItem:
+        """The validated item on line index `i`."""
+        try:
+            return McqItem.from_json_obj(json.loads(self.lines[i].strip()))
+        except (KeyError, DataError, ValueError) as exc:
+            raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
+
+
+def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
+    """Every item of a normalized corpus file, validated, ids unique.
+
+    `path` may be a CorpusFile already read; its lines are parsed as held.
+    """
+    source = path if isinstance(path, CorpusFile) else CorpusFile(path)
+    items = [source.parse(i) for i in source.item_lines()]
     _check_unique_ids(items)
     return items
+
+
+class PoolView(Mapping):
+    """Pool items by id, each parsed from its line on first lookup.
+
+    `ids` are the file's item ids in file order, as an index built from the
+    same bytes lists them; a line whose item has another id is an error.
+    """
+
+    def __init__(self, source: CorpusFile, ids: list[str]):
+        lines = source.item_lines()
+        if len(lines) != len(ids):
+            raise DataError(f"{source.path}: {len(lines)} items, expected {len(ids)}")
+        self._source = source
+        self._lines = dict(zip(ids, lines))
+        self._items: dict[str, McqItem] = {}
+
+    def __getitem__(self, item_id: str) -> McqItem:
+        item = self._items.get(item_id)
+        if item is None:
+            line = self._lines[item_id]
+            item = self._source.parse(line)
+            if item.id != item_id:
+                raise DataError(
+                    f"{self._source.path}: line {line + 1} holds {item.id!r}, expected {item_id!r}"
+                )
+            self._items[item_id] = item
+        return item
+
+    def __contains__(self, item_id) -> bool:
+        return item_id in self._lines
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
@@ -536,13 +595,6 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
         json.dumps(manifest.to_json_obj(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def read_manifest(path: str | Path) -> CorpusManifest:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest missing: {path}")
-    return CorpusManifest.from_json_obj(json.loads(path.read_text(encoding="utf-8")))
 
 
 class CorpusStore:
@@ -573,33 +625,39 @@ class CorpusStore:
     def has(self, dataset: Dataset, split: Split) -> bool:
         return self.corpus_path(dataset, split).exists()
 
-    def training_pool(self, dataset: Dataset, test_ids: set[str] | None = None) -> list[McqItem]:
-        """The pool few-shot exemplars are drawn from, disjoint from test.
-
-        `test_ids` are the ids of the whole test split when the caller has
-        read it already; otherwise the split is read here, if it exists.
-        """
+    def pool_file(self, dataset: Dataset) -> CorpusFile:
+        """The file few-shot exemplars are drawn from, read once."""
         split = POOL_SPLIT[dataset]
         path = self.corpus_path(dataset, split)
         if not path.exists():
             raise DataError(
                 f"pool missing for {dataset.value}: ingest split '{split.value}' first ({path})"
             )
-        pool = read_normalized(path)
+        return CorpusFile(path)
+
+    def training_pool(self, dataset: Dataset, test_ids: set[str] | None = None,
+                      source: CorpusFile | None = None) -> list[McqItem]:
+        """The pool few-shot exemplars are drawn from, disjoint from test.
+
+        `source` is the pool file when the caller has read it already.
+        """
+        pool = read_normalized(source or self.pool_file(dataset))
+        self.check_disjoint(dataset, [item.id for item in pool], test_ids)
+        return pool
+
+    def check_disjoint(self, dataset: Dataset, pool_ids: list[str],
+                       test_ids: set[str] | None = None) -> None:
+        """Raise DataError if a pool id is a test id.
+
+        `test_ids` are the ids of the whole test split when the caller has
+        read it already; otherwise the split is read here, if it exists.
+        """
         if test_ids is None and self.has(dataset, Split.TEST):
             test_ids = {item.id for item in self.load(dataset, Split.TEST)}
         if test_ids:
-            overlap = [item.id for item in pool if item.id in test_ids]
+            overlap = [item_id for item_id in pool_ids if item_id in test_ids]
             if overlap:
                 raise DataError(
                     f"{dataset.value}: pool overlaps test split on {len(overlap)} ids "
                     f"(e.g. {overlap[0]!r})"
                 )
-        return pool
-
-
-def relabel(item: McqItem, **changes) -> McqItem:
-    """dataclasses.replace that re-validates."""
-    new = replace(item, **changes)
-    new.validate()
-    return new

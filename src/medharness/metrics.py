@@ -91,10 +91,6 @@ class Accuracy:
     n_total: int
 
     @property
-    def fraction(self) -> float:
-        return self.n_correct / self.n_total
-
-    @property
     def percent(self) -> float:
         return percent(self.n_correct, self.n_total)
 

@@ -15,9 +15,9 @@ Two embedding providers exist: a remote one backed by an embeddings endpoint,
 and a builtin deterministic lexical one (hashed term frequency weighted by
 inverse document frequency, L2-normalized) that needs no network and anchors
 the offline test suite. An index persists as two files: `<name>.jsonl` holds
-a header with the provider metadata, then one `{"item_id": ...}` row per pool
-item in row order; the sibling `<name>.npy` holds the (count, dim) float64
-matrix.
+a header with the provider metadata and the SHA-256 of the pool file it was
+built from, then one `{"item_id": ...}` row per pool item in row order; the
+sibling `<name>.npy` holds the (count, dim) float64 matrix.
 """
 
 from __future__ import annotations
@@ -158,12 +158,17 @@ class RemoteProvider:
 
 
 class VectorIndex:
-    """Immutable set of pool vectors with exact cosine search."""
+    """Immutable set of pool vectors with exact cosine search.
 
-    def __init__(self, provider, ids: list[str], vectors):
+    `pool_sha256` is the SHA-256 of the pool file the vectors were built
+    from, when known.
+    """
+
+    def __init__(self, provider, ids: list[str], vectors, pool_sha256: str | None = None):
         if len(ids) != len(set(ids)):
             raise DataError("duplicate item ids in index")
         self.provider = provider
+        self.pool_sha256 = pool_sha256
         self._ids = list(ids)
         self._rows = {item_id: row for row, item_id in enumerate(self._ids)}
         # No copy when `vectors` is already a C-contiguous float64 matrix.
@@ -255,6 +260,7 @@ class VectorIndex:
             "provider_id": self.provider.provider_id,
             "dim": int(self._matrix.shape[1]),
             "count": len(self._ids),
+            "pool_sha256": self.pool_sha256,
         }
         if isinstance(self.provider, BuiltinProvider):
             header["idf"] = {str(b): w for b, w in sorted(self.provider.idf.items())}
@@ -295,7 +301,11 @@ class VectorIndex:
                 raise DataError(
                     f"{path}: index provider {header['provider_id']} does not match {provider.provider_id}"
                 )
-            ids = [json.loads(line)["item_id"] for line in f if line.strip()]
+            rows = [line for line in f if line.strip()]
+        try:
+            ids = [row["item_id"] for row in json.loads("[" + ",".join(rows) + "]")]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: bad index row: {exc}") from exc
         if len(ids) != header["count"]:
             raise DataError(f"{path}: header count {header['count']} != {len(ids)} rows")
         vectors_path = _vectors_path(path)
@@ -311,15 +321,17 @@ class VectorIndex:
                 f"{vectors_path}: vectors are {vectors.dtype} {vectors.shape}, "
                 f"header says float64 {expected}; rebuild with `medharness index`"
             )
-        return cls(provider, ids, vectors)
+        return cls(provider, ids, vectors, pool_sha256=header.get("pool_sha256"))
 
 
 def _vectors_path(index_path: Path) -> Path:
     return index_path.with_suffix(".npy")
 
 
-def build_index(pool: list[McqItem], provider=None) -> VectorIndex:
+def build_index(pool: list[McqItem], provider=None, pool_sha256: str | None = None) -> VectorIndex:
     """Embed every pool item's question; fit the builtin provider if none given.
+
+    `pool_sha256` is the SHA-256 of the file `pool` was read from.
 
     Rows are written into one preallocated matrix, sized by the first
     embedding, so the pool's vectors are never held twice.
@@ -333,7 +345,7 @@ def build_index(pool: list[McqItem], provider=None) -> VectorIndex:
     matrix[0] = first
     for row, item in enumerate(pool[1:], start=1):
         matrix[row] = provider.embed(item.question)
-    return VectorIndex(provider, [item.id for item in pool], matrix)
+    return VectorIndex(provider, [item.id for item in pool], matrix, pool_sha256=pool_sha256)
 
 
 def nearest(query: McqItem, index: VectorIndex, k: int) -> NeighborSet:

@@ -18,7 +18,7 @@ import hashlib
 import json
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -408,7 +408,14 @@ def run_benchmark(
                 handle(item)
         else:
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                for future in [pool.submit(handle, item) for item in todo]:
+                futures = [pool.submit(handle, item) for item in todo]
+                try:
+                    wait(futures, return_when=FIRST_EXCEPTION)
+                finally:
+                    # After the first error (or Ctrl-C) no further item starts.
+                    pool.shutdown(cancel_futures=True)
+            for future in futures:
+                if not future.cancelled():
                     future.result()
 
     missing = [item_id for item_id in wanted_ids if item_id not in rows_by_id]

@@ -17,6 +17,7 @@ import json
 import logging
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,7 +203,7 @@ def _verify_candidate(
 def build_exemplars(
     neighbor_set: NeighborSet,
     index: VectorIndex,
-    pool_items: dict[str, McqItem],
+    pool_items: Mapping[str, McqItem],
     teacher,
     cache: CotCache | None = None,
     n: int = 5,

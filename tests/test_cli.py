@@ -1,9 +1,11 @@
 """Command-line flows against an in-process scripted endpoint."""
 
+import hashlib
 import json
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import yaml
 from conftest import make_item
 from medharness import cli, corpus
 from medharness.cli import main
-from medharness.corpus import Split, write_normalized
+from medharness.corpus import CorpusFile, Split, write_normalized
 from medharness.errors import DataError
 from medharness.retrieval import VectorIndex
 
@@ -53,6 +55,20 @@ def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
 
 def trace_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Names of the files `corpus.read_normalized` parses, in call order."""
+    names = []
+    read_normalized = corpus.read_normalized
+
+    def spy(path):
+        names.append(Path(path).name)
+        return read_normalized(path)
+
+    monkeypatch.setattr(corpus, "read_normalized", spy)
+    return names
 
 
 class TestIngest:
@@ -250,6 +266,13 @@ class TestExitCodes:
         assert code == 3
         assert "gave up" in capsys.readouterr().err
 
+    def test_n_fewshot_other_than_5_is_config_error(self, tmp_path, capsys):
+        config, _, _ = build_env(tmp_path, config_extra={"n_fewshot": 3})
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        assert "n_fewshot must be 5" in capsys.readouterr().err
+
     def test_short_trace_is_incomplete_run(self, tmp_path, capsys):
         config, test_items, _ = build_env(tmp_path)
         trace = tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl"
@@ -277,18 +300,6 @@ class TestRankOnce:
 
         monkeypatch.setattr(VectorIndex, "_rank_block", spy)
         return ids
-
-    @pytest.fixture
-    def loads(self, monkeypatch):
-        names = []
-        read_normalized = corpus.read_normalized
-
-        def spy(path):
-            names.append(Path(path).name)
-            return read_normalized(path)
-
-        monkeypatch.setattr(corpus, "read_normalized", spy)
-        return names
 
     def test_ablate_ranks_each_item_once(self, tmp_path, ranked, loads):
         config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
@@ -401,3 +412,114 @@ class TestDryRunRequest:
             'temperature: 0.4  max_tokens: 256  stop: ["\\n### Question:"]  seed: 0\n'
             "ensemble runs: 5 (shuffled options per run)\n"
         )
+
+
+class TestIndexedPool:
+    """After `index`, a kNN stage parses only the pool lines it looks up, and
+    only while the pool file holds the bytes the index was built from."""
+
+    def indexed(self, tmp_path, **kwargs):
+        config, test_items, pool_items = build_env(tmp_path, **kwargs)
+        assert main(["index", "--config", str(config), "--dataset", "medqa"]) == 0
+        return config, test_items, pool_items
+
+    @staticmethod
+    def command(name, config, *extra):
+        return [name, "--config", str(config), "--dataset", "medqa", *extra]
+
+    def test_index_records_the_pool_digest(self, tmp_path):
+        self.indexed(tmp_path)
+        pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
+        index_path = tmp_path / "cache" / "index" / "medqa.jsonl"
+        header = json.loads(index_path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["schema"] == 2
+        assert header["pool_sha256"] == hashlib.sha256(pool.read_bytes()).hexdigest()
+
+    def test_edited_unused_pool_line_needs_a_rebuild(self, tmp_path, capsys):
+        config, test_items, pool_items = self.indexed(tmp_path, n_pool=30)
+        index = VectorIndex.load(tmp_path / "cache" / "index" / "medqa.jsonl")
+        used = {item_id for ns in index.nearest_many(test_items, 5) for item_id in ns.ids}
+        unused = next(item for item in pool_items if item.id not in used)
+        pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
+        data = pool.read_bytes()
+        question = unused.question.encode("utf-8")
+        assert data.count(question) == 1
+        pool.write_bytes(data.replace(question, b"B" + question[1:]))
+        for args in (self.command("run", config, "--stage", "knn_fewshot_cot"),
+                     self.command("gen-cot", config)):
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert "not built from the current" in err
+            assert "rebuild with `medharness index`" in err
+        assert main(self.command("index", config)) == 0
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+
+    def test_index_without_pool_digest_needs_a_rebuild(self, tmp_path, capsys):
+        config, _, _ = self.indexed(tmp_path)
+        index_path = tmp_path / "cache" / "index" / "medqa.jsonl"
+        header, *rows = index_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(header)
+        del header["pool_sha256"]
+        index_path.write_text("\n".join([json.dumps(header), *rows]) + "\n", encoding="utf-8")
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 2
+        assert "(pool_sha256 not recorded); rebuild with `medharness index`" \
+            in capsys.readouterr().err
+
+    def test_pool_id_in_test_split_is_refused(self, tmp_path, capsys):
+        config, test_items, pool_items = self.indexed(tmp_path)
+        leaked = replace(test_items[0], id=pool_items[3].id, question="A leaked question?")
+        write_normalized(test_items + [leaked], tmp_path / "corpus" / "medqa" / "test.jsonl")
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 2
+        assert "pool overlaps test split on 1 ids" in capsys.readouterr().err
+
+    def test_run_reads_only_the_test_split(self, tmp_path, loads):
+        config, _, _ = self.indexed(tmp_path)
+        loads.clear()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert loads == ["test.jsonl"]
+
+    def test_ablate_reads_the_pool_file_once(self, tmp_path, monkeypatch, loads):
+        config, _, _ = self.indexed(tmp_path)
+        loads.clear()
+        reads = []
+        init = CorpusFile.__init__
+
+        def init_spy(source, path):
+            reads.append(Path(path).name)
+            init(source, path)
+
+        monkeypatch.setattr(CorpusFile, "__init__", init_spy)
+        assert main(self.command("ablate", config)) == 0
+        assert sorted(reads) == sorted(loads) == ["test.jsonl", "train.jsonl"]
+
+    def test_run_parses_only_ranked_candidates(self, tmp_path, monkeypatch):
+        config, _, _ = self.indexed(tmp_path, n_test=8, n_pool=60)
+        parsed, candidates = [], set()
+        parse, nearest_many = CorpusFile.parse, VectorIndex.nearest_many
+
+        def parse_spy(source, i):
+            if source.path.name == "train.jsonl":
+                parsed.append(i)
+            return parse(source, i)
+
+        def nearest_spy(index, queries, k):
+            for neighbor_set in nearest_many(index, queries, k):
+                candidates.update(neighbor_set.ids)
+                yield neighbor_set
+
+        monkeypatch.setattr(CorpusFile, "parse", parse_spy)
+        monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert len(set(parsed)) == len(parsed) <= len(candidates) < 60
+
+    def test_concurrent_run_builds_the_same_prompts(self, tmp_path):
+        def prompts(root, concurrency):
+            config, _, _ = self.indexed(root, n_test=40, n_pool=30)
+            assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
+                                     "--concurrency", concurrency)) == 0
+            rows = trace_rows(root / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl")
+            return {row["item_id"]: row["per_run"][0]["prompt_sha256"] for row in rows}
+
+        serial = prompts(tmp_path / "serial", "1")
+        assert len(set(serial.values())) == 40
+        assert prompts(tmp_path / "concurrent", "8") == serial

@@ -6,14 +6,15 @@ import pytest
 
 from conftest import make_item
 from medharness.corpus import (
+    CorpusFile,
     CorpusStore,
     Dataset,
     McqItem,
+    PoolView,
     Split,
     canonical_labels,
     load_dataset,
     read_normalized,
-    relabel,
     source_checksum,
     write_normalized,
 )
@@ -256,11 +257,6 @@ class TestValidation:
         assert canonical_labels(4) == ("A", "B", "C", "D")
         assert canonical_labels(3) == ("A", "B", "C")
 
-    def test_relabel_revalidates(self):
-        item = make_item(0)
-        with pytest.raises(DataError):
-            relabel(item, gold="Z")
-
 
 class TestNormalizedRoundTrip:
     def test_write_read_preserves_items(self, tmp_path):
@@ -281,6 +277,36 @@ class TestNormalizedRoundTrip:
         path.write_text(row + "\n" + row + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
             read_normalized(path)
+
+
+class TestPoolView:
+    """Each item comes from its own line, parsed as `read_normalized` parses it."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "\n" + text.replace("\n", "\n\n \r\n"),
+    ], ids=["lf", "crlf", "blank-lines"])
+    def test_items_equal_read_normalized(self, tmp_path, edit):
+        # A raw U+2028 in every question: `str.splitlines` would cut there.
+        items = [make_item(i, split=Split.TRAIN, question=f"Stem {i}\u2028continued?")
+                 for i in range(4)]
+        path = tmp_path / "train.jsonl"
+        write_normalized(items, path)
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+        assert "\u2028".encode("utf-8") in path.read_bytes()
+        assert read_normalized(path) == items
+        view = PoolView(CorpusFile(path), [item.id for item in items])
+        assert [view[item.id] for item in reversed(items)] == list(reversed(items))
+
+    def test_line_with_another_id_is_an_error(self, tmp_path):
+        items = [make_item(i, split=Split.TRAIN) for i in range(3)]
+        path = tmp_path / "train.jsonl"
+        write_normalized(items, path)
+        view = PoolView(CorpusFile(path), [items[1].id, items[0].id, items[2].id])
+        assert view[items[2].id] == items[2]
+        with pytest.raises(DataError, match="line 2 holds 'train-00001'"):
+            view[items[0].id]
 
 
 class TestCorpusStore:

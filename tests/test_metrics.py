@@ -54,7 +54,6 @@ class TestPercent:
     def test_accuracy_dataclass(self):
         acc = Accuracy(n_correct=583, n_total=1273)
         assert acc.percent == 45.8
-        assert abs(acc.fraction - 583 / 1273) < 1e-12
 
 
 class TestAccuracy:

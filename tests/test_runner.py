@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 import golden_data as gd
 from conftest import make_item
-from medharness.errors import ConfigError
+from medharness.errors import ConfigError, DataError
 from medharness.modelgw import (
     GarbagePolicy,
     GenerationResponse,
@@ -350,6 +351,22 @@ class TestRunBenchmark:
         assert all(r["correct"] for r in rows)
         on_disk = [json.loads(line) for line in trace.read_text().splitlines()]
         assert sorted(r["item_id"] for r in on_disk) == [it.id for it in items]
+
+    def test_first_error_stops_scheduling_items(self, tmp_path):
+        items = [make_item(i, question=f"Parallel question number {i}?", gold="D")
+                 for i in range(40)]
+        endpoint = gold_endpoint(items)
+
+        def provider(item):
+            time.sleep(0.005)
+            if item is items[4]:
+                raise DataError("pool exhausted")
+            return []
+
+        with pytest.raises(DataError, match="pool exhausted"):
+            run_benchmark(items, Stage.ZERO_SHOT, endpoint, gd.MEDQA_INSTRUCTION, provider,
+                          tmp_path / "trace.jsonl", concurrency=2)
+        assert endpoint.call_count < 10
 
     def test_ensemble_stage_end_to_end(self, tmp_path):
         items = [gd.TEST_ITEM]
