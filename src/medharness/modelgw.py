@@ -13,6 +13,7 @@ is never retried, whatever its text says.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -102,7 +103,14 @@ class RetryPolicy:
 
 
 class HttpEndpoint:
-    """Completions/embeddings endpoint over HTTP."""
+    """Completions/embeddings endpoint over HTTP(S), on stdlib `http.client`.
+
+    Calls reuse keep-alive connections from a lock-guarded stack of idle
+    ones. A call takes one (or opens one) and gives it back only after it
+    has read a complete response; a transport error closes it. So open
+    connections never outnumber calls in flight. Proxy environment variables
+    are not read, and HTTPS verifies against the system CA store.
+    """
 
     def __init__(
         self,
@@ -113,48 +121,84 @@ class HttpEndpoint:
         retry: RetryPolicy | None = None,
         sleep=time.sleep,
     ):
+        # Imported here, not at module level, so runs against `mock:`
+        # endpoints never load the HTTP and TLS modules.
+        import http.client
+        from urllib.parse import urlsplit
+
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        try:
+            host, port = parts.hostname, parts.port
+        except ValueError:
+            host = None
+        if parts.scheme not in ("http", "https") or not host:
+            raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {base_url!r}")
         self.model_id = model_id
-        self.timeout = timeout
         self.retry = retry or RetryPolicy()
         self._sleep = sleep
-        self._api_key = None
+        self._headers = {"Content-Type": "application/json"}
         if api_key_env:
             key = os.environ.get(api_key_env)
             if not key:
                 raise ConfigError(f"credential variable {api_key_env} is not set")
-            self._api_key = key
-        self._session = None
+            self._headers["Authorization"] = f"Bearer {key}"
+        connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
+                            else http.client.HTTPConnection)
+        self._open = functools.partial(connection_class, host, port, timeout=timeout)
+        self._path_prefix = parts.path
+        self._idle: list = []
+        self._idle_lock = threading.Lock()
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        return headers
+    def _connection(self):
+        """An idle connection the server has not closed, else a new one."""
+        import select
+
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    return self._open()
+                conn = self._idle.pop()
+            # A readable idle socket means the server closed it (or sent bytes
+            # no request asked for); either way it cannot carry a request.
+            if conn.sock is None or not select.select([conn.sock], [], [], 0)[0]:
+                return conn
+            conn.close()
+
+    def _exchange(self, path: str, body: bytes) -> tuple[int, bytes]:
+        """POST `body` to `path`; (status, response body)."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path_prefix + path, body=body, headers=self._headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return response.status, data
 
     def _post_json(self, path: str, payload: dict) -> tuple[dict, int]:
-        import requests
+        import http.client
 
-        if self._session is None:
-            self._session = requests.Session()
         url = f"{self.base_url}{path}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         retries = 0
         attempt = 0
         while True:
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-                status = resp.status_code
+                status, data = self._exchange(path, body)
                 if status == 429 or 500 <= status <= 599:
                     raise _Transient(f"status {status}")
                 if status != 200:
-                    raise EndpointError(f"{url}: HTTP {status}: {resp.text[:300]}")
+                    text = data.decode("utf-8", "replace")
+                    raise EndpointError(f"{url}: HTTP {status}: {text[:300]}")
                 try:
-                    return resp.json(), retries
+                    return json.loads(data), retries
                 except ValueError as exc:
                     raise EndpointError(f"{url}: non-JSON response body") from exc
-            except (_Transient, requests.Timeout, requests.ConnectionError) as exc:
+            except (_Transient, OSError, http.client.HTTPException) as exc:
                 if attempt >= self.retry.max_retries:
                     raise EndpointError(f"{url}: gave up after {attempt + 1} attempts: {exc}") from None
                 self._sleep(self.retry.delay(attempt))

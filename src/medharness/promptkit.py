@@ -47,7 +47,6 @@ __all__ = [
     "assemble_prompt",
     "teacher_prompt",
     "shuffle_options",
-    "unshuffle_options",
     "identity_permutation",
     "uses_word_options",
     "render_options_inline",
@@ -276,18 +275,6 @@ def shuffle_options(item: McqItem, seed: int, run_index: int) -> ShuffleResult:
     shuffled = replace(item, options=presented_options, gold=to_presented[item.gold])
     shuffled.validate()
     return ShuffleResult(item=shuffled, permutation=to_presented)
-
-
-def unshuffle_options(item: McqItem, permutation: dict[str, str]) -> McqItem:
-    """Invert shuffle_options: recover the originally ordered item."""
-    presented_text = {label: text for label, text in item.options}
-    options = tuple(
-        (canonical, presented_text[presented]) for canonical, presented in sorted(permutation.items())
-    )
-    to_canonical = {presented: canonical for canonical, presented in permutation.items()}
-    original = replace(item, options=options, gold=to_canonical[item.gold])
-    original.validate()
-    return original
 
 
 def extraction_tokens(item: McqItem) -> tuple[tuple[str, ...], dict[str, str] | None]:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -523,3 +525,25 @@ class TestIndexedPool:
         serial = prompts(tmp_path / "serial", "1")
         assert len(set(serial.values())) == 40
         assert prompts(tmp_path / "concurrent", "8") == serial
+
+
+class TestLazyHttpImport:
+    def test_mock_stage_loads_no_http_client(self, tmp_path):
+        """A run against `mock:` endpoints never imports the HTTP or TLS modules.
+
+        It runs in a fresh interpreter, because pytest's own process has
+        already imported `http.server`.
+        """
+        config, _, _ = build_env(tmp_path)
+        script = (
+            "import sys\n"
+            "from medharness import cli\n"
+            f"code = cli.main(['run', '--config', {str(config)!r}, '--dataset', 'medqa',"
+            " '--stage', 'ensemble'])\n"
+            "print(code, sorted(m for m in ('http.client', 'ssl', 'requests') if m in sys.modules))\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"

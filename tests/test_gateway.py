@@ -1,7 +1,10 @@
 """Endpoint wire behavior, retry policy, token budgets, and scripted mocks."""
 
 import json
+import socket
+import sys
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -173,6 +176,137 @@ class TestHttpEndpoint:
         ep = endpoint_for(server)
         with pytest.raises(EndpointError, match="1 vectors for 2"):
             ep.embed_batch(["a", "b"], "m")
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 completions server that keeps connections open and counts them.
+
+    A connection idle for `server.idle_timeout` seconds is closed. The first
+    `server.truncated` responses are cut short and their connections closed.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.paths.append(self.path)
+            n = len(self.server.paths)
+        body = json.dumps(completion_body("ok")).encode("utf-8")
+        head = (f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode("ascii")
+        if n <= self.server.truncated:
+            self.wfile.write(head + body[:10])
+            self.close_connection = True
+        else:
+            self.wfile.write(head + body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    # Room for every test thread to connect at once: a full accept queue
+    # can reset a new connection, which the client would count as a retry.
+    request_queue_size = 64
+
+
+@pytest.fixture
+def keepalive_server():
+    httpd = KeepAliveServer(("127.0.0.1", 0), KeepAliveHandler)
+    httpd.lock = threading.Lock()
+    httpd.connections = 0
+    httpd.paths = []
+    httpd.idle_timeout = 5.0
+    httpd.truncated = 0
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+
+
+class TestConnections:
+    def test_connection_closed_while_idle_is_replaced_without_retry(self, keepalive_server):
+        keepalive_server.idle_timeout = 0.05
+        sleeps = []
+        ep = endpoint_for(keepalive_server, sleep=sleeps.append)
+        complete(simple_request(), ep)
+        sleeps.clear()
+        time.sleep(0.2)
+        response = complete(simple_request(), ep)
+        assert response.retries == 0
+        assert sleeps == []
+        assert keepalive_server.connections == 2
+
+    def test_connections_never_outnumber_calls_in_flight(self, keepalive_server):
+        ep = endpoint_for(keepalive_server)
+        retries, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    retries.append(complete(simple_request(), ep).retries)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert retries == [0] * 320
+        assert len(keepalive_server.paths) == 320
+        assert 1 <= keepalive_server.connections <= 16
+
+    def test_refused_port_retries_then_gives_up(self):
+        with socket.socket() as bound:
+            # Bound but never listening, so every connect is refused.
+            bound.bind(("127.0.0.1", 0))
+            sleeps = []
+            ep = HttpEndpoint(f"http://127.0.0.1:{bound.getsockname()[1]}", "m",
+                              retry=RetryPolicy(max_retries=2, backoff_base=0.25),
+                              sleep=sleeps.append)
+            with pytest.raises(EndpointError, match="gave up after 3 attempts"):
+                complete(simple_request(), ep)
+        assert sleeps == [0.25, 0.5]
+
+    def test_response_cut_short_is_retried(self, keepalive_server):
+        keepalive_server.truncated = 1
+        sleeps = []
+        ep = endpoint_for(keepalive_server, sleep=sleeps.append)
+        response = complete(simple_request(), ep)
+        assert response.text == "ok"
+        assert response.retries == 1
+        assert len(sleeps) == 1
+        assert keepalive_server.connections == 2
+
+    def test_base_url_path_prefix(self, server):
+        port = server.server_address[1]
+        for base in (f"http://127.0.0.1:{port}/proxy", f"http://127.0.0.1:{port}/proxy/"):
+            complete(simple_request(), HttpEndpoint(base, "m"))
+        assert [r["path"] for r in server.requests] == ["/proxy/v1/completions"] * 2
+
+    @pytest.mark.parametrize("url", ["infer.example.com/v1", "ftp://infer.example.com",
+                                     "http://", "http://127.0.0.1:port"])
+    def test_malformed_url_is_config_error(self, url):
+        with pytest.raises(ConfigError, match="endpoint URL"):
+            HttpEndpoint(url, "m")
 
 
 class TestRetryPolicy:

@@ -1,5 +1,6 @@
 """Prompt assembly, the fixed templates, and option shuffling."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from medharness.promptkit import (
     shuffle_options,
     teacher_prompt,
     template_fingerprint,
-    unshuffle_options,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "prompts"
@@ -210,9 +210,18 @@ class TestShuffle:
         assert len(seen) == 24
 
     def test_unshuffle_round_trip(self):
+        # The permutation maps each canonical label to its presented label;
+        # reading the presented options back through it restores the item.
         for run in range(40):
             shuffled, perm = shuffle_options(gd.TEST_ITEM, 3, run)
-            assert unshuffle_options(shuffled, perm) == gd.TEST_ITEM
+            presented_text = dict(shuffled.options)
+            to_canonical = {presented: canonical for canonical, presented in perm.items()}
+            restored = replace(
+                shuffled,
+                options=tuple((c, presented_text[p]) for c, p in sorted(perm.items())),
+                gold=to_canonical[shuffled.gold],
+            )
+            assert restored == gd.TEST_ITEM
 
     def test_pubmedqa_shuffles_words(self):
         seen_orders = set()
