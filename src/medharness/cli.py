@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline: `ingest` normalizes raw benchmark files,
 `index` embeds the training pool, `gen-cot` pre-builds verified exemplar
-explanations, `run` executes one prompting stage, `ablate` executes the whole
-ladder and tabulates it, `report` recomputes summaries from existing traces.
+explanations and the kNN exemplar manifest, `run` executes one prompting
+stage, `ablate` executes the whole ladder and tabulates it, `report`
+recomputes summaries from existing traces.
 
 Exit codes: 1 configuration problems, 2 data problems, 3 endpoint problems,
 4 incomplete runs.
@@ -39,7 +40,8 @@ from .metrics import (
 from .promptkit import Strategy, assemble_prompt, identity_permutation
 from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
 from .runner import LADDER, Stage, generation_request, run_benchmark
-from .teacher import CotCache, build_exemplars, build_random_exemplars
+from .teacher import (CotCache, build_exemplars, build_random_exemplars, load_exemplar_manifest,
+                      save_exemplar_manifest, teacher_fingerprint)
 
 STAGE_NAMES = [stage.value for stage in LADDER]
 
@@ -93,9 +95,16 @@ def _embedding_provider(config: RunConfig):
     return RemoteProvider(endpoint, config.embedding.model_id)
 
 
+def _close(resource) -> None:
+    """Close an endpoint or embedding provider; in-process ones hold nothing to close."""
+    close = getattr(resource, "close", None)
+    if close is not None:
+        close()
+
+
 def _build_index(config: RunConfig, dataset: Dataset, pool: list[McqItem],
-                 pool_sha256: str) -> VectorIndex:
-    index = build_index(pool, provider=_embedding_provider(config), pool_sha256=pool_sha256)
+                 pool_sha256: str, provider) -> VectorIndex:
+    index = build_index(pool, provider=provider, pool_sha256=pool_sha256)
     index.save(_index_path(config, dataset))
     return index
 
@@ -109,8 +118,12 @@ def index_cmd(config_path: Path, dataset_name: str):
     dataset = _dataset(dataset_name)
     store = CorpusStore(config.corpus_dir)
     source = store.pool_file(dataset)
-    index = _build_index(config, dataset, store.training_pool(dataset, source=source),
-                         source.sha256)
+    provider = _embedding_provider(config)
+    try:
+        index = _build_index(config, dataset, store.training_pool(dataset, source=source),
+                             source.sha256, provider)
+    finally:
+        _close(provider)
     click.echo(f"{dataset.value}: indexed {len(index)} pool items "
                f"({index.provider.provider_id}) -> {_index_path(config, dataset)}")
 
@@ -124,12 +137,14 @@ def _teacher_endpoint(config: RunConfig):
 class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
-    The test split is read on construction; the pool file, its index and
-    the teacher on first use. Random stages parse the whole pool. kNN stages
-    parse only the pool items they look up, through an index built from the
-    pool file's exact bytes. kNN exemplars are built once per test item and
-    kept, so the kNN and ensemble stages of one `ablate` share them; query
-    vectors live only until their item's exemplars are built.
+    The test split is read on construction; the pool file, its index, the
+    teacher and the exemplar manifest on first use. Random stages parse the
+    whole pool. kNN stages parse only the pool items they look up, through an
+    index built from the pool file's exact bytes. kNN exemplars are built
+    once per test item and kept, so the kNN and ensemble stages of one
+    `ablate` share them; query vectors live only until their item's
+    exemplars are built. Used as a context manager, it closes the endpoints
+    it opened.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
@@ -137,12 +152,21 @@ class _Sources:
         self.config = config
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
-        all_items = self.store.load(dataset, Split.TEST)
+        self.test_file = CorpusFile(self.store.corpus_path(dataset, Split.TEST))
+        all_items = self.store.load(dataset, Split.TEST, source=self.test_file)
         self.test_ids = {item.id for item in all_items}
         self.items = _limited(all_items, limit)
         self.allow_teacher = allow_teacher
         self.cache = CotCache(config.cache_dir)
         self._knn: dict[str, list] = {}
+        self._opened: list = []
+
+    def __enter__(self) -> "_Sources":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for resource in self._opened:
+            _close(resource)
 
     @cached_property
     def pool_file(self) -> CorpusFile:
@@ -156,9 +180,12 @@ class _Sources:
     def index(self) -> VectorIndex:
         """The pool's index, loaded if built from the pool file's current bytes."""
         path = _index_path(self.config, self.dataset)
+        provider = _embedding_provider(self.config)
+        self._opened.append(provider)
         if not path.exists():
-            return _build_index(self.config, self.dataset, self.pool, self.pool_file.sha256)
-        index = VectorIndex.load(path, provider=_embedding_provider(self.config))
+            return _build_index(self.config, self.dataset, self.pool, self.pool_file.sha256,
+                                provider)
+        index = VectorIndex.load(path, provider=provider)
         if index.pool_sha256 != self.pool_file.sha256:
             raise DataError(f"{path}: not built from the current {self.pool_file.path} "
                             f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
@@ -170,11 +197,37 @@ class _Sources:
 
     @cached_property
     def teacher(self):
-        return _teacher_endpoint(self.config) if self.allow_teacher else _CacheOnlyTeacher(self.config)
+        if not self.allow_teacher:
+            return _CacheOnlyTeacher(self.config)
+        teacher = _teacher_endpoint(self.config)
+        self._opened.append(teacher)
+        return teacher
 
     @cached_property
     def pool_items(self) -> PoolView:
         return PoolView(self.pool_file, self.index.ids)
+
+    @property
+    def manifest_path(self) -> Path:
+        return self.config.cache_dir / "exemplars" / f"{self.dataset.value}.jsonl"
+
+    @property
+    def manifest_header(self) -> dict:
+        """What a kNN exemplar set depends on besides its test item's id."""
+        return {
+            "schema": 1,
+            "pool_sha256": self.pool_file.sha256,
+            "provider_id": self.index.provider.provider_id,
+            "teacher": teacher_fingerprint(self.teacher.model_id),
+            "k_neighbors": self.config.k_neighbors,
+            "test_sha256": self.test_file.sha256,
+        }
+
+    @cached_property
+    def manifest(self) -> dict[str, tuple[str, ...]]:
+        """Exemplar ids per test item from `gen-cot`'s manifest, if it matches."""
+        return load_exemplar_manifest(self.manifest_path, self.manifest_header,
+                                      self.pool_items, self.config.n_fewshot)
 
     def knn_exemplars(self, neighbor_set: NeighborSet):
         """Build and keep one ranked test item's exemplars; returns (exemplars, outcomes)."""
@@ -186,6 +239,21 @@ class _Sources:
             raise DataError(f"{neighbor_set.query_id}: exemplar pool leaked the test item")
         self._knn[neighbor_set.query_id] = exemplars
         return exemplars, outcomes
+
+    def manifest_exemplars(self, item: McqItem):
+        """The item's exemplars from the manifest and the cache, kept; None unless
+        the manifest lists the item and every one of its exemplars is cached."""
+        fingerprint = teacher_fingerprint(self.teacher.model_id)
+        exemplars = []
+        for exemplar_id in self.manifest.get(item.id, ()):
+            exemplar = self.cache.get(self.pool_items[exemplar_id], fingerprint)
+            if exemplar is None:
+                return None
+            exemplars.append(exemplar)
+        if not exemplars:
+            return None
+        self._knn[item.id] = exemplars
+        return exemplars
 
     def exemplars_for(self, stage: Stage, items: list[McqItem]):
         """The stage's exemplar provider (item -> exemplars) over `items`."""
@@ -200,7 +268,7 @@ class _Sources:
             return lambda item: fixed
         # Loaded before the workers start, so they share one of each and a
         # missing `teacher:` block fails before the first target call.
-        _ = self.pool_items, self.teacher, self.index
+        _ = self.pool_items, self.teacher, self.index, self.manifest
         position = {item.id: i for i, item in enumerate(items)}
         ranked: set[str] = set()
         pending: dict[str, NeighborSet] = {}
@@ -209,10 +277,13 @@ class _Sources:
         def provider(item: McqItem):
             if item.id in self._knn:
                 return self._knn[item.id]
-            # A miss ranks the item with the next unranked ones, one block in
-            # one product. Each worker builds its own item's exemplars outside
-            # the lock, so teacher calls for different items still overlap and
-            # an error stays with its item.
+            exemplars = self.manifest_exemplars(item)
+            if exemplars is not None:
+                return exemplars
+            # A miss ranks the item with the next unranked ones the manifest
+            # does not list, one block in one product. Each worker builds its
+            # own item's exemplars outside the lock, so teacher calls for
+            # different items still overlap and an error stays with its item.
             with lock:
                 neighbor_set = pending.pop(item.id, None)
                 if neighbor_set is None:
@@ -220,6 +291,7 @@ class _Sources:
                     block = [item] + [
                         other for other in items[start + 1:start + QUERY_BLOCK]
                         if other.id not in ranked and other.id not in self._knn
+                        and other.id not in self.manifest
                     ]
                     ranked.update(other.id for other in block)
                     for ranked_set in self.index.nearest_many(block, self.config.k_neighbors):
@@ -259,23 +331,26 @@ def _limited(items: list[McqItem], limit: int | None) -> list[McqItem]:
 def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int | None) -> dict:
     config, dataset, items = sources.config, sources.dataset, sources.items
     instruction = instruction_for(config, dataset)
-    target = build_endpoint(config.target, config.retry)
     provider = sources.exemplars_for(stage, items)
     trace_path = _trace_path(config, dataset, stage)
-    rows = run_benchmark(
-        items,
-        stage,
-        target,
-        instruction,
-        provider,
-        trace_path,
-        seed=config.seed,
-        ensemble=config.ensemble,
-        max_tries=config.max_validity_tries,
-        concurrency=concurrency if concurrency is not None else config.concurrency,
-        resume=resume,
-        request_seed=config.seed,
-    )
+    target = build_endpoint(config.target, config.retry)
+    try:
+        rows = run_benchmark(
+            items,
+            stage,
+            target,
+            instruction,
+            provider,
+            trace_path,
+            seed=config.seed,
+            ensemble=config.ensemble,
+            max_tries=config.max_validity_tries,
+            concurrency=concurrency if concurrency is not None else config.concurrency,
+            resume=resume,
+            request_seed=config.seed,
+        )
+    finally:
+        _close(target)
     fingerprint = config_fingerprint(config, dataset)
     report = build_report(
         rows, dataset, Split.TEST.value, stage, fingerprint,
@@ -330,11 +405,11 @@ def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
         config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
-    sources = _Sources(config, dataset, limit, allow_teacher=not dry_run)
-    if dry_run:
-        _print_dry_run(sources, stage)
-        return
-    _run_stage(sources, stage, resume, concurrency)
+    with _Sources(config, dataset, limit, allow_teacher=not dry_run) as sources:
+        if dry_run:
+            _print_dry_run(sources, stage)
+        else:
+            _run_stage(sources, stage, resume, concurrency)
 
 
 @cli.command()
@@ -350,8 +425,9 @@ def ablate(config_path: Path, dataset_name: str, seed: int | None,
     if seed is not None:
         config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
-    sources = _Sources(config, dataset, limit)
-    reports = [_run_stage(sources, stage, resume=True, concurrency=concurrency) for stage in LADDER]
+    with _Sources(config, dataset, limit) as sources:
+        reports = [_run_stage(sources, stage, resume=True, concurrency=concurrency)
+                   for stage in LADDER]
     _write_ablation(config, dataset, reports)
 
 
@@ -374,26 +450,36 @@ def _write_ablation(config: RunConfig, dataset: Dataset, reports: list[dict]) ->
 @click.option("--kind", type=click.Choice(["knn", "random"]), default="knn")
 @click.option("--limit", type=int, default=None, help="Only the first N test items (knn).")
 def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
-    """Pre-generate verified exemplar explanations into the cache."""
+    """Pre-generate verified exemplar explanations into the cache.
+
+    `--kind knn` also writes the exemplar manifest, which kNN stages read
+    instead of ranking and verifying again.
+    """
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
     if kind == "random":
-        exemplars, outcomes = build_random_exemplars(
-            CorpusStore(config.corpus_dir).training_pool(dataset), config.seed,
-            teacher=_teacher_endpoint(config), cache=CotCache(config.cache_dir),
-            n=config.n_fewshot, cot=True,
-        )
+        teacher = _teacher_endpoint(config)
+        try:
+            exemplars, outcomes = build_random_exemplars(
+                CorpusStore(config.corpus_dir).training_pool(dataset), config.seed,
+                teacher=teacher, cache=CotCache(config.cache_dir), n=config.n_fewshot, cot=True,
+            )
+        finally:
+            _close(teacher)
         fresh = sum(1 for o in outcomes if o.accepted and not o.from_cache)
         click.echo(f"{dataset.value}: {len(exemplars)} random exemplars verified "
                    f"({fresh} newly generated)")
         return
-    sources = _Sources(config, dataset, limit)
-    n_fresh = 0
-    for neighbor_set in sources.index.nearest_many(sources.items, config.k_neighbors):
-        _, outcomes = sources.knn_exemplars(neighbor_set)
-        n_fresh += sum(1 for o in outcomes if o.accepted and not o.from_cache)
+    with _Sources(config, dataset, limit) as sources:
+        exemplar_ids: dict[str, list[str]] = {}
+        n_fresh = 0
+        for neighbor_set in sources.index.nearest_many(sources.items, config.k_neighbors):
+            exemplars, outcomes = sources.knn_exemplars(neighbor_set)
+            exemplar_ids[neighbor_set.query_id] = [e.item.id for e in exemplars]
+            n_fresh += sum(1 for o in outcomes if o.accepted and not o.from_cache)
+        save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids)
     click.echo(f"{dataset.value}: exemplars ready for {len(sources.items)} items "
-               f"({n_fresh} explanations newly generated)")
+               f"({n_fresh} explanations newly generated) -> {sources.manifest_path}")
 
 
 @cli.command()

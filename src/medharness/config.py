@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -75,6 +76,18 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {unknown}")
 
 
+def _finite(mapping: dict, key: str, default: float, context: str) -> float:
+    """`mapping[key]` (or `default`) as a finite float; anything else is a ConfigError."""
+    value = mapping.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
+    return number
+
+
 def _endpoint_block(block, context: str) -> EndpointConfig:
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected a mapping")
@@ -83,7 +96,7 @@ def _endpoint_block(block, context: str) -> EndpointConfig:
         url=str(_require(block, "url", context)),
         model_id=str(_require(block, "model", context)),
         api_key_env=block.get("api_key_env"),
-        timeout=float(block.get("timeout", 120.0)),
+        timeout=_finite(block, "timeout", 120.0, context),
     )
 
 
@@ -111,15 +124,15 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(ensemble_raw, {"runs", "temperature"}, f"{path}: ensemble")
     ensemble = EnsembleConfig(
         n_runs=int(ensemble_raw.get("runs", 5)),
-        temperature=float(ensemble_raw.get("temperature", 0.4)),
+        temperature=_finite(ensemble_raw, "temperature", 0.4, f"{path}: ensemble"),
     )
 
     retry_raw = raw.get("retry", {}) or {}
     _check_keys(retry_raw, {"max_retries", "backoff_base", "backoff_cap"}, f"{path}: retry")
     retry = RetryPolicy(
         max_retries=int(retry_raw.get("max_retries", 3)),
-        backoff_base=float(retry_raw.get("backoff_base", 0.25)),
-        backoff_cap=float(retry_raw.get("backoff_cap", 8.0)),
+        backoff_base=_finite(retry_raw, "backoff_base", 0.25, f"{path}: retry"),
+        backoff_cap=_finite(retry_raw, "backoff_cap", 8.0, f"{path}: retry"),
     )
 
     instructions = raw.get("instructions", {}) or {}

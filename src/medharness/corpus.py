@@ -49,6 +49,8 @@ __all__ = [
     "read_normalized",
     "write_normalized",
     "replace_atomically",
+    "scan_jsonl",
+    "mend_tail",
     "MMLU_MED_SUBJECTS",
     "PUBMEDQA_WORDS",
     "POOL_SPLIT",
@@ -170,6 +172,10 @@ class McqItem:
             raise DataError(f"{self.id}: MedQA items carry exactly 4 options")
         if self.dataset is Dataset.MMLU_MED and self.subject not in MMLU_MED_SUBJECTS:
             raise DataError(f"{self.id}: unknown MMLU-Med subject {self.subject!r}")
+
+    def canonical_json(self) -> str:
+        """The item as one line of a normalized corpus file."""
+        return json.dumps(self.to_json_obj(), ensure_ascii=False, sort_keys=True)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -494,13 +500,51 @@ def replace_atomically(path: str | Path):
         raise
 
 
+def scan_jsonl(path: Path, corrupt) -> tuple[list[tuple[int, object]], tuple[int, bytes] | None]:
+    """The (line number, parsed value) pairs of an append-only JSON-lines file,
+    plus how to mend its tail before appending.
+
+    A last line that lacks its newline and does not parse is a write cut
+    short by a crash; it is skipped. Any other line that does not parse is
+    passed to `corrupt(lineno, exc)`, which may raise. The mend is None for a
+    file that ends in a newline, else (offset, tail) for `mend_tail`: a torn
+    last line is cut off, a last row that parses gets its newline back. A
+    missing file has no rows.
+    """
+    rows: list[tuple[int, object]] = []
+    if not path.exists():
+        return rows, None
+    offset, line = 0, b"\n"
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            try:
+                rows.append((lineno, json.loads(line)))
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    return rows, (start, b"")
+                corrupt(lineno, exc)
+    return rows, None if line.endswith(b"\n") else (offset, b"\n")
+
+
+def mend_tail(path: Path, mend: tuple[int, bytes]) -> None:
+    """Cut the file at `mend`'s offset and write its tail there (see `scan_jsonl`)."""
+    offset, tail = mend
+    with open(path, "rb+") as f:
+        f.truncate(offset)
+        f.seek(offset)
+        f.write(tail)
+
+
 def write_normalized(items: list[McqItem], path: str | Path) -> None:
     """Write items as one UTF-8 JSON object per line (stable key order)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     for item in items:
-        buf.write(json.dumps(item.to_json_obj(), ensure_ascii=False, sort_keys=True))
+        buf.write(item.canonical_json())
         buf.write("\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
 
@@ -619,8 +663,10 @@ class CorpusStore:
         write_manifest(result.manifest, self.manifest_path(dataset, split))
         return self.corpus_path(dataset, split)
 
-    def load(self, dataset: Dataset, split: Split) -> list[McqItem]:
-        return read_normalized(self.corpus_path(dataset, split))
+    def load(self, dataset: Dataset, split: Split,
+             source: CorpusFile | None = None) -> list[McqItem]:
+        """The split's items; `source` is its file when the caller has read it already."""
+        return read_normalized(source or self.corpus_path(dataset, split))
 
     def has(self, dataset: Dataset, split: Split) -> bool:
         return self.corpus_path(dataset, split).exists()

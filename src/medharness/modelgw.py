@@ -109,7 +109,8 @@ class HttpEndpoint:
     ones. A call takes one (or opens one) and gives it back only after it
     has read a complete response; a transport error closes it. So open
     connections never outnumber calls in flight. Proxy environment variables
-    are not read, and HTTPS verifies against the system CA store.
+    are not read, and HTTPS verifies against the system CA store. `close`,
+    or leaving a `with` block, closes the idle connections.
     """
 
     def __init__(
@@ -149,6 +150,19 @@ class HttpEndpoint:
         self._path_prefix = parts.path
         self._idle: list = []
         self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections. The endpoint stays usable: a later call opens one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "HttpEndpoint":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _connection(self):
         """An idle connection the server has not closed, else a new one."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import McqItem
+from .corpus import McqItem, mend_tail, scan_jsonl
 from .errors import ConfigError, EndpointError, IncompleteRunError
 from .modelgw import GenerationRequest, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
@@ -299,28 +299,12 @@ def read_trace(trace_path: str | Path) -> list[dict]:
 
 
 def _scan_trace(path: Path) -> tuple[list[dict], tuple[int, bytes] | None]:
-    """`read_trace`'s rows, plus how to mend the file's tail before appending.
+    """`read_trace`'s rows, plus the tail mend `scan_jsonl` returns."""
+    def corrupt(lineno: int, exc: ValueError) -> None:
+        raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
 
-    The mend is None for a file that ends in a newline, else (offset, tail):
-    cut the file at offset and write tail there. A torn last line is cut
-    off; a last row that parses gets its newline back.
-    """
-    rows: list[dict] = []
-    if not path.exists():
-        return rows, None
-    offset, line = 0, b"\n"
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            start, offset = offset, offset + len(line)
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError as exc:
-                if not line.endswith(b"\n"):
-                    return rows, (start, b"")
-                raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
-    return rows, None if line.endswith(b"\n") else (offset, b"\n")
+    rows, mend = scan_jsonl(path, corrupt)
+    return [row for _, row in rows], mend
 
 
 def run_benchmark(
@@ -366,11 +350,7 @@ def run_benchmark(
     if todo:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         if mend is not None:
-            offset, tail = mend
-            with open(trace_path, "rb+") as f:
-                f.truncate(offset)
-                f.seek(offset)
-                f.write(tail)
+            mend_tail(trace_path, mend)
         write_lock = threading.Lock()
 
         def handle(item: McqItem) -> None:

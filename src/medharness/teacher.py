@@ -16,13 +16,14 @@ import hashlib
 import json
 import logging
 import random
-import re
+import threading
 from collections.abc import Mapping
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem, replace_atomically
-from .errors import DataError, EndpointError
+from .corpus import McqItem, mend_tail, replace_atomically, scan_jsonl
+from .errors import DataError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
 from .promptkit import (STOP_SEQUENCES, TEACHER_TEMPLATE, CotExemplar, extraction_tokens,
@@ -37,6 +38,8 @@ __all__ = [
     "build_exemplars",
     "build_random_exemplars",
     "random_candidate_stream",
+    "save_exemplar_manifest",
+    "load_exemplar_manifest",
 ]
 
 log = logging.getLogger(__name__)
@@ -59,63 +62,139 @@ class TeacherOutcome:
     accepted: bool
     explanation: str = ""
     extracted: str = ""
-    transport_error: bool = False
     from_cache: bool = False
 
 
-def _entry_path(cache_dir: Path, fingerprint: str, item_id: str) -> Path:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", item_id)
-    suffix = hashlib.sha256(item_id.encode("utf-8")).hexdigest()[:8]
-    return cache_dir / "cot" / fingerprint / f"{safe}-{suffix}.json"
+def _item_sha256(item: McqItem) -> str:
+    return hashlib.sha256(item.canonical_json().encode("utf-8")).hexdigest()
 
 
 class CotCache:
-    """One JSON file per verified exemplar; corrupt entries read as misses.
+    """Verified explanations, one append-only JSON-lines file per teacher fingerprint.
 
-    Entries read from disk and validated are kept in memory, so each is read
-    once per instance. `put` replaces the entry file atomically and drops any
-    remembered copy; the next `get` reads the new file.
+    `cot/<fingerprint>.jsonl` holds one row per verified explanation: the
+    item id, the SHA-256 of the item's canonical JSON, and the explanation.
+    The file is read once per instance, on first use; for an id written
+    twice the last row wins. An entry is a hit only for an item with the
+    recorded digest, so an item re-ingested under the same id with other
+    text misses. A corrupt row reads as a miss and logs a warning; a last
+    line cut short by a crash is skipped, and cut off before the next append.
+
+    `verify` asks the teacher about each item at most once per instance.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
-        self._read: dict[tuple[str, str], CotExemplar] = {}
+        self._lock = threading.Lock()
+        # fingerprint -> item id -> (item digest, explanation)
+        self._entries: dict[str, dict[str, tuple[str, str]]] = {}
+        self._mends: dict[str, tuple[int, bytes] | None] = {}
+        # The last hit per (fingerprint, id), returned again for the same item
+        # object without digesting it again.
+        self._hits: dict[tuple[str, str], CotExemplar] = {}
+        self._verdicts: dict[tuple[str, str], Future] = {}
 
-    def get(self, item_id: str, fingerprint: str) -> CotExemplar | None:
-        key = (fingerprint, item_id)
-        if key in self._read:
-            return self._read[key]
-        path = _entry_path(self.cache_dir, fingerprint, item_id)
-        if not path.exists():
+    def _path(self, fingerprint: str) -> Path:
+        return self.cache_dir / "cot" / f"{fingerprint}.jsonl"
+
+    def _loaded(self, fingerprint: str) -> dict[str, tuple[str, str]]:
+        """The fingerprint's entries, read from disk on first use; call under the lock."""
+        entries = self._entries.get(fingerprint)
+        if entries is not None:
+            return entries
+        path = self._path(fingerprint)
+
+        def corrupt(lineno: int, problem) -> None:
+            log.warning("discarding corrupt cache row %s:%d: %s", path, lineno, problem)
+
+        entries = {}
+        rows, self._mends[fingerprint] = scan_jsonl(path, corrupt)
+        for lineno, row in rows:
+            try:
+                item_id, digest, explanation = row["id"], row["item_sha256"], row["explanation"]
+                if not all(isinstance(v, str) for v in (item_id, digest, explanation)):
+                    raise TypeError("id, item_sha256 and explanation must be strings")
+                if not explanation.strip():
+                    raise ValueError("empty explanation")
+            except (KeyError, TypeError, ValueError) as exc:
+                corrupt(lineno, repr(exc))
+                continue
+            entries[item_id] = (digest, explanation)
+        self._entries[fingerprint] = entries
+        return entries
+
+    def get(self, item: McqItem, fingerprint: str) -> CotExemplar | None:
+        key = (fingerprint, item.id)
+        with self._lock:
+            hit = self._hits.get(key)
+            if hit is not None and hit.item is item:
+                return hit
+            entry = self._loaded(fingerprint).get(item.id)
+        if entry is None or entry[0] != _item_sha256(item):
             return None
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            if entry["schema"] != 1 or entry["fingerprint"] != fingerprint:
-                raise ValueError("schema or fingerprint mismatch")
-            item = McqItem.from_json_obj(entry["item"])
-            if item.id != item_id:
-                raise ValueError(f"entry holds {item.id}, expected {item_id}")
-            explanation = entry["explanation"]
-            if not explanation.strip():
-                raise ValueError("empty explanation")
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            log.warning("discarding corrupt cache entry %s: %s", path, exc)
-            return None
-        exemplar = CotExemplar(item=item, explanation=explanation, verified=True)
-        self._read[key] = exemplar
-        return exemplar
+        hit = CotExemplar(item=item, explanation=entry[1], verified=True)
+        with self._lock:
+            self._hits[key] = hit
+        return hit
 
     def put(self, item: McqItem, explanation: str, fingerprint: str) -> None:
-        path = _entry_path(self.cache_dir, fingerprint, item.id)
-        entry = {
-            "schema": 1,
-            "fingerprint": fingerprint,
-            "item": item.to_json_obj(),
-            "explanation": explanation,
-        }
-        with replace_atomically(path) as f:
-            f.write((json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8"))
-        self._read.pop((fingerprint, item.id), None)
+        digest = _item_sha256(item)
+        row = {"id": item.id, "item_sha256": digest, "explanation": explanation}
+        line = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        path = self._path(fingerprint)
+        with self._lock:
+            entries = self._loaded(fingerprint)
+            mend = self._mends.pop(fingerprint, None)
+            if mend is not None:
+                mend_tail(path, mend)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "ab", buffering=0) as f:
+                f.write(line)
+            entries[item.id] = (digest, explanation)
+            self._hits.pop((fingerprint, item.id), None)
+
+    def verify(self, item: McqItem, teacher,
+               fingerprint: str) -> tuple[CotExemplar | None, TeacherOutcome]:
+        """The item's exemplar from the cache, else from the teacher, once per instance.
+
+        The first caller for an item does the work; callers arriving while it
+        runs wait for its outcome. After that an accepted item is a cache hit
+        and a rejected one stays rejected, so the exemplars never depend on
+        thread timing. Reused acceptances read as cache hits.
+        """
+        key = (fingerprint, item.id)
+        with self._lock:
+            verdict = self._verdicts.get(key)
+            first = verdict is None
+            if first:
+                verdict = self._verdicts[key] = Future()
+        if not first:
+            exemplar, outcome = verdict.result()
+            return exemplar, (outcome if exemplar is None else _cache_hit(exemplar))
+        try:
+            hit = self.get(item, fingerprint)
+            if hit is not None:
+                result = hit, _cache_hit(hit)
+            else:
+                result = _teacher_verdict(item, teacher)
+                if result[0] is not None:
+                    self.put(item, result[0].explanation, fingerprint)
+        except BaseException as exc:
+            verdict.set_exception(exc)
+            raise
+        verdict.set_result(result)
+        if result[0] is not None:
+            # Accepted: from now on the cache answers, so only rejections and
+            # errors keep their future.
+            with self._lock:
+                del self._verdicts[key]
+        return result
+
+
+def _cache_hit(exemplar: CotExemplar) -> TeacherOutcome:
+    return TeacherOutcome(item_id=exemplar.item.id, attempts=0, accepted=True,
+                          explanation=exemplar.explanation, extracted=exemplar.item.gold,
+                          from_cache=True)
 
 
 def generate_cot(
@@ -128,8 +207,8 @@ def generate_cot(
     """Ask the teacher for an explanation of one item, verifying each attempt.
 
     Accepts only when the extracted answer equals the gold label and the
-    explanation is non-empty. A transport failure ends the candidate early
-    rather than spending its remaining attempts.
+    explanation is non-empty. A transport failure (`EndpointError`)
+    propagates: an outage must stop the command, not swap the exemplars.
     """
     prompt = teacher_prompt(item)
     labels, word_tokens = extraction_tokens(item)
@@ -145,15 +224,7 @@ def generate_cot(
             max_tokens=max_tokens,
             stop_sequences=STOP_SEQUENCES,
         )
-        try:
-            response = complete(request, teacher)
-        except EndpointError:
-            return TeacherOutcome(
-                item_id=item.id,
-                attempts=attempts,
-                accepted=False,
-                transport_error=True,
-            )
+        response = complete(request, teacher)
         extracted = extract_answer(response.text, labels, word_tokens)
         explanation = extract_explanation(response.text)
         if extracted == item.gold and explanation:
@@ -173,6 +244,13 @@ def generate_cot(
     )
 
 
+def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
+    outcome = generate_cot(item, teacher)
+    if not outcome.accepted:
+        return None, outcome
+    return CotExemplar(item=item, explanation=outcome.explanation, verified=True), outcome
+
+
 def _verify_candidate(
     item: McqItem,
     teacher,
@@ -180,24 +258,8 @@ def _verify_candidate(
     fingerprint: str,
 ) -> tuple[CotExemplar | None, TeacherOutcome]:
     if cache is not None:
-        hit = cache.get(item.id, fingerprint)
-        if hit is not None:
-            outcome = TeacherOutcome(
-                item_id=item.id,
-                attempts=0,
-                accepted=True,
-                explanation=hit.explanation,
-                extracted=item.gold,
-                from_cache=True,
-            )
-            return hit, outcome
-    outcome = generate_cot(item, teacher)
-    if not outcome.accepted:
-        return None, outcome
-    if cache is not None:
-        cache.put(item, outcome.explanation, fingerprint)
-    exemplar = CotExemplar(item=item, explanation=outcome.explanation, verified=True)
-    return exemplar, outcome
+        return cache.verify(item, teacher, fingerprint)
+    return _teacher_verdict(item, teacher)
 
 
 def build_exemplars(
@@ -293,3 +355,49 @@ def build_random_exemplars(
             f"only {len(exemplars)} of {n} random exemplars verified before the pool ran out"
         )
     return exemplars, outcomes
+
+
+def save_exemplar_manifest(path: str | Path, header: dict,
+                           exemplar_ids: dict[str, list[str]]) -> None:
+    """Write an exemplar manifest: `header`, then one row per test item with
+    its exemplar ids in prompt order."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps({"item_id": item_id, "exemplars": ids})
+              for item_id, ids in exemplar_ids.items()]
+    with replace_atomically(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
+                           n: int) -> dict[str, tuple[str, ...]]:
+    """Exemplar ids per test item, from a manifest written under `header`.
+
+    A missing manifest is empty. A manifest with another header (built from
+    another pool, index, teacher, `k_neighbors` or test split) or with a row
+    that is not `n` ids in `pool_ids` is ignored with one warning, so its
+    items build their exemplars as if it did not exist.
+    """
+    path = Path(path)
+    if not path.exists():
+        return {}
+    try:
+        first, *rows = path.read_text(encoding="utf-8").split("\n")
+        recorded = json.loads(first)
+        if not isinstance(recorded, dict):
+            raise ValueError("header is not an object")
+        if recorded != header:
+            stale = sorted(key for key in header.keys() | recorded.keys()
+                           if recorded.get(key) != header.get(key))
+            log.warning("ignoring exemplar manifest %s: %s differ from this run; "
+                        "rerun `medharness gen-cot` to rebuild it", path, ", ".join(stale))
+            return {}
+        manifest = {}
+        for row in json.loads("[" + ",".join(row for row in rows if row.strip()) + "]"):
+            ids = tuple(row["exemplars"])
+            if len(ids) != n or not all(isinstance(i, str) and i in pool_ids for i in ids):
+                raise ValueError(f"{row['item_id']}: exemplars {ids} are not {n} pool ids")
+            manifest[row["item_id"]] = ids
+    except (ValueError, KeyError, TypeError) as exc:
+        log.warning("ignoring corrupt exemplar manifest %s: %s", path, exc)
+        return {}
+    return manifest

@@ -14,11 +14,13 @@ import pytest
 import yaml
 
 from conftest import make_item
-from medharness import cli, corpus
+from medharness import cli, corpus, teacher
 from medharness.cli import main
 from medharness.corpus import CorpusFile, Split, write_normalized
 from medharness.errors import DataError
+from medharness.modelgw import HttpEndpoint
 from medharness.retrieval import VectorIndex
+from medharness.teacher import teacher_fingerprint
 
 
 def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
@@ -219,9 +221,11 @@ class TestIndexAndGenCot:
         assert code == 0
         out = capsys.readouterr().out
         assert "exemplars ready for 4 items" in out
-        cot_dir = tmp_path / "cache" / "cot"
-        cached = list(cot_dir.rglob("*.json"))
-        assert cached
+        [cache_file] = (tmp_path / "cache" / "cot").iterdir()
+        assert cache_file.name == f"{teacher_fingerprint('teacher-x')}.jsonl"
+        assert cache_file.read_text(encoding="utf-8").count("\n") >= 5
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        assert len(manifest.read_text(encoding="utf-8").splitlines()) == 1 + 4
         code = main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot"])
         assert code == 0
@@ -274,6 +278,23 @@ class TestExitCodes:
                      "--stage", "zero_shot"])
         assert code == 1
         assert "n_fewshot must be 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"ensemble": {"temperature": float("nan")}}, "temperature"),
+        ({"ensemble": {"temperature": float("inf")}}, "temperature"),
+        ({"retry": {"backoff_base": float("nan")}}, "backoff_base"),
+        ({"retry": {"backoff_cap": float("inf")}}, "backoff_cap"),
+        ({"target": {"url": "mock:unused.json", "model": "m", "timeout": float("nan")}},
+         "timeout"),
+        ({"teacher": {"url": "mock:unused.json", "model": "m", "timeout": -float("inf")}},
+         "timeout"),
+    ])
+    def test_non_finite_config_float_is_config_error(self, tmp_path, capsys, extra, key):
+        config, _, _ = build_env(tmp_path, config_extra=extra)
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        assert f"{key} must be a finite number" in capsys.readouterr().err
 
     def test_short_trace_is_incomplete_run(self, tmp_path, capsys):
         config, test_items, _ = build_env(tmp_path)
@@ -397,6 +418,163 @@ class TestRankOnce:
         alone = knn_prompts(tmp_path / "alone", warm=False)
         assert len(set(alone)) == 20
         assert knn_prompts(tmp_path / "warm", warm=True) == alone
+
+
+class TestExemplarManifest:
+    """After `gen-cot`, a kNN stage takes each item the manifest lists from the
+    manifest and the cache: no ranking and no teacher call, the same prompts."""
+
+    @staticmethod
+    def command(name, config, *extra):
+        return [name, "--config", str(config), "--dataset", "medqa", *extra]
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Ranking calls, teacher calls and CoT cache files read, by name."""
+        seen = {"ranked": [], "teacher": [], "cache_reads": []}
+        rank_all, nearest_many = VectorIndex.rank_all, VectorIndex.nearest_many
+        teacher_endpoint, scan_jsonl = cli._teacher_endpoint, teacher.scan_jsonl
+
+        def rank_spy(index, *args, **kwargs):
+            seen["ranked"].append("rank_all")
+            return rank_all(index, *args, **kwargs)
+
+        def nearest_spy(index, queries, k):
+            seen["ranked"].extend(query.id for query in queries)
+            return nearest_many(index, queries, k)
+
+        class CountingTeacher:
+            def __init__(self, endpoint):
+                self.endpoint = endpoint
+                self.model_id = endpoint.model_id
+
+            def complete(self, request):
+                seen["teacher"].append(request.prompt)
+                return self.endpoint.complete(request)
+
+        def scan_spy(path, corrupt):
+            seen["cache_reads"].append(Path(path).name)
+            return scan_jsonl(path, corrupt)
+
+        monkeypatch.setattr(VectorIndex, "rank_all", rank_spy)
+        monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
+        monkeypatch.setattr(cli, "_teacher_endpoint",
+                            lambda config: CountingTeacher(teacher_endpoint(config)))
+        monkeypatch.setattr(teacher, "scan_jsonl", scan_spy)
+        return seen
+
+    def prompts(self, root, stage="knn_fewshot_cot"):
+        rows = trace_rows(root / "out" / "medqa" / f"{stage}.trace.jsonl")
+        return {row["item_id"]: [run["prompt_sha256"] for run in row["per_run"]] for row in rows}
+
+    def run_alone(self, root, stage="knn_fewshot_cot"):
+        config, _, _ = build_env(root, n_test=20, n_pool=30)
+        assert main(self.command("run", config, "--stage", stage)) == 0
+        return self.prompts(root, stage)
+
+    @pytest.mark.parametrize("stage", ["knn_fewshot_cot", "ensemble"])
+    def test_run_after_gen_cot_ranks_nothing_and_asks_no_teacher(self, tmp_path, spies, stage):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        assert len(spies["ranked"]) == 20 and spies["teacher"]
+        for seen in spies.values():
+            seen.clear()
+        assert main(self.command("run", config, "--stage", stage)) == 0
+        assert spies["ranked"] == []
+        assert spies["teacher"] == []
+        assert spies["cache_reads"] == [f"{teacher_fingerprint('teacher-x')}.jsonl"]
+        assert self.prompts(tmp_path, stage) == self.run_alone(tmp_path / "alone", stage)
+
+    def test_dry_run_reads_the_manifest(self, tmp_path, spies, capsys):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config, "--limit", "1")) == 0
+        spies["ranked"].clear()
+        capsys.readouterr()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
+                                 "--dry-run")) == 0
+        assert spies["ranked"] == []
+        assert capsys.readouterr().out.partition("\n---\n")[0].endswith("### Explanation:")
+
+    def test_partial_manifest_ranks_only_unlisted_items(self, tmp_path, spies):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config, "--limit", "7")) == 0
+        spies["ranked"].clear()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert spies["ranked"] == [item.id for item in test_items[7:]]
+        assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
+
+    def test_listed_item_with_an_uncached_exemplar_is_ranked_again(self, tmp_path, spies):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+        dropped = rows[4]["exemplars"][2]
+        first_user = next(row["item_id"] for row in rows[1:] if dropped in row["exemplars"])
+        cache_file = tmp_path / "cache" / "cot" / f"{teacher_fingerprint('teacher-x')}.jsonl"
+        kept = [line for line in cache_file.read_text(encoding="utf-8").splitlines()
+                if json.loads(line)["id"] != dropped]
+        cache_file.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        spies["ranked"].clear()
+        spies["teacher"].clear()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        # The first item needing the dropped exemplar ranks and verifies it
+        # again; that puts it back in the cache for the items after it.
+        assert spies["ranked"] == [first_user]
+        assert len(spies["teacher"]) == 1
+        assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
+
+    @pytest.mark.parametrize("field, value", [
+        ("pool_sha256", "0" * 64), ("teacher", "0" * 16), ("k_neighbors", 7),
+        ("test_sha256", "0" * 64), ("provider_id", "remote:other"),
+    ])
+    def test_stale_manifest_is_ignored_with_one_warning(self, tmp_path, spies, caplog,
+                                                        field, value):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        header, *rows = [json.loads(line)
+                         for line in manifest.read_text(encoding="utf-8").splitlines()]
+        header[field] = value
+        # Reversed exemplars would change every prompt if the manifest were used.
+        rows = [{**row, "exemplars": row["exemplars"][::-1]} for row in rows]
+        manifest.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *rows]),
+                            encoding="utf-8")
+        spies["ranked"].clear()
+        with caplog.at_level("WARNING"):
+            assert main(self.command("ablate", config)) == 0
+        assert caplog.text.count("ignoring exemplar manifest") == 1
+        assert field in caplog.text
+        assert len(spies["ranked"]) == 20
+        assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
+
+    def test_corrupt_manifest_is_ignored(self, tmp_path, spies, caplog):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        header, first, *rows = manifest.read_text(encoding="utf-8").splitlines()
+        bad = json.dumps({**json.loads(first), "exemplars": ["train-99999"] * 5})
+        manifest.write_text("\n".join([header, bad, *rows]) + "\n", encoding="utf-8")
+        spies["ranked"].clear()
+        with caplog.at_level("WARNING"):
+            assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert "ignoring corrupt exemplar manifest" in caplog.text
+        assert len(spies["ranked"]) == 20
+
+    def test_teacher_outage_fails_gen_cot_without_a_manifest(self, tmp_path, capsys):
+        config, test_items, pool_items = build_env(tmp_path, n_test=6, n_pool=12)
+        # The teacher answers only some pool questions; the rest raise, as a
+        # dead endpoint would.
+        policy = tmp_path / "teacher_policy.json"
+        policy.write_text(json.dumps({"policy": "gold", "answers": {
+            it.question: it.gold_text for it in pool_items[::2]}}), encoding="utf-8")
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"]["url"] = f"mock:{policy}"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        for args in (self.command("gen-cot", config),
+                     self.command("run", config, "--stage", "knn_fewshot_cot")):
+            assert main(args) == 3
+            assert "no scripted answer" in capsys.readouterr().err
+        assert not (tmp_path / "cache" / "exemplars").exists()
 
 
 class TestDryRunRequest:
@@ -525,6 +703,28 @@ class TestIndexedPool:
         serial = prompts(tmp_path / "serial", "1")
         assert len(set(serial.values())) == 40
         assert prompts(tmp_path / "concurrent", "8") == serial
+
+
+class TestClosesEndpoints:
+    """Each command closes the HTTP endpoints it opened, also when a call fails."""
+
+    # A failed target call is still scored as an invalid answer (exit 0).
+    @pytest.mark.parametrize("block, command, extra, code", [
+        ("target", "run", ["--stage", "zero_shot"], 0),
+        ("teacher", "run", ["--stage", "knn_fewshot_cot"], 3),
+        ("teacher", "gen-cot", [], 3),
+        ("embedding", "index", [], 3),
+    ])
+    def test_failed_calls_close_their_endpoint(self, tmp_path, monkeypatch, block, command,
+                                               extra, code):
+        closed = []
+        monkeypatch.setattr(HttpEndpoint, "close", lambda endpoint: closed.append(endpoint))
+        config, _, _ = build_env(tmp_path, config_extra={
+            block: {"url": "http://127.0.0.1:9", "model": f"{block}-http"},
+            "retry": {"max_retries": 0, "backoff_base": 0.0, "backoff_cap": 0.0},
+        })
+        assert main([command, "--config", str(config), "--dataset", "medqa", *extra]) == code
+        assert [endpoint.model_id for endpoint in closed] == [f"{block}-http"]
 
 
 class TestLazyHttpImport:

@@ -58,9 +58,12 @@ def server():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     httpd.requests = []
     httpd.script = [(200, completion_body("### Answer: (A) alpha"))]
+    httpd.endpoints = []
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield httpd
+    for endpoint in httpd.endpoints:
+        endpoint.close()
     httpd.shutdown()
     httpd.server_close()
 
@@ -70,10 +73,14 @@ def completion_body(text, finish="stop"):
             "usage": {"prompt_tokens": 10, "completion_tokens": 5}}
 
 
-def endpoint_for(server, **kwargs):
+def endpoint_for(server, base_path="", **kwargs):
+    """An endpoint on `server`, closed when the server fixture ends."""
     kwargs.setdefault("retry", RetryPolicy(max_retries=3, backoff_base=0.0, backoff_cap=0.0))
     kwargs.setdefault("sleep", lambda s: None)
-    return HttpEndpoint(f"http://127.0.0.1:{server.server_address[1]}", "test-model", **kwargs)
+    endpoint = HttpEndpoint(f"http://127.0.0.1:{server.server_address[1]}{base_path}",
+                            "test-model", **kwargs)
+    server.endpoints.append(endpoint)
+    return endpoint
 
 
 def simple_request(prompt="### Question: q? (A) a (B) b\n### Answer:"):
@@ -193,6 +200,11 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.connections += 1
 
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         with self.server.lock:
@@ -225,10 +237,14 @@ def keepalive_server():
     httpd.paths = []
     httpd.idle_timeout = 5.0
     httpd.truncated = 0
+    httpd.closed = 0
+    httpd.endpoints = []
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
     yield httpd
+    for endpoint in httpd.endpoints:
+        endpoint.close()
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=5)
@@ -286,6 +302,37 @@ class TestConnections:
                 complete(simple_request(), ep)
         assert sleeps == [0.25, 0.5]
 
+    def test_close_closes_idle_connections(self, keepalive_server):
+        # Longer than the wait below, so only the client can close them.
+        keepalive_server.idle_timeout = 30.0
+        ep = endpoint_for(keepalive_server)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(5):
+                    complete(simple_request(), ep)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        opened = keepalive_server.connections
+        assert opened >= 1 and keepalive_server.closed == 0
+        ep.close()
+        deadline = time.monotonic() + 5
+        while keepalive_server.closed < opened and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert keepalive_server.closed == opened
+        # Still usable: the next call opens a new connection.
+        with ep:
+            assert complete(simple_request(), ep).text == "ok"
+        assert keepalive_server.connections == opened + 1
+
     def test_response_cut_short_is_retried(self, keepalive_server):
         keepalive_server.truncated = 1
         sleeps = []
@@ -297,9 +344,8 @@ class TestConnections:
         assert keepalive_server.connections == 2
 
     def test_base_url_path_prefix(self, server):
-        port = server.server_address[1]
-        for base in (f"http://127.0.0.1:{port}/proxy", f"http://127.0.0.1:{port}/proxy/"):
-            complete(simple_request(), HttpEndpoint(base, "m"))
+        for base_path in ("/proxy", "/proxy/"):
+            complete(simple_request(), endpoint_for(server, base_path))
         assert [r["path"] for r in server.requests] == ["/proxy/v1/completions"] * 2
 
     @pytest.mark.parametrize("url", ["infer.example.com/v1", "ftp://infer.example.com",

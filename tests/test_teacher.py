@@ -1,14 +1,17 @@
 """Teacher-verified exemplar construction, replacement, and the CoT cache."""
 
 import json
-from dataclasses import replace
 import random
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_item
 from medharness.corpus import Split
-from medharness.errors import DataError
+from medharness.errors import DataError, EndpointError
 from medharness.modelgw import (
     FixedTextPolicy,
     FlakyGoldPolicy,
@@ -63,7 +66,6 @@ class TestGenerateCot:
         assert outcome.attempts == 1
         assert outcome.extracted == item.gold
         assert outcome.explanation.strip()
-        assert not outcome.transport_error
 
     def test_wrong_answers_exhaust_attempts(self, tiny_pool):
         item = tiny_pool[0]
@@ -94,15 +96,30 @@ class TestGenerateCot:
         assert outcome.attempts == 3
         assert outcome.extracted == item.gold
 
-    def test_transport_failure_ends_candidate_early(self, tiny_pool):
+    def test_transport_failure_propagates(self, tiny_pool):
         # An empty answer table raises for every prompt, standing in for a
         # dead endpoint.
         teacher = mock_model(GoldAnswerPolicy({}))
-        outcome = generate_cot(tiny_pool[0], teacher)
-        assert outcome.transport_error
-        assert not outcome.accepted
-        assert outcome.attempts == 1
+        with pytest.raises(EndpointError):
+            generate_cot(tiny_pool[0], teacher)
         assert teacher.call_count == 1
+
+    def test_transport_failure_stops_build_exemplars(self, tiny_pool, ranked, tmp_path):
+        index, neighbors, full = ranked
+        pool_items = {it.id: it for it in tiny_pool}
+        dead = pool_items[full[1]].question
+        answers = {it.question: it.gold_text for it in tiny_pool if it.question != dead}
+        with pytest.raises(EndpointError):
+            build_exemplars(neighbors, index, pool_items, mock_model(GoldAnswerPolicy(answers)),
+                            cache=CotCache(tmp_path))
+        fp = teacher_fingerprint("mock")
+        assert [json.loads(row)["id"] for row in cache_rows(tmp_path, fp)] == full[:1]
+
+
+def cache_rows(tmp_path, fp):
+    """The cache file's lines, split on "\\n" only."""
+    data = (tmp_path / "cot" / f"{fp}.jsonl").read_bytes()
+    return [line.decode("utf-8") for line in data.split(b"\n")[:-1]]
 
 
 class TestCotCache:
@@ -110,70 +127,169 @@ class TestCotCache:
         cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
         cache.put(tiny_pool[0], "Because the phrenic nerve fires.", fp)
-        hit = cache.get(tiny_pool[0].id, fp)
-        assert hit is not None
-        assert hit.verified
-        assert hit.explanation == "Because the phrenic nerve fires."
-        assert hit.item == tiny_pool[0]
+        for reader in (cache, CotCache(tmp_path)):
+            hit = reader.get(tiny_pool[0], fp)
+            assert hit is not None
+            assert hit.verified
+            assert hit.explanation == "Because the phrenic nerve fires."
+            assert hit.item == tiny_pool[0]
 
-    def test_absent_entry_misses(self, tmp_path):
-        assert CotCache(tmp_path).get("train-00000", "0" * 16) is None
+    def test_one_file_per_fingerprint_without_item_text(self, tmp_path, tiny_pool):
+        cache = CotCache(tmp_path)
+        fp = teacher_fingerprint("teach-1")
+        for item in tiny_pool[:3]:
+            cache.put(item, f"Explained {item.id}.", fp)
+        assert [p.name for p in (tmp_path / "cot").iterdir()] == [f"{fp}.jsonl"]
+        rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
+        assert [sorted(row) for row in rows] == [["explanation", "id", "item_sha256"]] * 3
+        assert [row["id"] for row in rows] == [item.id for item in tiny_pool[:3]]
+        assert tiny_pool[0].question not in "".join(cache_rows(tmp_path, fp))
+
+    def test_absent_entry_misses(self, tmp_path, tiny_pool):
+        assert CotCache(tmp_path).get(tiny_pool[0], "0" * 16) is None
 
     def test_corrupt_entry_misses_with_warning(self, tmp_path, tiny_pool, caplog):
-        cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "Fine.", fp)
-        [entry] = list((tmp_path / "cot" / fp).iterdir())
-        entry.write_text("{not json", encoding="utf-8")
+        CotCache(tmp_path).put(tiny_pool[0], "Fine.", fp)
+        CotCache(tmp_path).put(tiny_pool[1], "Fine too.", fp)
+        good = cache_rows(tmp_path, fp)[1]
+        blank = json.dumps({"id": tiny_pool[2].id, "item_sha256": "x", "explanation": " "})
+        path = tmp_path / "cot" / f"{fp}.jsonl"
+        path.write_text("{not json\n" + good + "\n" + blank + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            assert cache.get(tiny_pool[0].id, fp) is None
-        assert "corrupt" in caplog.text
+            cache = CotCache(tmp_path)
+            assert cache.get(tiny_pool[0], fp) is None
+            assert cache.get(tiny_pool[2], fp) is None
+        assert cache.get(tiny_pool[1], fp).explanation == "Fine too."
+        assert caplog.text.count("corrupt cache row") == 2
 
     def test_wrong_item_in_entry_misses(self, tmp_path, tiny_pool):
+        """An item re-ingested under the same id with other text is a miss."""
         cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
         cache.put(tiny_pool[0], "Fine.", fp)
-        [entry] = list((tmp_path / "cot" / fp).iterdir())
-        doc = json.loads(entry.read_text(encoding="utf-8"))
-        doc["item"]["id"] = "train-99999"
-        entry.write_text(json.dumps(doc), encoding="utf-8")
-        assert cache.get(tiny_pool[0].id, fp) is None
+        assert cache.get(tiny_pool[0], fp).explanation == "Fine."
+        edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
+        assert cache.get(edited, fp) is None
+        assert CotCache(tmp_path).get(edited, fp) is None
+        assert CotCache(tmp_path).get(tiny_pool[0], fp).explanation == "Fine."
+
+    def test_torn_last_row_misses_and_is_cut_before_the_next_put(self, tmp_path, tiny_pool):
+        fp = teacher_fingerprint("teach-1")
+        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
+        CotCache(tmp_path).put(tiny_pool[1], "Second.", fp)
+        path = tmp_path / "cot" / f"{fp}.jsonl"
+        path.write_bytes(path.read_bytes()[:-9])
+        cache = CotCache(tmp_path)
+        assert cache.get(tiny_pool[0], fp).explanation == "First."
+        assert cache.get(tiny_pool[1], fp) is None
+        cache.put(tiny_pool[2], "Third.", fp)
+        fresh = CotCache(tmp_path)
+        assert [fresh.get(it, fp) is not None for it in tiny_pool[:3]] == [True, False, True]
+        assert len(cache_rows(tmp_path, fp)) == 2
+
+    def test_last_row_without_newline_gets_it_back(self, tmp_path, tiny_pool):
+        fp = teacher_fingerprint("teach-1")
+        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
+        path = tmp_path / "cot" / f"{fp}.jsonl"
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        cache = CotCache(tmp_path)
+        assert cache.get(tiny_pool[0], fp).explanation == "First."
+        cache.put(tiny_pool[1], "Second.", fp)
+        fresh = CotCache(tmp_path)
+        assert fresh.get(tiny_pool[0], fp).explanation == "First."
+        assert fresh.get(tiny_pool[1], fp).explanation == "Second."
 
     def test_fingerprints_partition_the_cache(self, tmp_path, tiny_pool):
         cache = CotCache(tmp_path)
         cache.put(tiny_pool[0], "From teacher one.", teacher_fingerprint("teach-1"))
-        assert cache.get(tiny_pool[0].id, teacher_fingerprint("teach-2")) is None
+        assert cache.get(tiny_pool[0], teacher_fingerprint("teach-2")) is None
         assert teacher_fingerprint("teach-1") != teacher_fingerprint("teach-2")
 
     def test_overwrite_leaves_one_valid_entry(self, tmp_path, tiny_pool):
+        """Both rows stay in the append-only file; the last one wins."""
         cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
         cache.put(tiny_pool[0], "First.", fp)
         cache.put(tiny_pool[0], "Second.", fp)
-        [entry] = list((tmp_path / "cot" / fp).iterdir())
-        assert json.loads(entry.read_text(encoding="utf-8"))["explanation"] == "Second."
-        assert CotCache(tmp_path).get(tiny_pool[0].id, fp).explanation == "Second."
+        rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
+        assert [row["explanation"] for row in rows] == ["First.", "Second."]
+        assert cache.get(tiny_pool[0], fp).explanation == "Second."
+        assert CotCache(tmp_path).get(tiny_pool[0], fp).explanation == "Second."
 
     def test_entries_read_once_per_instance(self, tmp_path, tiny_pool):
-        cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "First.", fp)
-        assert cache.get(tiny_pool[0].id, fp).explanation == "First."
-        [entry] = list((tmp_path / "cot" / fp).iterdir())
-        entry.unlink()
-        assert cache.get(tiny_pool[0].id, fp).explanation == "First."
+        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
+        cache = CotCache(tmp_path)
+        assert cache.get(tiny_pool[0], fp).explanation == "First."
+        (tmp_path / "cot" / f"{fp}.jsonl").unlink()
+        assert cache.get(tiny_pool[0], fp).explanation == "First."
         cache.put(tiny_pool[0], "Second.", fp)
-        assert cache.get(tiny_pool[0].id, fp).explanation == "Second."
+        assert cache.get(tiny_pool[0], fp).explanation == "Second."
 
-    def test_hostile_item_ids_become_safe_filenames(self, tmp_path, tiny_pool):
-        item = replace(tiny_pool[0], id="a/b c*d")
+    def test_hostile_item_ids_round_trip(self, tmp_path, tiny_pool):
+        item = replace(tiny_pool[0], id='a/b c*d\n"\u2028')
         cache = CotCache(tmp_path)
         fp = teacher_fingerprint("teach-1")
         cache.put(item, "Safe.", fp)
-        [entry] = list((tmp_path / "cot" / fp).iterdir())
-        assert "/" not in entry.name and "*" not in entry.name and " " not in entry.name
-        hit = cache.get("a/b c*d", fp)
+        assert len(cache_rows(tmp_path, fp)) == 1
+        hit = CotCache(tmp_path).get(item, fp)
         assert hit is not None and hit.explanation == "Safe."
+
+
+class TestVerifyOnce:
+    """A cache verifies each pool item at most once, whatever the threads do."""
+
+    def test_threads_sharing_an_uncached_item_make_one_teacher_call(self, tmp_path, tiny_pool):
+        item = tiny_pool[0]
+        gold = gold_teacher(tiny_pool)
+
+        class SlowTeacher:
+            model_id = gold.model_id
+
+            def complete(self, request):
+                time.sleep(0.05)
+                return gold.complete(request)
+
+        cache = CotCache(tmp_path)
+        fp = teacher_fingerprint(gold.model_id)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            results.append(cache.verify(item, SlowTeacher(), fp))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert gold.call_count == 1
+        assert len(results) == 8
+        assert len({exemplar for exemplar, _ in results}) == 1
+        assert sum(not outcome.from_cache for _, outcome in results) == 1
+        assert len(cache_rows(tmp_path, fp)) == 1
+
+    def test_rejection_is_reused(self, tiny_pool, ranked, tmp_path):
+        """A teacher that would accept on a later try is not asked again."""
+        index, neighbors, full = ranked
+        pool_items = {it.id: it for it in tiny_pool}
+        teacher = flaky_teacher(tiny_pool, {pool_items[full[1]].question}, n_wrong=3)
+        cache = CotCache(tmp_path)
+        first, _ = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
+        calls = teacher.call_count
+        second, outcomes = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
+        assert teacher.call_count == calls == 5 + 3
+        assert second == first
+        assert [ex.item.id for ex in first] == [full[0]] + full[2:6]
+        assert [o.accepted for o in outcomes] == [True, False, True, True, True, True]
 
 
 class TestBuildExemplars:
