@@ -179,7 +179,9 @@ def answer_item(
     Retries generation up to `max_tries` when the output yields no parseable
     answer; transport failures count as tries. The returned decision is the
     canonical label (the extracted presented label mapped back through the
-    permutation), or the invalid marker when every try failed.
+    permutation), or the invalid marker when no try gave a parseable answer.
+    When every try failed in transport the model never answered, so there is
+    nothing to score: that raises the last `EndpointError`.
     """
     if shuffle:
         presented_item, permutation = shuffle_options(item, seed, run_index)
@@ -203,8 +205,10 @@ def answer_item(
         tries += 1
         try:
             response = complete(request, endpoint)
-        except EndpointError:
+        except EndpointError as exc:
             transport_errors += 1
+            if transport_errors == max_tries:
+                raise EndpointError(f"{item.id}: all {tries} tries failed: {exc}") from exc
             continue
         raw_text = response.text
         presented_label = extract_answer(raw_text, labels, word_tokens)
@@ -328,6 +332,8 @@ def run_benchmark(
     carry; stages without exemplars pass a provider returning []. With
     `resume`, item ids already present in the trace are skipped; without it,
     a partially written trace is an error rather than silently extended.
+    An item whose every try failed in transport gets no row: its
+    `EndpointError` ends the run, and a resumed run asks for it again.
     Returns the trace rows for all requested items, in item order.
     """
     trace_path = Path(trace_path)

@@ -140,6 +140,25 @@ class TestRun:
         rows = trace_rows(tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl")
         assert [r["item_id"] for r in rows] == [it.id for it in test_items]
 
+    def test_target_outage_exits_3_and_resume_asks_again(self, tmp_path, capsys):
+        # The target has no answer for item 2: every try fails in transport.
+        config, test_items, _ = build_env(tmp_path)
+        policy = tmp_path / "policy.json"
+        full = policy.read_text(encoding="utf-8")
+        spec = json.loads(full)
+        del spec["answers"][test_items[2].question]
+        policy.write_text(json.dumps(spec), encoding="utf-8")
+        args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "zero_shot"]
+        assert main(args) == 3
+        assert f"{test_items[2].id}: all 5 tries failed" in capsys.readouterr().err
+        trace = tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl"
+        assert [r["item_id"] for r in trace_rows(trace)] == [it.id for it in test_items[:2]]
+        policy.write_text(full, encoding="utf-8")
+        assert main(args + ["--resume"]) == 0
+        rows = trace_rows(trace)
+        assert [r["item_id"] for r in rows] == [it.id for it in test_items]
+        assert all(r["correct"] and r["n_calls"] == 1 for r in rows)
+
     def test_dry_run_prints_prompt_without_calls(self, tmp_path, capsys):
         config, _, _ = build_env(tmp_path)
         code = main(["run", "--config", str(config), "--dataset", "medqa",
@@ -612,7 +631,7 @@ class TestIndexedPool:
         pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
         index_path = tmp_path / "cache" / "index" / "medqa.jsonl"
         header = json.loads(index_path.read_text(encoding="utf-8").splitlines()[0])
-        assert header["schema"] == 2
+        assert header["schema"] == 3
         assert header["pool_sha256"] == hashlib.sha256(pool.read_bytes()).hexdigest()
 
     def test_edited_unused_pool_line_needs_a_rebuild(self, tmp_path, capsys):
@@ -708,9 +727,9 @@ class TestIndexedPool:
 class TestClosesEndpoints:
     """Each command closes the HTTP endpoints it opened, also when a call fails."""
 
-    # A failed target call is still scored as an invalid answer (exit 0).
+    # A target that never answered ends the stage with exit 3, like the others.
     @pytest.mark.parametrize("block, command, extra, code", [
-        ("target", "run", ["--stage", "zero_shot"], 0),
+        ("target", "run", ["--stage", "zero_shot"], 3),
         ("teacher", "run", ["--stage", "knn_fewshot_cot"], 3),
         ("teacher", "gen-cot", [], 3),
         ("embedding", "index", [], 3),

@@ -12,6 +12,7 @@ from medharness.corpus import Split
 from medharness.errors import DataError
 from medharness.retrieval import (
     QUERY_BLOCK,
+    SCORE_TIE_BAND,
     BuiltinProvider,
     NeighborSet,
     RemoteProvider,
@@ -32,6 +33,23 @@ def word_soup_items(n, vocab_size=60, words_per_item=12, seed=123, split=Split.T
         words = rng.choices(vocab, k=words_per_item)
         items.append(make_item(i, split=split, question=" ".join(words) + "?"))
     return items
+
+
+def reference_embed(provider, text):
+    """The builtin embedding as a plain loop: one hash and one add per token."""
+    vec = np.zeros(provider.dim, dtype=np.float64)
+    for tok in tokenize(text):
+        b = token_bucket(tok, provider.dim)
+        vec[b] += provider._bucket_weight(b)
+    return vec / float(np.linalg.norm(vec))
+
+
+def reference_fit(texts, dim=512):
+    df = {}
+    for text in texts:
+        for b in {token_bucket(tok, dim) for tok in tokenize(text)}:
+            df[b] = df.get(b, 0) + 1
+    return {b: math.log((1 + len(texts)) / (1 + count)) + 1.0 for b, count in df.items()}
 
 
 class TestBuiltinProvider:
@@ -75,6 +93,16 @@ class TestBuiltinProvider:
 
     def test_provider_id_names_dim(self):
         assert BuiltinProvider(dim=512).provider_id == "builtin-tfidf-v1:dim=512"
+
+    def test_memoised_buckets_equal_the_reference_loop(self):
+        # Repeated tokens, and texts sharing tokens, hit the token memo.
+        texts = [item.question for item in word_soup_items(200, vocab_size=40)]
+        texts += ["Alpha alpha ALPHA beta 12 12?", "beta beta gamma alpha"]
+        provider = BuiltinProvider.fit(texts)
+        assert provider.idf == reference_fit(texts)
+        assert provider.n_docs == len(texts)
+        for text in texts + ["term1 delta unseen words"]:
+            assert provider.embed(text).tobytes() == reference_embed(provider, text).tobytes()
 
 
 class TestNearest:
@@ -120,6 +148,20 @@ class TestNearest:
             index.nearest(query, 0)
         with pytest.raises(DataError, match="excluding"):
             index.nearest(pool[0], 4)
+
+    def test_fewer_positive_scores_than_k(self):
+        # One pool question shares a word with the query; the rest score 0
+        # and fill the top k in id order.
+        words = ["beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota"]
+        pool = [make_item(i, split=Split.TRAIN, question=f"{word}?") for i, word in enumerate(words)]
+        index = build_index(pool)
+        query = make_item(0, question="beta beta?")
+        qvec = index.provider.embed(query.question)
+        scores = [float(np.dot(index.provider.embed(item.question), qvec)) for item in pool]
+        assert sum(score > 0 for score in scores) == 1
+        oracle = sorted(((item.id, score) for item, score in zip(pool, scores)),
+                        key=lambda pair: (-pair[1], pair[0]))
+        assert list(index.nearest(query, 3).neighbors) == oracle[:3]
 
     def test_neighbor_subsets_nest(self):
         pool = word_soup_items(30)
@@ -169,7 +211,11 @@ class TestNextMostSimilar:
 
 
 class TestExactness:
-    """The matrix product plus band re-score equals a per-pair np.dot scan."""
+    """The block score plus band re-score equals a per-pair np.dot scan.
+
+    `build_index` gives the builtin provider's index, which scores blocks
+    through its postings.
+    """
 
     @pytest.fixture(scope="class")
     def tied_pool(self):
@@ -200,10 +246,28 @@ class TestExactness:
         )
 
     def test_matrix_product_rounds_differently(self, tied_pool):
+        # Both block scores, the builtin index's postings and a dense `M @ q`
+        # over the same rows, differ from the per-pair dot in the last bits;
+        # the band re-score is what makes the results exact.
         queries, index, vectors = tied_pool
         qvec = index.provider.embed(queries[-2].question)
         per_pair = np.array([np.dot(vectors[item_id], qvec) for item_id in index.ids])
-        assert np.any(index._matrix @ qvec != per_pair)
+        postings = index._vectors.scores(qvec[None])[0]
+        dense = np.vstack([vectors[item_id] for item_id in index.ids]) @ qvec
+        for block_scores in (postings, dense):
+            assert np.any(block_scores != per_pair)
+            assert np.max(np.abs(block_scores - per_pair)) < SCORE_TIE_BAND / 1000
+
+    def test_builtin_rows_are_the_embeddings(self, tied_pool, tmp_path):
+        # Every stored row, densified, is byte-equal to embedding its question,
+        # before and after a save and load.
+        _, index, vectors = tied_pool
+        index.save(tmp_path / "pool.jsonl")
+        reloaded = VectorIndex.load(tmp_path / "pool.jsonl")
+        for candidate in (index, reloaded):
+            assert candidate._vectors.weights.size < 0.05 * len(vectors) * index.provider.dim
+            for row, item_id in enumerate(candidate.ids):
+                assert candidate._vectors.row(row).tobytes() == vectors[item_id].tobytes()
 
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_nearest_equals_per_pair_oracle(self, tied_pool, k):
@@ -228,11 +292,13 @@ class TestExactness:
                 nudged = rng.integers(0, 64, 4)
                 row[nudged] *= 1 + rng.integers(-50, 50, 4) * 2.2e-16
             ids = [f"p{j:02d}" for j in range(16)]
-            index = VectorIndex(BuiltinProvider(dim=64), ids, rows)
             oracle = sorted(((ids[j], float(np.dot(rows[j], query))) for j in range(16)),
                             key=lambda pair: (-pair[1], pair[0]))
-            for k in (1, 3):
-                assert index.rank_all(query, limit=k) == oracle[:k]
+            # A builtin provider keeps the rows as postings, any other as a matrix.
+            for provider in (BuiltinProvider(dim=64), RemoteProvider(None, "m")):
+                index = VectorIndex(provider, ids, rows)
+                for k in (1, 3):
+                    assert index.rank_all(query, limit=k) == oracle[:k]
             gemv_order = sorted(range(16), key=lambda j: (-(rows @ query)[j], ids[j]))
             reordered += [ids[j] for j in gemv_order[:3]] != [i for i, _ in oracle[:3]]
         assert reordered > 0
@@ -362,23 +428,59 @@ class TestPersistence:
     def test_vectors_stored_beside_header(self, tmp_path):
         index = build_index(word_soup_items(5))
         index.save(tmp_path / "pool.jsonl")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npy"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npz"]
         header, *rows = (json.loads(line) for line in
                          (tmp_path / "pool.jsonl").read_text(encoding="utf-8").splitlines())
-        assert (header["schema"], header["count"]) == (2, 5)
+        assert (header["schema"], header["count"]) == (3, 5)
         assert rows == [{"item_id": item_id} for item_id in index.ids]
-        assert np.load(tmp_path / "pool.npy").shape == (5, header["dim"])
+        with np.load(tmp_path / "pool.npz") as arrays:
+            assert sorted(arrays.files) == ["buckets", "indptr", "weights"]
+            indptr, buckets, weights = arrays["indptr"], arrays["buckets"], arrays["weights"]
+        assert indptr.shape == (6,) and indptr[0] == 0
+        assert buckets.shape == weights.shape == (indptr[-1],)
+        assert 0 <= buckets.min() and buckets.max() < header["dim"]
+        for row, item in enumerate(word_soup_items(5)):
+            dense = np.zeros(header["dim"])
+            dense[buckets[indptr[row]:indptr[row + 1]]] = weights[indptr[row]:indptr[row + 1]]
+            assert dense.tobytes() == index.provider.embed(item.question).tobytes()
 
     def test_missing_vectors_refused(self, tmp_path):
         build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
-        (tmp_path / "pool.npy").unlink()
-        with pytest.raises(DataError, match="vectors missing"):
+        (tmp_path / "pool.npz").unlink()
+        with pytest.raises(DataError, match="vectors missing.*medharness index"):
             VectorIndex.load(tmp_path / "pool.jsonl")
 
     def test_vector_shape_mismatch_refused(self, tmp_path):
         build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
-        np.save(tmp_path / "pool.npy", np.zeros((4, 512)))
-        with pytest.raises(DataError, match="shape|header says"):
+        with np.load(tmp_path / "pool.npz") as arrays:
+            saved = {name: arrays[name] for name in arrays.files}
+        edits = [
+            {"indptr": saved["indptr"][:-1]},
+            {"weights": saved["weights"][:-1]},
+            {"buckets": saved["buckets"] + 512},
+            {"indptr": saved["indptr"][::-1].copy()},
+            {"weights": saved["weights"].astype(np.float32)},
+            {"weights": None},
+        ]
+        for edit in edits:
+            arrays = {name: value for name, value in {**saved, **edit}.items() if value is not None}
+            np.savez(tmp_path / "pool.npz", **arrays)
+            with pytest.raises(DataError, match="medharness index"):
+                VectorIndex.load(tmp_path / "pool.jsonl")
+        (tmp_path / "pool.npz").write_bytes(b"PK\x03\x04 cut short")
+        with pytest.raises(DataError, match="unreadable.*medharness index"):
+            VectorIndex.load(tmp_path / "pool.jsonl")
+
+    def test_schema_2_index_refused(self, tmp_path):
+        # The former layout: the dense builtin matrix in `.npy`.
+        index = build_index(word_soup_items(5))
+        index.save(tmp_path / "pool.jsonl")
+        header, *rows = (tmp_path / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+        header = {**json.loads(header), "schema": 2}
+        (tmp_path / "pool.jsonl").write_text("\n".join([json.dumps(header), *rows]) + "\n",
+                                             encoding="utf-8")
+        np.save(tmp_path / "pool.npy", np.vstack([index._vectors.row(r) for r in range(5)]))
+        with pytest.raises(DataError, match="schema 2 is not 3.*medharness index"):
             VectorIndex.load(tmp_path / "pool.jsonl")
 
     def test_json_vector_index_refused(self, tmp_path):
@@ -398,6 +500,58 @@ class FakeEmbeddingEndpoint:
 
     def embed_batch(self, texts, model):
         return [self.table[t] for t in texts]
+
+
+class TestRemoteIndex:
+    """A remote provider's index keeps its dense matrix in `.npy`."""
+
+    @staticmethod
+    def endpoint_for(items, dim=8, seed=3):
+        # Few distinct directions, so exact ties straddle k.
+        rng = np.random.default_rng(seed)
+        directions = rng.standard_normal((6, dim))
+        return FakeEmbeddingEndpoint({item.question: list(directions[i % 6] + (i % 5) * 0.01)
+                                      for i, item in enumerate(items)})
+
+    def test_save_load_nearest_many_equals_oracle(self, tmp_path):
+        pool = word_soup_items(90, seed=4)
+        queries = word_soup_items(20, seed=44, split=Split.TEST) + pool[:3]
+        endpoint = self.endpoint_for(pool + queries)
+        index = build_index(pool, provider=RemoteProvider(endpoint, "m"))
+        index.save(tmp_path / "pool.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npy"]
+        assert np.load(tmp_path / "pool.npy").shape == (90, 8)
+        provider = RemoteProvider(endpoint, "m")
+        reloaded = VectorIndex.load(tmp_path / "pool.jsonl", provider=provider)
+        assert provider.dim == 8
+        vectors = {item.id: provider.embed(item.question) for item in pool}
+        straddled = 0
+        for query, ns in zip(queries, reloaded.nearest_many(queries, 5)):
+            qvec = provider.embed(query.question)
+            oracle = sorted(((item_id, float(np.dot(vec, qvec))) for item_id, vec in vectors.items()
+                             if item_id != query.id), key=lambda pair: (-pair[1], pair[0]))
+            assert list(ns.neighbors) == oracle[:5]
+            straddled += oracle[4][1] == oracle[5][1]
+        assert straddled > 0
+
+    def test_query_of_another_dimension_refused(self, tmp_path):
+        pool = word_soup_items(10)
+        build_index(pool, provider=RemoteProvider(self.endpoint_for(pool, dim=4), "m")).save(
+            tmp_path / "pool.jsonl")
+        query = make_item(0, question="a new question?")
+        provider = RemoteProvider(FakeEmbeddingEndpoint({query.question: [1.0, 2.0, 3.0]}), "m")
+        index = VectorIndex.load(tmp_path / "pool.jsonl", provider=provider)
+        with pytest.raises(DataError, match="dimension changed: 3 != 4"):
+            index.nearest(query, 5)
+
+    def test_provider_of_another_dimension_refused(self, tmp_path):
+        pool = word_soup_items(10)
+        build_index(pool, provider=RemoteProvider(self.endpoint_for(pool, dim=4), "m")).save(
+            tmp_path / "pool.jsonl")
+        provider = RemoteProvider(FakeEmbeddingEndpoint({"x": [1.0, 0.0, 0.0]}), "m")
+        provider.embed("x")
+        with pytest.raises(DataError, match="dim 4 != provider dim 3"):
+            VectorIndex.load(tmp_path / "pool.jsonl", provider=provider)
 
 
 class TestRemoteProvider:

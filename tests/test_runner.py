@@ -8,7 +8,7 @@ import pytest
 
 import golden_data as gd
 from conftest import make_item
-from medharness.errors import ConfigError, DataError
+from medharness.errors import ConfigError, DataError, EndpointError
 from medharness.modelgw import (
     GarbagePolicy,
     GenerationResponse,
@@ -39,6 +39,22 @@ def gold_endpoint(*item_groups):
         for item in group:
             answers[item.question] = item.gold_text
     return mock_model(GoldAnswerPolicy(answers))
+
+
+class OutagePolicy:
+    """Fail the given calls (0-based, counted over all prompts) in transport;
+    answer the others with `policy`."""
+
+    def __init__(self, policy, failing_calls):
+        self.policy = policy
+        self.failing_calls = set(failing_calls)
+        self.calls = 0
+
+    def __call__(self, request, n):
+        call, self.calls = self.calls, self.calls + 1
+        if call in self.failing_calls:
+            raise EndpointError(f"mock endpoint: outage on call {call}")
+        return self.policy(request, n)
 
 
 class TestStage:
@@ -130,13 +146,24 @@ class TestAnswerItem:
         assert "unable" in run.raw_text
 
     def test_transport_failures_count_as_tries(self):
+        # Every try failed in transport: no answer to score, the error is raised.
         endpoint = mock_model(GoldAnswerPolicy({}))
+        with pytest.raises(EndpointError, match="test-00000: all 5 tries failed"):
+            answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], endpoint)
+        assert endpoint.call_count == 5
+        # Transport failures mixed with unparseable answers stay invalid.
+        endpoint = mock_model(OutagePolicy(GarbagePolicy(), failing_calls={0, 2, 3}))
         run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run.decision == INVALID
         assert run.tries == 5
-        assert run.transport_errors == 5
-        assert run.raw_text == ""
+        assert run.transport_errors == 3
+        assert "unable" in run.raw_text
+        # They count as tries before an answer that parses.
+        endpoint = mock_model(OutagePolicy(gold_endpoint([gd.TEST_ITEM]).policy, {0, 1}))
+        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+                          [], endpoint)
+        assert (run.decision, run.tries, run.transport_errors) == ("B", 3, 2)
 
     def test_shuffled_answer_maps_back_to_canonical(self):
         endpoint = gold_endpoint([gd.TEST_ITEM])
@@ -303,6 +330,26 @@ class TestRunBenchmark:
                              gd.MEDQA_INSTRUCTION, no_exemplars, trace, resume=True)
         assert endpoint.call_count == 6
         assert [r["item_id"] for r in rows] == [it.id for it in bench_items]
+
+    @pytest.mark.parametrize("stage", [Stage.ZERO_SHOT, Stage.ENSEMBLE])
+    def test_transport_failure_writes_no_row_and_resume_asks_again(self, bench_items,
+                                                                  tmp_path, stage):
+        # Items 0-1 are answered; every try of item 2 (of its first run, for
+        # the ensemble) fails in transport.
+        trace = tmp_path / "trace.jsonl"
+        answered = 2 * (5 if stage.is_ensemble else 1)
+        endpoint = mock_model(OutagePolicy(gold_endpoint(bench_items).policy,
+                                           range(answered, answered + 5)))
+        exemplars_for = (lambda item: KNN_EXEMPLARS) if stage.is_ensemble else no_exemplars
+        with pytest.raises(EndpointError, match=f"{bench_items[2].id}: all 5 tries failed"):
+            run_benchmark(bench_items, stage, endpoint, gd.MEDQA_INSTRUCTION,
+                          exemplars_for, trace, seed=gd.SHUFFLE_SEED)
+        assert [r["item_id"] for r in read_trace(trace)] == [it.id for it in bench_items[:2]]
+        rows = run_benchmark(bench_items, stage, endpoint, gd.MEDQA_INSTRUCTION,
+                             exemplars_for, trace, seed=gd.SHUFFLE_SEED, resume=True)
+        assert [r["item_id"] for r in rows] == [it.id for it in bench_items]
+        assert all(r["correct"] and r["n_calls"] == answered // 2 for r in rows)
+        assert read_trace(trace) == rows
 
     def test_complete_trace_is_a_noop(self, bench_items, tmp_path):
         trace = tmp_path / "trace.jsonl"
