@@ -40,8 +40,8 @@ from .metrics import (
 from .promptkit import Strategy, assemble_prompt, identity_permutation
 from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
 from .runner import LADDER, Stage, generation_request, run_benchmark
-from .teacher import (CotCache, build_exemplars, build_random_exemplars, load_exemplar_manifest,
-                      save_exemplar_manifest, teacher_fingerprint)
+from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
+                      load_exemplar_manifest, save_exemplar_manifest, teacher_fingerprint)
 
 STAGE_NAMES = [stage.value for stage in LADDER]
 
@@ -128,12 +128,6 @@ def index_cmd(config_path: Path, dataset_name: str):
                f"({index.provider.provider_id}) -> {_index_path(config, dataset)}")
 
 
-def _teacher_endpoint(config: RunConfig):
-    if config.teacher is None:
-        raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
-    return build_endpoint(config.teacher, config.retry)
-
-
 class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
@@ -143,12 +137,16 @@ class _Sources:
     index built from the pool file's exact bytes. kNN exemplars are built
     once per test item and kept, so the kNN and ensemble stages of one
     `ablate` share them; query vectors live only until their item's
-    exemplars are built. Used as a context manager, it closes the endpoints
-    it opened.
+    exemplars are built. `outcomes` collects the outcome of every candidate
+    the providers asked the teacher about; cache hits are not kept. Used as
+    a context manager, it closes the endpoints it opened.
+
+    `writes_manifest` marks a command that replaces the exemplar manifest,
+    so a stale one is ignored without a warning.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
-                 allow_teacher: bool = True):
+                 allow_teacher: bool = True, writes_manifest: bool = False):
         self.config = config
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
@@ -157,7 +155,9 @@ class _Sources:
         self.test_ids = {item.id for item in all_items}
         self.items = _limited(all_items, limit)
         self.allow_teacher = allow_teacher
+        self.writes_manifest = writes_manifest
         self.cache = CotCache(config.cache_dir)
+        self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._opened: list = []
 
@@ -199,7 +199,9 @@ class _Sources:
     def teacher(self):
         if not self.allow_teacher:
             return _CacheOnlyTeacher(self.config)
-        teacher = _teacher_endpoint(self.config)
+        if self.config.teacher is None:
+            raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
+        teacher = build_endpoint(self.config.teacher, self.config.retry)
         self._opened.append(teacher)
         return teacher
 
@@ -227,18 +229,8 @@ class _Sources:
     def manifest(self) -> dict[str, tuple[str, ...]]:
         """Exemplar ids per test item from `gen-cot`'s manifest, if it matches."""
         return load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                      self.pool_items, self.config.n_fewshot)
-
-    def knn_exemplars(self, neighbor_set: NeighborSet):
-        """Build and keep one ranked test item's exemplars; returns (exemplars, outcomes)."""
-        exemplars, outcomes = build_exemplars(
-            neighbor_set, self.index, self.pool_items, self.teacher, cache=self.cache,
-            n=self.config.n_fewshot,
-        )
-        if any(e.item.id == neighbor_set.query_id for e in exemplars):
-            raise DataError(f"{neighbor_set.query_id}: exemplar pool leaked the test item")
-        self._knn[neighbor_set.query_id] = exemplars
-        return exemplars, outcomes
+                                      self.pool_items, self.config.n_fewshot,
+                                      warn_stale=not self.writes_manifest)
 
     def manifest_exemplars(self, item: McqItem):
         """The item's exemplars from the manifest and the cache, kept; None unless
@@ -261,10 +253,11 @@ class _Sources:
         if strategy is Strategy.ZERO_SHOT:
             return lambda item: []
         if strategy is not Strategy.KNN_FEWSHOT_COT:
-            fixed, _ = build_random_exemplars(
+            fixed, outcomes = build_random_exemplars(
                 self.pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
                 cache=self.cache, n=self.config.n_fewshot, cot=strategy.cot,
             )
+            self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
         # Loaded before the workers start, so they share one of each and a
         # missing `teacher:` block fails before the first target call.
@@ -297,7 +290,15 @@ class _Sources:
                     for ranked_set in self.index.nearest_many(block, self.config.k_neighbors):
                         pending[ranked_set.query_id] = ranked_set
                     neighbor_set = pending.pop(item.id)
-            return self.knn_exemplars(neighbor_set)[0]
+            exemplars, outcomes = build_exemplars(
+                neighbor_set, self.index, self.pool_items, self.teacher, cache=self.cache,
+                n=self.config.n_fewshot,
+            )
+            self.outcomes.extend(o for o in outcomes if not o.from_cache)
+            if any(e.item.id == item.id for e in exemplars):
+                raise DataError(f"{item.id}: exemplar pool leaked the test item")
+            self._knn[item.id] = exemplars
+            return exemplars
 
         return provider
 
@@ -316,10 +317,6 @@ class _CacheOnlyTeacher:
 
 def _trace_path(config: RunConfig, dataset: Dataset, stage: Stage) -> Path:
     return config.output_dir / dataset.value / f"{stage.value}.trace.jsonl"
-
-
-def _report_path(config: RunConfig, dataset: Dataset, stage: Stage) -> Path:
-    return config.output_dir / dataset.value / f"{stage.value}.report.json"
 
 
 def _limited(items: list[McqItem], limit: int | None) -> list[McqItem]:
@@ -351,17 +348,22 @@ def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int |
         )
     finally:
         _close(target)
-    fingerprint = config_fingerprint(config, dataset)
-    report = build_report(
-        rows, dataset, Split.TEST.value, stage, fingerprint,
-        expected_ids=[item.id for item in items],
-    )
-    write_report(report, _report_path(config, dataset, stage))
+    report = _stage_report(sources, stage, rows)
     click.echo(
         f"{dataset.value}/{stage.value}: {report['accuracy_percent']:.1f}% "
         f"({report['n_correct']}/{report['n_items']}), "
         f"{report['invalid_count']} invalid, trace {trace_path}"
     )
+    return report
+
+
+def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
+    """The stage's report over the command's items, written beside its trace."""
+    config, dataset = sources.config, sources.dataset
+    report = build_report(rows, dataset, Split.TEST.value, stage,
+                          config_fingerprint(config, dataset),
+                          expected_ids=[item.id for item in sources.items])
+    write_report(report, config.output_dir / dataset.value / f"{stage.value}.report.json")
     return report
 
 
@@ -452,34 +454,25 @@ def _write_ablation(config: RunConfig, dataset: Dataset, reports: list[dict]) ->
 def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
     """Pre-generate verified exemplar explanations into the cache.
 
-    `--kind knn` also writes the exemplar manifest, which kNN stages read
-    instead of ranking and verifying again.
+    Exemplars come from the stages' own providers. `--kind knn` also writes
+    the exemplar manifest, which kNN stages read instead of ranking and
+    verifying again.
     """
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    if kind == "random":
-        teacher = _teacher_endpoint(config)
-        try:
-            exemplars, outcomes = build_random_exemplars(
-                CorpusStore(config.corpus_dir).training_pool(dataset), config.seed,
-                teacher=teacher, cache=CotCache(config.cache_dir), n=config.n_fewshot, cot=True,
-            )
-        finally:
-            _close(teacher)
-        fresh = sum(1 for o in outcomes if o.accepted and not o.from_cache)
-        click.echo(f"{dataset.value}: {len(exemplars)} random exemplars verified "
-                   f"({fresh} newly generated)")
-        return
-    with _Sources(config, dataset, limit) as sources:
-        exemplar_ids: dict[str, list[str]] = {}
-        n_fresh = 0
-        for neighbor_set in sources.index.nearest_many(sources.items, config.k_neighbors):
-            exemplars, outcomes = sources.knn_exemplars(neighbor_set)
-            exemplar_ids[neighbor_set.query_id] = [e.item.id for e in exemplars]
-            n_fresh += sum(1 for o in outcomes if o.accepted and not o.from_cache)
-        save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids)
-    click.echo(f"{dataset.value}: exemplars ready for {len(sources.items)} items "
-               f"({n_fresh} explanations newly generated) -> {sources.manifest_path}")
+    with _Sources(config, dataset, limit, writes_manifest=kind == "knn") as sources:
+        if kind == "random":
+            sources.exemplars_for(Stage.RANDOM_FEWSHOT_COT, sources.items)
+            done = f"{config.n_fewshot} random exemplars verified"
+        else:
+            provider = sources.exemplars_for(Stage.KNN_FEWSHOT_COT, sources.items)
+            exemplar_ids = {item.id: [e.item.id for e in provider(item)]
+                            for item in sources.items}
+            save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids)
+            done = f"exemplars ready for {len(sources.items)} items"
+    fresh = sum(o.accepted for o in sources.outcomes)
+    suffix = "" if kind == "random" else f" -> {sources.manifest_path}"
+    click.echo(f"{dataset.value}: {done} ({fresh} explanations newly generated){suffix}")
 
 
 @cli.command()
@@ -492,18 +485,13 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
 
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    items = _limited(CorpusStore(config.corpus_dir).load(dataset, Split.TEST), limit)
-    expected = [item.id for item in items]
-    fingerprint = config_fingerprint(config, dataset)
+    sources = _Sources(config, dataset, limit)
     reports = []
     for stage in LADDER:
-        trace_path = _trace_path(config, dataset, stage)
-        rows = read_trace(trace_path)
+        rows = read_trace(_trace_path(config, dataset, stage))
         if not rows:
             continue
-        rep = build_report(rows, dataset, Split.TEST.value, stage, fingerprint,
-                           expected_ids=expected)
-        write_report(rep, _report_path(config, dataset, stage))
+        rep = _stage_report(sources, stage, rows)
         reports.append(rep)
         click.echo(f"{stage.value}: {rep['accuracy_percent']:.1f}% "
                    f"({rep['n_correct']}/{rep['n_items']})")
@@ -514,7 +502,7 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
     if dataset is Dataset.MMLU_MED:
         best = reports[-1]
         rows = read_trace(_trace_path(config, dataset, Stage(best["stage"])))
-        breakdown = subject_breakdown(rows, items)
+        breakdown = subject_breakdown(rows, sources.items)
         (config.output_dir / dataset.value / "subjects.json").write_text(
             json.dumps(breakdown, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -76,16 +76,28 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {unknown}")
 
 
-def _finite(mapping: dict, key: str, default: float, context: str) -> float:
-    """`mapping[key]` (or `default`) as a finite float; anything else is a ConfigError."""
+def _finite(mapping: dict, key: str, default: float, context: str,
+            positive: bool = False) -> float:
+    """`mapping[key]` (or `default`) as a finite float >= 0 (> 0 if `positive`);
+    anything else is a ConfigError."""
     value = mapping.get(key, default)
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{context}: {key} must be a finite number, got {value!r}")
+    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{context}: {key} must be a finite number {bound}, got {value!r}")
     return number
+
+
+def _integer(mapping: dict, key: str, default: int, context: str, minimum: int) -> int:
+    """`mapping[key]` (or `default`) as an integer >= `minimum`; anything else
+    is a ConfigError."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{context}: {key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _endpoint_block(block, context: str) -> EndpointConfig:
@@ -96,7 +108,7 @@ def _endpoint_block(block, context: str) -> EndpointConfig:
         url=str(_require(block, "url", context)),
         model_id=str(_require(block, "model", context)),
         api_key_env=block.get("api_key_env"),
-        timeout=_finite(block, "timeout", 120.0, context),
+        timeout=_finite(block, "timeout", 120.0, context, positive=True),
     )
 
 
@@ -123,14 +135,14 @@ def load_config(path: str | Path) -> RunConfig:
     ensemble_raw = raw.get("ensemble", {}) or {}
     _check_keys(ensemble_raw, {"runs", "temperature"}, f"{path}: ensemble")
     ensemble = EnsembleConfig(
-        n_runs=int(ensemble_raw.get("runs", 5)),
+        n_runs=_integer(ensemble_raw, "runs", 5, f"{path}: ensemble", 1),
         temperature=_finite(ensemble_raw, "temperature", 0.4, f"{path}: ensemble"),
     )
 
     retry_raw = raw.get("retry", {}) or {}
     _check_keys(retry_raw, {"max_retries", "backoff_base", "backoff_cap"}, f"{path}: retry")
     retry = RetryPolicy(
-        max_retries=int(retry_raw.get("max_retries", 3)),
+        max_retries=_integer(retry_raw, "max_retries", 3, f"{path}: retry", 0),
         backoff_base=_finite(retry_raw, "backoff_base", 0.25, f"{path}: retry"),
         backoff_cap=_finite(retry_raw, "backoff_cap", 8.0, f"{path}: retry"),
     )
@@ -153,9 +165,6 @@ def load_config(path: str | Path) -> RunConfig:
 
     teacher = raw.get("teacher")
     embedding = raw.get("embedding")
-    concurrency = int(raw.get("concurrency", 1))
-    if concurrency < 1:
-        raise ConfigError(f"{path}: concurrency must be >= 1")
     n_fewshot = int(raw.get("n_fewshot", FEWSHOT_SIZE))
     if n_fewshot != FEWSHOT_SIZE:
         raise ConfigError(f"{path}: n_fewshot must be {FEWSHOT_SIZE}, the exemplar count "
@@ -168,10 +177,10 @@ def load_config(path: str | Path) -> RunConfig:
         teacher=_endpoint_block(teacher, f"{path}: teacher") if teacher else None,
         embedding=_endpoint_block(embedding, f"{path}: embedding") if embedding else None,
         seed=int(raw.get("seed", 0)),
-        concurrency=concurrency,
-        k_neighbors=int(raw.get("k_neighbors", 5)),
+        concurrency=_integer(raw, "concurrency", 1, str(path), 1),
+        k_neighbors=_integer(raw, "k_neighbors", 5, str(path), 1),
         n_fewshot=n_fewshot,
-        max_validity_tries=int(raw.get("max_validity_tries", MAX_VALIDITY_TRIES)),
+        max_validity_tries=_integer(raw, "max_validity_tries", MAX_VALIDITY_TRIES, str(path), 1),
         ensemble=ensemble,
         retry=retry,
         instructions=dict(instructions),

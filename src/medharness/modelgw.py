@@ -473,10 +473,6 @@ class MockEndpoint:
         text = self.policy(request, n)
         return GenerationResponse(text=text, finish_reason="stop", usage={}, latency=0.0)
 
-    def calls_for(self, prompt: str) -> int:
-        with self._lock:
-            return self._occurrences.get(prompt, 0)
-
 
 def mock_model(policy) -> MockEndpoint:
     return MockEndpoint(policy)

@@ -120,20 +120,6 @@ class CotExemplar:
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
-    permutation: dict[str, str]  # canonical label -> presented label
-    strategy: Strategy
-    item_id: str
-    exemplar_ids: tuple[str, ...]
-    dataset: Dataset
-    options: tuple[tuple[str, str], ...]  # presented (label, text) pairs
-    sentinel: str
-    run_index: int = 0
-
-    def to_canonical(self, presented_label: str) -> str:
-        for canonical, presented in self.permutation.items():
-            if presented == presented_label:
-                return canonical
-        raise KeyError(presented_label)
 
 
 class ShuffleResult(NamedTuple):
@@ -193,7 +179,9 @@ def assemble_prompt(
     """Render the full prompt for *item* (already shuffled, if applicable).
 
     *permutation* records how the item's canonical labels map to the labels
-    presented in its options; omit it for an unshuffled item.
+    presented in its options; omit it for an unshuffled item. It is checked
+    to be a bijection over the item's labels. *run_index* does not shape
+    the text.
     """
     if not instruction or not instruction.strip():
         raise ConfigError("instruction must be non-empty")
@@ -219,17 +207,7 @@ def assemble_prompt(
     # The test block must end at its sentinel: nothing, in particular no gold
     # answer text, may follow it.
     assert text.endswith(sentinel)
-    return PromptBundle(
-        text=text,
-        permutation=dict(permutation),
-        strategy=strategy,
-        item_id=item.id,
-        exemplar_ids=tuple(e.item.id for e in exemplars),
-        dataset=item.dataset,
-        options=item.options,
-        sentinel=sentinel,
-        run_index=run_index,
-    )
+    return PromptBundle(text=text)
 
 
 def teacher_prompt(item: McqItem) -> str:

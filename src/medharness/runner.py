@@ -187,10 +187,8 @@ def answer_item(
         presented_item, permutation = shuffle_options(item, seed, run_index)
     else:
         presented_item, permutation = item, identity_permutation(item)
-    bundle = assemble_prompt(
-        strategy, instruction, exemplars, presented_item,
-        permutation=permutation, run_index=run_index,
-    )
+    bundle = assemble_prompt(strategy, instruction, exemplars, presented_item,
+                             permutation=permutation)
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
     request = generation_request(endpoint.model_id, bundle.text, strategy, exemplars,

@@ -17,7 +17,7 @@ import json
 import logging
 import random
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,15 +251,47 @@ def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, Teache
     return CotExemplar(item=item, explanation=outcome.explanation, verified=True), outcome
 
 
-def _verify_candidate(
-    item: McqItem,
-    teacher,
-    cache: CotCache | None,
-    fingerprint: str,
-) -> tuple[CotExemplar | None, TeacherOutcome]:
-    if cache is not None:
-        return cache.verify(item, teacher, fingerprint)
-    return _teacher_verdict(item, teacher)
+def _first_verified(candidates, teacher, cache: CotCache | None,
+                    n: int) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
+    """The first `n` candidates that verify, in stream order; fewer if the
+    stream runs out. Candidates past the `n`-th acceptance are never drawn."""
+    fingerprint = teacher_fingerprint(teacher.model_id)
+    exemplars: list[CotExemplar] = []
+    outcomes: list[TeacherOutcome] = []
+    candidates = iter(candidates)
+    while len(exemplars) < n:
+        item = next(candidates, None)
+        if item is None:
+            break
+        if cache is not None:
+            exemplar, outcome = cache.verify(item, teacher, fingerprint)
+        else:
+            exemplar, outcome = _teacher_verdict(item, teacher)
+        outcomes.append(outcome)
+        if exemplar is not None:
+            exemplars.append(exemplar)
+    return exemplars, outcomes
+
+
+def _knn_candidates(neighbor_set: NeighborSet, index: VectorIndex,
+                    pool_items: Mapping[str, McqItem]) -> Iterator[McqItem]:
+    """The neighbor set in rank order, then each next-most-similar pool item
+    until the pool runs out."""
+    consumed: set[str] = set()
+    initial = iter(neighbor_set.ids)
+    while True:
+        candidate_id = next(initial, None)
+        if candidate_id is None:
+            try:
+                candidate_id = next_most_similar(neighbor_set, consumed, index)
+            except DataError:
+                return
+        elif candidate_id in consumed:
+            continue
+        consumed.add(candidate_id)
+        if candidate_id not in pool_items:
+            raise DataError(f"pool item {candidate_id} referenced by index but not loaded")
+        yield pool_items[candidate_id]
 
 
 def build_exemplars(
@@ -276,33 +308,11 @@ def build_exemplars(
     fails verification is replaced by the next-most-similar unconsumed pool
     item. Raises when the pool runs out before `n` exemplars verify.
     """
-    fingerprint = teacher_fingerprint(teacher.model_id)
-    exemplars: list[CotExemplar] = []
-    outcomes: list[TeacherOutcome] = []
-    consumed: set[str] = set()
-    initial = list(neighbor_set.ids)
-    cursor = 0
-    while len(exemplars) < n:
-        if cursor < len(initial):
-            candidate_id = initial[cursor]
-            cursor += 1
-            if candidate_id in consumed:
-                continue
-        else:
-            try:
-                candidate_id = next_most_similar(neighbor_set, consumed, index)
-            except DataError as exc:
-                raise DataError(
-                    f"{neighbor_set.query_id}: only {len(exemplars)} of {n} exemplars verified "
-                    f"before the pool ran out"
-                ) from exc
-        consumed.add(candidate_id)
-        if candidate_id not in pool_items:
-            raise DataError(f"pool item {candidate_id} referenced by index but not loaded")
-        exemplar, outcome = _verify_candidate(pool_items[candidate_id], teacher, cache, fingerprint)
-        outcomes.append(outcome)
-        if exemplar is not None:
-            exemplars.append(exemplar)
+    exemplars, outcomes = _first_verified(_knn_candidates(neighbor_set, index, pool_items),
+                                          teacher, cache, n)
+    if len(exemplars) < n:
+        raise DataError(f"{neighbor_set.query_id}: only {len(exemplars)} of {n} exemplars "
+                        f"verified before the pool ran out")
     return exemplars, outcomes
 
 
@@ -340,16 +350,7 @@ def build_random_exemplars(
         return exemplars, []
     if teacher is None:
         raise DataError("a teacher endpoint is required for explained exemplars")
-    fingerprint = teacher_fingerprint(teacher.model_id)
-    exemplars = []
-    outcomes: list[TeacherOutcome] = []
-    for candidate_id in stream:
-        if len(exemplars) == n:
-            break
-        exemplar, outcome = _verify_candidate(items_by_id[candidate_id], teacher, cache, fingerprint)
-        outcomes.append(outcome)
-        if exemplar is not None:
-            exemplars.append(exemplar)
+    exemplars, outcomes = _first_verified((items_by_id[i] for i in stream), teacher, cache, n)
     if len(exemplars) < n:
         raise DataError(
             f"only {len(exemplars)} of {n} random exemplars verified before the pool ran out"
@@ -368,14 +369,15 @@ def save_exemplar_manifest(path: str | Path, header: dict,
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
-                           n: int) -> dict[str, tuple[str, ...]]:
+def load_exemplar_manifest(path: str | Path, header: dict, pool_ids, n: int,
+                           warn_stale: bool = True) -> dict[str, tuple[str, ...]]:
     """Exemplar ids per test item, from a manifest written under `header`.
 
     A missing manifest is empty. A manifest with another header (built from
     another pool, index, teacher, `k_neighbors` or test split) or with a row
     that is not `n` ids in `pool_ids` is ignored with one warning, so its
-    items build their exemplars as if it did not exist.
+    items build their exemplars as if it did not exist. `warn_stale=False`
+    ignores another header silently, for the command that replaces it.
     """
     path = Path(path)
     if not path.exists():
@@ -386,6 +388,8 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
         if not isinstance(recorded, dict):
             raise ValueError("header is not an object")
         if recorded != header:
+            if not warn_stale:
+                return {}
             stale = sorted(key for key in header.keys() | recorded.keys()
                            if recorded.get(key) != header.get(key))
             log.warning("ignoring exemplar manifest %s: %s differ from this run; "

@@ -20,6 +20,7 @@ from medharness.corpus import CorpusFile, Split, write_normalized
 from medharness.errors import DataError
 from medharness.modelgw import HttpEndpoint
 from medharness.retrieval import VectorIndex
+from medharness.promptkit import teacher_prompt
 from medharness.teacher import teacher_fingerprint
 
 
@@ -59,6 +60,17 @@ def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
 
 def trace_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def wrap_teacher(monkeypatch, wrap):
+    """Make commands open `wrap(endpoint)` wherever they open the teacher."""
+    build_endpoint = cli.build_endpoint
+
+    def spy(spec, retry=None):
+        endpoint = build_endpoint(spec, retry)
+        return wrap(endpoint) if spec.model_id == "teacher-x" else endpoint
+
+    monkeypatch.setattr(cli, "build_endpoint", spy)
 
 
 @pytest.fixture
@@ -256,6 +268,16 @@ class TestIndexAndGenCot:
         assert code == 0
         assert "5 random exemplars verified" in capsys.readouterr().out
 
+    def test_gen_cot_random_needs_the_test_split(self, tmp_path, capsys):
+        # Without the test split the pool's overlap with it cannot be checked.
+        config, _, _ = build_env(tmp_path)
+        (tmp_path / "corpus" / "medqa" / "test.jsonl").unlink()
+        code = main(["gen-cot", "--config", str(config), "--dataset", "medqa",
+                     "--kind", "random"])
+        assert code == 2
+        assert "test.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "cache" / "cot").exists()
+
 
 class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path, capsys):
@@ -307,6 +329,12 @@ class TestExitCodes:
          "timeout"),
         ({"teacher": {"url": "mock:unused.json", "model": "m", "timeout": -float("inf")}},
          "timeout"),
+        # Finite but out of range.
+        ({"ensemble": {"temperature": -0.1}}, "temperature"),
+        ({"retry": {"backoff_base": -1.0}}, "backoff_base"),
+        ({"retry": {"backoff_cap": -0.5}}, "backoff_cap"),
+        ({"target": {"url": "mock:unused.json", "model": "m", "timeout": 0}}, "timeout"),
+        ({"teacher": {"url": "mock:unused.json", "model": "m", "timeout": -3}}, "timeout"),
     ])
     def test_non_finite_config_float_is_config_error(self, tmp_path, capsys, extra, key):
         config, _, _ = build_env(tmp_path, config_extra=extra)
@@ -314,6 +342,24 @@ class TestExitCodes:
                      "--stage", "zero_shot"])
         assert code == 1
         assert f"{key} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key, minimum", [
+        ({"max_validity_tries": 0}, "max_validity_tries", 1),
+        ({"k_neighbors": 0}, "k_neighbors", 1),
+        ({"concurrency": 0}, "concurrency", 1),
+        ({"ensemble": {"runs": 0}}, "runs", 1),
+        ({"retry": {"max_retries": -1}}, "max_retries", 0),
+        ({"retry": {"max_retries": 1.5}}, "max_retries", 0),
+        ({"k_neighbors": "five"}, "k_neighbors", 1),
+    ])
+    def test_config_integer_out_of_range_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         extra, key, minimum):
+        config, _, _ = build_env(tmp_path, config_extra=extra)
+        monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        assert f"{key} must be an integer >= {minimum}" in capsys.readouterr().err
 
     def test_short_trace_is_incomplete_run(self, tmp_path, capsys):
         config, test_items, _ = build_env(tmp_path)
@@ -398,7 +444,6 @@ class TestRankOnce:
 
     def test_teacher_calls_overlap_across_items(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
-        teacher_endpoint = cli._teacher_endpoint
         in_flight, most = [0], [0]
         lock = threading.Lock()
 
@@ -418,8 +463,7 @@ class TestRankOnce:
                     with lock:
                         in_flight[0] -= 1
 
-        monkeypatch.setattr(cli, "_teacher_endpoint",
-                            lambda config: SlowTeacher(teacher_endpoint(config)))
+        wrap_teacher(monkeypatch, SlowTeacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot", "--concurrency", "4"]) == 0
         assert most[0] > 1
@@ -452,7 +496,7 @@ class TestExemplarManifest:
         """Ranking calls, teacher calls and CoT cache files read, by name."""
         seen = {"ranked": [], "teacher": [], "cache_reads": []}
         rank_all, nearest_many = VectorIndex.rank_all, VectorIndex.nearest_many
-        teacher_endpoint, scan_jsonl = cli._teacher_endpoint, teacher.scan_jsonl
+        scan_jsonl = teacher.scan_jsonl
 
         def rank_spy(index, *args, **kwargs):
             seen["ranked"].append("rank_all")
@@ -477,8 +521,7 @@ class TestExemplarManifest:
 
         monkeypatch.setattr(VectorIndex, "rank_all", rank_spy)
         monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
-        monkeypatch.setattr(cli, "_teacher_endpoint",
-                            lambda config: CountingTeacher(teacher_endpoint(config)))
+        wrap_teacher(monkeypatch, CountingTeacher)
         monkeypatch.setattr(teacher, "scan_jsonl", scan_spy)
         return seen
 
@@ -566,6 +609,21 @@ class TestExemplarManifest:
         assert len(spies["ranked"]) == 20
         assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
 
+    def test_gen_cot_replaces_a_stale_manifest_without_a_warning(self, tmp_path, caplog):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        fresh = manifest.read_bytes()
+        header, *rows = [json.loads(line) for line in fresh.decode("utf-8").splitlines()]
+        rows = [{**row, "exemplars": row["exemplars"][::-1]} for row in rows]
+        manifest.write_text("".join(json.dumps(doc) + "\n"
+                                    for doc in [{**header, "k_neighbors": 7}, *rows]),
+                            encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert main(self.command("gen-cot", config)) == 0
+        assert "exemplar manifest" not in caplog.text
+        assert manifest.read_bytes() == fresh
+
     def test_corrupt_manifest_is_ignored(self, tmp_path, spies, caplog):
         config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(self.command("gen-cot", config)) == 0
@@ -578,6 +636,45 @@ class TestExemplarManifest:
             assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
         assert "ignoring corrupt exemplar manifest" in caplog.text
         assert len(spies["ranked"]) == 20
+
+    def test_second_gen_cot_takes_listed_items_from_the_manifest(self, tmp_path, spies):
+        config, test_items, pool_items = build_env(tmp_path, n_test=4, n_pool=30)
+        assert main(self.command("index", config)) == 0
+        index = VectorIndex.load(tmp_path / "cache" / "index" / "medqa.jsonl")
+        top = [set(ns.ids) for ns in index.nearest_many(test_items, 6)]
+        # A neighbour of the first two items that the other two never reach.
+        rejected = next(item for item in pool_items
+                        if item.id in top[0] | top[1] and item.id not in top[2] | top[3])
+        policy = tmp_path / "teacher_policy.json"
+        policy.write_text(json.dumps({
+            "policy": "flaky_gold", "answers": {it.question: it.gold_text for it in pool_items},
+            "fail_questions": [rejected.question], "n_wrong": 99,
+        }), encoding="utf-8")
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"]["url"] = f"mock:{policy}"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(self.command("gen-cot", config, "--limit", "2")) == 0
+        assert len(spies["teacher"]) > 0
+        spies["teacher"].clear()
+        spies["ranked"].clear()
+        assert main(self.command("gen-cot", config)) == 0
+        assert spies["ranked"] == [item.id for item in test_items[2:]]
+        assert teacher_prompt(rejected) not in spies["teacher"]
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        warm = manifest.read_bytes()
+        (tmp_path / "cache" / "cot").rename(tmp_path / "cache" / "cot-old")
+        assert main(self.command("gen-cot", config)) == 0
+        assert manifest.read_bytes() == warm
+
+    def test_run_after_random_gen_cot_asks_no_teacher(self, tmp_path, spies):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config, "--kind", "random")) == 0
+        assert len(spies["teacher"]) == 5
+        spies["teacher"].clear()
+        stage = "random_fewshot_cot"
+        assert main(self.command("run", config, "--stage", stage)) == 0
+        assert spies["teacher"] == []
+        assert self.prompts(tmp_path, stage) == self.run_alone(tmp_path / "alone", stage)
 
     def test_teacher_outage_fails_gen_cot_without_a_manifest(self, tmp_path, capsys):
         config, test_items, pool_items = build_env(tmp_path, n_test=6, n_pool=12)

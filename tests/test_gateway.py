@@ -488,7 +488,6 @@ class TestMockPolicies:
         assert complete(req_a, ep).text == "last"
         assert complete(req_a, ep).text == "last"
         assert ep.call_count == 5
-        assert ep.calls_for("prompt A") == 4
 
     def test_garbage_and_fixed_text(self):
         assert complete(simple_request(), mock_model(GarbagePolicy())).text.startswith("I am unable")
