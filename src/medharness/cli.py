@@ -37,9 +37,9 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
-from .promptkit import Strategy, assemble_prompt, identity_permutation
+from .promptkit import FEWSHOT_SIZE, Strategy
 from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
-from .runner import LADDER, Stage, generation_request, run_benchmark
+from .runner import LADDER, Stage, answer_stage_item, run_benchmark
 from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
                       load_exemplar_manifest, save_exemplar_manifest, teacher_fingerprint)
 
@@ -221,7 +221,6 @@ class _Sources:
             "pool_sha256": self.pool_file.sha256,
             "provider_id": self.index.provider.provider_id,
             "teacher": teacher_fingerprint(self.teacher.model_id),
-            "k_neighbors": self.config.k_neighbors,
             "test_sha256": self.test_file.sha256,
         }
 
@@ -229,8 +228,7 @@ class _Sources:
     def manifest(self) -> dict[str, tuple[str, ...]]:
         """Exemplar ids per test item from `gen-cot`'s manifest, if it matches."""
         return load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                      self.pool_items, self.config.n_fewshot,
-                                      warn_stale=not self.writes_manifest)
+                                      self.pool_items, warn_stale=not self.writes_manifest)
 
     def manifest_exemplars(self, item: McqItem):
         """The item's exemplars from the manifest and the cache, kept; None unless
@@ -255,7 +253,7 @@ class _Sources:
         if strategy is not Strategy.KNN_FEWSHOT_COT:
             fixed, outcomes = build_random_exemplars(
                 self.pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
-                cache=self.cache, n=self.config.n_fewshot, cot=strategy.cot,
+                cache=self.cache, cot=strategy.cot,
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
@@ -287,12 +285,11 @@ class _Sources:
                         and other.id not in self.manifest
                     ]
                     ranked.update(other.id for other in block)
-                    for ranked_set in self.index.nearest_many(block, self.config.k_neighbors):
+                    for ranked_set in self.index.nearest_many(block, FEWSHOT_SIZE):
                         pending[ranked_set.query_id] = ranked_set
                     neighbor_set = pending.pop(item.id)
             exemplars, outcomes = build_exemplars(
                 neighbor_set, self.index, self.pool_items, self.teacher, cache=self.cache,
-                n=self.config.n_fewshot,
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             if any(e.item.id == item.id for e in exemplars):
@@ -325,6 +322,12 @@ def _limited(items: list[McqItem], limit: int | None) -> list[McqItem]:
     return items[:limit]
 
 
+def _answer_options(config: RunConfig) -> dict:
+    """The `answer_stage_item` options a config sets, for runs and dry runs alike."""
+    return {"seed": config.seed, "ensemble": config.ensemble,
+            "max_tries": config.max_validity_tries, "request_seed": config.seed}
+
+
 def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int | None) -> dict:
     config, dataset, items = sources.config, sources.dataset, sources.items
     instruction = instruction_for(config, dataset)
@@ -339,12 +342,9 @@ def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int |
             instruction,
             provider,
             trace_path,
-            seed=config.seed,
-            ensemble=config.ensemble,
-            max_tries=config.max_validity_tries,
             concurrency=concurrency if concurrency is not None else config.concurrency,
             resume=resume,
-            request_seed=config.seed,
+            **_answer_options(config),
         )
     finally:
         _close(target)
@@ -367,26 +367,39 @@ def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
     return report
 
 
+class _Sent(Exception):
+    """The request `_DryRunTarget` was asked to send."""
+
+
+class _DryRunTarget:
+    """Target stand-in for dry runs: the first call ends the item, carrying its request."""
+
+    def __init__(self, model_id: str):
+        self.model_id = model_id
+
+    def complete(self, request):
+        raise _Sent(request)
+
+
 def _print_dry_run(sources: _Sources, stage: Stage):
+    """Print the first request a run of the stage would send: its first item's run 0."""
     config, dataset, items = sources.config, sources.dataset, sources.items
     if not items:
         raise DataError(f"{dataset.value}: no test items")
     item = items[0]
-    exemplars = sources.exemplars_for(stage, [item])(item)
-    bundle = assemble_prompt(
-        stage.strategy, instruction_for(config, dataset), exemplars, item,
-        permutation=identity_permutation(item),
-    )
-    temperature = config.ensemble.temperature if stage.is_ensemble else 0.0
-    request = generation_request(config.target.model_id, bundle.text, stage.strategy, exemplars,
-                                 temperature=temperature, seed=config.seed)
-    click.echo(bundle.text)
+    try:
+        answer_stage_item(item, stage, instruction_for(config, dataset),
+                          sources.exemplars_for(stage, [item])(item),
+                          _DryRunTarget(config.target.model_id), **_answer_options(config))
+    except _Sent as sent:
+        [request] = sent.args
+    click.echo(request.prompt)
     click.echo("---")
     click.echo(f"model: {request.model_id}")
     click.echo(f"stage: {stage.value}  items: {len(items)}")
     click.echo(f"temperature: {request.temperature}  max_tokens: {request.max_tokens}  "
                f"stop: {json.dumps(list(request.stop_sequences))}  seed: {request.seed}")
-    if stage.is_ensemble:
+    if stage is Stage.ENSEMBLE:
         click.echo(f"ensemble runs: {config.ensemble.n_runs} (shuffled options per run)")
 
 
@@ -463,7 +476,7 @@ def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
     with _Sources(config, dataset, limit, writes_manifest=kind == "knn") as sources:
         if kind == "random":
             sources.exemplars_for(Stage.RANDOM_FEWSHOT_COT, sources.items)
-            done = f"{config.n_fewshot} random exemplars verified"
+            done = f"{FEWSHOT_SIZE} random exemplars verified"
         else:
             provider = sources.exemplars_for(Stage.KNN_FEWSHOT_COT, sources.items)
             exemplar_ids = {item.id: [e.item.id for e in provider(item)]

@@ -22,7 +22,7 @@ import yaml
 from .corpus import Dataset
 from .errors import ConfigError
 from .modelgw import RetryPolicy, open_endpoint
-from .promptkit import FEWSHOT_SIZE, template_fingerprint
+from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
 __all__ = [
@@ -56,8 +56,6 @@ class RunConfig:
     embedding: EndpointConfig | None = None
     seed: int = 0
     concurrency: int = 1
-    k_neighbors: int = 5
-    n_fewshot: int = FEWSHOT_SIZE
     max_validity_tries: int = MAX_VALIDITY_TRIES
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -91,12 +89,15 @@ def _finite(mapping: dict, key: str, default: float, context: str,
     return number
 
 
-def _integer(mapping: dict, key: str, default: int, context: str, minimum: int) -> int:
-    """`mapping[key]` (or `default`) as an integer >= `minimum`; anything else
-    is a ConfigError."""
+def _integer(mapping: dict, key: str, default: int, context: str,
+             minimum: int | None) -> int:
+    """`mapping[key]` (or `default`) as an integer, >= `minimum` unless that is
+    None; anything else is a ConfigError."""
     value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{context}: {key} must be an integer >= {minimum}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{context}: {key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -125,8 +126,7 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(
         raw,
         {
-            "corpus_dir", "output_dir", "cache_dir", "seed", "concurrency",
-            "k_neighbors", "n_fewshot", "max_validity_tries",
+            "corpus_dir", "output_dir", "cache_dir", "seed", "concurrency", "max_validity_tries",
             "target", "teacher", "embedding", "ensemble", "retry", "instructions",
         },
         str(path),
@@ -165,10 +165,6 @@ def load_config(path: str | Path) -> RunConfig:
 
     teacher = raw.get("teacher")
     embedding = raw.get("embedding")
-    n_fewshot = int(raw.get("n_fewshot", FEWSHOT_SIZE))
-    if n_fewshot != FEWSHOT_SIZE:
-        raise ConfigError(f"{path}: n_fewshot must be {FEWSHOT_SIZE}, the exemplar count "
-                          f"every few-shot prompt carries; got {n_fewshot}")
     return RunConfig(
         corpus_dir=_dir("corpus_dir"),
         output_dir=_dir("output_dir"),
@@ -176,10 +172,8 @@ def load_config(path: str | Path) -> RunConfig:
         target=_endpoint_block(_require(raw, "target", str(path)), f"{path}: target"),
         teacher=_endpoint_block(teacher, f"{path}: teacher") if teacher else None,
         embedding=_endpoint_block(embedding, f"{path}: embedding") if embedding else None,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw, "seed", 0, str(path), None),
         concurrency=_integer(raw, "concurrency", 1, str(path), 1),
-        k_neighbors=_integer(raw, "k_neighbors", 5, str(path), 1),
-        n_fewshot=n_fewshot,
         max_validity_tries=_integer(raw, "max_validity_tries", MAX_VALIDITY_TRIES, str(path), 1),
         ensemble=ensemble,
         retry=retry,
@@ -220,8 +214,6 @@ def config_fingerprint(config: RunConfig, dataset: Dataset) -> str:
         "teacher_model": config.teacher.model_id if config.teacher else None,
         "embedding_model": config.embedding.model_id if config.embedding else BUILTIN_EMBEDDING,
         "ensemble": {"runs": config.ensemble.n_runs, "temperature": config.ensemble.temperature},
-        "k_neighbors": config.k_neighbors,
-        "n_fewshot": config.n_fewshot,
         "max_validity_tries": config.max_validity_tries,
     }
     canon = json.dumps(material, sort_keys=True, separators=(",", ":"))

@@ -266,7 +266,10 @@ def source_checksum(paths: list[Path]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_medqa(split: Split, path: Path, rejects: list[RecordError]) -> list[McqItem]:
+def _load_jsonl(path: Path, rejects: list[RecordError], make_item) -> list[McqItem]:
+    """One item per non-blank line of a JSON-lines file, built by
+    `make_item(record, lineno)`. A line that is not a JSON object, or whose
+    record `make_item` or validation refuses, is rejected and counted."""
     items: list[McqItem] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -280,64 +283,52 @@ def _load_medqa(split: Split, path: Path, rejects: list[RecordError]) -> list[Mc
                 rejects.append(RecordError(str(path), loc, f"bad JSON: {exc}"))
                 continue
             try:
-                opts_raw = rec["options"]
-                gold = rec.get("answer_idx")
-                if gold is None:
-                    raise KeyError("answer_idx")
-                labels = sorted(opts_raw)
-                options = tuple((lab, str(opts_raw[lab])) for lab in labels)
-                item = McqItem(
-                    id=f"{split.value}-{lineno - 1:05d}",
-                    dataset=Dataset.MEDQA,
-                    split=split,
-                    question=str(rec["question"]),
-                    options=options,
-                    gold=str(gold),
-                )
+                if not isinstance(rec, dict):
+                    raise DataError(f"expected a JSON object, got {type(rec).__name__}")
+                item = make_item(rec, lineno)
                 item.validate()
             except (KeyError, TypeError, DataError) as exc:
                 rejects.append(RecordError(str(path), loc, str(exc)))
                 continue
             items.append(item)
     return items
+
+
+def _load_medqa(split: Split, path: Path, rejects: list[RecordError]) -> list[McqItem]:
+    def make_item(rec: dict, lineno: int) -> McqItem:
+        opts_raw = rec["options"]
+        gold = rec.get("answer_idx")
+        if gold is None:
+            raise KeyError("answer_idx")
+        return McqItem(
+            id=f"{split.value}-{lineno - 1:05d}",
+            dataset=Dataset.MEDQA,
+            split=split,
+            question=str(rec["question"]),
+            options=tuple((lab, str(opts_raw[lab])) for lab in sorted(opts_raw)),
+            gold=str(gold),
+        )
+
+    return _load_jsonl(path, rejects, make_item)
 
 
 def _load_medmcqa(split: Split, path: Path, rejects: list[RecordError]) -> list[McqItem]:
-    items: list[McqItem] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            loc = f"line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rejects.append(RecordError(str(path), loc, f"bad JSON: {exc}"))
-                continue
-            try:
-                cop = rec.get("cop")
-                if not isinstance(cop, int) or not 1 <= cop <= 4:
-                    raise DataError(f"cop must be 1..4, got {cop!r}")
-                options = tuple(
-                    (_LETTERS[i], str(rec[key]))
-                    for i, key in enumerate(("opa", "opb", "opc", "opd"))
-                )
-                item = McqItem(
-                    id=str(rec["id"]),
-                    dataset=Dataset.MEDMCQA,
-                    split=split,
-                    question=str(rec["question"]),
-                    options=options,
-                    gold=_LETTERS[cop - 1],
-                    subject=rec.get("subject_name") or None,
-                )
-                item.validate()
-            except (KeyError, TypeError, DataError) as exc:
-                rejects.append(RecordError(str(path), loc, str(exc)))
-                continue
-            items.append(item)
-    return items
+    def make_item(rec: dict, lineno: int) -> McqItem:
+        cop = rec.get("cop")
+        if not isinstance(cop, int) or not 1 <= cop <= 4:
+            raise DataError(f"cop must be 1..4, got {cop!r}")
+        return McqItem(
+            id=str(rec["id"]),
+            dataset=Dataset.MEDMCQA,
+            split=split,
+            question=str(rec["question"]),
+            options=tuple((_LETTERS[i], str(rec[key]))
+                          for i, key in enumerate(("opa", "opb", "opc", "opd"))),
+            gold=_LETTERS[cop - 1],
+            subject=rec.get("subject_name") or None,
+        )
+
+    return _load_jsonl(path, rejects, make_item)
 
 
 def _load_pubmedqa(split: Split, path: Path, rejects: list[RecordError]) -> list[McqItem]:

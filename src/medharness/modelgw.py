@@ -348,16 +348,6 @@ class GoldAnswerPolicy:
         return answer
 
 
-class GarbagePolicy:
-    """Always emit text no answer can be extracted from."""
-
-    def __init__(self, text: str = "I am unable to determine the correct option."):
-        self.text = text
-
-    def __call__(self, request: GenerationRequest, occurrence: int) -> str:
-        return self.text
-
-
 class FixedTextPolicy:
     """Always emit one literal string, whatever the prompt."""
 
@@ -366,6 +356,15 @@ class FixedTextPolicy:
 
     def __call__(self, request: GenerationRequest, occurrence: int) -> str:
         return self.text
+
+
+class GarbagePolicy(FixedTextPolicy):
+    """Always emit text no answer can be extracted from."""
+
+    TEXT = "I am unable to determine the correct option."
+
+    def __init__(self, text: str = TEXT):
+        super().__init__(text)
 
 
 class SequencePolicy:
@@ -480,7 +479,7 @@ def mock_model(policy) -> MockEndpoint:
 
 _POLICY_REGISTRY = {
     "gold": lambda spec: GoldAnswerPolicy(spec["answers"], spec.get("explanations")),
-    "garbage": lambda spec: GarbagePolicy(spec.get("text", "I am unable to determine the correct option.")),
+    "garbage": lambda spec: GarbagePolicy(spec.get("text", GarbagePolicy.TEXT)),
     "fixed_text": lambda spec: FixedTextPolicy(spec["text"]),
     "sequence": lambda spec: SequencePolicy(spec["outputs"]),
     "flaky_gold": lambda spec: FlakyGoldPolicy(

@@ -1,11 +1,13 @@
 """Benchmark execution: per-item generation loops, ensembles, and traces.
 
-A stage names one rung of the prompting ladder. Single-generation stages ask
-the target model once per item at temperature 0, re-asking up to a bounded
-number of tries when no answer can be extracted. The ensemble stage runs the
-strongest prompt five times at temperature 0.4, each run presenting the test
-question's options in a different seeded order, and majority-votes the
-decisions after mapping them back to canonical labels.
+A stage names one rung of the prompting ladder, and `answer_stage_item` is
+the one place that turns a stage into generation passes. Single-generation
+stages ask the target model once per item at temperature 0. The ensemble
+stage runs the strongest prompt five times at temperature 0.4, each run
+presenting the test question's options in a different seeded order. Every
+pass re-asks up to a bounded number of tries when no answer can be
+extracted, and the passes' decisions, mapped back to canonical labels, are
+majority-voted.
 
 Every completed item is appended to a JSON-lines trace as soon as it
 finishes; the trace doubles as the checkpoint, so an interrupted run resumes
@@ -17,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
@@ -44,9 +45,8 @@ __all__ = [
     "RunResult",
     "ItemResult",
     "answer_item",
-    "answer_item_ensemble",
+    "answer_stage_item",
     "aggregate_votes",
-    "generation_request",
     "run_benchmark",
     "read_trace",
     "INVALID",
@@ -66,13 +66,7 @@ class Stage(str, Enum):
 
     @property
     def strategy(self) -> Strategy:
-        if self is Stage.ENSEMBLE:
-            return Strategy.KNN_FEWSHOT_COT
-        return Strategy(self.value)
-
-    @property
-    def is_ensemble(self) -> bool:
-        return self is Stage.ENSEMBLE
+        return Strategy.KNN_FEWSHOT_COT if self is Stage.ENSEMBLE else Strategy(self.value)
 
 
 LADDER: tuple[Stage, ...] = (
@@ -129,10 +123,14 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
     Ties break toward the earliest run whose decision is among the tied
     labels. All runs invalid yields the invalid marker.
     """
-    valid = [d for d in decisions if d != INVALID]
-    if not valid:
+    # A plain dict, not a Counter: every item of every stage votes, and a
+    # single-run vote should cost little next to its one call.
+    counts: dict[str, int] = {}
+    for decision in decisions:
+        if decision != INVALID:
+            counts[decision] = counts.get(decision, 0) + 1
+    if not counts:
         return INVALID, False
-    counts = Counter(valid)
     top = max(counts.values())
     tied = {label for label, count in counts.items() if count == top}
     if len(tied) == 1:
@@ -141,24 +139,6 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
         if decision in tied:
             return decision, True
     raise AssertionError("unreachable: tied labels came from the decisions")
-
-
-def generation_request(model_id: str, prompt: str, strategy: Strategy,
-                       exemplars: list[CotExemplar], temperature: float = 0.0,
-                       seed: int | None = None) -> GenerationRequest:
-    """The request for one target prompt.
-
-    Only strategies that show explanations size the token budget from them;
-    the others get the answer-only budget.
-    """
-    return GenerationRequest(
-        model_id=model_id,
-        prompt=prompt,
-        temperature=temperature,
-        max_tokens=default_max_tokens(exemplars if strategy.cot else []),
-        stop_sequences=STOP_SEQUENCES,
-        seed=seed,
-    )
 
 
 def answer_item(
@@ -191,8 +171,15 @@ def answer_item(
                              permutation=permutation)
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
-    request = generation_request(endpoint.model_id, bundle.text, strategy, exemplars,
-                                 temperature=temperature, seed=request_seed)
+    # Only strategies that show explanations size the token budget from them.
+    request = GenerationRequest(
+        model_id=endpoint.model_id,
+        prompt=bundle.text,
+        temperature=temperature,
+        max_tokens=default_max_tokens(exemplars if strategy.cot else []),
+        stop_sequences=STOP_SEQUENCES,
+        seed=request_seed,
+    )
     prompt_sha = hashlib.sha256(bundle.text.encode("utf-8")).hexdigest()
 
     tries = 0
@@ -225,38 +212,47 @@ def answer_item(
     )
 
 
-def answer_item_ensemble(
+def answer_stage_item(
     item: McqItem,
+    stage: Stage,
     instruction: str,
     exemplars: list[CotExemplar],
     endpoint,
-    seed: int,
+    seed: int = 0,
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
     request_seed: int | None = None,
 ) -> ItemResult:
-    """Shuffled-presentation ensemble over the strongest prompt, then vote."""
+    """Answer one item as `stage` asks, then vote.
+
+    The ensemble runs `ensemble.n_runs` passes at `ensemble.temperature`,
+    each over the options shuffled with `seed` and its run index; every
+    other stage runs one greedy pass over the canonical order.
+    """
+    shuffle = stage is Stage.ENSEMBLE
+    n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
+    strategy = stage.strategy
     runs = [
         answer_item(
             item,
-            Strategy.KNN_FEWSHOT_COT,
+            strategy,
             instruction,
             exemplars,
             endpoint,
-            temperature=ensemble.temperature,
+            temperature=temperature,
             run_index=run_index,
-            shuffle=True,
+            shuffle=shuffle,
             seed=seed,
             max_tries=max_tries,
             request_seed=request_seed,
         )
-        for run_index in range(ensemble.n_runs)
+        for run_index in range(n_runs)
     ]
     decision, tie_broken = aggregate_votes([run.decision for run in runs])
     return ItemResult(
         item_id=item.id,
         gold=item.gold,
-        stage=Stage.ENSEMBLE,
+        stage=stage,
         decision=decision,
         correct=decision == item.gold,
         tie_broken=tie_broken,
@@ -358,27 +354,10 @@ def run_benchmark(
         write_lock = threading.Lock()
 
         def handle(item: McqItem) -> None:
-            if stage.is_ensemble:
-                result = answer_item_ensemble(
-                    item, instruction, exemplars_for(item), endpoint,
-                    seed=seed, ensemble=ensemble, max_tries=max_tries,
-                    request_seed=request_seed,
-                )
-            else:
-                run = answer_item(
-                    item, stage.strategy, instruction, exemplars_for(item), endpoint,
-                    temperature=0.0, run_index=0, shuffle=False, seed=seed,
-                    max_tries=max_tries, request_seed=request_seed,
-                )
-                result = ItemResult(
-                    item_id=item.id,
-                    gold=item.gold,
-                    stage=stage,
-                    decision=run.decision,
-                    correct=run.decision == item.gold,
-                    tie_broken=False,
-                    per_run=(run,),
-                )
+            result = answer_stage_item(
+                item, stage, instruction, exemplars_for(item), endpoint, seed=seed,
+                ensemble=ensemble, max_tries=max_tries, request_seed=request_seed,
+            )
             row = _result_row(result)
             with write_lock:
                 with open(trace_path, "a", encoding="utf-8") as f:

@@ -26,8 +26,8 @@ from .corpus import McqItem, mend_tail, replace_atomically, scan_jsonl
 from .errors import DataError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
-from .promptkit import (STOP_SEQUENCES, TEACHER_TEMPLATE, CotExemplar, extraction_tokens,
-                        teacher_prompt)
+from .promptkit import (FEWSHOT_SIZE, STOP_SEQUENCES, TEACHER_TEMPLATE, CotExemplar,
+                        extraction_tokens, teacher_prompt)
 from .retrieval import NeighborSet, VectorIndex, next_most_similar
 
 __all__ = [
@@ -251,15 +251,15 @@ def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, Teache
     return CotExemplar(item=item, explanation=outcome.explanation, verified=True), outcome
 
 
-def _first_verified(candidates, teacher, cache: CotCache | None,
-                    n: int) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
-    """The first `n` candidates that verify, in stream order; fewer if the
-    stream runs out. Candidates past the `n`-th acceptance are never drawn."""
+def _first_verified(candidates, teacher,
+                    cache: CotCache | None) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
+    """The first `FEWSHOT_SIZE` candidates that verify, in stream order; fewer
+    if the stream runs out. Candidates past the last acceptance are never drawn."""
     fingerprint = teacher_fingerprint(teacher.model_id)
     exemplars: list[CotExemplar] = []
     outcomes: list[TeacherOutcome] = []
     candidates = iter(candidates)
-    while len(exemplars) < n:
+    while len(exemplars) < FEWSHOT_SIZE:
         item = next(candidates, None)
         if item is None:
             break
@@ -300,19 +300,18 @@ def build_exemplars(
     pool_items: Mapping[str, McqItem],
     teacher,
     cache: CotCache | None = None,
-    n: int = 5,
 ) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
-    """Verified exemplars for one query, most similar first.
+    """`FEWSHOT_SIZE` verified exemplars for one query, most similar first.
 
     Candidates come from the neighbor set in rank order; a candidate that
     fails verification is replaced by the next-most-similar unconsumed pool
-    item. Raises when the pool runs out before `n` exemplars verify.
+    item. Raises when the pool runs out before enough exemplars verify.
     """
     exemplars, outcomes = _first_verified(_knn_candidates(neighbor_set, index, pool_items),
-                                          teacher, cache, n)
-    if len(exemplars) < n:
-        raise DataError(f"{neighbor_set.query_id}: only {len(exemplars)} of {n} exemplars "
-                        f"verified before the pool ran out")
+                                          teacher, cache)
+    if len(exemplars) < FEWSHOT_SIZE:
+        raise DataError(f"{neighbor_set.query_id}: only {len(exemplars)} of {FEWSHOT_SIZE} "
+                        f"exemplars verified before the pool ran out")
     return exemplars, outcomes
 
 
@@ -332,29 +331,28 @@ def build_random_exemplars(
     seed: int,
     teacher=None,
     cache: CotCache | None = None,
-    n: int = 5,
     cot: bool = False,
 ) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
-    """Exemplars drawn from the seeded random stream, fixed for a whole run.
+    """`FEWSHOT_SIZE` exemplars drawn from the seeded random stream, fixed for
+    a whole run.
 
-    Without explanations the first `n` stream items are used as-is. With
+    Without explanations the first stream items are used as-is. With
     `cot=True` each candidate must verify through the teacher; failures are
     replaced by the next stream item.
     """
     items_by_id = {item.id: item for item in pool}
     stream = random_candidate_stream(list(items_by_id), seed)
     if not cot:
-        exemplars = [CotExemplar(item=items_by_id[i]) for i in stream[:n]]
-        if len(exemplars) < n:
-            raise DataError(f"pool has {len(exemplars)} items, need {n} exemplars")
+        exemplars = [CotExemplar(item=items_by_id[i]) for i in stream[:FEWSHOT_SIZE]]
+        if len(exemplars) < FEWSHOT_SIZE:
+            raise DataError(f"pool has {len(exemplars)} items, need {FEWSHOT_SIZE} exemplars")
         return exemplars, []
     if teacher is None:
         raise DataError("a teacher endpoint is required for explained exemplars")
-    exemplars, outcomes = _first_verified((items_by_id[i] for i in stream), teacher, cache, n)
-    if len(exemplars) < n:
-        raise DataError(
-            f"only {len(exemplars)} of {n} random exemplars verified before the pool ran out"
-        )
+    exemplars, outcomes = _first_verified((items_by_id[i] for i in stream), teacher, cache)
+    if len(exemplars) < FEWSHOT_SIZE:
+        raise DataError(f"only {len(exemplars)} of {FEWSHOT_SIZE} random exemplars verified "
+                        f"before the pool ran out")
     return exemplars, outcomes
 
 
@@ -369,13 +367,13 @@ def save_exemplar_manifest(path: str | Path, header: dict,
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_exemplar_manifest(path: str | Path, header: dict, pool_ids, n: int,
+def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
                            warn_stale: bool = True) -> dict[str, tuple[str, ...]]:
     """Exemplar ids per test item, from a manifest written under `header`.
 
     A missing manifest is empty. A manifest with another header (built from
-    another pool, index, teacher, `k_neighbors` or test split) or with a row
-    that is not `n` ids in `pool_ids` is ignored with one warning, so its
+    another pool, index, teacher or test split) or with a row that is not
+    `FEWSHOT_SIZE` ids in `pool_ids` is ignored with one warning, so its
     items build their exemplars as if it did not exist. `warn_stale=False`
     ignores another header silently, for the command that replaces it.
     """
@@ -398,8 +396,10 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool_ids, n: int,
         manifest = {}
         for row in json.loads("[" + ",".join(row for row in rows if row.strip()) + "]"):
             ids = tuple(row["exemplars"])
-            if len(ids) != n or not all(isinstance(i, str) and i in pool_ids for i in ids):
-                raise ValueError(f"{row['item_id']}: exemplars {ids} are not {n} pool ids")
+            in_pool = all(isinstance(i, str) and i in pool_ids for i in ids)
+            if len(ids) != FEWSHOT_SIZE or not in_pool:
+                raise ValueError(f"{row['item_id']}: exemplars {ids} are not "
+                                 f"{FEWSHOT_SIZE} pool ids")
             manifest[row["item_id"]] = ids
     except (ValueError, KeyError, TypeError) as exc:
         log.warning("ignoring corrupt exemplar manifest %s: %s", path, exc)

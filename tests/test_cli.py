@@ -21,6 +21,7 @@ from medharness.errors import DataError
 from medharness.modelgw import HttpEndpoint
 from medharness.retrieval import VectorIndex
 from medharness.promptkit import teacher_prompt
+from medharness.runner import Stage
 from medharness.teacher import teacher_fingerprint
 
 
@@ -62,13 +63,13 @@ def trace_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def wrap_teacher(monkeypatch, wrap):
-    """Make commands open `wrap(endpoint)` wherever they open the teacher."""
+def wrap_endpoint(monkeypatch, model_id, wrap):
+    """Make commands open `wrap(endpoint)` wherever they open `model_id`'s endpoint."""
     build_endpoint = cli.build_endpoint
 
     def spy(spec, retry=None):
         endpoint = build_endpoint(spec, retry)
-        return wrap(endpoint) if spec.model_id == "teacher-x" else endpoint
+        return wrap(endpoint) if spec.model_id == model_id else endpoint
 
     monkeypatch.setattr(cli, "build_endpoint", spy)
 
@@ -313,12 +314,14 @@ class TestExitCodes:
         assert code == 3
         assert "gave up" in capsys.readouterr().err
 
-    def test_n_fewshot_other_than_5_is_config_error(self, tmp_path, capsys):
-        config, _, _ = build_env(tmp_path, config_extra={"n_fewshot": 3})
+    @pytest.mark.parametrize("key", ["n_fewshot", "k_neighbors"])
+    def test_exemplar_count_keys_are_unknown(self, tmp_path, capsys, key):
+        # The exemplar and neighbour count is `promptkit.FEWSHOT_SIZE`, not a setting.
+        config, _, _ = build_env(tmp_path, config_extra={key: 5})
         code = main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "zero_shot"])
         assert code == 1
-        assert "n_fewshot must be 5" in capsys.readouterr().err
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, key", [
         ({"ensemble": {"temperature": float("nan")}}, "temperature"),
@@ -345,12 +348,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra, key, minimum", [
         ({"max_validity_tries": 0}, "max_validity_tries", 1),
-        ({"k_neighbors": 0}, "k_neighbors", 1),
+        ({"seed": "abc"}, "seed", None),
         ({"concurrency": 0}, "concurrency", 1),
         ({"ensemble": {"runs": 0}}, "runs", 1),
         ({"retry": {"max_retries": -1}}, "max_retries", 0),
         ({"retry": {"max_retries": 1.5}}, "max_retries", 0),
-        ({"k_neighbors": "five"}, "k_neighbors", 1),
+        ({"seed": 1.5}, "seed", None),
+        ({"seed": True}, "seed", None),
     ])
     def test_config_integer_out_of_range_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                          extra, key, minimum):
@@ -359,7 +363,15 @@ class TestExitCodes:
         code = main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "zero_shot"])
         assert code == 1
-        assert f"{key} must be an integer >= {minimum}" in capsys.readouterr().err
+        bound = "" if minimum is None else f" >= {minimum}"
+        assert f"{key} must be an integer{bound}, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-7, 2**40])
+    def test_any_integer_seed_is_accepted(self, tmp_path, capsys, seed):
+        config, _, _ = build_env(tmp_path, config_extra={"seed": seed})
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot", "--dry-run"]) == 0
+        assert capsys.readouterr().out.endswith(f"  seed: {seed}\n")
 
     def test_short_trace_is_incomplete_run(self, tmp_path, capsys):
         config, test_items, _ = build_env(tmp_path)
@@ -463,7 +475,7 @@ class TestRankOnce:
                     with lock:
                         in_flight[0] -= 1
 
-        wrap_teacher(monkeypatch, SlowTeacher)
+        wrap_endpoint(monkeypatch, "teacher-x", SlowTeacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot", "--concurrency", "4"]) == 0
         assert most[0] > 1
@@ -521,7 +533,7 @@ class TestExemplarManifest:
 
         monkeypatch.setattr(VectorIndex, "rank_all", rank_spy)
         monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
-        wrap_teacher(monkeypatch, CountingTeacher)
+        wrap_endpoint(monkeypatch, "teacher-x", CountingTeacher)
         monkeypatch.setattr(teacher, "scan_jsonl", scan_spy)
         return seen
 
@@ -585,6 +597,7 @@ class TestExemplarManifest:
         assert len(spies["teacher"]) == 1
         assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
 
+    # `k_neighbors` stands for a manifest written when the header still carried it.
     @pytest.mark.parametrize("field, value", [
         ("pool_sha256", "0" * 64), ("teacher", "0" * 16), ("k_neighbors", 7),
         ("test_sha256", "0" * 64), ("provider_id", "remote:other"),
@@ -708,6 +721,37 @@ class TestDryRunRequest:
             'temperature: 0.4  max_tokens: 256  stop: ["\\n### Question:"]  seed: 0\n'
             "ensemble runs: 5 (shuffled options per run)\n"
         )
+
+    @pytest.mark.parametrize("stage", cli.STAGE_NAMES)
+    def test_prints_run_0_of_the_first_item(self, tmp_path, capsys, monkeypatch, stage):
+        config, _, _ = build_env(tmp_path)
+        command = ["--config", str(config), "--dataset", "medqa"]
+        if Stage(stage).strategy.cot:
+            kind = "random" if stage == "random_fewshot_cot" else "knn"
+            assert main(["gen-cot", *command, "--kind", kind]) == 0
+        capsys.readouterr()
+        assert main(["run", *command, "--stage", stage, "--dry-run"]) == 0
+        prompt, _, params = capsys.readouterr().out.partition("\n---\n")
+        sent = []
+
+        class RecordingTarget:
+            def __init__(self, endpoint):
+                self.endpoint = endpoint
+                self.model_id = endpoint.model_id
+
+            def complete(self, request):
+                sent.append(request)
+                return self.endpoint.complete(request)
+
+        wrap_endpoint(monkeypatch, "target-x", RecordingTarget)
+        assert main(["run", *command, "--stage", stage]) == 0
+        [first_row, *_] = trace_rows(tmp_path / "out" / "medqa" / f"{stage}.trace.jsonl")
+        assert (hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+                == first_row["per_run"][0]["prompt_sha256"])
+        first = sent[0]
+        assert prompt == first.prompt
+        assert (f"temperature: {first.temperature}  max_tokens: {first.max_tokens}  "
+                f"stop: {json.dumps(list(first.stop_sequences))}  seed: {first.seed}\n") in params
 
 
 class TestIndexedPool:

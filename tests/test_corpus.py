@@ -93,6 +93,16 @@ class TestMedmcqa:
         assert not result.items
         assert result.manifest.rejected_count == 1
 
+    def test_non_object_and_bad_json_lines_rejected(self, tmp_path):
+        src = tmp_path / "dev.jsonl"
+        rec = {"id": "x", "question": "q?", "opa": "a", "opb": "b",
+               "opc": "c", "opd": "d", "cop": 2}
+        src.write_text("[1, 2]\n" + json.dumps(rec) + "\n{not json\n", encoding="utf-8")
+        result = load_dataset(Dataset.MEDMCQA, Split.DEV, src)
+        assert [item.id for item in result.items] == ["x"]
+        assert result.manifest.rejected_count == 2
+        assert {r.location for r in result.rejects} == {"line 1", "line 3"}
+
 
 class TestPubmedqa:
     def make_source(self, tmp_path, decisions):

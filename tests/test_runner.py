@@ -25,7 +25,7 @@ from medharness.runner import (
     Stage,
     aggregate_votes,
     answer_item,
-    answer_item_ensemble,
+    answer_stage_item,
     read_trace,
     run_benchmark,
 )
@@ -66,8 +66,6 @@ class TestStage:
 
     def test_ensemble_reuses_strongest_prompt(self):
         assert Stage.ENSEMBLE.strategy is Strategy.KNN_FEWSHOT_COT
-        assert Stage.ENSEMBLE.is_ensemble
-        assert not Stage.ZERO_SHOT.is_ensemble
         assert Stage.ZERO_SHOT.strategy is Strategy.ZERO_SHOT
 
 
@@ -228,8 +226,8 @@ class ScriptedVotePolicy:
 class TestEnsemble:
     def test_unanimous_gold_under_shuffles(self):
         endpoint = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS)
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0)
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
         assert result.correct
         assert result.decision == "B"
         assert not result.tie_broken
@@ -242,8 +240,8 @@ class TestEnsemble:
     def test_scripted_majority(self):
         script = ["C", "B", "C", "B", "C"]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0)
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
         assert [r.decision for r in result.per_run] == script
         assert result.decision == "C"
         assert not result.tie_broken
@@ -252,8 +250,8 @@ class TestEnsemble:
     def test_scripted_tie_breaks_to_earliest(self):
         script = ["C", "B", "B", "C", None]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0)
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
         assert [r.decision for r in result.per_run] == ["C", "B", "B", "C", INVALID]
         assert result.decision == "C"
         assert result.tie_broken
@@ -261,8 +259,8 @@ class TestEnsemble:
     def test_invalid_runs_excluded_from_vote(self):
         script = [None, None, None, "B", None]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0)
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
         assert result.decision == "B"
         assert result.correct
         assert not result.tie_broken
@@ -271,18 +269,30 @@ class TestEnsemble:
 
     def test_all_runs_invalid(self):
         endpoint = mock_model(GarbagePolicy())
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0)
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
         assert result.decision == INVALID
         assert not result.correct
         assert result.n_calls == 25
 
     def test_run_count_configurable(self):
         endpoint = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS)
-        result = answer_item_ensemble(gd.TEST_ITEM, gd.MEDQA_INSTRUCTION,
-                                      KNN_EXEMPLARS, endpoint, seed=0,
-                                      ensemble=EnsembleConfig(n_runs=3))
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0,
+                                   ensemble=EnsembleConfig(n_runs=3))
         assert len(result.per_run) == 3
+
+    def test_single_generation_stage_runs_once_greedy_in_canonical_order(self):
+        endpoint = RecordingEndpoint("### Answer: (B) Patellofemoral cartilage")
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [],
+                                   endpoint, seed=gd.SHUFFLE_SEED,
+                                   ensemble=EnsembleConfig(n_runs=3, temperature=0.9))
+        [request] = endpoint.requests
+        assert request.temperature == 0.0
+        [run] = result.per_run
+        assert run.run_index == 0
+        assert run.permutation == {label: label for label in gd.TEST_ITEM.labels}
+        assert (result.stage, result.decision, result.tie_broken) == (Stage.ZERO_SHOT, "B", False)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError, match="at least one run"):
@@ -337,10 +347,10 @@ class TestRunBenchmark:
         # Items 0-1 are answered; every try of item 2 (of its first run, for
         # the ensemble) fails in transport.
         trace = tmp_path / "trace.jsonl"
-        answered = 2 * (5 if stage.is_ensemble else 1)
+        answered = 2 * (5 if stage is Stage.ENSEMBLE else 1)
         endpoint = mock_model(OutagePolicy(gold_endpoint(bench_items).policy,
                                            range(answered, answered + 5)))
-        exemplars_for = (lambda item: KNN_EXEMPLARS) if stage.is_ensemble else no_exemplars
+        exemplars_for = (lambda item: KNN_EXEMPLARS) if stage is Stage.ENSEMBLE else no_exemplars
         with pytest.raises(EndpointError, match=f"{bench_items[2].id}: all 5 tries failed"):
             run_benchmark(bench_items, stage, endpoint, gd.MEDQA_INSTRUCTION,
                           exemplars_for, trace, seed=gd.SHUFFLE_SEED)

@@ -1,10 +1,17 @@
-"""The benchmark's tracer names only functions the package still has."""
+"""Guards keeping the benchmark's tracer and the README in step with the package."""
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "medbench" / "tracing.py"
+import yaml
+
+from medharness.config import RunConfig, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "medbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def traced_names() -> tuple:
@@ -29,3 +36,15 @@ def test_every_traced_name_resolves():
     assert names
     missing = [f"{module}.{path}" for module, path, _ in names if not resolves(module, path)]
     assert missing == []
+
+
+def test_readme_config_example_sets_every_run_config_field(tmp_path):
+    """The README's YAML example loads, and names every `RunConfig` field: a
+    removed key left in the docs, or a new key left out of them, fails."""
+    [example] = [block.split("\n", 1)[1]
+                 for block in README.read_text(encoding="utf-8").split("```")[1::2]
+                 if block.startswith("yaml\n")]
+    config = tmp_path / "run.yaml"
+    config.write_text(example, encoding="utf-8")
+    load_config(config)
+    assert set(yaml.safe_load(example)) == {field.name for field in fields(RunConfig)}
