@@ -34,6 +34,7 @@ from .metrics import (
     ablation,
     build_report,
     render_ablation_text,
+    scored_rows,
     subject_breakdown,
     write_report,
 )
@@ -102,7 +103,7 @@ def _close(resource) -> None:
         close()
 
 
-def _build_index(config: RunConfig, dataset: Dataset, pool: list[McqItem],
+def _build_index(config: RunConfig, dataset: Dataset, pool: list,
                  pool_sha256: str, provider) -> VectorIndex:
     index = build_index(pool, provider=provider, pool_sha256=pool_sha256)
     index.save(_index_path(config, dataset))
@@ -118,10 +119,11 @@ def index_cmd(config_path: Path, dataset_name: str):
     dataset = _dataset(dataset_name)
     store = CorpusStore(config.corpus_dir)
     source = store.pool_file(dataset)
+    pool = source.questions()
+    store.check_disjoint(dataset, [record.id for record in pool])
     provider = _embedding_provider(config)
     try:
-        index = _build_index(config, dataset, store.training_pool(dataset, source=source),
-                             source.sha256, provider)
+        index = _build_index(config, dataset, pool, source.sha256, provider)
     finally:
         _close(provider)
     click.echo(f"{dataset.value}: indexed {len(index)} pool items "
@@ -132,14 +134,14 @@ class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
     The test split is read on construction; the pool file, its index, the
-    teacher and the exemplar manifest on first use. Random stages parse the
-    whole pool. kNN stages parse only the pool items they look up, through an
-    index built from the pool file's exact bytes. kNN exemplars are built
-    once per test item and kept, so the kNN and ensemble stages of one
-    `ablate` share them; query vectors live only until their item's
-    exemplars are built. `outcomes` collects the outcome of every candidate
-    the providers asked the teacher about; cache hits are not kept. Used as
-    a context manager, it closes the endpoints it opened.
+    teacher and the exemplar manifest on first use. Stages parse only the
+    pool items they look up: random stages by the ids `CorpusFile.questions`
+    reads, kNN stages by those of an index built from the pool file's exact
+    bytes. kNN exemplars are built once per test item and kept, so the kNN
+    and ensemble stages of one `ablate` share them; query vectors live only
+    until their item's exemplars are built. `outcomes` collects the outcome
+    of every candidate the providers asked the teacher about; cache hits are
+    not kept. Used as a context manager, it closes the endpoints it opened.
 
     `writes_manifest` marks a command that replaces the exemplar manifest,
     so a stale one is ignored without a warning.
@@ -173,8 +175,11 @@ class _Sources:
         return self.store.pool_file(self.dataset)
 
     @cached_property
-    def pool(self) -> list[McqItem]:
-        return self.store.training_pool(self.dataset, self.test_ids, self.pool_file)
+    def pool_questions(self) -> list:
+        """The pool's ids and questions, checked against the test split's ids."""
+        pool = self.pool_file.questions()
+        self.store.check_disjoint(self.dataset, [record.id for record in pool], self.test_ids)
+        return pool
 
     @cached_property
     def index(self) -> VectorIndex:
@@ -183,15 +188,15 @@ class _Sources:
         provider = _embedding_provider(self.config)
         self._opened.append(provider)
         if not path.exists():
-            return _build_index(self.config, self.dataset, self.pool, self.pool_file.sha256,
-                                provider)
+            return _build_index(self.config, self.dataset, self.pool_questions,
+                                self.pool_file.sha256, provider)
         index = VectorIndex.load(path, provider=provider)
         if index.pool_sha256 != self.pool_file.sha256:
             raise DataError(f"{path}: not built from the current {self.pool_file.path} "
                             f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
                             f"rebuild with `medharness index`")
         # The digest matches, so the pool's ids are the index's, checked for
-        # validity and uniqueness when `index` parsed these bytes.
+        # validity and uniqueness when `index` read these bytes.
         self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
         return index
 
@@ -251,8 +256,9 @@ class _Sources:
         if strategy is Strategy.ZERO_SHOT:
             return lambda item: []
         if strategy is not Strategy.KNN_FEWSHOT_COT:
+            pool = PoolView(self.pool_file, [record.id for record in self.pool_questions])
             fixed, outcomes = build_random_exemplars(
-                self.pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
+                pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
                 cache=self.cache, cot=strategy.cot,
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
@@ -515,7 +521,8 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
     if dataset is Dataset.MMLU_MED:
         best = reports[-1]
         rows = read_trace(_trace_path(config, dataset, Stage(best["stage"])))
-        breakdown = subject_breakdown(rows, sources.items)
+        breakdown = subject_breakdown(scored_rows(rows, [item.id for item in sources.items]),
+                                      sources.items)
         (config.output_dir / dataset.value / "subjects.json").write_text(
             json.dumps(breakdown, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

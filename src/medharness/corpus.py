@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -540,6 +541,13 @@ def write_normalized(items: list[McqItem], path: str | Path) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
+class PoolQuestion(NamedTuple):
+    """The two fields of a pool item that `build_index` embeds."""
+
+    id: str
+    question: str
+
+
 class CorpusFile:
     """A normalized corpus file, read once: its SHA-256 and its lines.
 
@@ -573,8 +581,27 @@ class CorpusFile:
         """The validated item on line index `i`."""
         try:
             return McqItem.from_json_obj(json.loads(self.lines[i].strip()))
-        except (KeyError, DataError, ValueError) as exc:
+        except (KeyError, TypeError, DataError, ValueError) as exc:
             raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
+
+    def questions(self) -> list[PoolQuestion]:
+        """Each item's id and question, in file order, ids unique; no `McqItem` is built."""
+        records = []
+        for i in self.item_lines():
+            try:
+                obj = json.loads(self.lines[i].strip())
+                if not isinstance(obj, dict):
+                    raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+                item_id, question = obj.get("id"), obj.get("question")
+                if not isinstance(item_id, str) or not item_id:
+                    raise DataError(f"id must be a non-empty string, got {item_id!r}")
+                if not isinstance(question, str) or not question.strip():
+                    raise DataError(f"{item_id}: question must be non-empty")
+            except (DataError, ValueError) as exc:
+                raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
+            records.append(PoolQuestion(item_id, question))
+        _check_unique_ids(records)
+        return records
 
 
 def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
@@ -591,8 +618,9 @@ def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
 class PoolView(Mapping):
     """Pool items by id, each parsed from its line on first lookup.
 
-    `ids` are the file's item ids in file order, as an index built from the
-    same bytes lists them; a line whose item has another id is an error.
+    `ids` are the file's item ids in file order, as `CorpusFile.questions` or
+    an index built from the same bytes lists them; a line whose item has
+    another id, or is not a valid item, is an error when it is looked up.
     """
 
     def __init__(self, source: CorpusFile, ids: list[str]):
@@ -671,16 +699,6 @@ class CorpusStore:
                 f"pool missing for {dataset.value}: ingest split '{split.value}' first ({path})"
             )
         return CorpusFile(path)
-
-    def training_pool(self, dataset: Dataset, test_ids: set[str] | None = None,
-                      source: CorpusFile | None = None) -> list[McqItem]:
-        """The pool few-shot exemplars are drawn from, disjoint from test.
-
-        `source` is the pool file when the caller has read it already.
-        """
-        pool = read_normalized(source or self.pool_file(dataset))
-        self.check_disjoint(dataset, [item.id for item in pool], test_ids)
-        return pool
 
     def check_disjoint(self, dataset: Dataset, pool_ids: list[str],
                        test_ids: set[str] | None = None) -> None:

@@ -24,55 +24,15 @@ __all__ = [
     "percent",
     "Accuracy",
     "accuracy",
+    "scored_rows",
     "build_report",
     "ablation",
     "render_ablation_text",
     "subject_breakdown",
-    "REFERENCE_RESULTS",
-    "REFERENCE_RESULTS_ALT",
     "REPORT_SCHEMA",
 ]
 
 REPORT_SCHEMA = 1
-
-# Reference accuracies (percent) for a strong open 34B model, used as
-# tolerance anchors by the optional live-endpoint integration profile.
-# Stages are in ladder order. Two slightly different ensemble figures
-# circulate for mmlu_med (81.6 and 81.7); both are retained.
-REFERENCE_RESULTS: dict[str, dict[str, float]] = {
-    "medqa": {
-        "zero_shot": 58.4,
-        "random_fewshot": 61.5,
-        "random_fewshot_cot": 66.6,
-        "knn_fewshot_cot": 69.5,
-        "ensemble": 72.6,
-    },
-    "medmcqa": {
-        "zero_shot": 55.9,
-        "random_fewshot": 58.0,
-        "random_fewshot_cot": 59.2,
-        "knn_fewshot_cot": 65.7,
-        "ensemble": 68.3,
-    },
-    "pubmedqa": {
-        "zero_shot": 53.4,
-        "random_fewshot": 57.0,
-        "random_fewshot_cot": 68.2,
-        "knn_fewshot_cot": 72.4,
-        "ensemble": 77.3,
-    },
-    "mmlu_med": {
-        "zero_shot": 72.6,
-        "random_fewshot": 77.3,
-        "random_fewshot_cot": 75.2,
-        "knn_fewshot_cot": 78.7,
-        "ensemble": 81.6,
-    },
-}
-
-REFERENCE_RESULTS_ALT: dict[str, dict[str, float]] = {
-    "mmlu_med": {"ensemble": 81.7},
-}
 
 
 def percent(numerator: int, denominator: int) -> float:
@@ -119,6 +79,14 @@ def accuracy(rows: list[dict], expected_ids: list[str] | None = None) -> Accurac
     return Accuracy(n_correct=sum(seen.values()), n_total=len(seen))
 
 
+def scored_rows(rows: list[dict], expected_ids: list[str] | None = None) -> list[dict]:
+    """The rows a report scores: those of `expected_ids`, or every row."""
+    if expected_ids is None:
+        return rows
+    wanted = set(expected_ids)
+    return [row for row in rows if row["item_id"] in wanted]
+
+
 def build_report(
     rows: list[dict],
     dataset: Dataset,
@@ -127,8 +95,10 @@ def build_report(
     fingerprint: str,
     expected_ids: list[str] | None = None,
 ) -> dict:
-    """Summary of one stage run, JSON-serializable."""
+    """Summary of one stage run, JSON-serializable. Every count covers only
+    the scored rows."""
     acc = accuracy(rows, expected_ids)
+    rows = scored_rows(rows, expected_ids)
     return {
         "schema": REPORT_SCHEMA,
         "dataset": Dataset(dataset).value,

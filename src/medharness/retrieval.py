@@ -494,10 +494,11 @@ class VectorIndex:
         return cls(provider, ids, vectors, pool_sha256=header.get("pool_sha256"))
 
 
-def build_index(pool: list[McqItem], provider=None, pool_sha256: str | None = None) -> VectorIndex:
+def build_index(pool: list, provider=None, pool_sha256: str | None = None) -> VectorIndex:
     """Embed every pool item's question; fit the builtin provider if none given.
 
-    `pool_sha256` is the SHA-256 of the file `pool` was read from.
+    Only each item's `id` and `question` are read, as `CorpusFile.questions`
+    gives them. `pool_sha256` is the SHA-256 of the file `pool` was read from.
 
     The builtin fit and rows tokenize each question once, and only the
     non-zero entries of each EMBED_BLOCK rows are kept, as CSR arrays. A

@@ -327,7 +327,7 @@ def random_candidate_stream(pool_ids: list[str], seed: int) -> list[str]:
 
 
 def build_random_exemplars(
-    pool: list[McqItem],
+    pool: Mapping[str, McqItem],
     seed: int,
     teacher=None,
     cache: CotCache | None = None,
@@ -338,18 +338,18 @@ def build_random_exemplars(
 
     Without explanations the first stream items are used as-is. With
     `cot=True` each candidate must verify through the teacher; failures are
-    replaced by the next stream item.
+    replaced by the next stream item. `pool` maps ids to items; only the
+    stream items drawn are looked up.
     """
-    items_by_id = {item.id: item for item in pool}
-    stream = random_candidate_stream(list(items_by_id), seed)
+    stream = random_candidate_stream(list(pool), seed)
     if not cot:
-        exemplars = [CotExemplar(item=items_by_id[i]) for i in stream[:FEWSHOT_SIZE]]
+        exemplars = [CotExemplar(item=pool[i]) for i in stream[:FEWSHOT_SIZE]]
         if len(exemplars) < FEWSHOT_SIZE:
             raise DataError(f"pool has {len(exemplars)} items, need {FEWSHOT_SIZE} exemplars")
         return exemplars, []
     if teacher is None:
         raise DataError("a teacher endpoint is required for explained exemplars")
-    exemplars, outcomes = _first_verified((items_by_id[i] for i in stream), teacher, cache)
+    exemplars, outcomes = _first_verified((pool[i] for i in stream), teacher, cache)
     if len(exemplars) < FEWSHOT_SIZE:
         raise DataError(f"only {len(exemplars)} of {FEWSHOT_SIZE} random exemplars verified "
                         f"before the pool ran out")

@@ -16,13 +16,13 @@ import yaml
 from conftest import make_item
 from medharness import cli, corpus, teacher
 from medharness.cli import main
-from medharness.corpus import CorpusFile, Split, write_normalized
+from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
 from medharness.errors import DataError
 from medharness.modelgw import HttpEndpoint
 from medharness.retrieval import VectorIndex
-from medharness.promptkit import teacher_prompt
+from medharness.promptkit import FEWSHOT_SIZE, teacher_prompt
 from medharness.runner import Stage
-from medharness.teacher import teacher_fingerprint
+from medharness.teacher import random_candidate_stream, teacher_fingerprint
 
 
 def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
@@ -86,6 +86,43 @@ def loads(monkeypatch):
 
     monkeypatch.setattr(corpus, "read_normalized", spy)
     return names
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Names of the files a `CorpusFile` reads, in call order."""
+    names = []
+    init = CorpusFile.__init__
+
+    def spy(source, path):
+        names.append(Path(path).name)
+        init(source, path)
+
+    monkeypatch.setattr(CorpusFile, "__init__", spy)
+    return names
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Line indexes of the pool items parsed, in call order."""
+    lines = []
+    parse = CorpusFile.parse
+
+    def spy(source, i):
+        if source.path.name == "train.jsonl":
+            lines.append(i)
+        return parse(source, i)
+
+    monkeypatch.setattr(CorpusFile, "parse", spy)
+    return lines
+
+
+def edit_pool_line(tmp_path, i, edit):
+    """Replace the object on line index `i` of the pool file with `edit(object)`."""
+    pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
+    lines = pool.read_text(encoding="utf-8").splitlines()
+    lines[i] = json.dumps(edit(json.loads(lines[i])))
+    pool.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestIngest:
@@ -236,6 +273,24 @@ class TestAblate:
         assert "ensemble: 100.0%" in out
         assert (tmp_path / "out" / "medqa" / "ablation.json").exists()
         assert (tmp_path / "out" / "medqa" / "zero_shot.report.json").exists()
+
+    def test_report_limit_counts_only_the_scored_rows(self, tmp_path):
+        config, test_items, _ = build_env(tmp_path)
+        subjects = ["anatomy", "anatomy", "virology", "virology"]
+        write_normalized([replace(item, dataset=Dataset.MMLU_MED, subject=subject)
+                          for item, subject in zip(test_items, subjects)],
+                         tmp_path / "corpus" / "mmlu_med" / "test.jsonl")
+        for dataset in ("medqa", "mmlu_med"):
+            args = ["--config", str(config), "--dataset", dataset]
+            assert main(["run", *args, "--stage", "zero_shot"]) == 0
+            assert main(["report", *args, "--limit", "2"]) == 0
+            report = json.loads((tmp_path / "out" / dataset / "zero_shot.report.json")
+                                .read_text(encoding="utf-8"))
+            assert (report["n_items"], report["n_calls"]) == (2, 2)
+        breakdown = json.loads((tmp_path / "out" / "mmlu_med" / "subjects.json")
+                               .read_text(encoding="utf-8"))
+        assert breakdown["overall"]["n_items"] == 2
+        assert list(breakdown["subjects"]) == ["anatomy"]
 
 
 class TestIndexAndGenCot:
@@ -401,17 +456,19 @@ class TestRankOnce:
         monkeypatch.setattr(VectorIndex, "_rank_block", spy)
         return ids
 
-    def test_ablate_ranks_each_item_once(self, tmp_path, ranked, loads):
+    def test_ablate_ranks_each_item_once(self, tmp_path, ranked, reads, loads):
         config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(["ablate", "--config", str(config), "--dataset", "medqa"]) == 0
         assert sorted(ranked) == sorted(item.id for item in test_items)
-        assert sorted(loads) == ["test.jsonl", "train.jsonl"]
+        assert sorted(reads) == ["test.jsonl", "train.jsonl"]
+        assert loads == ["test.jsonl"]
 
-    def test_run_reads_each_split_once(self, tmp_path, loads):
+    def test_run_reads_each_split_once(self, tmp_path, reads, loads):
         config, _, _ = build_env(tmp_path)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot"]) == 0
-        assert sorted(loads) == ["test.jsonl", "train.jsonl"]
+        assert sorted(reads) == ["test.jsonl", "train.jsonl"]
+        assert loads == ["test.jsonl"]
 
     def test_resume_ranks_only_unfinished_items(self, tmp_path, ranked):
         config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
@@ -809,8 +866,11 @@ class TestIndexedPool:
         config, test_items, pool_items = self.indexed(tmp_path)
         leaked = replace(test_items[0], id=pool_items[3].id, question="A leaked question?")
         write_normalized(test_items + [leaked], tmp_path / "corpus" / "medqa" / "test.jsonl")
-        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 2
-        assert "pool overlaps test split on 1 ids" in capsys.readouterr().err
+        for args in (self.command("run", config, "--stage", "knn_fewshot_cot"),
+                     self.command("run", config, "--stage", "random_fewshot"),
+                     self.command("index", config)):
+            assert main(args) == 2
+            assert "pool overlaps test split on 1 ids" in capsys.readouterr().err
 
     def test_run_reads_only_the_test_split(self, tmp_path, loads):
         config, _, _ = self.indexed(tmp_path)
@@ -818,36 +878,24 @@ class TestIndexedPool:
         assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
         assert loads == ["test.jsonl"]
 
-    def test_ablate_reads_the_pool_file_once(self, tmp_path, monkeypatch, loads):
+    def test_ablate_reads_the_pool_file_once(self, tmp_path, reads, loads):
         config, _, _ = self.indexed(tmp_path)
+        reads.clear()
         loads.clear()
-        reads = []
-        init = CorpusFile.__init__
-
-        def init_spy(source, path):
-            reads.append(Path(path).name)
-            init(source, path)
-
-        monkeypatch.setattr(CorpusFile, "__init__", init_spy)
         assert main(self.command("ablate", config)) == 0
-        assert sorted(reads) == sorted(loads) == ["test.jsonl", "train.jsonl"]
+        assert sorted(reads) == ["test.jsonl", "train.jsonl"]
+        assert loads == ["test.jsonl"]
 
-    def test_run_parses_only_ranked_candidates(self, tmp_path, monkeypatch):
+    def test_run_parses_only_ranked_candidates(self, tmp_path, monkeypatch, parsed):
         config, _, _ = self.indexed(tmp_path, n_test=8, n_pool=60)
-        parsed, candidates = [], set()
-        parse, nearest_many = CorpusFile.parse, VectorIndex.nearest_many
-
-        def parse_spy(source, i):
-            if source.path.name == "train.jsonl":
-                parsed.append(i)
-            return parse(source, i)
+        candidates = set()
+        nearest_many = VectorIndex.nearest_many
 
         def nearest_spy(index, queries, k):
             for neighbor_set in nearest_many(index, queries, k):
                 candidates.update(neighbor_set.ids)
                 yield neighbor_set
 
-        monkeypatch.setattr(CorpusFile, "parse", parse_spy)
         monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
         assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
         assert len(set(parsed)) == len(parsed) <= len(candidates) < 60
@@ -863,6 +911,47 @@ class TestIndexedPool:
         serial = prompts(tmp_path / "serial", "1")
         assert len(set(serial.values())) == 40
         assert prompts(tmp_path / "concurrent", "8") == serial
+
+
+class TestRandomPool:
+    """`index` and random stages read only the pool's ids and questions; a
+    random stage parses only the pool lines it draws."""
+
+    @staticmethod
+    def command(name, config, *extra):
+        return [name, "--config", str(config), "--dataset", "medqa", *extra]
+
+    @pytest.mark.parametrize("stage", ["random_fewshot", "random_fewshot_cot"])
+    def test_stage_parses_only_the_drawn_lines(self, tmp_path, parsed, stage):
+        config, _, pool_items = build_env(tmp_path, n_pool=60)
+        assert main(self.command("run", config, "--stage", stage)) == 0
+        ids = [item.id for item in pool_items]
+        drawn = random_candidate_stream(ids, seed=0)[:FEWSHOT_SIZE]
+        assert sorted(parsed) == sorted(ids.index(item_id) for item_id in drawn)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [obj["id"]], "train.jsonl: line 3: expected a JSON object"),
+        (lambda obj: {**obj, "question": " "},
+         "train.jsonl: line 3: train-00002: question must be non-empty"),
+        (lambda obj: {**obj, "id": "train-00000"}, "duplicate item id 'train-00000'"),
+    ], ids=["not-an-object", "blank-question", "duplicate-id"])
+    def test_index_refuses_a_bad_pool_line(self, tmp_path, capsys, edit, message):
+        config, _, _ = build_env(tmp_path)
+        edit_pool_line(tmp_path, 2, edit)
+        assert main(self.command("index", config)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"gold": "Z"}, {"options": 5}],
+                             ids=["gold", "options"])
+    def test_drawn_invalid_item_fails_the_stage(self, tmp_path, capsys, edit):
+        config, _, pool_items = build_env(tmp_path)
+        ids = [item.id for item in pool_items]
+        line = ids.index(random_candidate_stream(ids, seed=0)[0])
+        edit_pool_line(tmp_path, line, lambda obj: {**obj, **edit})
+        # `index` reads ids and questions only; the stage that draws the item refuses it.
+        assert main(self.command("index", config)) == 0
+        assert main(self.command("run", config, "--stage", "random_fewshot")) == 2
+        assert f"train.jsonl: line {line + 1}:" in capsys.readouterr().err
 
 
 class TestClosesEndpoints:

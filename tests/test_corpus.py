@@ -1,6 +1,7 @@
 """Ingestion, normalization, and corpus store behavior."""
 
 import json
+import re
 
 import pytest
 
@@ -306,6 +307,7 @@ class TestPoolView:
         path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
         assert "\u2028".encode("utf-8") in path.read_bytes()
         assert read_normalized(path) == items
+        assert CorpusFile(path).questions() == [(item.id, item.question) for item in items]
         view = PoolView(CorpusFile(path), [item.id for item in items])
         assert [view[item.id] for item in reversed(items)] == list(reversed(items))
 
@@ -317,6 +319,37 @@ class TestPoolView:
         assert view[items[2].id] == items[2]
         with pytest.raises(DataError, match="line 2 holds 'train-00001'"):
             view[items[0].id]
+
+
+class TestQuestions:
+    """`CorpusFile.questions` reads ids and questions alone, and refuses what
+    would make either unusable, naming the file and line."""
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "x", ', "Expecting"),
+        ('["x", "Q?"]', "expected a JSON object, got list"),
+        ('{"id": "", "question": "Q?"}', "id must be a non-empty string"),
+        ('{"id": 7, "question": "Q?"}', "id must be a non-empty string, got 7"),
+        ('{"id": "x", "question": " \\t"}', "x: question must be non-empty"),
+        ('{"id": "x"}', "x: question must be non-empty"),
+    ])
+    def test_bad_line_is_refused(self, tmp_path, line, message):
+        path = tmp_path / "train.jsonl"
+        write_normalized([make_item(0, split=Split.TRAIN)], path)
+        path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"train.jsonl: line 2: {re.escape(message)}"):
+            CorpusFile(path).questions()
+
+    def test_duplicate_id_is_refused(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        write_normalized([make_item(0, split=Split.TRAIN), make_item(0, split=Split.TRAIN)], path)
+        with pytest.raises(DataError, match="duplicate item id 'train-00000'"):
+            CorpusFile(path).questions()
+
+    def test_other_fields_are_not_read(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": "x", "question": "Q?", "gold": "Z"}\n', encoding="utf-8")
+        assert CorpusFile(path).questions() == [("x", "Q?")]
 
 
 class TestCorpusStore:
@@ -331,13 +364,15 @@ class TestCorpusStore:
     def test_load_and_pool(self, tmp_path):
         store, train, test = self.seed_store(tmp_path)
         assert store.load(Dataset.MEDQA, Split.TEST) == test
-        assert store.training_pool(Dataset.MEDQA) == train
+        pool = store.pool_file(Dataset.MEDQA)
+        assert pool.questions() == [(item.id, item.question) for item in train]
+        assert list(PoolView(pool, [item.id for item in train]).values()) == train
 
     def test_pool_missing_is_an_error(self, tmp_path):
         store = CorpusStore(tmp_path)
         write_normalized([make_item(0)], store.corpus_path(Dataset.MEDQA, Split.TEST))
         with pytest.raises(DataError, match="pool missing"):
-            store.training_pool(Dataset.MEDQA)
+            store.pool_file(Dataset.MEDQA)
 
     def test_pool_overlapping_test_ids_refused(self, tmp_path):
         store = CorpusStore(tmp_path)
@@ -348,8 +383,9 @@ class TestCorpusStore:
         )
         write_normalized([shared], store.corpus_path(Dataset.MEDQA, Split.TEST))
         write_normalized([leaky_pool_item], store.corpus_path(Dataset.MEDQA, Split.TRAIN))
+        pool_ids = [record.id for record in store.pool_file(Dataset.MEDQA).questions()]
         with pytest.raises(DataError, match="overlaps"):
-            store.training_pool(Dataset.MEDQA)
+            store.check_disjoint(Dataset.MEDQA, pool_ids)
 
     def test_save_writes_manifest(self, tmp_path):
         src = tmp_path / "raw.jsonl"

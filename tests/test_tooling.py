@@ -1,4 +1,5 @@
-"""Guards keeping the benchmark's tracer and the README in step with the package."""
+"""Guards keeping the benchmark's tracer, the README and the public names in
+step with the package."""
 
 import ast
 import importlib
@@ -12,6 +13,10 @@ from medharness.config import RunConfig, load_config
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "medbench" / "tracing.py"
 README = ROOT / "README.md"
+PROGRAM_DIRS = ("src", "medbench", "scripts")
+# Public names that only the acceptance suite calls. The suite stays
+# unchanged, so these keep no caller in the program.
+ACCEPTANCE_ONLY = {"modelgw.mock_model"}
 
 
 def traced_names() -> tuple:
@@ -20,6 +25,15 @@ def traced_names() -> tuple:
     [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
                and [getattr(target, "id", None) for target in node.targets] == ["TRACED"]]
     return ast.literal_eval(table)
+
+
+def public_names(path: Path) -> tuple:
+    """A module's `__all__`, read from its source without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [
+                getattr(target, "id", None) for target in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return ()
 
 
 def resolves(module_name: str, path: str) -> bool:
@@ -48,3 +62,19 @@ def test_readme_config_example_sets_every_run_config_field(tmp_path):
     config.write_text(example, encoding="utf-8")
     load_config(config)
     assert set(yaml.safe_load(example)) == {field.name for field in fields(RunConfig)}
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in a module's `__all__` is read somewhere in the program, not
+    only defined and listed; tests alone do not count as callers."""
+    used = set()
+    for directory in PROGRAM_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = {f"{path.stem}.{name}" for path in (ROOT / "src" / "medharness").glob("*.py")
+              for name in public_names(path) if name not in used}
+    assert unused == ACCEPTANCE_ONLY
