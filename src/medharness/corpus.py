@@ -446,7 +446,7 @@ def load_dataset(dataset: Dataset, split: Split, source_path: str | Path) -> Loa
         }[dataset]
         items = loader(split, source, rejects)
         checksum = source_checksum([source])
-    _check_unique_ids(items)
+    _check_unique_ids([item.id for item in items], source)
     manifest = CorpusManifest(
         dataset=dataset,
         split=split,
@@ -458,12 +458,15 @@ def load_dataset(dataset: Dataset, split: Split, source_path: str | Path) -> Loa
     return LoadResult(items=items, manifest=manifest, rejects=rejects)
 
 
-def _check_unique_ids(items: list[McqItem]) -> None:
-    seen: set[str] = set()
-    for item in items:
-        if item.id in seen:
-            raise DataError(f"duplicate item id {item.id!r}")
-        seen.add(item.id)
+def _check_unique_ids(ids: list[str], source: Path, lines: list[int] | None = None) -> None:
+    """Raise DataError naming `source` on a repeated id, and the 1-based
+    lines of both occurrences when `lines` gives each id's line index."""
+    first: dict[str, int] = {}
+    for n, item_id in enumerate(ids):
+        if item_id in first:
+            where = f" lines {lines[first[item_id]] + 1} and {lines[n] + 1}:" if lines else ""
+            raise DataError(f"{source}:{where} duplicate item id {item_id!r}")
+        first[item_id] = n
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +590,8 @@ class CorpusFile:
     def questions(self) -> list[PoolQuestion]:
         """Each item's id and question, in file order, ids unique; no `McqItem` is built."""
         records = []
-        for i in self.item_lines():
+        lines = self.item_lines()
+        for i in lines:
             try:
                 obj = json.loads(self.lines[i].strip())
                 if not isinstance(obj, dict):
@@ -600,7 +604,7 @@ class CorpusFile:
             except (DataError, ValueError) as exc:
                 raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
             records.append(PoolQuestion(item_id, question))
-        _check_unique_ids(records)
+        _check_unique_ids([record.id for record in records], self.path, lines)
         return records
 
 
@@ -610,8 +614,9 @@ def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
     `path` may be a CorpusFile already read; its lines are parsed as held.
     """
     source = path if isinstance(path, CorpusFile) else CorpusFile(path)
-    items = [source.parse(i) for i in source.item_lines()]
-    _check_unique_ids(items)
+    lines = source.item_lines()
+    items = [source.parse(i) for i in lines]
+    _check_unique_ids([item.id for item in items], source.path, lines)
     return items
 
 
@@ -705,10 +710,11 @@ class CorpusStore:
         """Raise DataError if a pool id is a test id.
 
         `test_ids` are the ids of the whole test split when the caller has
-        read it already; otherwise the split is read here, if it exists.
+        read it already; otherwise its ids alone are read here, if it exists.
         """
         if test_ids is None and self.has(dataset, Split.TEST):
-            test_ids = {item.id for item in self.load(dataset, Split.TEST)}
+            test_file = CorpusFile(self.corpus_path(dataset, Split.TEST))
+            test_ids = {record.id for record in test_file.questions()}
         if test_ids:
             overlap = [item_id for item_id in pool_ids if item_id in test_ids]
             if overlap:

@@ -3,8 +3,9 @@
 A stage names one rung of the prompting ladder, and `answer_stage_item` is
 the one place that turns a stage into generation passes. Single-generation
 stages ask the target model once per item at temperature 0. The ensemble
-stage runs the strongest prompt five times at temperature 0.4, each run
-presenting the test question's options in a different seeded order. Every
+stage runs the strongest prompt up to five times at temperature 0.4, each run
+presenting the test question's options in a different seeded order, and
+stops as soon as the remaining runs could no longer change the vote. Every
 pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
@@ -225,29 +226,29 @@ def answer_stage_item(
 ) -> ItemResult:
     """Answer one item as `stage` asks, then vote.
 
-    The ensemble runs `ensemble.n_runs` passes at `ensemble.temperature`,
-    each over the options shuffled with `seed` and its run index; every
-    other stage runs one greedy pass over the canonical order.
+    The ensemble runs up to `ensemble.n_runs` passes at
+    `ensemble.temperature`, in run-index order, each over the options
+    shuffled with `seed` and its run index. It stops once the leading
+    label's count exceeds the runner-up's plus the runs left: no later run
+    could change the decision or `tie_broken`, so the result equals the
+    full vote and `per_run` lists only the runs made. Every other stage
+    runs one greedy pass over the canonical order.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
     strategy = stage.strategy
-    runs = [
-        answer_item(
-            item,
-            strategy,
-            instruction,
-            exemplars,
-            endpoint,
-            temperature=temperature,
-            run_index=run_index,
-            shuffle=shuffle,
-            seed=seed,
-            max_tries=max_tries,
-            request_seed=request_seed,
-        )
-        for run_index in range(n_runs)
-    ]
+    runs: list[RunResult] = []
+    counts: dict[str, int] = {}
+    for run_index in range(n_runs):
+        run = answer_item(item, strategy, instruction, exemplars, endpoint,
+                          temperature=temperature, run_index=run_index, shuffle=shuffle,
+                          seed=seed, max_tries=max_tries, request_seed=request_seed)
+        runs.append(run)
+        if run.decision != INVALID:
+            counts[run.decision] = counts.get(run.decision, 0) + 1
+        leader, runner_up = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
+        if leader > runner_up + n_runs - len(runs):
+            break
     decision, tie_broken = aggregate_votes([run.decision for run in runs])
     return ItemResult(
         item_id=item.id,

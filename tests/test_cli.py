@@ -258,7 +258,9 @@ class TestAblate:
         assert (tmp_path / "out" / "medqa" / "ablation.txt").exists()
         ensemble_rows = trace_rows(
             tmp_path / "out" / "medqa" / "ensemble.trace.jsonl")
-        assert all(len(r["per_run"]) == 5 for r in ensemble_rows)
+        # Every run agrees, so each 5-run vote is decided after run 2.
+        assert all([run["run_index"] for run in r["per_run"]] == [0, 1, 2]
+                   and r["n_calls"] == 3 for r in ensemble_rows)
 
     def test_report_rebuilds_from_traces(self, tmp_path, capsys):
         config, _, _ = build_env(tmp_path)
@@ -940,6 +942,12 @@ class TestRandomPool:
         edit_pool_line(tmp_path, 2, edit)
         assert main(self.command("index", config)) == 2
         assert message in capsys.readouterr().err
+
+    def test_index_parses_no_item(self, tmp_path, loads, parsed):
+        config, _, _ = build_env(tmp_path)
+        assert main(self.command("index", config)) == 0
+        # The test split's ids for the overlap check come from its lines, too.
+        assert (loads, parsed) == ([], [])
 
     @pytest.mark.parametrize("edit", [{"gold": "Z"}, {"options": 5}],
                              ids=["gold", "options"])

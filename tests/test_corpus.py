@@ -104,6 +104,14 @@ class TestMedmcqa:
         assert result.manifest.rejected_count == 2
         assert {r.location for r in result.rejects} == {"line 1", "line 3"}
 
+    def test_duplicate_id_names_the_source_file(self, tmp_path):
+        src = tmp_path / "dev.jsonl"
+        rec = {"id": "x", "question": "q?", "opa": "a", "opb": "b",
+               "opc": "c", "opd": "d", "cop": 2}
+        write_medqa_jsonl(src, [rec, rec])
+        with pytest.raises(DataError, match=f"^{re.escape(str(src))}: duplicate item id 'x'$"):
+            load_dataset(Dataset.MEDMCQA, Split.DEV, src)
+
 
 class TestPubmedqa:
     def make_source(self, tmp_path, decisions):
@@ -289,6 +297,16 @@ class TestNormalizedRoundTrip:
         with pytest.raises(DataError, match="duplicate"):
             read_normalized(path)
 
+    def test_duplicate_id_names_the_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "norm.jsonl"
+        write_normalized([make_item(i) for i in range(3)], path)
+        # A blank line 4, then line 5 repeats line 2's item.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines, "", lines[1]]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: lines 2 and 5: duplicate item id 'test-00001'")):
+            read_normalized(path)
+
 
 class TestPoolView:
     """Each item comes from its own line, parsed as `read_normalized` parses it."""
@@ -344,6 +362,15 @@ class TestQuestions:
         path = tmp_path / "train.jsonl"
         write_normalized([make_item(0, split=Split.TRAIN), make_item(0, split=Split.TRAIN)], path)
         with pytest.raises(DataError, match="duplicate item id 'train-00000'"):
+            CorpusFile(path).questions()
+
+    def test_duplicate_id_names_the_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        write_normalized([make_item(i, split=Split.TRAIN) for i in range(6)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines, lines[5]]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: lines 6 and 7: duplicate item id 'train-00005'")):
             CorpusFile(path).questions()
 
     def test_other_fields_are_not_read(self, tmp_path):

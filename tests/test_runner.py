@@ -1,12 +1,15 @@
 """Generation loops, ensemble voting, and trace/checkpoint semantics."""
 
+import functools
 import hashlib
+import itertools
 import json
 import time
 
 import pytest
 
 import golden_data as gd
+import medharness.runner as runner
 from conftest import make_item
 from medharness.errors import ConfigError, DataError, EndpointError
 from medharness.modelgw import (
@@ -22,6 +25,7 @@ from medharness.promptkit import Strategy, assemble_prompt, shuffle_options
 from medharness.runner import (
     LADDER,
     EnsembleConfig,
+    RunResult,
     Stage,
     aggregate_votes,
     answer_item,
@@ -231,11 +235,11 @@ class TestEnsemble:
         assert result.correct
         assert result.decision == "B"
         assert not result.tie_broken
-        assert len(result.per_run) == 5
-        assert result.n_calls == 5
+        # Three agreeing runs decide a 5-run vote; runs 3 and 4 are never made.
+        assert result.n_calls == 3
         permutations = {tuple(sorted(r.permutation.items())) for r in result.per_run}
-        assert len(permutations) == 5
-        assert [r.run_index for r in result.per_run] == [0, 1, 2, 3, 4]
+        assert len(permutations) == 3
+        assert [r.run_index for r in result.per_run] == [0, 1, 2]
 
     def test_scripted_majority(self):
         script = ["C", "B", "C", "B", "C"]
@@ -280,7 +284,51 @@ class TestEnsemble:
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0,
                                    ensemble=EnsembleConfig(n_runs=3))
-        assert len(result.per_run) == 3
+        assert [r.run_index for r in result.per_run] == [0, 1]
+        assert result.n_calls == 2
+
+    def test_early_stop_equals_the_full_vote_exhaustively(self, monkeypatch):
+        """Every decision sequence of 1-5 runs over 5 labels and invalid: the
+        runs made vote as the whole sequence does, and the ensemble stops at
+        the first run after which no continuation could change the vote."""
+        symbols = ("A", "B", "C", "D", "E", INVALID)
+        script = []
+
+        def scripted(item, strategy, instruction, exemplars, endpoint, run_index, **kwargs):
+            decision = script[run_index]
+            return RunResult(run_index, {}, decision, decision, "", 1, 0, "")
+
+        monkeypatch.setattr(runner, "answer_item", scripted)
+
+        @functools.cache
+        def outcomes(prefix, n_runs):
+            return {aggregate_votes([*prefix, *rest])
+                    for rest in itertools.product(symbols, repeat=n_runs - len(prefix))}
+
+        for n_runs in range(1, 6):
+            for sequence in itertools.product(symbols, repeat=n_runs):
+                script[:] = sequence
+                result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, "", [], None,
+                                           ensemble=EnsembleConfig(n_runs=n_runs))
+                decided = next(k for k in range(1, n_runs + 1)
+                               if len(outcomes(sequence[:k], n_runs)) == 1)
+                assert (result.decision, result.tie_broken) == aggregate_votes(list(sequence))
+                assert [r.run_index for r in result.per_run] == list(range(decided))
+
+    @pytest.mark.parametrize("script, made, vote", [
+        (["C", "C", "C", "B", "B"], 3, ("C", False)),
+        (["C", "B", "C", "C", "B"], 4, ("C", False)),
+        ([None, "B", "B", "B", "C"], 4, ("B", False)),
+    ], ids=["stop-at-3", "stop-at-4", "invalid-then-stop-at-4"])
+    def test_scripted_early_stop(self, script, made, vote):
+        # test_scripted_majority and test_scripted_tie_breaks_to_earliest
+        # are the cases that need all five runs.
+        endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
+        assert [r.decision for r in result.per_run] == [d or INVALID for d in script[:made]]
+        assert (result.decision, result.tie_broken) == vote
+        assert result.n_calls == endpoint.call_count
 
     def test_single_generation_stage_runs_once_greedy_in_canonical_order(self):
         endpoint = RecordingEndpoint("### Answer: (B) Patellofemoral cartilage")
@@ -345,9 +393,10 @@ class TestRunBenchmark:
     def test_transport_failure_writes_no_row_and_resume_asks_again(self, bench_items,
                                                                   tmp_path, stage):
         # Items 0-1 are answered; every try of item 2 (of its first run, for
-        # the ensemble) fails in transport.
+        # the ensemble) fails in transport. A unanimous ensemble item is
+        # decided after three runs.
         trace = tmp_path / "trace.jsonl"
-        answered = 2 * (5 if stage is Stage.ENSEMBLE else 1)
+        answered = 2 * (3 if stage is Stage.ENSEMBLE else 1)
         endpoint = mock_model(OutagePolicy(gold_endpoint(bench_items).policy,
                                            range(answered, answered + 5)))
         exemplars_for = (lambda item: KNN_EXEMPLARS) if stage is Stage.ENSEMBLE else no_exemplars
@@ -360,6 +409,16 @@ class TestRunBenchmark:
         assert [r["item_id"] for r in rows] == [it.id for it in bench_items]
         assert all(r["correct"] and r["n_calls"] == answered // 2 for r in rows)
         assert read_trace(trace) == rows
+
+    def test_run_after_the_decision_is_never_asked(self, bench_items, tmp_path):
+        # Every try of run 3 would fail in transport, but three agreeing runs
+        # already decide the vote: the item is scored and no error is raised.
+        endpoint = mock_model(OutagePolicy(gold_endpoint(bench_items).policy, range(3, 8)))
+        [row] = run_benchmark(bench_items[:1], Stage.ENSEMBLE, endpoint, gd.MEDQA_INSTRUCTION,
+                              lambda item: KNN_EXEMPLARS, tmp_path / "trace.jsonl",
+                              seed=gd.SHUFFLE_SEED)
+        assert row["correct"] and row["n_calls"] == 3 == endpoint.call_count
+        assert read_trace(tmp_path / "trace.jsonl") == [row]
 
     def test_complete_trace_is_a_noop(self, bench_items, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -433,9 +492,8 @@ class TestRunBenchmark:
         [row] = rows
         assert row["stage"] == "ensemble"
         assert row["correct"]
-        assert len(row["per_run"]) == 5
-        assert row["n_calls"] == 5
-        assert {r["run_index"] for r in row["per_run"]} == {0, 1, 2, 3, 4}
+        assert row["n_calls"] == 3
+        assert [r["run_index"] for r in row["per_run"]] == [0, 1, 2]
 
     def test_fewshot_stage_uses_exemplars(self, bench_items, tmp_path):
         pool_exemplars = [gd.exemplar(i, cot=False) for i in gd.RANDOM_ORDER]
