@@ -416,7 +416,7 @@ def _print_dry_run(sources: _Sources, stage: Stage):
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--resume", is_flag=True, help="Continue a partially written trace.")
 @click.option("--dry-run", is_flag=True, help="Print the first prompt and parameters; no calls.")
-@click.option("--concurrency", type=int, default=None)
+@click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
 def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
         resume: bool, dry_run: bool, concurrency: int | None, limit: int | None):
@@ -437,7 +437,7 @@ def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--dataset", "dataset_name", required=True)
 @click.option("--seed", type=int, default=None)
-@click.option("--concurrency", type=int, default=None)
+@click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None)
 def ablate(config_path: Path, dataset_name: str, seed: int | None,
            concurrency: int | None, limit: int | None):

@@ -5,8 +5,11 @@ the one place that turns a stage into generation passes. Single-generation
 stages ask the target model once per item at temperature 0. The ensemble
 stage runs the strongest prompt up to five times at temperature 0.4, each run
 presenting the test question's options in a different seeded order, and
-stops as soon as the remaining runs could no longer change the vote. Every
-pass re-asks up to a bounded number of tries when no answer can be
+stops as soon as the remaining runs could no longer change the vote. Its runs
+go out in waves: a wave is the fewest next runs after which the vote could be
+settled, so no stop can fall inside one. Against an HTTP endpoint at
+concurrency above 1, a wave's runs overlap; otherwise they are made one by
+one. Every pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
 
@@ -17,6 +20,7 @@ by skipping the item ids already present.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import threading
@@ -27,7 +31,7 @@ from pathlib import Path
 
 from .corpus import McqItem, mend_tail, scan_jsonl
 from .errors import ConfigError, EndpointError, IncompleteRunError
-from .modelgw import GenerationRequest, complete, default_max_tokens
+from .modelgw import GenerationRequest, HttpEndpoint, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
 from .promptkit import (
     STOP_SEQUENCES,
@@ -223,32 +227,46 @@ def answer_stage_item(
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
     request_seed: int | None = None,
+    run_pool: ThreadPoolExecutor | None = None,
 ) -> ItemResult:
     """Answer one item as `stage` asks, then vote.
 
     The ensemble runs up to `ensemble.n_runs` passes at
-    `ensemble.temperature`, in run-index order, each over the options
-    shuffled with `seed` and its run index. It stops once the leading
-    label's count exceeds the runner-up's plus the runs left: no later run
-    could change the decision or `tie_broken`, so the result equals the
-    full vote and `per_run` lists only the runs made. Every other stage
-    runs one greedy pass over the canonical order.
+    `ensemble.temperature`, each over the options shuffled with `seed` and
+    its run index. It stops once the leading label's count exceeds the
+    runner-up's plus the runs left: no later run could change the decision
+    or `tie_broken`, so the result equals the full vote and `per_run` lists
+    only the runs made, in run-index order. The runs go out in waves of the
+    fewest next runs after which the vote could be settled, even if all of
+    them went to the leader; with 5 runs the first wave is 3. No stop can
+    fall inside a wave, so the runs made are the ones a one-by-one vote
+    makes. With `run_pool`, the caller makes a wave's first run while the
+    pool makes the rest at the same time; without it, a wave's runs are made
+    in run-index order in the calling thread. Every other stage runs one
+    greedy pass over the canonical order.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
     strategy = stage.strategy
+
+    def make_run(run_index: int) -> RunResult:
+        return answer_item(item, strategy, instruction, exemplars, endpoint,
+                           temperature=temperature, run_index=run_index, shuffle=shuffle,
+                           seed=seed, max_tries=max_tries, request_seed=request_seed)
+
     runs: list[RunResult] = []
     counts: dict[str, int] = {}
-    for run_index in range(n_runs):
-        run = answer_item(item, strategy, instruction, exemplars, endpoint,
-                          temperature=temperature, run_index=run_index, shuffle=shuffle,
-                          seed=seed, max_tries=max_tries, request_seed=request_seed)
-        runs.append(run)
-        if run.decision != INVALID:
-            counts[run.decision] = counts.get(run.decision, 0) + 1
+    while len(runs) < n_runs:
         leader, runner_up = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
-        if leader > runner_up + n_runs - len(runs):
+        left = n_runs - len(runs)
+        if leader > runner_up + left:
             break
+        # A stop after k more runs needs leader + k > runner_up + left - k.
+        size = min(left, (runner_up + left - leader) // 2 + 1)
+        for run in _run_wave(make_run, range(len(runs), len(runs) + size), run_pool):
+            runs.append(run)
+            if run.decision != INVALID:
+                counts[run.decision] = counts.get(run.decision, 0) + 1
     decision, tie_broken = aggregate_votes([run.decision for run in runs])
     return ItemResult(
         item_id=item.id,
@@ -259,6 +277,26 @@ def answer_stage_item(
         tie_broken=tie_broken,
         per_run=tuple(runs),
     )
+
+
+def _run_wave(make_run, run_indices: range, run_pool: ThreadPoolExecutor | None
+              ) -> list[RunResult]:
+    """`make_run` over `run_indices`, returned in index order.
+
+    Without a pool the runs are made one by one and the first error ends the
+    wave. With one, the caller makes the first run while the pool makes the
+    rest; every call of the wave returns before the lowest failing run's
+    error is raised, so no call outlives its item.
+    """
+    if run_pool is None:
+        return [make_run(run_index) for run_index in run_indices]
+    first, *rest = run_indices
+    futures = [run_pool.submit(make_run, run_index) for run_index in rest]
+    try:
+        runs = [make_run(first)]
+    finally:
+        wait(futures)
+    return runs + [future.result() for future in futures]
 
 
 def _result_row(result: ItemResult) -> dict:
@@ -329,6 +367,14 @@ def run_benchmark(
     a partially written trace is an error rather than silently extended.
     An item whose every try failed in transport gets no row: its
     `EndpointError` ends the run, and a resumed run asks for it again.
+
+    `concurrency` items are answered at a time. At concurrency above 1
+    against an `HttpEndpoint`, an ensemble item's waves overlap their runs
+    on a run pool of `concurrency * (n_runs // 2)` threads, so an item has at
+    most `n_runs // 2 + 1` calls in flight and the stage at most
+    `concurrency * (n_runs // 2 + 1)`. In-process endpoints make every run
+    inline: their calls hold the interpreter lock, and a mock's per-prompt
+    answer script would depend on thread timing.
     Returns the trace rows for all requested items, in item order.
     """
     trace_path = Path(trace_path)
@@ -354,10 +400,11 @@ def run_benchmark(
             mend_tail(trace_path, mend)
         write_lock = threading.Lock()
 
-        def handle(item: McqItem) -> None:
+        def handle(item: McqItem, run_pool: ThreadPoolExecutor | None = None) -> None:
             result = answer_stage_item(
                 item, stage, instruction, exemplars_for(item), endpoint, seed=seed,
                 ensemble=ensemble, max_tries=max_tries, request_seed=request_seed,
+                run_pool=run_pool,
             )
             row = _result_row(result)
             with write_lock:
@@ -371,8 +418,14 @@ def run_benchmark(
             for item in todo:
                 handle(item)
         else:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                futures = [pool.submit(handle, item) for item in todo]
+            run_threads = concurrency * (ensemble.n_runs // 2)
+            overlap = (stage is Stage.ENSEMBLE and run_threads > 0
+                       and isinstance(endpoint, HttpEndpoint))
+            run_pool = ThreadPoolExecutor(max_workers=run_threads) if overlap else None
+            # The item pool shuts down first: its running items still submit runs.
+            with run_pool or contextlib.nullcontext(), \
+                    ThreadPoolExecutor(max_workers=concurrency) as pool:
+                futures = [pool.submit(handle, item, run_pool) for item in todo]
                 try:
                     wait(futures, return_when=FIRST_EXCEPTION)
                 finally:

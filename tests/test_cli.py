@@ -8,19 +8,20 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 import yaml
 
 from conftest import make_item
-from medharness import cli, corpus, teacher
+from medharness import cli, corpus, runner, teacher
 from medharness.cli import main
 from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
-from medharness.errors import DataError
-from medharness.modelgw import HttpEndpoint
+from medharness.errors import DataError, EndpointError
+from medharness.modelgw import HttpEndpoint, parse_prompt_tail
 from medharness.retrieval import VectorIndex
-from medharness.promptkit import FEWSHOT_SIZE, teacher_prompt
+from medharness.promptkit import FEWSHOT_SIZE, shuffle_options, teacher_prompt
 from medharness.runner import Stage
 from medharness.teacher import random_candidate_stream, teacher_fingerprint
 
@@ -422,6 +423,17 @@ class TestExitCodes:
         assert code == 1
         bound = "" if minimum is None else f" >= {minimum}"
         assert f"{key} must be an integer{bound}, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "--stage", "ensemble"], ["ablate"]])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_concurrency_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, value):
+        config, _, _ = build_env(tmp_path)
+        monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
+        code = main([command[0], "--config", str(config), "--dataset", "medqa", *command[1:],
+                     "--concurrency", value])
+        assert code == 1
+        assert "--concurrency" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-7, 2**40])
     def test_any_integer_seed_is_accepted(self, tmp_path, capsys, seed):
@@ -982,6 +994,173 @@ class TestClosesEndpoints:
         })
         assert main([command, "--config", str(config), "--dataset", "medqa", *extra]) == code
         assert [endpoint.model_id for endpoint in closed] == [f"{block}-http"]
+
+
+def presented_texts(prompt):
+    """The option texts of a prompt's test question, in presented order."""
+    return tuple(text for _, text in parse_prompt_tail(prompt)["options"])
+
+
+class WaveHandler(BaseHTTPRequestHandler):
+    """Completions server whose answer depends on the prompt alone.
+
+    It logs each prompt as its answer is about to be sent, and counts the
+    calls in flight and their peak. A presentation
+    (option texts in presented order) listed in `server.statuses` gets that
+    HTTP status instead; one in `server.quick` is answered without the
+    delay.
+    """
+
+    def do_POST(self):
+        server = self.server
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        options = parse_prompt_tail(prompt)["options"]
+        presented = tuple(text for _, text in options)
+        with server.lock:
+            server.threads.append(threading.current_thread())
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        if presented not in server.quick:
+            time.sleep(server.delay)
+        digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+        token, text = options[digest[0] % len(options)]
+        answer = ("I cannot tell." if digest[1] % 8 == 0
+                  else f"### Explanation: Hashed.\n### Answer: ({token}) {text}")
+        status = server.statuses.get(presented, 200)
+        body = json.dumps({"choices": [{"text": answer}]}).encode("utf-8")
+        with server.lock:
+            server.in_flight -= 1
+            server.answered.append(prompt)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+class WaveServer(ThreadingHTTPServer):
+    # Room for every call of two first waves to connect at once.
+    request_queue_size = 16
+
+
+@pytest.fixture
+def wave_server():
+    httpd = WaveServer(("127.0.0.1", 0), WaveHandler)
+    httpd.lock = threading.Lock()
+    httpd.threads, httpd.answered = [], []
+    httpd.in_flight = httpd.peak = 0
+    httpd.delay = 0.02
+    httpd.statuses, httpd.quick = {}, set()
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+
+
+class TestEnsembleWaves:
+    """An ensemble item's undecided runs go out together only where calls wait on the network."""
+
+    @staticmethod
+    def http_env(tmp_path, server, n_test, **extra):
+        return build_env(tmp_path, n_test=n_test, config_extra={
+            "target": {"url": f"http://127.0.0.1:{server.server_address[1]}",
+                       "model": "target-x"},
+            "retry": {"max_retries": 0, "backoff_base": 0.0, "backoff_cap": 0.0},
+            **extra,
+        })
+
+    @staticmethod
+    def sorted_rows(trace):
+        return sorted(trace.read_text(encoding="utf-8").splitlines(),
+                      key=lambda line: json.loads(line)["item_id"])
+
+    def test_overlapping_waves_write_the_rows_of_a_sequential_run(self, tmp_path, wave_server):
+        config, _, _ = self.http_env(tmp_path, wave_server, n_test=8)
+        args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"]
+        trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
+        rows, peaks = {}, {}
+        for concurrency in (1, 2):
+            wave_server.peak = 0
+            assert main(args + ["--concurrency", str(concurrency)]) == 0
+            rows[concurrency], peaks[concurrency] = self.sorted_rows(trace), wave_server.peak
+            trace.unlink()
+        assert rows[2] == rows[1]
+        # Some item needed a second wave.
+        assert any(len(json.loads(row)["per_run"]) > 3 for row in rows[1])
+        # Two items at a time, each with at most 5 // 2 + 1 calls in flight.
+        assert peaks[1] == 1
+        assert 2 < peaks[2] <= 2 * 3
+
+    # Runs 1 and 2 of the first wave fail; only the runs named are answered
+    # without the delay. Either run 2 fails before run 1, or run 1 fails
+    # while run 2 is still in flight.
+    @pytest.mark.parametrize("quick", [(0, 2), (0, 1)],
+                             ids=["higher-run-fails-first", "wave-outlives-the-failure"])
+    def test_failed_run_in_a_wave_ends_the_stage_after_the_whole_wave(self, tmp_path, capsys,
+                                                                     monkeypatch, wave_server,
+                                                                     quick):
+        config, test_items, _ = self.http_env(tmp_path, wave_server, n_test=1,
+                                              concurrency=2, max_validity_tries=1)
+        [item] = test_items
+        presentations = [tuple(text for _, text in shuffle_options(item, 0, run_index)[0].options)
+                         for run_index in range(3)]
+        assert len(set(presentations)) == 3
+        wave_server.statuses = {presentations[1]: 500, presentations[2]: 503}
+        wave_server.quick = {presentations[run_index] for run_index in quick}
+        wave_server.delay = 0.05
+        answered_at_raise = []
+        answer_stage_item = runner.answer_stage_item
+
+        def spy(*args, **kwargs):
+            try:
+                return answer_stage_item(*args, **kwargs)
+            except EndpointError:
+                answered_at_raise.append(sorted(map(presented_texts, wave_server.answered)))
+                raise
+
+        monkeypatch.setattr(runner, "answer_stage_item", spy)
+        threads = threading.active_count()
+        code = main(["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"])
+        assert answered_at_raise == [sorted(presentations)]
+        for thread in wave_server.threads:
+            thread.join(timeout=5)
+        assert threading.active_count() == threads
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{item.id}: all 1 tries failed" in err and "status 500" in err
+        trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
+        assert not trace.exists() or trace.read_text(encoding="utf-8") == ""
+
+    def test_in_process_target_makes_runs_in_order(self, tmp_path):
+        # The first ask of a presentation gets a wrong answer, a repeat the
+        # right one: an item whose runs share a presentation has rows that
+        # depend on which of them is asked first.
+        config, test_items, _ = build_env(tmp_path, n_test=8)
+        policy = tmp_path / "flaky.json"
+        policy.write_text(json.dumps({
+            "policy": "flaky_gold", "answers": {it.question: it.gold_text for it in test_items},
+            "fail_questions": [it.question for it in test_items], "n_wrong": 1,
+        }), encoding="utf-8")
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["target"]["url"] = f"mock:{policy}"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"]
+        trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
+        rows = {}
+        for concurrency in (1, 4):
+            assert main(args + ["--concurrency", str(concurrency)]) == 0
+            rows[concurrency] = self.sorted_rows(trace)
+            trace.unlink()
+        assert rows[4] == rows[1]
+        assert any(len({json.dumps(run["permutation"], sort_keys=True)
+                        for run in row["per_run"]}) < len(row["per_run"])
+                   for row in map(json.loads, rows[1]))
 
 
 class TestLazyHttpImport:
