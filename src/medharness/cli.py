@@ -38,7 +38,7 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
-from .promptkit import FEWSHOT_SIZE, Strategy
+from .promptkit import FEWSHOT_SIZE
 from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
 from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
@@ -252,14 +252,13 @@ class _Sources:
 
     def exemplars_for(self, stage: Stage, items: list[McqItem]):
         """The stage's exemplar provider (item -> exemplars) over `items`."""
-        strategy = stage.strategy
-        if strategy is Strategy.ZERO_SHOT:
+        if not stage.fewshot:
             return lambda item: []
-        if strategy is not Strategy.KNN_FEWSHOT_COT:
+        if not stage.knn:
             pool = PoolView(self.pool_file, [record.id for record in self.pool_questions])
             fixed, outcomes = build_random_exemplars(
-                pool, self.config.seed, teacher=self.teacher if strategy.cot else None,
-                cache=self.cache, cot=strategy.cot,
+                pool, self.config.seed, teacher=self.teacher if stage.cot else None,
+                cache=self.cache,
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
@@ -331,7 +330,7 @@ def _limited(items: list[McqItem], limit: int | None) -> list[McqItem]:
 def _answer_options(config: RunConfig) -> dict:
     """The `answer_stage_item` options a config sets, for runs and dry runs alike."""
     return {"seed": config.seed, "ensemble": config.ensemble,
-            "max_tries": config.max_validity_tries, "request_seed": config.seed}
+            "max_tries": config.max_validity_tries}
 
 
 def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int | None) -> dict:
@@ -366,9 +365,8 @@ def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int |
 def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
     """The stage's report over the command's items, written beside its trace."""
     config, dataset = sources.config, sources.dataset
-    report = build_report(rows, dataset, Split.TEST.value, stage,
-                          config_fingerprint(config, dataset),
-                          expected_ids=[item.id for item in sources.items])
+    report = build_report(rows, dataset, stage, config_fingerprint(config, dataset),
+                          [item.id for item in sources.items])
     write_report(report, config.output_dir / dataset.value / f"{stage.value}.report.json")
     return report
 

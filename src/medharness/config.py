@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import yaml
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .modelgw import RetryPolicy, open_endpoint
+from .modelgw import DEFAULT_TIMEOUT, RetryPolicy, open_endpoint
 from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
@@ -43,7 +44,7 @@ class EndpointConfig:
     url: str
     model_id: str
     api_key_env: str | None = None
-    timeout: float = 120.0
+    timeout: float = DEFAULT_TIMEOUT
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,9 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {unknown}")
 
 
-def _finite(mapping: dict, key: str, default: float, context: str,
-            positive: bool = False) -> float:
-    """`mapping[key]` (or `default`) as a finite float >= 0 (> 0 if `positive`);
-    anything else is a ConfigError."""
-    value = mapping.get(key, default)
+def _finite(value, key: str, context: str, positive: bool = False) -> float:
+    """`value` as a finite float >= 0 (> 0 if `positive`); anything else is a
+    ConfigError."""
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -89,11 +88,9 @@ def _finite(mapping: dict, key: str, default: float, context: str,
     return number
 
 
-def _integer(mapping: dict, key: str, default: int, context: str,
-             minimum: int | None) -> int:
-    """`mapping[key]` (or `default`) as an integer, >= `minimum` unless that is
-    None; anything else is a ConfigError."""
-    value = mapping.get(key, default)
+def _integer(value, key: str, context: str, minimum: int | None) -> int:
+    """`value` as an integer, >= `minimum` unless that is None; anything else
+    is a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
@@ -101,15 +98,27 @@ def _integer(mapping: dict, key: str, default: int, context: str,
     return value
 
 
+def _given(mapping: dict, context: str, readers: dict) -> dict:
+    """The checked value of each key in `readers` that `mapping` sets, by
+    field name; `readers` maps a key to (field, check). A key left unset keeps
+    the default of the dataclass that owns its field."""
+    return {name: check(mapping[key], key, context)
+            for key, (name, check) in readers.items() if key in mapping}
+
+
 def _endpoint_block(block, context: str) -> EndpointConfig:
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected a mapping")
     _check_keys(block, {"url", "model", "api_key_env", "timeout"}, context)
+    api_key_env = block.get("api_key_env")
+    if api_key_env is not None and not isinstance(api_key_env, str):
+        raise ConfigError(f"{context}: api_key_env must name an environment variable, "
+                          f"got {api_key_env!r}")
     return EndpointConfig(
         url=str(_require(block, "url", context)),
         model_id=str(_require(block, "model", context)),
-        api_key_env=block.get("api_key_env"),
-        timeout=_finite(block, "timeout", 120.0, context, positive=True),
+        api_key_env=api_key_env,
+        **_given(block, context, {"timeout": ("timeout", partial(_finite, positive=True))}),
     )
 
 
@@ -134,18 +143,18 @@ def load_config(path: str | Path) -> RunConfig:
 
     ensemble_raw = raw.get("ensemble", {}) or {}
     _check_keys(ensemble_raw, {"runs", "temperature"}, f"{path}: ensemble")
-    ensemble = EnsembleConfig(
-        n_runs=_integer(ensemble_raw, "runs", 5, f"{path}: ensemble", 1),
-        temperature=_finite(ensemble_raw, "temperature", 0.4, f"{path}: ensemble"),
-    )
+    ensemble = EnsembleConfig(**_given(ensemble_raw, f"{path}: ensemble", {
+        "runs": ("n_runs", partial(_integer, minimum=1)),
+        "temperature": ("temperature", _finite),
+    }))
 
     retry_raw = raw.get("retry", {}) or {}
     _check_keys(retry_raw, {"max_retries", "backoff_base", "backoff_cap"}, f"{path}: retry")
-    retry = RetryPolicy(
-        max_retries=_integer(retry_raw, "max_retries", 3, f"{path}: retry", 0),
-        backoff_base=_finite(retry_raw, "backoff_base", 0.25, f"{path}: retry"),
-        backoff_cap=_finite(retry_raw, "backoff_cap", 8.0, f"{path}: retry"),
-    )
+    retry = RetryPolicy(**_given(retry_raw, f"{path}: retry", {
+        "max_retries": ("max_retries", partial(_integer, minimum=0)),
+        "backoff_base": ("backoff_base", _finite),
+        "backoff_cap": ("backoff_cap", _finite),
+    }))
 
     instructions = raw.get("instructions", {}) or {}
     if not isinstance(instructions, dict):
@@ -172,12 +181,14 @@ def load_config(path: str | Path) -> RunConfig:
         target=_endpoint_block(_require(raw, "target", str(path)), f"{path}: target"),
         teacher=_endpoint_block(teacher, f"{path}: teacher") if teacher else None,
         embedding=_endpoint_block(embedding, f"{path}: embedding") if embedding else None,
-        seed=_integer(raw, "seed", 0, str(path), None),
-        concurrency=_integer(raw, "concurrency", 1, str(path), 1),
-        max_validity_tries=_integer(raw, "max_validity_tries", MAX_VALIDITY_TRIES, str(path), 1),
         ensemble=ensemble,
         retry=retry,
         instructions=dict(instructions),
+        **_given(raw, str(path), {
+            "seed": ("seed", partial(_integer, minimum=None)),
+            "concurrency": ("concurrency", partial(_integer, minimum=1)),
+            "max_validity_tries": ("max_validity_tries", partial(_integer, minimum=1)),
+        }),
     )
 
 
@@ -220,9 +231,9 @@ def config_fingerprint(config: RunConfig, dataset: Dataset) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def build_endpoint(spec: EndpointConfig, retry: RetryPolicy | None = None):
+def build_endpoint(spec: EndpointConfig, retry: RetryPolicy):
     """Open the endpoint a config block describes (`mock:` URLs run in process)."""
     kwargs = {}
     if not spec.url.startswith("mock:"):
-        kwargs = {"timeout": spec.timeout, "retry": retry or RetryPolicy()}
+        kwargs = {"timeout": spec.timeout, "retry": retry}
     return open_endpoint(spec.url, spec.model_id, api_key_env=spec.api_key_env, **kwargs)

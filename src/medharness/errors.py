@@ -10,11 +10,14 @@ class HarnessError(Exception):
 
 
 class ConfigError(HarnessError):
-    """Bad or missing configuration (usage errors)."""
+    """Bad or missing configuration (usage errors). A corrupt trace row (one
+    that does not parse, or lacks a string `item_id` or `stage`) and a trace
+    of another stage are usage errors too."""
 
 
 class DataError(HarnessError):
-    """Corpus, index, cache, or trace files are missing or malformed."""
+    """Corpus, index, or cache files are missing or malformed, or trace rows
+    cannot be scored (a duplicate item, no rows)."""
 
 
 class EndpointError(HarnessError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .corpus import Dataset, MMLU_MED_SUBJECTS, McqItem
+from .corpus import Dataset, MMLU_MED_SUBJECTS, McqItem, Split
 from .errors import DataError, IncompleteRunError
 from .parsing import INVALID
 from .runner import LADDER, Stage
@@ -55,11 +55,11 @@ class Accuracy:
         return percent(self.n_correct, self.n_total)
 
 
-def accuracy(rows: list[dict], expected_ids: list[str] | None = None) -> Accuracy:
-    """Exact-match accuracy over trace rows.
+def accuracy(rows: list[dict], expected_ids: list[str]) -> Accuracy:
+    """Exact-match accuracy over the trace rows of `expected_ids`.
 
-    With `expected_ids` the rows must cover every id exactly once; anything
-    missing is reported as an incomplete run rather than silently scored.
+    The rows must cover every id exactly once; anything missing is reported
+    as an incomplete run rather than silently scored.
     """
     seen: dict[str, bool] = {}
     for row in rows:
@@ -67,22 +67,19 @@ def accuracy(rows: list[dict], expected_ids: list[str] | None = None) -> Accurac
         if item_id in seen:
             raise DataError(f"duplicate trace row for {item_id}")
         seen[item_id] = bool(row["correct"])
-    if expected_ids is not None:
-        missing = [item_id for item_id in expected_ids if item_id not in seen]
-        if missing:
-            raise IncompleteRunError(
-                f"{len(missing)} of {len(expected_ids)} items unscored (first: {missing[:3]})"
-            )
-        seen = {item_id: seen[item_id] for item_id in expected_ids}
+    missing = [item_id for item_id in expected_ids if item_id not in seen]
+    if missing:
+        raise IncompleteRunError(
+            f"{len(missing)} of {len(expected_ids)} items unscored (first: {missing[:3]})"
+        )
+    seen = {item_id: seen[item_id] for item_id in expected_ids}
     if not seen:
         raise DataError("no trace rows to score")
     return Accuracy(n_correct=sum(seen.values()), n_total=len(seen))
 
 
-def scored_rows(rows: list[dict], expected_ids: list[str] | None = None) -> list[dict]:
-    """The rows a report scores: those of `expected_ids`, or every row."""
-    if expected_ids is None:
-        return rows
+def scored_rows(rows: list[dict], expected_ids: list[str]) -> list[dict]:
+    """The rows a report scores: those of `expected_ids`."""
     wanted = set(expected_ids)
     return [row for row in rows if row["item_id"] in wanted]
 
@@ -90,19 +87,18 @@ def scored_rows(rows: list[dict], expected_ids: list[str] | None = None) -> list
 def build_report(
     rows: list[dict],
     dataset: Dataset,
-    split: str,
     stage: Stage,
     fingerprint: str,
-    expected_ids: list[str] | None = None,
+    expected_ids: list[str],
 ) -> dict:
-    """Summary of one stage run, JSON-serializable. Every count covers only
-    the scored rows."""
+    """Summary of one stage run over the test split, JSON-serializable. Every
+    count covers only the rows of `expected_ids`."""
     acc = accuracy(rows, expected_ids)
     rows = scored_rows(rows, expected_ids)
     return {
         "schema": REPORT_SCHEMA,
         "dataset": Dataset(dataset).value,
-        "split": str(split),
+        "split": Split.TEST.value,
         "stage": Stage(stage).value,
         "fingerprint": fingerprint,
         "n_items": acc.n_total,

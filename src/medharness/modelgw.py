@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ __all__ = [
 MIN_COT_MAX_TOKENS = 256
 MAX_COT_MAX_TOKENS = 1024
 ANSWER_ONLY_MAX_TOKENS = 32
+DEFAULT_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,15 @@ class GenerationResponse:
     retries: int = 0
 
 
-def default_max_tokens(exemplars, tokenizer=None) -> int:
+def default_max_tokens(exemplars) -> int:
     """Token budget for a completion, sized from the exemplar explanations.
 
     Answer-only prompts get a small fixed budget. When explanations are
-    present the budget is 1.5x their mean token length, clamped to
+    present the budget is 1.5x their mean whitespace-word count, clamped to
     [256, 1024] so one terse or rambling exemplar set cannot starve or
     flood the generation.
     """
-    tok = tokenizer or (lambda text: text.split())
-    lengths = [len(tok(e.explanation)) for e in exemplars if e.explanation.strip()]
+    lengths = [len(e.explanation.split()) for e in exemplars if e.explanation.strip()]
     if not lengths:
         return ANSWER_ONLY_MAX_TOKENS
     target = math.ceil(1.5 * (sum(lengths) / len(lengths)))
@@ -99,7 +100,9 @@ class RetryPolicy:
     backoff_cap: float = 8.0
 
     def delay(self, attempt: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2 ** attempt))
+        # A float holds no larger power of two; the delay saturates long before.
+        exponent = min(attempt, sys.float_info.max_exp - 1)
+        return min(self.backoff_cap, self.backoff_base * 2.0 ** exponent)
 
 
 class HttpEndpoint:
@@ -118,8 +121,8 @@ class HttpEndpoint:
         base_url: str,
         model_id: str,
         api_key_env: str | None = None,
-        timeout: float = 120.0,
-        retry: RetryPolicy | None = None,
+        timeout: float = DEFAULT_TIMEOUT,
+        retry: RetryPolicy = RetryPolicy(),
         sleep=time.sleep,
     ):
         # Imported here, not at module level, so runs against `mock:`
@@ -136,7 +139,7 @@ class HttpEndpoint:
         if parts.scheme not in ("http", "https") or not host:
             raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {base_url!r}")
         self.model_id = model_id
-        self.retry = retry or RetryPolicy()
+        self.retry = retry
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if api_key_env:

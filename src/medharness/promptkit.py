@@ -1,15 +1,15 @@
-"""Byte-exact prompt assembly for all prompting strategies.
+"""Byte-exact prompt assembly for every rung of the prompting ladder.
 
 Target-model prompts follow one template: an instruction block, zero or five
 exemplar blocks, then the test question block, with one blank line between
 blocks. Exemplar blocks are
 
     ### Question: {question} {options}
-    ### Explanation: {chain of thought}     <- chain-of-thought strategies only
+    ### Explanation: {chain of thought}     <- chain-of-thought stages only
     ### Answer: {correct answer}
 
 and the test block repeats the question line and ends exactly at the
-strategy's sentinel ("### Explanation:" for chain-of-thought strategies,
+stage's sentinel ("### Explanation:" for chain-of-thought stages,
 "### Answer:" otherwise) with no trailing newline. Teacher prompts for
 explanation generation use a separate fixed template (``TEACHER_TEMPLATE``).
 
@@ -35,12 +35,13 @@ from .corpus import Dataset, McqItem
 from .errors import ConfigError
 
 __all__ = [
+    "Stage",
     "Strategy",
     "PromptBundle",
     "CotExemplar",
     "ShuffleResult",
-    "SENTINEL_ANSWER",
-    "SENTINEL_EXPLANATION",
+    "ANSWER_HEADING",
+    "EXPLANATION_HEADING",
     "STOP_SEQUENCES",
     "FEWSHOT_SIZE",
     "TEACHER_TEMPLATE",
@@ -55,19 +56,31 @@ __all__ = [
 ]
 
 
-class Strategy(str, Enum):
+class Stage(str, Enum):
+    """One rung of the prompting ladder. The ensemble shows the kNN
+    chain-of-thought prompt, over shuffled options."""
+
     ZERO_SHOT = "zero_shot"
     RANDOM_FEWSHOT = "random_fewshot"
     RANDOM_FEWSHOT_COT = "random_fewshot_cot"
     KNN_FEWSHOT_COT = "knn_fewshot_cot"
+    ENSEMBLE = "ensemble"
 
     @property
     def cot(self) -> bool:
-        return self in (Strategy.RANDOM_FEWSHOT_COT, Strategy.KNN_FEWSHOT_COT)
+        return self in (Stage.RANDOM_FEWSHOT_COT, Stage.KNN_FEWSHOT_COT, Stage.ENSEMBLE)
 
     @property
     def fewshot(self) -> bool:
-        return self is not Strategy.ZERO_SHOT
+        return self is not Stage.ZERO_SHOT
+
+    @property
+    def knn(self) -> bool:
+        return self in (Stage.KNN_FEWSHOT_COT, Stage.ENSEMBLE)
+
+
+# The ladder's name in the acceptance suite and the benchmark.
+Strategy = Stage
 
 
 FEWSHOT_SIZE = 5
@@ -77,8 +90,6 @@ EXPLANATION_HEADING = "### Explanation:"
 ANSWER_HEADING = "### Answer:"
 OPTIONS_HEADING = "### Options:"
 
-SENTINEL_ANSWER = ANSWER_HEADING
-SENTINEL_EXPLANATION = EXPLANATION_HEADING
 # Generation stops where the model would start writing another question.
 STOP_SEQUENCES = ("\n" + QUESTION_HEADING,)
 
@@ -169,7 +180,7 @@ def _exemplar_block(exemplar: CotExemplar, cot: bool) -> str:
 
 
 def assemble_prompt(
-    strategy: Strategy,
+    stage: Stage,
     instruction: str,
     exemplars: list[CotExemplar],
     item: McqItem,
@@ -185,12 +196,12 @@ def assemble_prompt(
     """
     if not instruction or not instruction.strip():
         raise ConfigError("instruction must be non-empty")
-    expected = FEWSHOT_SIZE if strategy.fewshot else 0
+    expected = FEWSHOT_SIZE if stage.fewshot else 0
     if len(exemplars) != expected:
         raise ConfigError(
-            f"{strategy.value} needs exactly {expected} exemplars, got {len(exemplars)}"
+            f"{stage.value} needs exactly {expected} exemplars, got {len(exemplars)}"
         )
-    if strategy.cot:
+    if stage.cot:
         bad = [e.item.id for e in exemplars if not e.verified]
         if bad:
             raise ConfigError(f"unverified exemplars in a chain-of-thought prompt: {bad}")
@@ -199,9 +210,9 @@ def assemble_prompt(
     if sorted(permutation) != sorted(item.labels) or sorted(permutation.values()) != sorted(item.labels):
         raise ConfigError(f"{item.id}: permutation is not a bijection over {item.labels}")
 
-    sentinel = SENTINEL_EXPLANATION if strategy.cot else SENTINEL_ANSWER
+    sentinel = EXPLANATION_HEADING if stage.cot else ANSWER_HEADING
     blocks = [instruction]
-    blocks.extend(_exemplar_block(e, strategy.cot) for e in exemplars)
+    blocks.extend(_exemplar_block(e, stage.cot) for e in exemplars)
     blocks.append(f"{_question_line(item)}\n{sentinel}")
     text = "\n\n".join(blocks)
     # The test block must end at its sentinel: nothing, in particular no gold

@@ -117,8 +117,8 @@ class BuiltinProvider:
         return f"builtin-tfidf-v1:dim={self.dim}"
 
     @classmethod
-    def fit(cls, texts: list[str], dim: int = DEFAULT_DIM) -> "BuiltinProvider":
-        provider = cls(dim=dim)
+    def fit(cls, texts: list[str]) -> "BuiltinProvider":
+        provider = cls()
         provider._fit([provider.buckets(text) for text in texts])
         return provider
 

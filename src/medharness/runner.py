@@ -26,7 +26,6 @@ import json
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .corpus import McqItem, mend_tail, scan_jsonl
@@ -36,7 +35,7 @@ from .parsing import INVALID, extract_answer
 from .promptkit import (
     STOP_SEQUENCES,
     CotExemplar,
-    Strategy,
+    Stage,
     assemble_prompt,
     extraction_tokens,
     identity_permutation,
@@ -60,18 +59,6 @@ __all__ = [
 
 MAX_VALIDITY_TRIES = 5
 TRACE_SCHEMA = 1
-
-
-class Stage(str, Enum):
-    ZERO_SHOT = "zero_shot"
-    RANDOM_FEWSHOT = "random_fewshot"
-    RANDOM_FEWSHOT_COT = "random_fewshot_cot"
-    KNN_FEWSHOT_COT = "knn_fewshot_cot"
-    ENSEMBLE = "ensemble"
-
-    @property
-    def strategy(self) -> Strategy:
-        return Strategy.KNN_FEWSHOT_COT if self is Stage.ENSEMBLE else Strategy(self.value)
 
 
 LADDER: tuple[Stage, ...] = (
@@ -148,7 +135,7 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
 
 def answer_item(
     item: McqItem,
-    strategy: Strategy,
+    stage: Stage,
     instruction: str,
     exemplars: list[CotExemplar],
     endpoint,
@@ -157,10 +144,10 @@ def answer_item(
     shuffle: bool = False,
     seed: int = 0,
     max_tries: int = MAX_VALIDITY_TRIES,
-    request_seed: int | None = None,
 ) -> RunResult:
     """One generation pass: build the prompt, call the model, extract.
 
+    The request carries `seed`, which with `shuffle` also orders the options.
     Retries generation up to `max_tries` when the output yields no parseable
     answer; transport failures count as tries. The returned decision is the
     canonical label (the extracted presented label mapped back through the
@@ -172,18 +159,18 @@ def answer_item(
         presented_item, permutation = shuffle_options(item, seed, run_index)
     else:
         presented_item, permutation = item, identity_permutation(item)
-    bundle = assemble_prompt(strategy, instruction, exemplars, presented_item,
+    bundle = assemble_prompt(stage, instruction, exemplars, presented_item,
                              permutation=permutation)
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
-    # Only strategies that show explanations size the token budget from them.
+    # Only stages that show explanations size the token budget from them.
     request = GenerationRequest(
         model_id=endpoint.model_id,
         prompt=bundle.text,
         temperature=temperature,
-        max_tokens=default_max_tokens(exemplars if strategy.cot else []),
+        max_tokens=default_max_tokens(exemplars if stage.cot else []),
         stop_sequences=STOP_SEQUENCES,
-        seed=request_seed,
+        seed=seed,
     )
     prompt_sha = hashlib.sha256(bundle.text.encode("utf-8")).hexdigest()
 
@@ -226,7 +213,6 @@ def answer_stage_item(
     seed: int = 0,
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
-    request_seed: int | None = None,
     run_pool: ThreadPoolExecutor | None = None,
 ) -> ItemResult:
     """Answer one item as `stage` asks, then vote.
@@ -247,12 +233,11 @@ def answer_stage_item(
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
-    strategy = stage.strategy
 
     def make_run(run_index: int) -> RunResult:
-        return answer_item(item, strategy, instruction, exemplars, endpoint,
+        return answer_item(item, stage, instruction, exemplars, endpoint,
                            temperature=temperature, run_index=run_index, shuffle=shuffle,
-                           seed=seed, max_tries=max_tries, request_seed=request_seed)
+                           seed=seed, max_tries=max_tries)
 
     runs: list[RunResult] = []
     counts: dict[str, int] = {}
@@ -330,7 +315,8 @@ def read_trace(trace_path: str | Path) -> list[dict]:
 
     A last line that lacks its newline and does not parse is a write cut
     short by a crash; it is skipped, so the item runs again on resume. A
-    corrupt line anywhere else is an error.
+    corrupt line anywhere else, or a row that is not an object with a string
+    `item_id` and `stage`, is an error.
     """
     return _scan_trace(Path(trace_path))[0]
 
@@ -341,6 +327,10 @@ def _scan_trace(path: Path) -> tuple[list[dict], tuple[int, bytes] | None]:
         raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
 
     rows, mend = scan_jsonl(path, corrupt)
+    for lineno, row in rows:
+        if not (isinstance(row, dict) and isinstance(row.get("item_id"), str)
+                and isinstance(row.get("stage"), str)):
+            corrupt(lineno, ValueError("not an object with a string item_id and stage"))
     return [row for _, row in rows], mend
 
 
@@ -356,7 +346,6 @@ def run_benchmark(
     max_tries: int = MAX_VALIDITY_TRIES,
     concurrency: int = 1,
     resume: bool = False,
-    request_seed: int | None = None,
     progress=None,
 ) -> list[dict]:
     """Run one stage over a whole split, checkpointing each item to the trace.
@@ -380,9 +369,9 @@ def run_benchmark(
     trace_path = Path(trace_path)
     existing, mend = _scan_trace(trace_path)
     for row in existing:
-        if row.get("stage") != stage.value:
+        if row["stage"] != stage.value:
             raise ConfigError(
-                f"{trace_path}: trace holds stage {row.get('stage')!r}, expected {stage.value!r}"
+                f"{trace_path}: trace holds stage {row['stage']!r}, expected {stage.value!r}"
             )
     done = {row["item_id"] for row in existing}
     wanted_ids = [item.id for item in items]
@@ -403,8 +392,7 @@ def run_benchmark(
         def handle(item: McqItem, run_pool: ThreadPoolExecutor | None = None) -> None:
             result = answer_stage_item(
                 item, stage, instruction, exemplars_for(item), endpoint, seed=seed,
-                ensemble=ensemble, max_tries=max_tries, request_seed=request_seed,
-                run_pool=run_pool,
+                ensemble=ensemble, max_tries=max_tries, run_pool=run_pool,
             )
             row = _result_row(result)
             with write_lock:

@@ -197,51 +197,31 @@ def _cache_hit(exemplar: CotExemplar) -> TeacherOutcome:
                           from_cache=True)
 
 
-def generate_cot(
-    item: McqItem,
-    teacher,
-    max_attempts: int = MAX_TEACHER_ATTEMPTS,
-    temperature: float = 0.0,
-    max_tokens: int = MAX_COT_MAX_TOKENS,
-) -> TeacherOutcome:
+def generate_cot(item: McqItem, teacher) -> TeacherOutcome:
     """Ask the teacher for an explanation of one item, verifying each attempt.
 
-    Accepts only when the extracted answer equals the gold label and the
-    explanation is non-empty. A transport failure (`EndpointError`)
-    propagates: an outage must stop the command, not swap the exemplars.
+    Makes up to `MAX_TEACHER_ATTEMPTS` greedy requests of at most
+    `MAX_COT_MAX_TOKENS` tokens. Accepts only when the extracted answer
+    equals the gold label and the explanation is non-empty. A transport
+    failure (`EndpointError`) propagates: an outage must stop the command,
+    not swap the exemplars.
     """
-    prompt = teacher_prompt(item)
     labels, word_tokens = extraction_tokens(item)
-    attempts = 0
-    explanation = ""
-    extracted = ""
-    for attempt in range(max_attempts):
-        attempts = attempt + 1
-        request = GenerationRequest(
-            model_id=teacher.model_id,
-            prompt=prompt,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            stop_sequences=STOP_SEQUENCES,
-        )
+    request = GenerationRequest(
+        model_id=teacher.model_id,
+        prompt=teacher_prompt(item),
+        max_tokens=MAX_COT_MAX_TOKENS,
+        stop_sequences=STOP_SEQUENCES,
+    )
+    for attempts in range(1, MAX_TEACHER_ATTEMPTS + 1):
         response = complete(request, teacher)
         extracted = extract_answer(response.text, labels, word_tokens)
         explanation = extract_explanation(response.text)
-        if extracted == item.gold and explanation:
-            return TeacherOutcome(
-                item_id=item.id,
-                attempts=attempts,
-                accepted=True,
-                explanation=explanation,
-                extracted=extracted,
-            )
-    return TeacherOutcome(
-        item_id=item.id,
-        attempts=attempts,
-        accepted=False,
-        explanation=explanation,
-        extracted=extracted,
-    )
+        accepted = extracted == item.gold and bool(explanation)
+        if accepted:
+            break
+    return TeacherOutcome(item_id=item.id, attempts=attempts, accepted=accepted,
+                          explanation=explanation, extracted=extracted)
 
 
 def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
@@ -331,24 +311,21 @@ def build_random_exemplars(
     seed: int,
     teacher=None,
     cache: CotCache | None = None,
-    cot: bool = False,
 ) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
     """`FEWSHOT_SIZE` exemplars drawn from the seeded random stream, fixed for
     a whole run.
 
-    Without explanations the first stream items are used as-is. With
-    `cot=True` each candidate must verify through the teacher; failures are
-    replaced by the next stream item. `pool` maps ids to items; only the
-    stream items drawn are looked up.
+    Without a teacher the first stream items are used as-is, with no
+    explanation. With one, each candidate must verify through the teacher;
+    failures are replaced by the next stream item. `pool` maps ids to items;
+    only the stream items drawn are looked up.
     """
     stream = random_candidate_stream(list(pool), seed)
-    if not cot:
+    if teacher is None:
         exemplars = [CotExemplar(item=pool[i]) for i in stream[:FEWSHOT_SIZE]]
         if len(exemplars) < FEWSHOT_SIZE:
             raise DataError(f"pool has {len(exemplars)} items, need {FEWSHOT_SIZE} exemplars")
         return exemplars, []
-    if teacher is None:
-        raise DataError("a teacher endpoint is required for explained exemplars")
     exemplars, outcomes = _first_verified((pool[i] for i in stream), teacher, cache)
     if len(exemplars) < FEWSHOT_SIZE:
         raise DataError(f"only {len(exemplars)} of {FEWSHOT_SIZE} random exemplars verified "

@@ -68,7 +68,7 @@ def wrap_endpoint(monkeypatch, model_id, wrap):
     """Make commands open `wrap(endpoint)` wherever they open `model_id`'s endpoint."""
     build_endpoint = cli.build_endpoint
 
-    def spy(spec, retry=None):
+    def spy(spec, retry):
         endpoint = build_endpoint(spec, retry)
         return wrap(endpoint) if spec.model_id == model_id else endpoint
 
@@ -403,6 +403,19 @@ class TestExitCodes:
                      "--stage", "zero_shot"])
         assert code == 1
         assert f"{key} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["target", "teacher", "embedding"])
+    @pytest.mark.parametrize("value", [123, ["KEY"], True])
+    def test_non_string_api_key_env_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    block, value):
+        config, _, _ = build_env(tmp_path, config_extra={
+            block: {"url": "http://127.0.0.1:9", "model": "m", "api_key_env": value}})
+        monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        assert f"{block}: api_key_env must name an environment variable, got {value!r}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, key, minimum", [
         ({"max_validity_tries": 0}, "max_validity_tries", 1),
@@ -797,7 +810,7 @@ class TestDryRunRequest:
     def test_prints_run_0_of_the_first_item(self, tmp_path, capsys, monkeypatch, stage):
         config, _, _ = build_env(tmp_path)
         command = ["--config", str(config), "--dataset", "medqa"]
-        if Stage(stage).strategy.cot:
+        if Stage(stage).cot:
             kind = "random" if stage == "random_fewshot_cot" else "knn"
             assert main(["gen-cot", *command, "--kind", kind]) == 0
         capsys.readouterr()

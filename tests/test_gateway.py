@@ -29,7 +29,7 @@ from medharness.modelgw import (
     open_endpoint,
     parse_prompt_tail,
 )
-from medharness.promptkit import CotExemplar, Strategy, assemble_prompt, teacher_prompt
+from medharness.promptkit import CotExemplar, Stage, assemble_prompt, teacher_prompt
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -360,6 +360,13 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_retries=5, backoff_base=0.25, backoff_cap=2.0)
         assert [policy.delay(a) for a in range(5)] == [0.25, 0.5, 1.0, 2.0, 2.0]
 
+    @pytest.mark.parametrize("attempt", [1023, 1024, 1100, 10**6])
+    def test_delay_saturates_at_the_cap_for_any_attempt(self, attempt):
+        # `max_retries` takes any integer >= 0, so attempts past a float's
+        # largest power of two must still give the cap.
+        assert RetryPolicy().delay(attempt) == RetryPolicy().backoff_cap
+        assert RetryPolicy(backoff_base=1e-300, backoff_cap=3.0).delay(attempt) == 3.0
+
 
 class TestRequestValidation:
     def test_rejects_empty_prompt(self):
@@ -397,21 +404,17 @@ class TestDefaultMaxTokens:
         exemplars = [StubExemplar(" ".join(["w"] * 5000))] * 5
         assert default_max_tokens(exemplars) == 1024
 
-    def test_custom_tokenizer(self):
-        exemplars = [StubExemplar("abcdef")]
-        assert default_max_tokens(exemplars, tokenizer=list) == 256
-
 
 def knn_prompt(item=None):
     exemplars = [gd.exemplar(i, cot=True) for i in gd.KNN_ORDER]
     return assemble_prompt(
-        Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, exemplars, item or gd.TEST_ITEM
+        Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, exemplars, item or gd.TEST_ITEM
     ).text
 
 
 class TestPromptTailParsing:
     def test_zero_shot_letters(self):
-        text = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
+        text = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         parts = parse_prompt_tail(text)
         assert parts["question"] == gd.TEST_ITEM.question
         assert parts["options"] == list(gd.TEST_ITEM.options)
@@ -429,7 +432,7 @@ class TestPromptTailParsing:
 
     def test_word_options(self):
         text = assemble_prompt(
-            Strategy.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
+            Stage.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
         ).text
         parts = parse_prompt_tail(text)
         assert parts["options"] == [("yes", "yes"), ("no", "no"), ("maybe", "maybe")]
@@ -446,7 +449,7 @@ class TestMockPolicies:
     def test_gold_policy_letters(self):
         policy = GoldAnswerPolicy({gd.TEST_ITEM.question: gd.TEST_ITEM.gold_text})
         ep = mock_model(policy)
-        text = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
+        text = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         response = complete(GenerationRequest(model_id="mock", prompt=text), ep)
         assert response.text == "### Answer: (B) Patellofemoral cartilage"
 
@@ -457,7 +460,7 @@ class TestMockPolicies:
         policy = GoldAnswerPolicy({key: "yes"})
         ep = mock_model(policy)
         text = assemble_prompt(
-            Strategy.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
+            Stage.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
         ).text
         response = complete(GenerationRequest(model_id="mock", prompt=text), ep)
         assert response.text == "### Answer: yes"
@@ -474,7 +477,7 @@ class TestMockPolicies:
 
     def test_unknown_question_is_an_error(self):
         ep = mock_model(GoldAnswerPolicy({}))
-        text = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
+        text = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         with pytest.raises(EndpointError, match="no scripted answer"):
             complete(GenerationRequest(model_id="mock", prompt=text), ep)
 
@@ -524,7 +527,7 @@ class TestMockPolicies:
         policy = StageTablePolicy(table, {it.question for it in random_items})
         ep = mock_model(policy)
 
-        zs = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
+        zs = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         assert "(C) Medial meniscus" in complete(
             GenerationRequest(model_id="mock", prompt=zs), ep).text
 
@@ -537,7 +540,7 @@ class TestMockPolicies:
             GenerationRequest(model_id="mock", prompt=knn, temperature=0.4), ep).text
 
         random_cot = assemble_prompt(
-            Strategy.RANDOM_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
+            Stage.RANDOM_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
             [CotExemplar(item=it, explanation="Worked reasoning.", verified=True)
              for it in random_items],
             gd.TEST_ITEM,
@@ -553,7 +556,7 @@ class TestMockFromFile:
         path.write_text(json.dumps(spec), encoding="utf-8")
         ep = open_endpoint(f"mock:{path}", "target-model")
         assert ep.model_id == "target-model"
-        text = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
+        text = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         response = complete(GenerationRequest(model_id=ep.model_id, prompt=text), ep)
         assert response.text == "### Answer: (B) Patellofemoral cartilage"
 

@@ -57,13 +57,13 @@ class TestPercent:
 class TestAccuracy:
     def test_counts_correct_rows(self):
         rows = [row(0, True), row(1, False), row(2, True)]
-        acc = accuracy(rows)
+        acc = accuracy(rows, ["test-00000", "test-00001", "test-00002"])
         assert (acc.n_correct, acc.n_total) == (2, 3)
 
     def test_duplicate_row_rejected(self):
         rows = [row(0, True), row(0, True)]
         with pytest.raises(DataError, match="duplicate trace row"):
-            accuracy(rows)
+            accuracy(rows, ["test-00000"])
 
     def test_missing_expected_id_is_incomplete(self):
         rows = [row(0, True)]
@@ -77,7 +77,7 @@ class TestAccuracy:
 
     def test_empty_rows_rejected(self):
         with pytest.raises(DataError, match="no trace rows"):
-            accuracy([])
+            accuracy([], [])
 
 
 class TestBuildReport:
@@ -87,7 +87,8 @@ class TestBuildReport:
             row(1, False, decision=INVALID, n_calls=5),
             row(2, True, tie_broken=True, n_calls=9),
         ]
-        report = build_report(rows, Dataset.MEDQA, "test", Stage.ENSEMBLE, "f" * 16)
+        report = build_report(rows, Dataset.MEDQA, Stage.ENSEMBLE, "f" * 16,
+                              ["test-00000", "test-00001", "test-00002"])
         assert report == {
             "schema": 1,
             "dataset": "medqa",
@@ -111,7 +112,7 @@ class TestBuildReport:
             row(1, False, decision=INVALID, n_calls=5),
             row(2, True, tie_broken=True, n_calls=9),
         ]
-        report = build_report(rows, Dataset.MEDQA, "test", Stage.ENSEMBLE, "f" * 16,
+        report = build_report(rows, Dataset.MEDQA, Stage.ENSEMBLE, "f" * 16,
                               expected_ids=["test-00002"])
         assert (report["n_items"], report["n_correct"], report["invalid_count"],
                 report["tie_broken_count"], report["n_calls"]) == (1, 1, 0, 1, 9)

@@ -11,11 +11,11 @@ from medharness.config import default_instruction
 from medharness.corpus import Dataset, Split
 from medharness.errors import ConfigError
 from medharness.promptkit import (
+    ANSWER_HEADING,
+    EXPLANATION_HEADING,
     CotExemplar,
     FEWSHOT_SIZE,
-    SENTINEL_ANSWER,
-    SENTINEL_EXPLANATION,
-    Strategy,
+    Stage,
     assemble_prompt,
     extraction_tokens,
     render_options_inline,
@@ -47,24 +47,24 @@ class TestGoldenPrompts:
         assert text.encode("utf-8") + b"\n" == fixture_bytes(name)
 
     def test_zero_shot(self):
-        bundle = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM)
+        bundle = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM)
         self.assert_matches("medqa_zero_shot.txt", bundle.text)
 
     def test_random_fewshot(self):
         bundle = assemble_prompt(
-            Strategy.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION, random_exemplars(False), gd.TEST_ITEM
+            Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION, random_exemplars(False), gd.TEST_ITEM
         )
         self.assert_matches("medqa_random_fewshot.txt", bundle.text)
 
     def test_random_fewshot_cot(self):
         bundle = assemble_prompt(
-            Strategy.RANDOM_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, random_exemplars(True), gd.TEST_ITEM
+            Stage.RANDOM_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, random_exemplars(True), gd.TEST_ITEM
         )
         self.assert_matches("medqa_random_fewshot_cot.txt", bundle.text)
 
     def test_knn_fewshot_cot(self):
         bundle = assemble_prompt(
-            Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
+            Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
         )
         self.assert_matches("medqa_knn_fewshot_cot.txt", bundle.text)
 
@@ -72,14 +72,14 @@ class TestGoldenPrompts:
         shuffled, perm = shuffle_options(gd.TEST_ITEM, gd.SHUFFLE_SEED, gd.SHUFFLE_RUN)
         assert perm == gd.SHUFFLED_RUN3_PERMUTATION
         bundle = assemble_prompt(
-            Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], shuffled,
+            Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], shuffled,
             permutation=perm, run_index=gd.SHUFFLE_RUN,
         )
         self.assert_matches("medqa_zero_shot_shuffled_run3.txt", bundle.text)
 
     def test_pubmedqa_zero_shot(self):
         bundle = assemble_prompt(
-            Strategy.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
+            Stage.ZERO_SHOT, gd.PUBMEDQA_INSTRUCTION, [], gd.PUBMEDQA_ITEM
         )
         self.assert_matches("pubmedqa_zero_shot.txt", bundle.text)
 
@@ -94,36 +94,36 @@ class TestGoldenPrompts:
 
 class TestAssembly:
     def test_prompt_ends_exactly_at_sentinel(self):
-        for strategy, exemplars, sentinel in [
-            (Strategy.ZERO_SHOT, [], SENTINEL_ANSWER),
-            (Strategy.RANDOM_FEWSHOT, random_exemplars(False), SENTINEL_ANSWER),
-            (Strategy.KNN_FEWSHOT_COT, knn_exemplars(), SENTINEL_EXPLANATION),
+        for stage, exemplars, sentinel in [
+            (Stage.ZERO_SHOT, [], ANSWER_HEADING),
+            (Stage.RANDOM_FEWSHOT, random_exemplars(False), ANSWER_HEADING),
+            (Stage.KNN_FEWSHOT_COT, knn_exemplars(), EXPLANATION_HEADING),
         ]:
-            bundle = assemble_prompt(strategy, gd.MEDQA_INSTRUCTION, exemplars, gd.TEST_ITEM)
+            bundle = assemble_prompt(stage, gd.MEDQA_INSTRUCTION, exemplars, gd.TEST_ITEM)
             assert bundle.text.endswith(sentinel)
             assert not bundle.text.endswith("\n")
 
     def test_cot_sentinel_is_explanation_heading(self):
         cot = assemble_prompt(
-            Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
+            Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
         )
-        plain = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM)
+        plain = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM)
         assert cot.text.endswith("### Explanation:")
         assert plain.text.endswith("### Answer:")
 
     def test_gold_never_follows_the_test_sentinel(self):
         bundle = assemble_prompt(
-            Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
+            Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
         )
-        tail = bundle.text.rsplit(SENTINEL_EXPLANATION, 1)[1]
+        tail = bundle.text.rsplit(EXPLANATION_HEADING, 1)[1]
         assert tail == ""
 
     def test_exemplar_order_is_preserved(self):
         forward = assemble_prompt(
-            Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
+            Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(), gd.TEST_ITEM
         )
         reordered = assemble_prompt(
-            Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
+            Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
             list(reversed(knn_exemplars())), gd.TEST_ITEM,
         )
         assert forward.text != reordered.text
@@ -134,12 +134,12 @@ class TestAssembly:
     def test_exemplar_count_is_enforced(self):
         with pytest.raises(ConfigError, match="exactly 5"):
             assemble_prompt(
-                Strategy.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION,
+                Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION,
                 random_exemplars(False)[:3], gd.TEST_ITEM,
             )
         with pytest.raises(ConfigError, match="exactly 0"):
             assemble_prompt(
-                Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+                Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                 random_exemplars(False), gd.TEST_ITEM,
             )
         assert FEWSHOT_SIZE == 5
@@ -147,7 +147,7 @@ class TestAssembly:
     def test_cot_requires_verified_exemplars(self):
         with pytest.raises(ConfigError, match="unverified"):
             assemble_prompt(
-                Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
+                Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
                 random_exemplars(False), gd.TEST_ITEM,
             )
 
@@ -157,12 +157,12 @@ class TestAssembly:
 
     def test_empty_instruction_refused(self):
         with pytest.raises(ConfigError, match="instruction"):
-            assemble_prompt(Strategy.ZERO_SHOT, "   ", [], gd.TEST_ITEM)
+            assemble_prompt(Stage.ZERO_SHOT, "   ", [], gd.TEST_ITEM)
 
     def test_bad_permutation_refused(self):
         with pytest.raises(ConfigError, match="bijection"):
             assemble_prompt(
-                Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM,
+                Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM,
                 permutation={"A": "A", "B": "A", "C": "C", "D": "D"},
             )
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import golden_data as gd
+import medharness.promptkit as promptkit
 import medharness.runner as runner
 from conftest import make_item
 from medharness.errors import ConfigError, DataError, EndpointError
@@ -21,7 +22,7 @@ from medharness.modelgw import (
     parse_prompt_tail,
 )
 from medharness.parsing import INVALID
-from medharness.promptkit import Strategy, assemble_prompt, shuffle_options
+from medharness.promptkit import assemble_prompt, shuffle_options
 from medharness.runner import (
     LADDER,
     EnsembleConfig,
@@ -69,8 +70,14 @@ class TestStage:
         ]
 
     def test_ensemble_reuses_strongest_prompt(self):
-        assert Stage.ENSEMBLE.strategy is Strategy.KNN_FEWSHOT_COT
-        assert Stage.ZERO_SHOT.strategy is Strategy.ZERO_SHOT
+        shape = lambda stage: (stage.fewshot, stage.cot, stage.knn)  # noqa: E731
+        assert shape(Stage.ENSEMBLE) == shape(Stage.KNN_FEWSHOT_COT) == (True, True, True)
+        assert shape(Stage.RANDOM_FEWSHOT_COT) == (True, True, False)
+        assert shape(Stage.RANDOM_FEWSHOT) == (True, False, False)
+        assert shape(Stage.ZERO_SHOT) == (False, False, False)
+
+    def test_one_ladder_enum(self):
+        assert promptkit.Strategy is Stage is promptkit.Stage
 
 
 class TestAggregateVotes:
@@ -115,14 +122,14 @@ class RecordingEndpoint:
 class TestAnswerItem:
     def test_gold_zero_shot(self):
         endpoint = gold_endpoint([gd.TEST_ITEM])
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run.decision == "B"
         assert run.presented == "B"
         assert run.tries == 1
         assert run.transport_errors == 0
         assert run.permutation == {"A": "A", "B": "B", "C": "C", "D": "D"}
-        expected = assemble_prompt(Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        expected = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                                    [], gd.TEST_ITEM).text
         assert run.prompt_sha256 == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
@@ -131,7 +138,7 @@ class TestAnswerItem:
             "no idea", "still thinking",
             "### Answer: (B) Patellofemoral cartilage",
         ]))
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run.decision == "B"
         assert run.tries == 3
@@ -139,7 +146,7 @@ class TestAnswerItem:
 
     def test_garbage_exhausts_tries(self):
         endpoint = mock_model(GarbagePolicy())
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run.decision == INVALID
         assert run.presented == INVALID
@@ -151,11 +158,11 @@ class TestAnswerItem:
         # Every try failed in transport: no answer to score, the error is raised.
         endpoint = mock_model(GoldAnswerPolicy({}))
         with pytest.raises(EndpointError, match="test-00000: all 5 tries failed"):
-            answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], endpoint)
+            answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], endpoint)
         assert endpoint.call_count == 5
         # Transport failures mixed with unparseable answers stay invalid.
         endpoint = mock_model(OutagePolicy(GarbagePolicy(), failing_calls={0, 2, 3}))
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run.decision == INVALID
         assert run.tries == 5
@@ -163,13 +170,13 @@ class TestAnswerItem:
         assert "unable" in run.raw_text
         # They count as tries before an answer that parses.
         endpoint = mock_model(OutagePolicy(gold_endpoint([gd.TEST_ITEM]).policy, {0, 1}))
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert (run.decision, run.tries, run.transport_errors) == ("B", 3, 2)
 
     def test_shuffled_answer_maps_back_to_canonical(self):
         endpoint = gold_endpoint([gd.TEST_ITEM])
-        run = answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+        run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint, run_index=gd.SHUFFLE_RUN, shuffle=True,
                           seed=gd.SHUFFLE_SEED)
         assert run.permutation == gd.SHUFFLED_RUN3_PERMUTATION
@@ -178,8 +185,8 @@ class TestAnswerItem:
 
     def test_request_wiring_answer_only(self):
         endpoint = RecordingEndpoint("### Answer: (B) Patellofemoral cartilage")
-        answer_item(gd.TEST_ITEM, Strategy.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
-                    [], endpoint, temperature=0.0, request_seed=42)
+        answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
+                    [], endpoint, temperature=0.0, seed=42)
         [request] = endpoint.requests
         assert request.model_id == "recorded"
         assert request.temperature == 0.0
@@ -190,7 +197,7 @@ class TestAnswerItem:
     def test_request_wiring_cot_budget(self):
         endpoint = RecordingEndpoint(
             "### Explanation: why\n### Answer: (B) Patellofemoral cartilage")
-        answer_item(gd.TEST_ITEM, Strategy.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
+        answer_item(gd.TEST_ITEM, Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
                     KNN_EXEMPLARS, endpoint)
         [request] = endpoint.requests
         assert request.max_tokens >= 256
@@ -297,7 +304,7 @@ class TestEnsemble:
         waves = []
         run_wave = runner._run_wave
 
-        def scripted(item, strategy, instruction, exemplars, endpoint, run_index, **kwargs):
+        def scripted(item, stage, instruction, exemplars, endpoint, run_index, **kwargs):
             decision = script[run_index]
             return RunResult(run_index, {}, decision, decision, "", 1, 0, "")
 
@@ -461,6 +468,22 @@ class TestRunBenchmark:
             run_benchmark(bench_items, Stage.ZERO_SHOT, gold_endpoint(bench_items),
                           gd.MEDQA_INSTRUCTION, no_exemplars, trace, resume=True)
 
+    @pytest.mark.parametrize("line", ["42", '["zero_shot"]', '{"stage": "zero_shot"}',
+                                      '{"item_id": "x"}', '{"item_id": 7, "stage": "zero_shot"}'])
+    def test_wrong_shape_trace_row_is_an_error(self, tmp_path, bench_items, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"stage": "zero_shot", "item_id": "x"}\n' + line + "\n")
+        with pytest.raises(ConfigError, match=":2: corrupt trace row"):
+            run_benchmark(bench_items, Stage.ZERO_SHOT, gold_endpoint(bench_items),
+                          gd.MEDQA_INSTRUCTION, no_exemplars, trace, resume=True)
+
+    @pytest.mark.parametrize("line", ["42", '{"stage": "zero_shot"}', '{"item_id": "x"}'])
+    def test_read_trace_refuses_a_wrong_shape_row(self, tmp_path, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=":1: corrupt trace row"):
+            read_trace(trace)
+
     def test_read_trace_missing_file(self, tmp_path):
         assert read_trace(tmp_path / "absent.jsonl") == []
 
@@ -535,9 +558,10 @@ class TestTornTrace:
 
     def test_partial_multibyte_last_line_is_skipped(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        row = json.dumps({"item_id": "x", "raw_text": "ß"}, ensure_ascii=False).encode("utf-8")
+        value = {"item_id": "x", "stage": "zero_shot", "raw_text": "ß"}
+        row = json.dumps(value, ensure_ascii=False).encode("utf-8")
         trace.write_bytes(row + b"\n" + row[:row.index("ß".encode("utf-8")) + 1])
-        assert read_trace(trace) == [{"item_id": "x", "raw_text": "ß"}]
+        assert read_trace(trace) == [value]
 
     def test_resume_after_torn_line_completes_the_stage(self, bench_items, tmp_path):
         trace = tmp_path / "trace.jsonl"

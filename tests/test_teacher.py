@@ -376,14 +376,9 @@ class TestBuildRandomExemplars:
         with pytest.raises(DataError, match="need 5 exemplars"):
             build_random_exemplars(keyed(pool), seed=3)
 
-    def test_cot_requires_a_teacher(self, tiny_pool):
-        with pytest.raises(DataError, match="teacher endpoint"):
-            build_random_exemplars(keyed(tiny_pool), seed=3, cot=True)
-
     def test_cot_verifies_in_stream_order(self, tiny_pool):
         teacher = gold_teacher(tiny_pool)
-        exemplars, outcomes = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                                     cot=True)
+        exemplars, outcomes = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher)
         stream = random_candidate_stream([it.id for it in tiny_pool], seed=3)
         assert [ex.item.id for ex in exemplars] == stream[:5]
         assert all(ex.verified for ex in exemplars)
@@ -393,8 +388,7 @@ class TestBuildRandomExemplars:
         stream = random_candidate_stream([it.id for it in tiny_pool], seed=3)
         by_id = {it.id: it for it in tiny_pool}
         teacher = flaky_teacher(tiny_pool, {by_id[stream[2]].question}, n_wrong=3)
-        exemplars, _ = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                              cot=True)
+        exemplars, _ = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher)
         expected = [stream[0], stream[1], stream[3], stream[4], stream[5]]
         assert [ex.item.id for ex in exemplars] == expected
 
@@ -403,16 +397,16 @@ class TestBuildRandomExemplars:
         fail = {it.question for it in pool[:2]}
         teacher = flaky_teacher(pool, fail, n_wrong=3)
         with pytest.raises(DataError, match="4 of 5 random exemplars"):
-            build_random_exemplars(keyed(pool), seed=3, teacher=teacher, cot=True)
+            build_random_exemplars(keyed(pool), seed=3, teacher=teacher)
 
     def test_cot_cache_warm_start(self, tiny_pool, tmp_path):
         teacher = gold_teacher(tiny_pool)
         cache = CotCache(tmp_path)
         first, _ = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                          cache=cache, cot=True)
+                                          cache=cache)
         calls = teacher.call_count
         second, outcomes = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                                  cache=cache, cot=True)
+                                                  cache=cache)
         assert teacher.call_count == calls
         assert second == first
         assert all(o.from_cache for o in outcomes)

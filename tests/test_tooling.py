@@ -17,6 +17,8 @@ PROGRAM_DIRS = ("src", "medbench", "scripts")
 # Public names that only the acceptance suite calls. The suite stays
 # unchanged, so these keep no caller in the program.
 ACCEPTANCE_ONLY = {"modelgw.mock_model"}
+# Defaulted parameters that only the acceptance suite passes.
+ACCEPTANCE_ONLY_PARAMETERS = {"promptkit.assemble_prompt.run_index"}
 
 
 def traced_names() -> tuple:
@@ -78,3 +80,63 @@ def test_every_public_name_has_a_caller():
     unused = {f"{path.stem}.{name}" for path in (ROOT / "src" / "medharness").glob("*.py")
               for name in public_names(path) if name not in used}
     assert unused == ACCEPTANCE_ONLY
+
+
+def program_trees():
+    for directory in PROGRAM_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def defaulted_parameters():
+    """(qualified name, name a call uses, {parameter: position or None}) for
+    each module-level function and method in the package that has defaulted
+    parameters. A constructor is called by its class name; a method's
+    position does not count `self` or `cls`. Keyword-only parameters have no
+    position."""
+    for path in (ROOT / "src" / "medharness").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(None, node) for node in tree.body]
+        scopes += [(node.name, child) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for child in node.body]
+        for owner, node in scopes:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if owner is not None and not static:
+                positional = positional[1:]
+            first_defaulted = len(positional) - len(node.args.defaults)
+            params = {arg.arg: i for i, arg in enumerate(positional) if i >= first_defaulted}
+            params.update({arg.arg: None for arg, default in
+                           zip(node.args.kwonlyargs, node.args.kw_defaults) if default})
+            if params:
+                called_as = owner if node.name == "__init__" else node.name
+                qualified = ".".join(filter(None, (path.stem, owner, node.name)))
+                yield qualified, called_as, params
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each defaulted parameter is passed, by keyword or by position, by some
+    call in the program; one that no call sets is a constant or a required
+    argument. Calls are matched by name alone, `partial(f, ...)` counts as a
+    call of `f`, and a `**mapping` splat may pass any keyword, so it counts
+    as passing them all."""
+    passed: dict[str, set] = {}
+    for tree in program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", None) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+            passed.setdefault(name, set()).update(
+                range(len(args)), (keyword.arg or "**" for keyword in node.keywords))
+    unpassed = set()
+    for qualified, called_as, params in defaulted_parameters():
+        args = passed.get(called_as, set())
+        if "**" not in args:
+            unpassed.update(f"{qualified}.{param}" for param, position in params.items()
+                            if param not in args and position not in args)
+    assert unpassed == ACCEPTANCE_ONLY_PARAMETERS
