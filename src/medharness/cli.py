@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -28,7 +27,8 @@ from .config import (
     instruction_for,
     load_config,
 )
-from .corpus import CorpusFile, CorpusStore, Dataset, McqItem, PoolView, Split, load_dataset
+from .corpus import (CorpusFile, CorpusStore, Dataset, McqItem, PoolView, Split, load_dataset,
+                     read_normalized)
 from .errors import ConfigError, DataError, EndpointError, IncompleteRunError
 from .metrics import (
     ablation,
@@ -153,7 +153,7 @@ class _Sources:
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
         self.test_file = CorpusFile(self.store.corpus_path(dataset, Split.TEST))
-        all_items = self.store.load(dataset, Split.TEST, source=self.test_file)
+        all_items = read_normalized(self.test_file)
         self.test_ids = {item.id for item in all_items}
         self.items = _limited(all_items, limit)
         self.allow_teacher = allow_teacher
@@ -411,17 +411,14 @@ def _print_dry_run(sources: _Sources, stage: Stage):
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--dataset", "dataset_name", required=True)
 @click.option("--stage", "stage_name", required=True, type=click.Choice(STAGE_NAMES))
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--resume", is_flag=True, help="Continue a partially written trace.")
 @click.option("--dry-run", is_flag=True, help="Print the first prompt and parameters; no calls.")
 @click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
-def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
-        resume: bool, dry_run: bool, concurrency: int | None, limit: int | None):
+def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry_run: bool,
+        concurrency: int | None, limit: int | None):
     """Run one prompting stage over a dataset's test split."""
     config = load_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
     with _Sources(config, dataset, limit, allow_teacher=not dry_run) as sources:
@@ -434,15 +431,11 @@ def run(config_path: Path, dataset_name: str, stage_name: str, seed: int | None,
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--dataset", "dataset_name", required=True)
-@click.option("--seed", type=int, default=None)
 @click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None)
-def ablate(config_path: Path, dataset_name: str, seed: int | None,
-           concurrency: int | None, limit: int | None):
+def ablate(config_path: Path, dataset_name: str, concurrency: int | None, limit: int | None):
     """Run every ladder stage in order and tabulate the ablation."""
     config = load_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
     dataset = _dataset(dataset_name)
     with _Sources(config, dataset, limit) as sources:
         reports = [_run_stage(sources, stage, resume=True, concurrency=concurrency)

@@ -22,7 +22,7 @@ import yaml
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .modelgw import DEFAULT_TIMEOUT, RetryPolicy, open_endpoint
+from .modelgw import DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file
 from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 BUILTIN_EMBEDDING = "builtin"
+# The longest wait a config sets, in seconds: a call's `timeout` and the
+# retry `backoff_cap`. Socket timeouts and `time.sleep` overflow near 2**63
+# ns, `time.sleep` sooner the longer the machine has been up; a day is far
+# inside both and longer than any useful wait.
+MAX_WAIT_S = 86_400.0
 
 
 @dataclass(frozen=True)
@@ -75,15 +80,18 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {unknown}")
 
 
-def _finite(value, key: str, context: str, positive: bool = False) -> float:
-    """`value` as a finite float >= 0 (> 0 if `positive`); anything else is a
-    ConfigError."""
+def _finite(value, key: str, context: str, positive: bool = False,
+            maximum: float = math.inf) -> float:
+    """`value` as a finite float >= 0 (> 0 if `positive`) and <= `maximum`;
+    anything else is a ConfigError."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+    if not math.isfinite(number) or number < 0 or (positive and number == 0) or number > maximum:
         bound = "> 0" if positive else ">= 0"
+        if maximum < math.inf:
+            bound += f" and <= {maximum:g}"
         raise ConfigError(f"{context}: {key} must be a finite number {bound}, got {value!r}")
     return number
 
@@ -118,7 +126,9 @@ def _endpoint_block(block, context: str) -> EndpointConfig:
         url=str(_require(block, "url", context)),
         model_id=str(_require(block, "model", context)),
         api_key_env=api_key_env,
-        **_given(block, context, {"timeout": ("timeout", partial(_finite, positive=True))}),
+        **_given(block, context, {
+            "timeout": ("timeout", partial(_finite, positive=True, maximum=MAX_WAIT_S)),
+        }),
     )
 
 
@@ -153,7 +163,7 @@ def load_config(path: str | Path) -> RunConfig:
     retry = RetryPolicy(**_given(retry_raw, f"{path}: retry", {
         "max_retries": ("max_retries", partial(_integer, minimum=0)),
         "backoff_base": ("backoff_base", _finite),
-        "backoff_cap": ("backoff_cap", _finite),
+        "backoff_cap": ("backoff_cap", partial(_finite, maximum=MAX_WAIT_S)),
     }))
 
     instructions = raw.get("instructions", {}) or {}
@@ -232,8 +242,11 @@ def config_fingerprint(config: RunConfig, dataset: Dataset) -> str:
 
 
 def build_endpoint(spec: EndpointConfig, retry: RetryPolicy):
-    """Open the endpoint a config block describes (`mock:` URLs run in process)."""
-    kwargs = {}
-    if not spec.url.startswith("mock:"):
-        kwargs = {"timeout": spec.timeout, "retry": retry}
-    return open_endpoint(spec.url, spec.model_id, api_key_env=spec.api_key_env, **kwargs)
+    """Open the endpoint a config block describes: a `mock:<policy.json>` URL
+    runs in process, any other is HTTP."""
+    if spec.url.startswith("mock:"):
+        endpoint = mock_from_file(spec.url[len("mock:"):])
+        endpoint.model_id = spec.model_id or endpoint.model_id
+        return endpoint
+    return HttpEndpoint(spec.url, spec.model_id, api_key_env=spec.api_key_env,
+                        timeout=spec.timeout, retry=retry)

@@ -557,9 +557,8 @@ class CorpusFile:
     `sha256` digests exactly the bytes the lines come from. Lines are split
     on "\n" alone, never on the other separators `str.splitlines` knows, so
     a raw U+2028 inside a question stays in its line; the "\r" of a CRLF
-    ending is whitespace. A blank line holds no item. It stands in wherever
-    the file's path is expected; `read_normalized` parses its lines as held,
-    without reading the file again.
+    ending is whitespace. A blank line holds no item. `read_normalized`
+    parses its lines as held, without reading the file again.
     """
 
     def __init__(self, path: str | Path):
@@ -572,9 +571,6 @@ class CorpusFile:
             self.lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: not UTF-8: {exc}") from exc
-
-    def __fspath__(self) -> str:
-        return str(self.path)
 
     def item_lines(self) -> list[int]:
         """Index in `lines` of each item, in file order."""
@@ -687,10 +683,8 @@ class CorpusStore:
         write_manifest(result.manifest, self.manifest_path(dataset, split))
         return self.corpus_path(dataset, split)
 
-    def load(self, dataset: Dataset, split: Split,
-             source: CorpusFile | None = None) -> list[McqItem]:
-        """The split's items; `source` is its file when the caller has read it already."""
-        return read_normalized(source or self.corpus_path(dataset, split))
+    def load(self, dataset: Dataset, split: Split) -> list[McqItem]:
+        return read_normalized(self.corpus_path(dataset, split))
 
     def has(self, dataset: Dataset, split: Split) -> bool:
         return self.corpus_path(dataset, split).exists()

@@ -35,7 +35,7 @@ __all__ = [
     "mock_model",
     "complete",
     "default_max_tokens",
-    "open_endpoint",
+    "mock_from_file",
     "parse_prompt_tail",
     "GoldAnswerPolicy",
     "GarbagePolicy",
@@ -123,7 +123,6 @@ class HttpEndpoint:
         api_key_env: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
         retry: RetryPolicy = RetryPolicy(),
-        sleep=time.sleep,
     ):
         # Imported here, not at module level, so runs against `mock:`
         # endpoints never load the HTTP and TLS modules.
@@ -140,7 +139,7 @@ class HttpEndpoint:
             raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {base_url!r}")
         self.model_id = model_id
         self.retry = retry
-        self._sleep = sleep
+        self._sleep = time.sleep  # the backoff wait; tests record it instead
         self._headers = {"Content-Type": "application/json"}
         if api_key_env:
             key = os.environ.get(api_key_env)
@@ -506,15 +505,6 @@ def mock_from_file(path: str | Path) -> MockEndpoint:
     if name not in _POLICY_REGISTRY:
         raise ConfigError(f"unknown mock policy {name!r} in {path}")
     return MockEndpoint(_POLICY_REGISTRY[name](spec), model_id=spec.get("model_id", "mock"))
-
-
-def open_endpoint(url: str, model_id: str, api_key_env: str | None = None, **kwargs):
-    """Endpoint factory: `mock:<policy.json>` runs in process, else HTTP."""
-    if url.startswith("mock:"):
-        endpoint = mock_from_file(url[len("mock:"):])
-        endpoint.model_id = model_id or endpoint.model_id
-        return endpoint
-    return HttpEndpoint(url, model_id, api_key_env=api_key_env, **kwargs)
 
 
 def complete(request: GenerationRequest, endpoint) -> GenerationResponse:

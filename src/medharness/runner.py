@@ -13,8 +13,10 @@ one. Every pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
 
-Every completed item is appended to a JSON-lines trace as soon as it
-finishes; the trace doubles as the checkpoint, so an interrupted run resumes
+An item's result is its trace row, a plain dict: `answer_item` returns one
+pass's `per_run` entry, `answer_stage_item` the row that holds them, and
+`run_benchmark` appends that row to a JSON-lines trace as soon as the item
+finishes. The trace doubles as the checkpoint, so an interrupted run resumes
 by skipping the item ids already present.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import McqItem, mend_tail, scan_jsonl
-from .errors import ConfigError, EndpointError, IncompleteRunError
+from .errors import ConfigError, EndpointError
 from .modelgw import GenerationRequest, HttpEndpoint, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
 from .promptkit import (
@@ -46,8 +48,6 @@ __all__ = [
     "Stage",
     "LADDER",
     "EnsembleConfig",
-    "RunResult",
-    "ItemResult",
     "answer_item",
     "answer_stage_item",
     "aggregate_votes",
@@ -78,35 +78,6 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"ensemble needs at least one run, got {self.n_runs}")
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One generation pass over one (possibly shuffled) presentation."""
-
-    run_index: int
-    permutation: dict[str, str]
-    presented: str
-    decision: str
-    raw_text: str
-    tries: int
-    transport_errors: int
-    prompt_sha256: str
-
-
-@dataclass(frozen=True)
-class ItemResult:
-    item_id: str
-    gold: str
-    stage: Stage
-    decision: str
-    correct: bool
-    tie_broken: bool
-    per_run: tuple[RunResult, ...]
-
-    @property
-    def n_calls(self) -> int:
-        return sum(run.tries for run in self.per_run)
 
 
 def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
@@ -144,16 +115,19 @@ def answer_item(
     shuffle: bool = False,
     seed: int = 0,
     max_tries: int = MAX_VALIDITY_TRIES,
-) -> RunResult:
+) -> dict:
     """One generation pass: build the prompt, call the model, extract.
 
     The request carries `seed`, which with `shuffle` also orders the options.
     Retries generation up to `max_tries` when the output yields no parseable
-    answer; transport failures count as tries. The returned decision is the
-    canonical label (the extracted presented label mapped back through the
-    permutation), or the invalid marker when no try gave a parseable answer.
-    When every try failed in transport the model never answered, so there is
-    nothing to score: that raises the last `EndpointError`.
+    answer; transport failures count as tries. Returns the pass's `per_run`
+    entry: `run_index`, the `permutation` (canonical -> presented label), the
+    `presented` label extracted, the `decision` (that label mapped back
+    through the permutation, or the invalid marker when no try gave a
+    parseable answer), the last `raw_text`, `tries`, `transport_errors` and
+    the prompt's `prompt_sha256`. When every try failed in transport the
+    model never answered, so there is nothing to score: that raises the last
+    `EndpointError`.
     """
     if shuffle:
         presented_item, permutation = shuffle_options(item, seed, run_index)
@@ -172,7 +146,6 @@ def answer_item(
         stop_sequences=STOP_SEQUENCES,
         seed=seed,
     )
-    prompt_sha = hashlib.sha256(bundle.text.encode("utf-8")).hexdigest()
 
     tries = 0
     transport_errors = 0
@@ -191,17 +164,16 @@ def answer_item(
         presented_label = extract_answer(raw_text, labels, word_tokens)
         if presented_label != INVALID:
             break
-    decision = to_canonical[presented_label] if presented_label != INVALID else INVALID
-    return RunResult(
-        run_index=run_index,
-        permutation=dict(permutation),
-        presented=presented_label,
-        decision=decision,
-        raw_text=raw_text,
-        tries=tries,
-        transport_errors=transport_errors,
-        prompt_sha256=prompt_sha,
-    )
+    return {
+        "run_index": run_index,
+        "permutation": permutation,
+        "presented": presented_label,
+        "decision": to_canonical[presented_label] if presented_label != INVALID else INVALID,
+        "raw_text": raw_text,
+        "tries": tries,
+        "transport_errors": transport_errors,
+        "prompt_sha256": hashlib.sha256(bundle.text.encode("utf-8")).hexdigest(),
+    }
 
 
 def answer_stage_item(
@@ -214,8 +186,12 @@ def answer_stage_item(
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
     run_pool: ThreadPoolExecutor | None = None,
-) -> ItemResult:
-    """Answer one item as `stage` asks, then vote.
+) -> dict:
+    """Answer one item as `stage` asks, vote, and return its trace row.
+
+    The row holds `schema`, `item_id`, `gold`, the `stage` name, the voted
+    `decision`, `correct`, `tie_broken`, `n_calls` (the tries of all runs)
+    and `per_run`, the `answer_item` entries of the runs made.
 
     The ensemble runs up to `ensemble.n_runs` passes at
     `ensemble.temperature`, each over the options shuffled with `seed` and
@@ -234,12 +210,12 @@ def answer_stage_item(
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
 
-    def make_run(run_index: int) -> RunResult:
+    def make_run(run_index: int) -> dict:
         return answer_item(item, stage, instruction, exemplars, endpoint,
                            temperature=temperature, run_index=run_index, shuffle=shuffle,
                            seed=seed, max_tries=max_tries)
 
-    runs: list[RunResult] = []
+    runs: list[dict] = []
     counts: dict[str, int] = {}
     while len(runs) < n_runs:
         leader, runner_up = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
@@ -250,22 +226,24 @@ def answer_stage_item(
         size = min(left, (runner_up + left - leader) // 2 + 1)
         for run in _run_wave(make_run, range(len(runs), len(runs) + size), run_pool):
             runs.append(run)
-            if run.decision != INVALID:
-                counts[run.decision] = counts.get(run.decision, 0) + 1
-    decision, tie_broken = aggregate_votes([run.decision for run in runs])
-    return ItemResult(
-        item_id=item.id,
-        gold=item.gold,
-        stage=stage,
-        decision=decision,
-        correct=decision == item.gold,
-        tie_broken=tie_broken,
-        per_run=tuple(runs),
-    )
+            if run["decision"] != INVALID:
+                counts[run["decision"]] = counts.get(run["decision"], 0) + 1
+    decision, tie_broken = aggregate_votes([run["decision"] for run in runs])
+    return {
+        "schema": TRACE_SCHEMA,
+        "item_id": item.id,
+        "gold": item.gold,
+        "stage": stage.value,
+        "decision": decision,
+        "correct": decision == item.gold,
+        "tie_broken": tie_broken,
+        "n_calls": sum(run["tries"] for run in runs),
+        "per_run": runs,
+    }
 
 
 def _run_wave(make_run, run_indices: range, run_pool: ThreadPoolExecutor | None
-              ) -> list[RunResult]:
+              ) -> list[dict]:
     """`make_run` over `run_indices`, returned in index order.
 
     Without a pool the runs are made one by one and the first error ends the
@@ -282,32 +260,6 @@ def _run_wave(make_run, run_indices: range, run_pool: ThreadPoolExecutor | None
     finally:
         wait(futures)
     return runs + [future.result() for future in futures]
-
-
-def _result_row(result: ItemResult) -> dict:
-    return {
-        "schema": TRACE_SCHEMA,
-        "item_id": result.item_id,
-        "gold": result.gold,
-        "stage": result.stage.value,
-        "decision": result.decision,
-        "correct": result.correct,
-        "tie_broken": result.tie_broken,
-        "n_calls": result.n_calls,
-        "per_run": [
-            {
-                "run_index": run.run_index,
-                "permutation": run.permutation,
-                "presented": run.presented,
-                "decision": run.decision,
-                "raw_text": run.raw_text,
-                "tries": run.tries,
-                "transport_errors": run.transport_errors,
-                "prompt_sha256": run.prompt_sha256,
-            }
-            for run in result.per_run
-        ],
-    }
 
 
 def read_trace(trace_path: str | Path) -> list[dict]:
@@ -374,7 +326,6 @@ def run_benchmark(
                 f"{trace_path}: trace holds stage {row['stage']!r}, expected {stage.value!r}"
             )
     done = {row["item_id"] for row in existing}
-    wanted_ids = [item.id for item in items]
     todo = [item for item in items if item.id not in done]
     if todo and done and not resume:
         raise ConfigError(
@@ -390,11 +341,10 @@ def run_benchmark(
         write_lock = threading.Lock()
 
         def handle(item: McqItem, run_pool: ThreadPoolExecutor | None = None) -> None:
-            result = answer_stage_item(
+            row = answer_stage_item(
                 item, stage, instruction, exemplars_for(item), endpoint, seed=seed,
                 ensemble=ensemble, max_tries=max_tries, run_pool=run_pool,
             )
-            row = _result_row(result)
             with write_lock:
                 with open(trace_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
@@ -423,10 +373,5 @@ def run_benchmark(
                 if not future.cancelled():
                     future.result()
 
-    missing = [item_id for item_id in wanted_ids if item_id not in rows_by_id]
-    if missing:
-        raise IncompleteRunError(
-            f"{trace_path}: {len(missing)} items missing after run "
-            f"(first: {missing[:3]})"
-        )
-    return [rows_by_id[item_id] for item_id in wanted_ids]
+    # Every item to do either added its row or raised above.
+    return [rows_by_id[item.id] for item in items]

@@ -17,6 +17,7 @@ import yaml
 from conftest import make_item
 from medharness import cli, corpus, runner, teacher
 from medharness.cli import main
+from medharness.config import MAX_WAIT_S, load_config
 from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
 from medharness.errors import DataError, EndpointError
 from medharness.modelgw import HttpEndpoint, parse_prompt_tail
@@ -82,10 +83,11 @@ def loads(monkeypatch):
     read_normalized = corpus.read_normalized
 
     def spy(path):
-        names.append(Path(path).name)
+        names.append((path.path if isinstance(path, CorpusFile) else Path(path)).name)
         return read_normalized(path)
 
     monkeypatch.setattr(corpus, "read_normalized", spy)
+    monkeypatch.setattr(cli, "read_normalized", spy)
     return names
 
 
@@ -396,6 +398,11 @@ class TestExitCodes:
         ({"retry": {"backoff_cap": -0.5}}, "backoff_cap"),
         ({"target": {"url": "mock:unused.json", "model": "m", "timeout": 0}}, "timeout"),
         ({"teacher": {"url": "mock:unused.json", "model": "m", "timeout": -3}}, "timeout"),
+        # Past a day: `time.sleep` on the first retry, or the socket's
+        # `settimeout` on the first call, raised a bare OverflowError.
+        ({"retry": {"backoff_cap": 1e300}}, "backoff_cap"),
+        ({"retry": {"backoff_cap": MAX_WAIT_S + 1}}, "backoff_cap"),
+        ({"target": {"url": "http://127.0.0.1:9", "model": "m", "timeout": 1e300}}, "timeout"),
     ])
     def test_non_finite_config_float_is_config_error(self, tmp_path, capsys, extra, key):
         config, _, _ = build_env(tmp_path, config_extra=extra)
@@ -416,6 +423,23 @@ class TestExitCodes:
         assert code == 1
         assert f"{block}: api_key_env must name an environment variable, got {value!r}" \
             in capsys.readouterr().err
+
+    def test_waits_of_a_day_load(self, tmp_path):
+        config, _, _ = build_env(tmp_path, config_extra={
+            "retry": {"backoff_cap": 86400},
+            "target": {"url": "mock:unused.json", "model": "m", "timeout": 86400}})
+        loaded = load_config(config)
+        assert loaded.retry.backoff_cap == loaded.target.timeout == MAX_WAIT_S == 86400
+
+    @pytest.mark.parametrize("command", [["run", "--stage", "ensemble"], ["ablate"]])
+    def test_seed_option_is_gone(self, tmp_path, capsys, monkeypatch, command):
+        # The config file is the one place that sets the seed.
+        config, _, _ = build_env(tmp_path)
+        monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
+        code = main([command[0], "--config", str(config), "--dataset", "medqa", *command[1:],
+                     "--seed", "7"])
+        assert code == 1
+        assert "No such option '--seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, key, minimum", [
         ({"max_validity_tries": 0}, "max_validity_tries", 1),

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import golden_data as gd
+from medharness.config import EndpointConfig, build_endpoint
 from medharness.errors import ConfigError, EndpointError
 from medharness.modelgw import (
     FixedTextPolicy,
@@ -26,7 +27,6 @@ from medharness.modelgw import (
     default_max_tokens,
     mock_from_file,
     mock_model,
-    open_endpoint,
     parse_prompt_tail,
 )
 from medharness.promptkit import CotExemplar, Stage, assemble_prompt, teacher_prompt
@@ -73,12 +73,13 @@ def completion_body(text, finish="stop"):
             "usage": {"prompt_tokens": 10, "completion_tokens": 5}}
 
 
-def endpoint_for(server, base_path="", **kwargs):
-    """An endpoint on `server`, closed when the server fixture ends."""
+def endpoint_for(server, base_path="", sleep=lambda s: None, **kwargs):
+    """An endpoint on `server` whose backoff waits call `sleep`, closed when
+    the server fixture ends."""
     kwargs.setdefault("retry", RetryPolicy(max_retries=3, backoff_base=0.0, backoff_cap=0.0))
-    kwargs.setdefault("sleep", lambda s: None)
     endpoint = HttpEndpoint(f"http://127.0.0.1:{server.server_address[1]}{base_path}",
                             "test-model", **kwargs)
+    endpoint._sleep = sleep
     server.endpoints.append(endpoint)
     return endpoint
 
@@ -296,8 +297,8 @@ class TestConnections:
             bound.bind(("127.0.0.1", 0))
             sleeps = []
             ep = HttpEndpoint(f"http://127.0.0.1:{bound.getsockname()[1]}", "m",
-                              retry=RetryPolicy(max_retries=2, backoff_base=0.25),
-                              sleep=sleeps.append)
+                              retry=RetryPolicy(max_retries=2, backoff_base=0.25))
+            ep._sleep = sleeps.append
             with pytest.raises(EndpointError, match="gave up after 3 attempts"):
                 complete(simple_request(), ep)
         assert sleeps == [0.25, 0.5]
@@ -554,7 +555,8 @@ class TestMockFromFile:
         spec = {"policy": "gold", "answers": {gd.TEST_ITEM.question: gd.TEST_ITEM.gold_text}}
         path = tmp_path / "policy.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
-        ep = open_endpoint(f"mock:{path}", "target-model")
+        ep = build_endpoint(EndpointConfig(url=f"mock:{path}", model_id="target-model"),
+                            RetryPolicy())
         assert ep.model_id == "target-model"
         text = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text
         response = complete(GenerationRequest(model_id=ep.model_id, prompt=text), ep)

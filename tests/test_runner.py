@@ -26,7 +26,6 @@ from medharness.promptkit import assemble_prompt, shuffle_options
 from medharness.runner import (
     LADDER,
     EnsembleConfig,
-    RunResult,
     Stage,
     aggregate_votes,
     answer_item,
@@ -124,14 +123,14 @@ class TestAnswerItem:
         endpoint = gold_endpoint([gd.TEST_ITEM])
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
-        assert run.decision == "B"
-        assert run.presented == "B"
-        assert run.tries == 1
-        assert run.transport_errors == 0
-        assert run.permutation == {"A": "A", "B": "B", "C": "C", "D": "D"}
+        assert run["decision"] == "B"
+        assert run["presented"] == "B"
+        assert run["tries"] == 1
+        assert run["transport_errors"] == 0
+        assert run["permutation"] == {"A": "A", "B": "B", "C": "C", "D": "D"}
         expected = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                                    [], gd.TEST_ITEM).text
-        assert run.prompt_sha256 == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+        assert run["prompt_sha256"] == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
     def test_unparseable_output_is_retried(self):
         endpoint = mock_model(SequencePolicy([
@@ -140,19 +139,19 @@ class TestAnswerItem:
         ]))
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
-        assert run.decision == "B"
-        assert run.tries == 3
+        assert run["decision"] == "B"
+        assert run["tries"] == 3
         assert endpoint.call_count == 3
 
     def test_garbage_exhausts_tries(self):
         endpoint = mock_model(GarbagePolicy())
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
-        assert run.decision == INVALID
-        assert run.presented == INVALID
-        assert run.tries == 5
+        assert run["decision"] == INVALID
+        assert run["presented"] == INVALID
+        assert run["tries"] == 5
         assert endpoint.call_count == 5
-        assert "unable" in run.raw_text
+        assert "unable" in run["raw_text"]
 
     def test_transport_failures_count_as_tries(self):
         # Every try failed in transport: no answer to score, the error is raised.
@@ -164,24 +163,24 @@ class TestAnswerItem:
         endpoint = mock_model(OutagePolicy(GarbagePolicy(), failing_calls={0, 2, 3}))
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
-        assert run.decision == INVALID
-        assert run.tries == 5
-        assert run.transport_errors == 3
-        assert "unable" in run.raw_text
+        assert run["decision"] == INVALID
+        assert run["tries"] == 5
+        assert run["transport_errors"] == 3
+        assert "unable" in run["raw_text"]
         # They count as tries before an answer that parses.
         endpoint = mock_model(OutagePolicy(gold_endpoint([gd.TEST_ITEM]).policy, {0, 1}))
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
-        assert (run.decision, run.tries, run.transport_errors) == ("B", 3, 2)
+        assert (run["decision"], run["tries"], run["transport_errors"]) == ("B", 3, 2)
 
     def test_shuffled_answer_maps_back_to_canonical(self):
         endpoint = gold_endpoint([gd.TEST_ITEM])
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint, run_index=gd.SHUFFLE_RUN, shuffle=True,
                           seed=gd.SHUFFLE_SEED)
-        assert run.permutation == gd.SHUFFLED_RUN3_PERMUTATION
-        assert run.presented == gd.SHUFFLED_RUN3_PERMUTATION["B"]
-        assert run.decision == "B"
+        assert run["permutation"] == gd.SHUFFLED_RUN3_PERMUTATION
+        assert run["presented"] == gd.SHUFFLED_RUN3_PERMUTATION["B"]
+        assert run["decision"] == "B"
 
     def test_request_wiring_answer_only(self):
         endpoint = RecordingEndpoint("### Answer: (B) Patellofemoral cartilage")
@@ -239,60 +238,60 @@ class TestEnsemble:
         endpoint = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS)
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert result.correct
-        assert result.decision == "B"
-        assert not result.tie_broken
+        assert result["correct"]
+        assert result["decision"] == "B"
+        assert not result["tie_broken"]
         # Three agreeing runs decide a 5-run vote; runs 3 and 4 are never made.
-        assert result.n_calls == 3
-        permutations = {tuple(sorted(r.permutation.items())) for r in result.per_run}
+        assert result["n_calls"] == 3
+        permutations = {tuple(sorted(r["permutation"].items())) for r in result["per_run"]}
         assert len(permutations) == 3
-        assert [r.run_index for r in result.per_run] == [0, 1, 2]
+        assert [r["run_index"] for r in result["per_run"]] == [0, 1, 2]
 
     def test_scripted_majority(self):
         script = ["C", "B", "C", "B", "C"]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert [r.decision for r in result.per_run] == script
-        assert result.decision == "C"
-        assert not result.tie_broken
-        assert not result.correct
+        assert [r["decision"] for r in result["per_run"]] == script
+        assert result["decision"] == "C"
+        assert not result["tie_broken"]
+        assert not result["correct"]
 
     def test_scripted_tie_breaks_to_earliest(self):
         script = ["C", "B", "B", "C", None]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert [r.decision for r in result.per_run] == ["C", "B", "B", "C", INVALID]
-        assert result.decision == "C"
-        assert result.tie_broken
+        assert [r["decision"] for r in result["per_run"]] == ["C", "B", "B", "C", INVALID]
+        assert result["decision"] == "C"
+        assert result["tie_broken"]
 
     def test_invalid_runs_excluded_from_vote(self):
         script = [None, None, None, "B", None]
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert result.decision == "B"
-        assert result.correct
-        assert not result.tie_broken
+        assert result["decision"] == "B"
+        assert result["correct"]
+        assert not result["tie_broken"]
         # Four invalid runs burned the full validity budget each.
-        assert result.n_calls == 4 * 5 + 1
+        assert result["n_calls"] == 4 * 5 + 1
 
     def test_all_runs_invalid(self):
         endpoint = mock_model(GarbagePolicy())
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert result.decision == INVALID
-        assert not result.correct
-        assert result.n_calls == 25
+        assert result["decision"] == INVALID
+        assert not result["correct"]
+        assert result["n_calls"] == 25
 
     def test_run_count_configurable(self):
         endpoint = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS)
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0,
                                    ensemble=EnsembleConfig(n_runs=3))
-        assert [r.run_index for r in result.per_run] == [0, 1]
-        assert result.n_calls == 2
+        assert [r["run_index"] for r in result["per_run"]] == [0, 1]
+        assert result["n_calls"] == 2
 
     def test_early_stop_equals_the_full_vote_exhaustively(self, monkeypatch):
         """Every decision sequence of 1-5 runs over 5 labels and invalid: the
@@ -306,7 +305,7 @@ class TestEnsemble:
 
         def scripted(item, stage, instruction, exemplars, endpoint, run_index, **kwargs):
             decision = script[run_index]
-            return RunResult(run_index, {}, decision, decision, "", 1, 0, "")
+            return {"run_index": run_index, "decision": decision, "tries": 1}
 
         def recorded(make_run, run_indices, run_pool):
             waves.append(list(run_indices))
@@ -328,8 +327,9 @@ class TestEnsemble:
                                            ensemble=EnsembleConfig(n_runs=n_runs))
                 decided = next(k for k in range(1, n_runs + 1)
                                if len(outcomes(sequence[:k], n_runs)) == 1)
-                assert (result.decision, result.tie_broken) == aggregate_votes(list(sequence))
-                assert [r.run_index for r in result.per_run] == list(range(decided))
+                vote = aggregate_votes(list(sequence))
+                assert (result["decision"], result["tie_broken"]) == vote
+                assert [r["run_index"] for r in result["per_run"]] == list(range(decided))
                 assert [i for wave in waves for i in wave] == list(range(decided))
                 assert len(waves[0]) == n_runs // 2 + 1
                 for wave in waves:
@@ -347,9 +347,9 @@ class TestEnsemble:
         endpoint = mock_model(ScriptedVotePolicy(gd.TEST_ITEM, 0, script))
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert [r.decision for r in result.per_run] == [d or INVALID for d in script[:made]]
-        assert (result.decision, result.tie_broken) == vote
-        assert result.n_calls == endpoint.call_count
+        assert [r["decision"] for r in result["per_run"]] == [d or INVALID for d in script[:made]]
+        assert (result["decision"], result["tie_broken"]) == vote
+        assert result["n_calls"] == endpoint.call_count
 
     def test_single_generation_stage_runs_once_greedy_in_canonical_order(self):
         endpoint = RecordingEndpoint("### Answer: (B) Patellofemoral cartilage")
@@ -358,10 +358,11 @@ class TestEnsemble:
                                    ensemble=EnsembleConfig(n_runs=3, temperature=0.9))
         [request] = endpoint.requests
         assert request.temperature == 0.0
-        [run] = result.per_run
-        assert run.run_index == 0
-        assert run.permutation == {label: label for label in gd.TEST_ITEM.labels}
-        assert (result.stage, result.decision, result.tie_broken) == (Stage.ZERO_SHOT, "B", False)
+        [run] = result["per_run"]
+        assert run["run_index"] == 0
+        assert run["permutation"] == {label: label for label in gd.TEST_ITEM.labels}
+        assert (result["stage"], result["decision"], result["tie_broken"]) == (
+            "zero_shot", "B", False)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError, match="at least one run"):
@@ -531,6 +532,29 @@ class TestRunBenchmark:
         assert row["correct"]
         assert row["n_calls"] == 3
         assert [r["run_index"] for r in row["per_run"]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("stage", LADDER)
+    def test_trace_line_is_the_row_answer_stage_item_returned(self, bench_items, tmp_path,
+                                                              monkeypatch, stage):
+        returned = {}
+        answer_stage_item = runner.answer_stage_item
+
+        def spy(*args, **kwargs):
+            row = answer_stage_item(*args, **kwargs)
+            returned[row["item_id"]] = row
+            return row
+
+        monkeypatch.setattr(runner, "answer_stage_item", spy)
+        exemplars = [gd.exemplar(i, cot=stage.cot) for i in gd.KNN_ORDER] if stage.fewshot else []
+        trace = tmp_path / "trace.jsonl"
+        rows = run_benchmark(bench_items, stage, gold_endpoint(bench_items, gd.POOL_ITEMS),
+                             gd.MEDQA_INSTRUCTION, lambda item: exemplars, trace,
+                             seed=gd.SHUFFLE_SEED)
+        lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert lines == [returned[item.id] for item in bench_items] == rows
+        # A unanimous ensemble item stops after three of its five runs.
+        runs = 3 if stage is Stage.ENSEMBLE else 1
+        assert all(len(line["per_run"]) == line["n_calls"] == runs for line in lines)
 
     def test_fewshot_stage_uses_exemplars(self, bench_items, tmp_path):
         pool_exemplars = [gd.exemplar(i, cot=False) for i in gd.RANDOM_ORDER]

@@ -3,11 +3,13 @@ step with the package."""
 
 import ast
 import importlib
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
+from medharness.cli import cli
 from medharness.config import RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +66,23 @@ def test_readme_config_example_sets_every_run_config_field(tmp_path):
     config.write_text(example, encoding="utf-8")
     load_config(config)
     assert set(yaml.safe_load(example)) == {field.name for field in fields(RunConfig)}
+
+
+def readme_section(title: str) -> str:
+    """The README's `## title` section, up to the next `## ` heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_exactly_the_cli_options():
+    """Every `--flag` the README's Data and Running sections name is an option
+    of some command, and every command option is named there: a removed
+    option left in the docs, or a new one left out of them, fails."""
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                           readme_section("Data") + readme_section("Running")))
+    options = {opt for command in cli.commands.values() for param in command.params
+               for opt in param.opts if opt.startswith("--")}
+    assert named == options
 
 
 def test_every_public_name_has_a_caller():
