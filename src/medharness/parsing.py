@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 __all__ = ["INVALID", "extract_answer", "extract_explanation"]
 
@@ -36,24 +37,43 @@ _ANSWER_IS_RE = re.compile(r"(?i)\banswer\s+is\b")
 _EXPLANATION_HEADING_RE = re.compile(r"(?im)^[ \t]*[#*> \t]*explanation[* \t]*:")
 
 
-def _token_patterns(
-    labels: Iterable[str], word_tokens: Mapping[str, str] | None
-) -> list[tuple[re.Pattern, str]]:
-    patterns = []
-    for label in labels:
-        # Not adjacent to letters or digits: keeps "B" out of "B12" and "C"
-        # out of "C3-C5". Case-sensitive; a lowercase letter is prose.
-        patterns.append(
-            (re.compile(rf"(?<![A-Za-z0-9]){re.escape(label)}(?![A-Za-z0-9])"), label)
-        )
-    for word, label in (word_tokens or {}).items():
-        patterns.append(
-            (re.compile(rf"(?i)(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])"), label)
-        )
-    return patterns
+_Patterns = tuple[tuple[re.Pattern, str], ...]
 
 
-def _earliest(span: str, patterns: list[tuple[re.Pattern, str]]) -> tuple[int, str] | None:
+@lru_cache(maxsize=64)
+def _pattern_lists(
+    labels: tuple[str, ...], words: tuple[tuple[str, str], ...]
+) -> tuple[_Patterns, _Patterns, _Patterns, _Patterns]:
+    """The token, parenthesized, bare-line and bare-word patterns of one
+    (labels, word tokens) key, where `words` holds the word tokens' items.
+
+    Every item of a dataset presents the same few label sets, so each list
+    is compiled once per key rather than once per extraction.
+    """
+    bare_words = tuple(
+        (re.compile(rf"(?i)(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])"), label)
+        for word, label in words
+    )
+    # Not adjacent to letters or digits: keeps "B" out of "B12" and "C" out of
+    # "C3-C5". Case-sensitive; a lowercase letter is prose.
+    tokens = tuple(
+        (re.compile(rf"(?<![A-Za-z0-9]){re.escape(label)}(?![A-Za-z0-9])"), label)
+        for label in labels
+    ) + bare_words
+    parenthesized = tuple(
+        (re.compile(rf"\({re.escape(label)}\)"), label) for label in labels
+    ) + tuple(
+        (re.compile(rf"(?i)\({re.escape(word)}\)"), label) for word, label in words
+    )
+    bare_lines = tuple(
+        (re.compile(rf"\(?{re.escape(label)}\)?[.:]?"), label) for label in labels
+    ) + tuple(
+        (re.compile(rf"(?i)\(?{re.escape(word)}\)?[.:]?"), label) for word, label in words
+    )
+    return tokens, parenthesized, bare_lines, bare_words
+
+
+def _earliest(span: str, patterns: _Patterns) -> tuple[int, str] | None:
     best: tuple[int, str] | None = None
     for pattern, label in patterns:
         m = pattern.search(span)
@@ -71,7 +91,8 @@ def extract_answer(
     labels = tuple(labels)
     if not labels:
         raise ValueError("labels must be non-empty")
-    patterns = _token_patterns(labels, word_tokens)
+    patterns, paren_patterns, bare, word_patterns = _pattern_lists(
+        labels, tuple((word_tokens or {}).items()))
 
     # Rule 1: answer headings, each scoped to the next heading.
     headings = list(_ANSWER_HEADING_RE.finditer(raw))
@@ -96,23 +117,11 @@ def extract_answer(
             return hit[1]
 
     # Rule 3: parenthesized token.
-    paren_patterns = [
-        (re.compile(rf"\({re.escape(label)}\)"), label) for label in labels
-    ] + [
-        (re.compile(rf"(?i)\({re.escape(word)}\)"), label)
-        for word, label in (word_tokens or {}).items()
-    ]
     hit = _earliest(raw, paren_patterns)
     if hit:
         return hit[1]
 
     # Rule 4: a line that is nothing but a token.
-    bare = [
-        (re.compile(rf"\(?{re.escape(label)}\)?[.:]?"), label) for label in labels
-    ] + [
-        (re.compile(rf"(?i)\(?{re.escape(word)}\)?[.:]?"), label)
-        for word, label in (word_tokens or {}).items()
-    ]
     for line in raw.splitlines():
         stripped = line.strip()
         if not stripped:
@@ -122,11 +131,7 @@ def extract_answer(
                 return label
 
     # Rule 5: bare words anywhere, for word-answer datasets.
-    if word_tokens:
-        word_patterns = [
-            (re.compile(rf"(?i)(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])"), label)
-            for word, label in word_tokens.items()
-        ]
+    if word_patterns:
         hit = _earliest(raw, word_patterns)
         if hit:
             return hit[1]

@@ -19,11 +19,13 @@ Two embedding providers exist: a remote one backed by an embeddings endpoint,
 and a builtin deterministic lexical one (hashed term frequency weighted by
 inverse document frequency, L2-normalized) that needs no network and anchors
 the offline test suite. An index persists as two files: `<name>.jsonl` holds
-a header with the provider metadata and the SHA-256 of the pool file it was
-built from, then one `{"item_id": ...}` row per pool item in row order. The
-rows sit beside it: a builtin index writes `<name>.npz` with the CSR arrays
-`indptr`, `buckets` and `weights`; a remote index writes `<name>.npy` with
-the (count, dim) float64 matrix.
+a header with the provider metadata, the SHA-256 of the pool file it was
+built from and the name of its rows file, then one `{"item_id": ...}` row
+per pool item in row order. The rows sit beside it, named by their content:
+a builtin index writes `<name>.<digest>.npz` with the CSR arrays `indptr`,
+`buckets` and `weights`; a remote index writes `<name>.<digest>.npy` with the
+(count, dim) float64 matrix. The header's rename commits a save, so a crash
+before it leaves the old header over the old rows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from hashlib import blake2b
+from hashlib import blake2b, sha256
 from pathlib import Path
 from typing import Iterator
 
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 512
-INDEX_SCHEMA = 3
+INDEX_SCHEMA = 4
 # Queries scored per block. Larger blocks stream the pool less often but grow
 # the block's score buffer; at 16 it is 1.3 MB for a 10k pool.
 QUERY_BLOCK = 16
@@ -209,6 +211,7 @@ class _DenseRows:
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self.shape = matrix.shape
+        self.arrays = (matrix,)
 
     def row(self, i: int) -> np.ndarray:
         return self.matrix[i]
@@ -237,6 +240,7 @@ class _SparseRows:
     def __init__(self, indptr: np.ndarray, buckets: np.ndarray, weights: np.ndarray, dim: int):
         self.indptr, self.buckets, self.weights = indptr, buckets, weights
         self.shape = (len(indptr) - 1, dim)
+        self.arrays = (indptr, buckets, weights)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "_SparseRows":
@@ -423,25 +427,40 @@ class VectorIndex:
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the rows beside `path` (`.npz` sparse, `.npy` dense), then
-        the header and ids to `path`."""
+        """Write the rows beside `path` as `<name>.<digest>.npz` (sparse) or
+        `.npy` (dense), the digest taken over their arrays, then the header
+        and ids to `path`.
+
+        The header names its rows file, and its rename is the one commit
+        point: rows files of earlier saves are deleted only after it.
+        """
         path = Path(path)
+        digest = sha256()
+        for array in self._vectors.arrays:
+            digest.update(f"{array.dtype.str}{array.shape};".encode())
+            digest.update(np.ascontiguousarray(array))
+        rows_path = path.with_name(f"{path.stem}.{digest.hexdigest()[:16]}{self._vectors.suffix}")
         header: dict = {
             "schema": INDEX_SCHEMA,
             "provider_id": self.provider.provider_id,
             "dim": int(self._vectors.shape[1]),
             "count": len(self._ids),
             "pool_sha256": self.pool_sha256,
+            "rows": rows_path.name,
         }
         if isinstance(self.provider, BuiltinProvider):
             header["idf"] = {str(b): w for b, w in sorted(self.provider.idf.items())}
             header["n_docs"] = self.provider.n_docs
-        with replace_atomically(path.with_suffix(self._vectors.suffix)) as f:
+        with replace_atomically(rows_path) as f:
             self._vectors.save(f)
         lines = [json.dumps(header, sort_keys=True)]
         lines += [json.dumps({"item_id": item_id}) for item_id in self._ids]
         with replace_atomically(path) as f:
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        superseded = re.compile(re.escape(path.stem) + r"(\.[0-9a-f]{16})?\.np[yz]")
+        for old in path.parent.iterdir():
+            if old != rows_path and superseded.fullmatch(old.name):
+                old.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, provider=None) -> "VectorIndex":
@@ -484,7 +503,7 @@ class VectorIndex:
         if len(ids) != header["count"]:
             raise DataError(f"{path}: header count {header['count']} != {len(ids)} rows")
         storage = _SparseRows if isinstance(provider, BuiltinProvider) else _DenseRows
-        vectors_path = path.with_suffix(storage.suffix)
+        vectors_path = path.with_name(header["rows"])
         if not vectors_path.exists():
             raise DataError(f"index vectors missing: {vectors_path}; {_REBUILD}")
         try:

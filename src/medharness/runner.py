@@ -8,7 +8,11 @@ presenting the test question's options in a different seeded order, and
 stops as soon as the remaining runs could no longer change the vote. Its runs
 go out in waves: a wave is the fewest next runs after which the vote could be
 settled, so no stop can fall inside one. Against an HTTP endpoint at
-concurrency above 1, a wave's runs overlap; otherwise they are made one by
+concurrency above 1, a wave's runs overlap on one run pool that every open
+item shares: B = concurrency * (runs // 2 + 1) callers, with up to B items
+open at once, so more than `concurrency` items can be waiting on their
+waves while the target still sees at most B calls in flight and the
+teacher at most `concurrency`. Otherwise a wave's runs are made one by
 one. Every pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
@@ -202,10 +206,10 @@ def answer_stage_item(
     fewest next runs after which the vote could be settled, even if all of
     them went to the leader; with 5 runs the first wave is 3. No stop can
     fall inside a wave, so the runs made are the ones a one-by-one vote
-    makes. With `run_pool`, the caller makes a wave's first run while the
-    pool makes the rest at the same time; without it, a wave's runs are made
-    in run-index order in the calling thread. Every other stage runs one
-    greedy pass over the canonical order.
+    makes. With `run_pool`, the pool makes a wave's runs at the same time
+    while the caller waits for them; without it, a wave's runs are made in
+    run-index order in the calling thread. Every other stage runs one greedy
+    pass over the canonical order.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
@@ -247,19 +251,15 @@ def _run_wave(make_run, run_indices: range, run_pool: ThreadPoolExecutor | None
     """`make_run` over `run_indices`, returned in index order.
 
     Without a pool the runs are made one by one and the first error ends the
-    wave. With one, the caller makes the first run while the pool makes the
-    rest; every call of the wave returns before the lowest failing run's
+    wave. With one, the pool makes every run of the wave and the caller only
+    waits; every call of the wave returns before the lowest failing run's
     error is raised, so no call outlives its item.
     """
     if run_pool is None:
         return [make_run(run_index) for run_index in run_indices]
-    first, *rest = run_indices
-    futures = [run_pool.submit(make_run, run_index) for run_index in rest]
-    try:
-        runs = [make_run(first)]
-    finally:
-        wait(futures)
-    return runs + [future.result() for future in futures]
+    futures = [run_pool.submit(make_run, run_index) for run_index in run_indices]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def read_trace(trace_path: str | Path) -> list[dict]:
@@ -309,13 +309,19 @@ def run_benchmark(
     An item whose every try failed in transport gets no row: its
     `EndpointError` ends the run, and a resumed run asks for it again.
 
-    `concurrency` items are answered at a time. At concurrency above 1
-    against an `HttpEndpoint`, an ensemble item's waves overlap their runs
-    on a run pool of `concurrency * (n_runs // 2)` threads, so an item has at
-    most `n_runs // 2 + 1` calls in flight and the stage at most
-    `concurrency * (n_runs // 2 + 1)`. In-process endpoints make every run
-    inline: their calls hold the interpreter lock, and a mock's per-prompt
-    answer script would depend on thread timing.
+    `concurrency` items are answered at a time, with one exception: an
+    ensemble of more than one run against an `HttpEndpoint` at concurrency
+    above 1. There the stage's calls share one budget of
+    B = `concurrency * (n_runs // 2 + 1)`: every run of every wave goes to
+    one run pool of B threads, and up to B items are open at once, so more
+    than `concurrency` items can be waiting on their waves. An item's own
+    thread only builds its exemplars, submits a wave, waits for it and
+    votes. The target sees at most B calls in flight, and building
+    exemplars (with any teacher calls on manifest misses) stays at
+    `concurrency` items at a time, so the teacher sees at most
+    `concurrency`. In-process endpoints make every run inline: their calls hold the
+    interpreter lock, and a mock's per-prompt answer script would depend on
+    thread timing.
     Returns the trace rows for all requested items, in item order.
     """
     trace_path = Path(trace_path)
@@ -339,10 +345,17 @@ def run_benchmark(
         if mend is not None:
             mend_tail(trace_path, mend)
         write_lock = threading.Lock()
+        overlap = (concurrency > 1 and stage is Stage.ENSEMBLE and ensemble.n_runs > 1
+                   and isinstance(endpoint, HttpEndpoint))
+        budget = concurrency * (ensemble.n_runs // 2 + 1) if overlap else concurrency
+        exemplar_slots = (threading.BoundedSemaphore(concurrency) if overlap
+                          else contextlib.nullcontext())
 
-        def handle(item: McqItem, run_pool: ThreadPoolExecutor | None = None) -> None:
+        def handle(item: McqItem, run_pool: ThreadPoolExecutor | None) -> None:
+            with exemplar_slots:
+                exemplars = exemplars_for(item)
             row = answer_stage_item(
-                item, stage, instruction, exemplars_for(item), endpoint, seed=seed,
+                item, stage, instruction, exemplars, endpoint, seed=seed,
                 ensemble=ensemble, max_tries=max_tries, run_pool=run_pool,
             )
             with write_lock:
@@ -354,15 +367,12 @@ def run_benchmark(
 
         if concurrency <= 1:
             for item in todo:
-                handle(item)
+                handle(item, None)
         else:
-            run_threads = concurrency * (ensemble.n_runs // 2)
-            overlap = (stage is Stage.ENSEMBLE and run_threads > 0
-                       and isinstance(endpoint, HttpEndpoint))
-            run_pool = ThreadPoolExecutor(max_workers=run_threads) if overlap else None
+            run_pool = ThreadPoolExecutor(max_workers=budget) if overlap else None
             # The item pool shuts down first: its running items still submit runs.
             with run_pool or contextlib.nullcontext(), \
-                    ThreadPoolExecutor(max_workers=concurrency) as pool:
+                    ThreadPoolExecutor(max_workers=budget) as pool:
                 futures = [pool.submit(handle, item, run_pool) for item in todo]
                 try:
                     wait(futures, return_when=FIRST_EXCEPTION)

@@ -65,6 +65,30 @@ def trace_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+class SlowTeacher:
+    """`wrap_endpoint`'s wrapper for a teacher whose calls each take 20 ms
+    longer; `most` is the peak of calls in flight."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = self.most = 0
+
+    def __call__(self, endpoint):
+        self.endpoint, self.model_id = endpoint, endpoint.model_id
+        return self
+
+    def complete(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+        time.sleep(0.02)
+        try:
+            return self.endpoint.complete(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
 def wrap_endpoint(monkeypatch, model_id, wrap):
     """Make commands open `wrap(endpoint)` wherever they open `model_id`'s endpoint."""
     build_endpoint = cli.build_endpoint
@@ -564,29 +588,11 @@ class TestRankOnce:
 
     def test_teacher_calls_overlap_across_items(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
-        in_flight, most = [0], [0]
-        lock = threading.Lock()
-
-        class SlowTeacher:
-            def __init__(self, endpoint):
-                self.endpoint = endpoint
-                self.model_id = endpoint.model_id
-
-            def complete(self, request):
-                with lock:
-                    in_flight[0] += 1
-                    most[0] = max(most[0], in_flight[0])
-                time.sleep(0.02)
-                try:
-                    return self.endpoint.complete(request)
-                finally:
-                    with lock:
-                        in_flight[0] -= 1
-
-        wrap_endpoint(monkeypatch, "teacher-x", SlowTeacher)
+        teacher = SlowTeacher()
+        wrap_endpoint(monkeypatch, "teacher-x", teacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot", "--concurrency", "4"]) == 0
-        assert most[0] > 1
+        assert teacher.most > 1
 
     def test_gen_cot_then_run_gives_the_prompts_of_run_alone(self, tmp_path):
         def knn_prompts(root, warm):
@@ -880,7 +886,7 @@ class TestIndexedPool:
         pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
         index_path = tmp_path / "cache" / "index" / "medqa.jsonl"
         header = json.loads(index_path.read_text(encoding="utf-8").splitlines()[0])
-        assert header["schema"] == 3
+        assert header["schema"] == 4
         assert header["pool_sha256"] == hashlib.sha256(pool.read_bytes()).hexdigest()
 
     def test_edited_unused_pool_line_needs_a_rebuild(self, tmp_path, capsys):
@@ -1045,20 +1051,24 @@ class WaveHandler(BaseHTTPRequestHandler):
     calls in flight and their peak. A presentation
     (option texts in presented order) listed in `server.statuses` gets that
     HTTP status instead; one in `server.quick` is answered without the
-    delay.
+    delay. A (question, presentation) pair in `server.hold` waits that many
+    seconds instead of the delay. `server.spans` gets each call's
+    (question, presentation, start, end) times.
     """
 
     def do_POST(self):
         server = self.server
         prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
-        options = parse_prompt_tail(prompt)["options"]
+        tail = parse_prompt_tail(prompt)
+        options = tail["options"]
         presented = tuple(text for _, text in options)
+        started = time.monotonic()
         with server.lock:
             server.threads.append(threading.current_thread())
             server.in_flight += 1
             server.peak = max(server.peak, server.in_flight)
         if presented not in server.quick:
-            time.sleep(server.delay)
+            time.sleep(server.hold.get((tail["question"], presented), server.delay))
         digest = hashlib.sha256(prompt.encode("utf-8")).digest()
         token, text = options[digest[0] % len(options)]
         answer = ("I cannot tell." if digest[1] % 8 == 0
@@ -1068,6 +1078,7 @@ class WaveHandler(BaseHTTPRequestHandler):
         with server.lock:
             server.in_flight -= 1
             server.answered.append(prompt)
+            server.spans.append((tail["question"], presented, started, time.monotonic()))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -1079,7 +1090,7 @@ class WaveHandler(BaseHTTPRequestHandler):
 
 
 class WaveServer(ThreadingHTTPServer):
-    # Room for every call of two first waves to connect at once.
+    # Room for every call of the stage's call budget to connect at once.
     request_queue_size = 16
 
 
@@ -1087,10 +1098,10 @@ class WaveServer(ThreadingHTTPServer):
 def wave_server():
     httpd = WaveServer(("127.0.0.1", 0), WaveHandler)
     httpd.lock = threading.Lock()
-    httpd.threads, httpd.answered = [], []
+    httpd.threads, httpd.answered, httpd.spans = [], [], []
     httpd.in_flight = httpd.peak = 0
     httpd.delay = 0.02
-    httpd.statuses, httpd.quick = {}, set()
+    httpd.statuses, httpd.quick, httpd.hold = {}, set(), {}
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
@@ -1104,8 +1115,8 @@ class TestEnsembleWaves:
     """An ensemble item's undecided runs go out together only where calls wait on the network."""
 
     @staticmethod
-    def http_env(tmp_path, server, n_test, **extra):
-        return build_env(tmp_path, n_test=n_test, config_extra={
+    def http_env(tmp_path, server, n_test, n_pool=8, **extra):
+        return build_env(tmp_path, n_test=n_test, n_pool=n_pool, config_extra={
             "target": {"url": f"http://127.0.0.1:{server.server_address[1]}",
                        "model": "target-x"},
             "retry": {"max_retries": 0, "backoff_base": 0.0, "backoff_cap": 0.0},
@@ -1118,21 +1129,57 @@ class TestEnsembleWaves:
                       key=lambda line: json.loads(line)["item_id"])
 
     def test_overlapping_waves_write_the_rows_of_a_sequential_run(self, tmp_path, wave_server):
-        config, _, _ = self.http_env(tmp_path, wave_server, n_test=8)
+        config, test_items, _ = self.http_env(tmp_path, wave_server, n_test=8)
         args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"]
         trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
-        rows, peaks = {}, {}
-        for concurrency in (1, 2):
-            wave_server.peak = 0
-            assert main(args + ["--concurrency", str(concurrency)]) == 0
-            rows[concurrency], peaks[concurrency] = self.sorted_rows(trace), wave_server.peak
-            trace.unlink()
-        assert rows[2] == rows[1]
-        # Some item needed a second wave.
-        assert any(len(json.loads(row)["per_run"]) > 3 for row in rows[1])
-        # Two items at a time, each with at most 5 // 2 + 1 calls in flight.
-        assert peaks[1] == 1
-        assert 2 < peaks[2] <= 2 * 3
+        assert main(args + ["--concurrency", "1"]) == 0
+        sequential = self.sorted_rows(trace)
+        assert wave_server.peak == 1
+        trace.unlink()
+
+        def presentation(item, run_index):
+            return (item.question,
+                    tuple(text for _, text in shuffle_options(item, 0, run_index)[0].options))
+
+        # The later-wave runs of the first two items that have any, where no
+        # first-wave run shares their presentation, are held 0.3 s.
+        items = {item.id: item for item in test_items}
+        held = []
+        for row in map(json.loads, sequential):
+            item = items[row["item_id"]]
+            first = {presentation(item, run_index) for run_index in range(3)}
+            later = {presentation(item, run["run_index"]) for run in row["per_run"][3:]} - first
+            if later and len(held) < 2:
+                held.append(later)
+        assert len(held) == 2
+        wave_server.hold = {key: 0.3 for keys in held for key in keys}
+        wave_server.peak = 0
+        assert main(args + ["--concurrency", "2"]) == 0
+        assert self.sorted_rows(trace) == sequential
+        # One call budget of concurrency * (5 // 2 + 1), kept full.
+        assert wave_server.peak == 2 * 3
+
+        def held_calls(keys):
+            return [(start, end) for *key, start, end in wave_server.spans if tuple(key) in keys]
+
+        # While both items wait on a held run, other items' calls are answered.
+        both = [(max(start_a, start_b), min(end_a, end_b))
+                for start_a, end_a in held_calls(held[0]) for start_b, end_b in held_calls(held[1])]
+        both = [(start, end) for start, end in both if start < end]
+        assert both
+        held_questions = {question for keys in held for question, _ in keys}
+        assert any(start < answered < end
+                   for question, _, _, answered in wave_server.spans
+                   if question not in held_questions for start, end in both)
+
+    def test_teacher_calls_stay_within_concurrency(self, tmp_path, monkeypatch, wave_server):
+        # No gen-cot ran, so every item's exemplars ask the teacher.
+        config, _, _ = self.http_env(tmp_path, wave_server, n_test=12, n_pool=30)
+        teacher = SlowTeacher()
+        wrap_endpoint(monkeypatch, "teacher-x", teacher)
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "ensemble", "--concurrency", "2"]) == 0
+        assert teacher.most <= 2
 
     # Runs 1 and 2 of the first wave fail; only the runs named are answered
     # without the delay. Either run 2 fails before run 1, or run 1 fails

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,11 @@ def word_soup_items(n, vocab_size=60, words_per_item=12, seed=123, split=Split.T
         words = rng.choices(vocab, k=words_per_item)
         items.append(make_item(i, split=split, question=" ".join(words) + "?"))
     return items
+
+
+def rows_file(path):
+    """The rows file an index header at `path` names."""
+    return path.with_name(json.loads(path.read_text(encoding="utf-8").splitlines()[0])["rows"])
 
 
 def reference_embed(provider, text):
@@ -428,12 +436,14 @@ class TestPersistence:
     def test_vectors_stored_beside_header(self, tmp_path):
         index = build_index(word_soup_items(5))
         index.save(tmp_path / "pool.jsonl")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npz"]
+        rows_path = rows_file(tmp_path / "pool.jsonl")
+        assert re.fullmatch(r"pool\.[0-9a-f]{16}\.npz", rows_path.name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["pool.jsonl", rows_path.name])
         header, *rows = (json.loads(line) for line in
                          (tmp_path / "pool.jsonl").read_text(encoding="utf-8").splitlines())
-        assert (header["schema"], header["count"]) == (3, 5)
+        assert (header["schema"], header["count"]) == (4, 5)
         assert rows == [{"item_id": item_id} for item_id in index.ids]
-        with np.load(tmp_path / "pool.npz") as arrays:
+        with np.load(rows_path) as arrays:
             assert sorted(arrays.files) == ["buckets", "indptr", "weights"]
             indptr, buckets, weights = arrays["indptr"], arrays["buckets"], arrays["weights"]
         assert indptr.shape == (6,) and indptr[0] == 0
@@ -446,13 +456,14 @@ class TestPersistence:
 
     def test_missing_vectors_refused(self, tmp_path):
         build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
-        (tmp_path / "pool.npz").unlink()
+        rows_file(tmp_path / "pool.jsonl").unlink()
         with pytest.raises(DataError, match="vectors missing.*medharness index"):
             VectorIndex.load(tmp_path / "pool.jsonl")
 
     def test_vector_shape_mismatch_refused(self, tmp_path):
         build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
-        with np.load(tmp_path / "pool.npz") as arrays:
+        rows_path = rows_file(tmp_path / "pool.jsonl")
+        with np.load(rows_path) as arrays:
             saved = {name: arrays[name] for name in arrays.files}
         edits = [
             {"indptr": saved["indptr"][:-1]},
@@ -464,10 +475,11 @@ class TestPersistence:
         ]
         for edit in edits:
             arrays = {name: value for name, value in {**saved, **edit}.items() if value is not None}
-            np.savez(tmp_path / "pool.npz", **arrays)
+            with open(rows_path, "wb") as f:
+                np.savez(f, **arrays)
             with pytest.raises(DataError, match="medharness index"):
                 VectorIndex.load(tmp_path / "pool.jsonl")
-        (tmp_path / "pool.npz").write_bytes(b"PK\x03\x04 cut short")
+        rows_path.write_bytes(b"PK\x03\x04 cut short")
         with pytest.raises(DataError, match="unreadable.*medharness index"):
             VectorIndex.load(tmp_path / "pool.jsonl")
 
@@ -480,8 +492,54 @@ class TestPersistence:
         (tmp_path / "pool.jsonl").write_text("\n".join([json.dumps(header), *rows]) + "\n",
                                              encoding="utf-8")
         np.save(tmp_path / "pool.npy", np.vstack([index._vectors.row(r) for r in range(5)]))
-        with pytest.raises(DataError, match="schema 2 is not 3.*medharness index"):
+        with pytest.raises(DataError, match="schema 2 is not 4.*medharness index"):
             VectorIndex.load(tmp_path / "pool.jsonl")
+
+    def test_schema_3_index_refused(self, tmp_path):
+        # The former layout: rows in `<name>.npz`, not named by the header.
+        build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
+        header, *rows = (tmp_path / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+        header = json.loads(header)
+        rows_file(tmp_path / "pool.jsonl").rename(tmp_path / "pool.npz")
+        del header["rows"]
+        header["schema"] = 3
+        (tmp_path / "pool.jsonl").write_text("\n".join([json.dumps(header), *rows]) + "\n",
+                                             encoding="utf-8")
+        with pytest.raises(DataError, match="schema 3 is not 4.*medharness index"):
+            VectorIndex.load(tmp_path / "pool.jsonl")
+        # A rebuild over it removes the old rows file.
+        build_index(word_soup_items(5)).save(tmp_path / "pool.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["pool.jsonl", rows_file(tmp_path / "pool.jsonl").name])
+
+    def test_crash_before_the_header_rename_keeps_the_old_index(self, tmp_path, monkeypatch):
+        # Pools A and B share ids, count and dim; only their questions differ.
+        path = tmp_path / "pool.jsonl"
+        pool_a, pool_b = word_soup_items(6, seed=1), word_soup_items(6, seed=2)
+        queries = word_soup_items(4, seed=3, split=Split.TEST)
+        index_a = build_index(pool_a)
+        index_a.save(path)
+        rows_a = rows_file(path)
+        ranking_a = [ns.ids for ns in index_a.nearest_many(queries, 5)]
+        assert ranking_a != [ns.ids for ns in build_index(pool_b).nearest_many(queries, 5)]
+        replace = os.replace
+
+        def crash_at_the_header(src, dst):
+            if Path(dst) == path:
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at_the_header)
+        with pytest.raises(KeyboardInterrupt):
+            build_index(pool_b).save(path)
+        monkeypatch.undo()
+        assert rows_file(path) == rows_a and rows_a.exists()
+        reloaded = VectorIndex.load(path)
+        assert [ns.ids for ns in reloaded.nearest_many(queries, 5)] == ranking_a
+        # The next save commits B and removes both earlier rows files.
+        build_index(pool_b).save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["pool.jsonl",
+                                                                    rows_file(path).name])
 
     def test_json_vector_index_refused(self, tmp_path):
         # The former layout: schema 1, vectors as JSON float lists.
@@ -519,8 +577,10 @@ class TestRemoteIndex:
         endpoint = self.endpoint_for(pool + queries)
         index = build_index(pool, provider=RemoteProvider(endpoint, "m"))
         index.save(tmp_path / "pool.jsonl")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.jsonl", "pool.npy"]
-        assert np.load(tmp_path / "pool.npy").shape == (90, 8)
+        rows_path = rows_file(tmp_path / "pool.jsonl")
+        assert re.fullmatch(r"pool\.[0-9a-f]{16}\.npy", rows_path.name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["pool.jsonl", rows_path.name])
+        assert np.load(rows_path).shape == (90, 8)
         provider = RemoteProvider(endpoint, "m")
         reloaded = VectorIndex.load(tmp_path / "pool.jsonl", provider=provider)
         assert provider.dim == 8
