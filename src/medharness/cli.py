@@ -133,15 +133,18 @@ def index_cmd(config_path: Path, dataset_name: str):
 class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
-    The test split is read on construction; the pool file, its index, the
-    teacher and the exemplar manifest on first use. Stages parse only the
-    pool items they look up: random stages by the ids `CorpusFile.questions`
-    reads, kNN stages by those of an index built from the pool file's exact
-    bytes. kNN exemplars are built once per test item and kept, so the kNN
-    and ensemble stages of one `ablate` share them; query vectors live only
-    until their item's exemplars are built. `outcomes` collects the outcome
-    of every candidate the providers asked the teacher about; cache hits are
-    not kept. Used as a context manager, it closes the endpoints it opened.
+    The test split is read on construction; the pool file, its index and the
+    exemplar manifest on first use. The teacher's fingerprint comes from the
+    config, and its endpoint is opened only by its first call (`_Teacher`),
+    so a stage the manifest and the cache fully cover never opens it. Stages
+    parse only the pool items they look up: random stages by the ids
+    `CorpusFile.questions` reads, kNN stages by those of an index built from
+    the pool file's exact bytes. kNN exemplars are built once per test item
+    and kept, so the kNN and ensemble stages of one `ablate` share them;
+    query vectors live only until their item's exemplars are built.
+    `outcomes` collects the outcome of every candidate the providers asked
+    the teacher about; cache hits are not kept. Used as a context manager,
+    it closes the endpoints it opened.
 
     `writes_manifest` marks a command that replaces the exemplar manifest,
     so a stale one is ignored without a warning.
@@ -201,14 +204,15 @@ class _Sources:
         return index
 
     @cached_property
-    def teacher(self):
-        if not self.allow_teacher:
-            return _CacheOnlyTeacher(self.config)
-        if self.config.teacher is None:
+    def teacher(self) -> _Teacher:
+        if self.allow_teacher and self.config.teacher is None:
             raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
-        teacher = build_endpoint(self.config.teacher, self.config.retry)
-        self._opened.append(teacher)
-        return teacher
+        return _Teacher(self.config, self._opened if self.allow_teacher else None)
+
+    @cached_property
+    def teacher_key(self) -> str:
+        """The teacher fingerprint that keys the CoT cache and the manifest."""
+        return teacher_fingerprint(self.teacher.model_id)
 
     @cached_property
     def pool_items(self) -> PoolView:
@@ -225,7 +229,7 @@ class _Sources:
             "schema": 1,
             "pool_sha256": self.pool_file.sha256,
             "provider_id": self.index.provider.provider_id,
-            "teacher": teacher_fingerprint(self.teacher.model_id),
+            "teacher": self.teacher_key,
             "test_sha256": self.test_file.sha256,
         }
 
@@ -238,10 +242,10 @@ class _Sources:
     def manifest_exemplars(self, item: McqItem):
         """The item's exemplars from the manifest and the cache, kept; None unless
         the manifest lists the item and every one of its exemplars is cached."""
-        fingerprint = teacher_fingerprint(self.teacher.model_id)
         exemplars = []
         for exemplar_id in self.manifest.get(item.id, ()):
-            exemplar = self.cache.get(self.pool_items[exemplar_id], fingerprint)
+            exemplar = self.cache.get(self.pool_items[exemplar_id], self.teacher_key,
+                                      line=self.pool_items.line(exemplar_id))
             if exemplar is None:
                 return None
             exemplars.append(exemplar)
@@ -305,16 +309,39 @@ class _Sources:
         return provider
 
 
-class _CacheOnlyTeacher:
-    """Teacher stand-in for dry runs: any actual call is a configuration error."""
+class _Teacher:
+    """The config's teacher endpoint, opened by its first call.
 
-    def __init__(self, config: RunConfig):
+    `model_id` is the config's, so the CoT cache and the manifest are keyed
+    without opening the endpoint. Concurrent first calls open it once, under
+    a lock, and add it to `opened` for `_Sources` to close. With `opened`
+    None (dry runs) every call is a configuration error, and a config with
+    no `teacher:` block reads as model "none".
+    """
+
+    def __init__(self, config: RunConfig, opened: list | None):
+        self._config = config
+        self._opened = opened
+        self._lock = threading.Lock()
+        self._endpoint = None
         self.model_id = config.teacher.model_id if config.teacher else "none"
+        if not self.model_id and opened is not None:
+            # An empty `model` takes the id a `mock:` policy file names.
+            self.model_id = self._open().model_id
+
+    def _open(self):
+        with self._lock:
+            if self._endpoint is None:
+                self._endpoint = build_endpoint(self._config.teacher, self._config.retry)
+                self._opened.append(self._endpoint)
+            return self._endpoint
 
     def complete(self, request):
-        raise ConfigError(
-            "dry run would need a teacher call; run `gen-cot` first to warm the cache"
-        )
+        if self._opened is None:
+            raise ConfigError(
+                "dry run would need a teacher call; run `gen-cot` first to warm the cache"
+            )
+        return self._open().complete(request)
 
 
 def _trace_path(config: RunConfig, dataset: Dataset, stage: Stage) -> Path:

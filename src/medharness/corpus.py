@@ -644,6 +644,10 @@ class PoolView(Mapping):
             self._items[item_id] = item
         return item
 
+    def line(self, item_id: str) -> str:
+        """The stripped line `self[item_id]` is parsed from."""
+        return self._source.lines[self._lines[item_id]].strip()
+
     def __contains__(self, item_id) -> bool:
         return item_id in self._lines
 

@@ -309,6 +309,11 @@ def run_benchmark(
     An item whose every try failed in transport gets no row: its
     `EndpointError` ends the run, and a resumed run asks for it again.
 
+    The stage opens the trace once, after mending a torn tail once, and
+    writes and flushes each row under one lock, so a row is on disk before
+    the next is written. The file closes on every exit path, after every
+    item thread has ended: an error or Ctrl-C leaves only complete rows.
+
     `concurrency` items are answered at a time, with one exception: an
     ensemble of more than one run against an `HttpEndpoint` at concurrency
     above 1. There the stage's calls share one budget of
@@ -359,29 +364,32 @@ def run_benchmark(
                 ensemble=ensemble, max_tries=max_tries, run_pool=run_pool,
             )
             with write_lock:
-                with open(trace_path, "a", encoding="utf-8") as f:
-                    f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                trace.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                trace.flush()
                 rows_by_id[row["item_id"]] = row
             if progress is not None:
                 progress(row)
 
-        if concurrency <= 1:
-            for item in todo:
-                handle(item, None)
-        else:
-            run_pool = ThreadPoolExecutor(max_workers=budget) if overlap else None
-            # The item pool shuts down first: its running items still submit runs.
-            with run_pool or contextlib.nullcontext(), \
-                    ThreadPoolExecutor(max_workers=budget) as pool:
-                futures = [pool.submit(handle, item, run_pool) for item in todo]
-                try:
-                    wait(futures, return_when=FIRST_EXCEPTION)
-                finally:
-                    # After the first error (or Ctrl-C) no further item starts.
-                    pool.shutdown(cancel_futures=True)
-            for future in futures:
-                if not future.cancelled():
-                    future.result()
+        # Every item thread has ended before the trace closes: the item pool
+        # waits for its running items, also after an error or Ctrl-C.
+        with open(trace_path, "a", encoding="utf-8") as trace:
+            if concurrency <= 1:
+                for item in todo:
+                    handle(item, None)
+            else:
+                run_pool = ThreadPoolExecutor(max_workers=budget) if overlap else None
+                # The item pool shuts down first: its running items still submit runs.
+                with run_pool or contextlib.nullcontext(), \
+                        ThreadPoolExecutor(max_workers=budget) as pool:
+                    futures = [pool.submit(handle, item, run_pool) for item in todo]
+                    try:
+                        wait(futures, return_when=FIRST_EXCEPTION)
+                    finally:
+                        # After the first error (or Ctrl-C) no further item starts.
+                        pool.shutdown(cancel_futures=True)
+                for future in futures:
+                    if not future.cancelled():
+                        future.result()
 
     # Every item to do either added its row or raised above.
     return [rows_by_id[item.id] for item in items]

@@ -65,8 +65,8 @@ class TeacherOutcome:
     from_cache: bool = False
 
 
-def _item_sha256(item: McqItem) -> str:
-    return hashlib.sha256(item.canonical_json().encode("utf-8")).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class CotCache:
@@ -77,8 +77,12 @@ class CotCache:
     The file is read once per instance, on first use; for an id written
     twice the last row wins. An entry is a hit only for an item with the
     recorded digest, so an item re-ingested under the same id with other
-    text misses. A corrupt row reads as a miss and logs a warning; a last
-    line cut short by a crash is skipped, and cut off before the next append.
+    text misses. `get` first compares the digest of the item's stripped pool
+    line, when the caller has it: a match means the line is the canonical
+    JSON `put` digested, so the item need not be serialized again. Any other
+    line (keys reordered, spaces added) falls back to the canonical digest.
+    A corrupt row reads as a miss and logs a warning; a last line cut short
+    by a crash is skipped, and cut off before the next append.
 
     `verify` asks the teacher about each item at most once per instance.
     """
@@ -123,14 +127,20 @@ class CotCache:
         self._entries[fingerprint] = entries
         return entries
 
-    def get(self, item: McqItem, fingerprint: str) -> CotExemplar | None:
+    def get(self, item: McqItem, fingerprint: str, line: str | None = None
+            ) -> CotExemplar | None:
+        """The item's cached exemplar, or None; `line` is the stripped pool
+        line `item` was parsed from, if the caller has it."""
         key = (fingerprint, item.id)
         with self._lock:
             hit = self._hits.get(key)
             if hit is not None and hit.item is item:
                 return hit
             entry = self._loaded(fingerprint).get(item.id)
-        if entry is None or entry[0] != _item_sha256(item):
+        if entry is None:
+            return None
+        digest = entry[0]
+        if (line is None or _sha256(line) != digest) and _sha256(item.canonical_json()) != digest:
             return None
         hit = CotExemplar(item=item, explanation=entry[1], verified=True)
         with self._lock:
@@ -138,7 +148,7 @@ class CotCache:
         return hit
 
     def put(self, item: McqItem, explanation: str, fingerprint: str) -> None:
-        digest = _item_sha256(item)
+        digest = _sha256(item.canonical_json())
         row = {"id": item.id, "item_sha256": digest, "explanation": explanation}
         line = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
         path = self._path(fingerprint)

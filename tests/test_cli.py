@@ -1,5 +1,6 @@
 """Command-line flows against an in-process scripted endpoint."""
 
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -17,7 +19,7 @@ import yaml
 from conftest import make_item
 from medharness import cli, corpus, runner, teacher
 from medharness.cli import main
-from medharness.config import MAX_WAIT_S, load_config
+from medharness.config import MAX_WAIT_S, build_endpoint as config_build_endpoint, load_config
 from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
 from medharness.errors import DataError, EndpointError
 from medharness.modelgw import HttpEndpoint, parse_prompt_tail
@@ -818,6 +820,275 @@ class TestExemplarManifest:
             assert main(args) == 3
             assert "no scripted answer" in capsys.readouterr().err
         assert not (tmp_path / "cache" / "exemplars").exists()
+
+
+class RecordingEndpoint:
+    """`wrap_endpoint`'s wrapper that appends each request to `requests` and
+    counts its closes."""
+
+    def __init__(self, endpoint, requests=None):
+        self.endpoint, self.model_id = endpoint, endpoint.model_id
+        self.requests = [] if requests is None else requests
+        self.closed = 0
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.endpoint.complete(request)
+
+    def close(self):
+        self.closed += 1
+
+
+class TestTeacherOpenedOnFirstCall:
+    """The teacher endpoint is opened by its first call, so a stage the manifest
+    and the cache cover never opens it; a missing `teacher:` block still fails
+    before any target call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The endpoints commands open, in order, as (model id, endpoint)."""
+        opened = []
+        build_endpoint = cli.build_endpoint
+
+        def spy(spec, retry):
+            if spec.model_id == "teacher-x":
+                time.sleep(0.02)  # widen the window concurrent first calls race in
+            endpoint = RecordingEndpoint(build_endpoint(spec, retry))
+            opened.append((spec.model_id, endpoint))
+            return endpoint
+
+        monkeypatch.setattr(cli, "build_endpoint", spy)
+        return opened
+
+    @pytest.mark.parametrize("stage", ["knn_fewshot_cot", "ensemble"])
+    def test_covered_stage_opens_no_teacher(self, tmp_path, built, stage):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        assert [model for model, _ in built] == ["teacher-x"]
+        built.clear()
+        assert main(TestExemplarManifest.command("run", config, "--stage", stage)) == 0
+        assert [model for model, _ in built] == ["target-x"]
+
+    def test_manifest_misses_open_the_teacher_once(self, tmp_path, built):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = main(TestExemplarManifest.command("run", config, "--stage",
+                                                     "knn_fewshot_cot", "--concurrency", "4"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert sorted(model for model, _ in built) == ["target-x", "teacher-x"]
+        assert [endpoint.closed for _, endpoint in built] == [1, 1]
+
+    @pytest.mark.parametrize("stage", ["random_fewshot_cot", "knn_fewshot_cot", "ensemble"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_config_without_a_teacher_fails_before_any_target_call(
+            self, tmp_path, monkeypatch, capsys, stage, warm):
+        config, _, _ = build_env(tmp_path, n_test=6, n_pool=12)
+        if warm:
+            assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+            assert main(TestExemplarManifest.command("gen-cot", config, "--kind",
+                                                     "random")) == 0
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        del doc["teacher"]
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        calls = []
+        wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        capsys.readouterr()
+        assert main(TestExemplarManifest.command("run", config, "--stage", stage)) == 1
+        assert "add a `teacher:` block" in capsys.readouterr().err
+        assert calls == []
+
+
+class TestPoolLineDigest:
+    """A cache hit is checked against the exemplar's pool line; only a line
+    that is not canonical JSON costs the item's canonical JSON."""
+
+    @pytest.fixture
+    def serialized(self, monkeypatch):
+        """Ids of the pool items whose canonical JSON is built, in call order."""
+        ids = []
+        canonical_json = corpus.McqItem.canonical_json
+
+        def spy(item):
+            if item.split is Split.TRAIN:
+                ids.append(item.id)
+            return canonical_json(item)
+
+        monkeypatch.setattr(corpus.McqItem, "canonical_json", spy)
+        return ids
+
+    @staticmethod
+    def exemplar_ids(root):
+        manifest = root / "cache" / "exemplars" / "medqa.jsonl"
+        rows = manifest.read_text(encoding="utf-8").splitlines()[1:]
+        return {i for row in rows for i in json.loads(row)["exemplars"]}
+
+    def test_covered_run_over_canonical_lines_serializes_no_pool_item(self, tmp_path,
+                                                                      serialized):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        serialized.clear()
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
+        assert serialized == []
+
+    def test_non_canonical_lines_of_the_same_items_still_hit(self, tmp_path, monkeypatch,
+                                                            serialized):
+        calls = []
+        canonical = TestExemplarManifest().run_alone(tmp_path / "canonical")
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        # Every third line keeps its canonical form; the others reorder keys,
+        # add spaces, or do both with a CRLF ending.
+        pool = tmp_path / "corpus" / "medqa" / "train.jsonl"
+        lines = pool.read_text(encoding="utf-8").splitlines()
+        rewritten = set()
+        for i, line in enumerate(lines):
+            obj = json.loads(line)
+            if i % 3 == 1:
+                lines[i] = json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
+            elif i % 3 == 2:
+                lines[i] = " " + json.dumps(obj, indent=1).replace("\n", " ") + " \r"
+            else:
+                continue
+            rewritten.add(obj["id"])
+        pool.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        assert main(TestExemplarManifest.command("index", config)) == 0
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        serialized.clear()
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
+        assert calls == []
+        assert TestExemplarManifest().prompts(tmp_path) == canonical
+        used = self.exemplar_ids(tmp_path)
+        assert used & rewritten and used - rewritten
+        assert sorted(serialized) == sorted(used & rewritten)
+
+    def test_item_reingested_under_the_same_id_misses(self, tmp_path, monkeypatch):
+        config, _, pool_items = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        # Another pool that reuses an exemplar's id for other text writes that
+        # id's row last, as a shared cache would hold it.
+        exemplar_id = sorted(self.exemplar_ids(tmp_path))[0]
+        original = next(item for item in pool_items if item.id == exemplar_id)
+        other = replace(original, question=original.question + " Edited?")
+        fp = teacher_fingerprint("teacher-x")
+        teacher.CotCache(tmp_path / "cache").put(other, "About the edited item.", fp)
+        calls = []
+        wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
+        assert [request.prompt for request in calls] == [teacher_prompt(original)]
+        assert (TestExemplarManifest().prompts(tmp_path)
+                == TestExemplarManifest().run_alone(tmp_path / "alone"))
+
+
+class FailingTarget(RecordingEndpoint):
+    """`wrap_endpoint`'s wrapper for a target that raises `error` for every call
+    about `question`, after noting how many complete rows the trace holds on
+    disk at that moment in `rows_on_disk`."""
+
+    def __init__(self, endpoint, question, error, trace):
+        super().__init__(endpoint)
+        self.question, self.error, self.trace = question, error, trace
+        self.rows_on_disk = []
+
+    def complete(self, request):
+        if parse_prompt_tail(request.prompt)["question"] == self.question:
+            self.rows_on_disk.append(len(trace_rows(self.trace)) if self.trace.exists() else 0)
+            raise self.error
+        return self.endpoint.complete(request)
+
+
+class TestTraceWriter:
+    """A stage writes its trace through one handle, flushed after each row and
+    closed on every exit path, so an interrupted stage resumes to the rows of
+    an uninterrupted one."""
+
+    @pytest.fixture
+    def handles(self, monkeypatch):
+        """The files `run_benchmark` opens, and what was raised where no caller
+        could see it (a file closed only by the garbage collector)."""
+        opened, unraisable = [], []
+
+        def spy(*args, **kwargs):
+            f = open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        monkeypatch.setattr(runner, "open", spy, raising=False)
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        return opened, unraisable
+
+    @staticmethod
+    def sorted_rows(root, stage):
+        trace = root / "out" / "medqa" / f"{stage}.trace.jsonl"
+        return sorted(trace.read_text(encoding="utf-8").splitlines())
+
+    def interrupted(self, root, monkeypatch, stage, fail_at, error, *extra):
+        """Run `stage` with a target failing on the item at index `fail_at`;
+        return the exit code, the test items and the failing target."""
+        config, test_items, _ = build_env(root, n_test=8, n_pool=30)
+        trace = root / "out" / "medqa" / f"{stage}.trace.jsonl"
+        targets = []
+
+        def wrap(endpoint):
+            targets.append(FailingTarget(endpoint, test_items[fail_at].question, error, trace))
+            return targets[-1]
+
+        wrap_endpoint(monkeypatch, "target-x", wrap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(TestExemplarManifest.command("run", config, "--stage", stage, *extra))
+            gc.collect()
+        monkeypatch.setattr(cli, "build_endpoint", config_build_endpoint)
+        return code, test_items, targets[0]
+
+    def resumed_equals_uninterrupted(self, root, stage, *extra):
+        args = ["--stage", stage, *extra]
+        assert main(TestExemplarManifest.command("run", root / "config.yaml", *args,
+                                                 "--resume")) == 0
+        config, _, _ = build_env(root / "alone", n_test=8, n_pool=30)
+        assert main(TestExemplarManifest.command("run", config, *args)) == 0
+        assert self.sorted_rows(root, stage) == self.sorted_rows(root / "alone", stage)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_interrupt_at_item_k_leaves_k_minus_1_rows(self, tmp_path, monkeypatch, handles,
+                                                       k):
+        stage = "knn_fewshot_cot"
+        code, test_items, target = self.interrupted(tmp_path, monkeypatch, stage, k - 1,
+                                                    KeyboardInterrupt())
+        assert code == 130
+        # Each earlier row was on disk before item k's call, not only at close.
+        assert target.rows_on_disk == [k - 1]
+        trace = tmp_path / "out" / "medqa" / f"{stage}.trace.jsonl"
+        assert [row["item_id"] for row in trace_rows(trace)] == [
+            item.id for item in test_items[:k - 1]]
+        opened, unraisable = handles
+        assert len(opened) == 1 and opened[0].closed
+        assert unraisable == []
+        self.resumed_equals_uninterrupted(tmp_path, stage)
+
+    def test_endpoint_error_at_concurrency_4_resumes_to_the_same_rows(
+            self, tmp_path, monkeypatch, handles, capsys):
+        stage = "ensemble"
+        code, test_items, _ = self.interrupted(tmp_path, monkeypatch, stage, 5,
+                                               EndpointError("connection reset"),
+                                               "--concurrency", "4")
+        assert code == 3
+        assert "connection reset" in capsys.readouterr().err
+        trace = tmp_path / "out" / "medqa" / f"{stage}.trace.jsonl"
+        written = [row["item_id"] for row in trace_rows(trace)]
+        assert len(set(written)) == len(written)
+        assert test_items[5].id not in written
+        opened, unraisable = handles
+        assert len(opened) == 1 and opened[0].closed
+        assert unraisable == []
+        self.resumed_equals_uninterrupted(tmp_path, stage, "--concurrency", "4")
 
 
 class TestDryRunRequest:

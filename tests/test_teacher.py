@@ -174,6 +174,40 @@ class TestCotCache:
         assert CotCache(tmp_path).get(edited, fp) is None
         assert CotCache(tmp_path).get(tiny_pool[0], fp).explanation == "Fine."
 
+    def test_canonical_pool_line_hits_without_serializing_the_item(self, tmp_path, tiny_pool,
+                                                                    monkeypatch):
+        fp = teacher_fingerprint("teach-1")
+        CotCache(tmp_path).put(tiny_pool[0], "Fine.", fp)
+        line = tiny_pool[0].canonical_json()
+
+        def refuse(item):
+            raise AssertionError("serialized the item")
+
+        monkeypatch.setattr(type(tiny_pool[0]), "canonical_json", refuse)
+        assert CotCache(tmp_path).get(tiny_pool[0], fp, line=line).explanation == "Fine."
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda obj: json.dumps(dict(reversed(obj.items()))),
+        lambda obj: json.dumps(obj, indent=2),
+        lambda obj: json.dumps(obj, ensure_ascii=True, sort_keys=True),
+    ])
+    def test_other_lines_of_the_same_item_fall_back_to_its_canonical_json(
+            self, tmp_path, tiny_pool, rewrite):
+        item = replace(tiny_pool[0], question="Which nerve fires \u2014 phrenic?")
+        fp = teacher_fingerprint("teach-1")
+        CotCache(tmp_path).put(item, "Fine.", fp)
+        line = rewrite(json.loads(item.canonical_json()))
+        assert line != item.canonical_json()
+        assert CotCache(tmp_path).get(item, fp, line=line).explanation == "Fine."
+
+    def test_line_of_an_item_reingested_under_the_same_id_misses(self, tmp_path, tiny_pool):
+        fp = teacher_fingerprint("teach-1")
+        edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
+        CotCache(tmp_path).put(edited, "About the edited item.", fp)
+        cache = CotCache(tmp_path)
+        assert cache.get(tiny_pool[0], fp, line=tiny_pool[0].canonical_json()) is None
+        assert cache.get(edited, fp, line=edited.canonical_json()) is not None
+
     def test_torn_last_row_misses_and_is_cut_before_the_next_put(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
         CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
