@@ -23,6 +23,7 @@ import click
 from .config import (
     RunConfig,
     build_endpoint,
+    check_credential,
     config_fingerprint,
     instruction_for,
     load_config,
@@ -314,9 +315,10 @@ class _Teacher:
 
     `model_id` is the config's, so the CoT cache and the manifest are keyed
     without opening the endpoint. Concurrent first calls open it once, under
-    a lock, and add it to `opened` for `_Sources` to close. With `opened`
-    None (dry runs) every call is a configuration error, and a config with
-    no `teacher:` block reads as model "none".
+    a lock, and add it to `opened` for `_Sources` to close. An unset
+    credential variable fails on construction, before any target call. With
+    `opened` None (dry runs) every call is a configuration error, and a
+    config with no `teacher:` block reads as model "none".
     """
 
     def __init__(self, config: RunConfig, opened: list | None):
@@ -325,9 +327,8 @@ class _Teacher:
         self._lock = threading.Lock()
         self._endpoint = None
         self.model_id = config.teacher.model_id if config.teacher else "none"
-        if not self.model_id and opened is not None:
-            # An empty `model` takes the id a `mock:` policy file names.
-            self.model_id = self._open().model_id
+        if opened is not None:
+            check_credential(config.teacher)
 
     def _open(self):
         with self._lock:
@@ -360,7 +361,7 @@ def _answer_options(config: RunConfig) -> dict:
             "max_tries": config.max_validity_tries}
 
 
-def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int | None) -> dict:
+def _run_stage(sources: _Sources, stage: Stage, resume: bool) -> dict:
     config, dataset, items = sources.config, sources.dataset, sources.items
     instruction = instruction_for(config, dataset)
     provider = sources.exemplars_for(stage, items)
@@ -374,7 +375,7 @@ def _run_stage(sources: _Sources, stage: Stage, resume: bool, concurrency: int |
             instruction,
             provider,
             trace_path,
-            concurrency=concurrency if concurrency is not None else config.concurrency,
+            concurrency=config.concurrency,
             resume=resume,
             **_answer_options(config),
         )
@@ -440,10 +441,9 @@ def _print_dry_run(sources: _Sources, stage: Stage):
 @click.option("--stage", "stage_name", required=True, type=click.Choice(STAGE_NAMES))
 @click.option("--resume", is_flag=True, help="Continue a partially written trace.")
 @click.option("--dry-run", is_flag=True, help="Print the first prompt and parameters; no calls.")
-@click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
 def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry_run: bool,
-        concurrency: int | None, limit: int | None):
+        limit: int | None):
     """Run one prompting stage over a dataset's test split."""
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
@@ -452,21 +452,19 @@ def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry
         if dry_run:
             _print_dry_run(sources, stage)
         else:
-            _run_stage(sources, stage, resume, concurrency)
+            _run_stage(sources, stage, resume)
 
 
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(path_type=Path))
 @click.option("--dataset", "dataset_name", required=True)
-@click.option("--concurrency", type=click.IntRange(min=1), default=None)
 @click.option("--limit", type=int, default=None)
-def ablate(config_path: Path, dataset_name: str, concurrency: int | None, limit: int | None):
+def ablate(config_path: Path, dataset_name: str, limit: int | None):
     """Run every ladder stage in order and tabulate the ablation."""
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
     with _Sources(config, dataset, limit) as sources:
-        reports = [_run_stage(sources, stage, resume=True, concurrency=concurrency)
-                   for stage in LADDER]
+        reports = [_run_stage(sources, stage, resume=True) for stage in LADDER]
     _write_ablation(config, dataset, reports)
 
 

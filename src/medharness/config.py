@@ -22,7 +22,7 @@ import yaml
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .modelgw import DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file
+from .modelgw import DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file, read_credential
 from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
@@ -34,6 +34,7 @@ __all__ = [
     "instruction_for",
     "config_fingerprint",
     "build_endpoint",
+    "check_credential",
 ]
 
 BUILTIN_EMBEDDING = "builtin"
@@ -245,8 +246,13 @@ def build_endpoint(spec: EndpointConfig, retry: RetryPolicy):
     """Open the endpoint a config block describes: a `mock:<policy.json>` URL
     runs in process, any other is HTTP."""
     if spec.url.startswith("mock:"):
-        endpoint = mock_from_file(spec.url[len("mock:"):])
-        endpoint.model_id = spec.model_id or endpoint.model_id
-        return endpoint
+        return mock_from_file(spec.url[len("mock:"):], spec.model_id)
     return HttpEndpoint(spec.url, spec.model_id, api_key_env=spec.api_key_env,
                         timeout=spec.timeout, retry=retry)
+
+
+def check_credential(spec: EndpointConfig) -> None:
+    """Fail as `build_endpoint(spec)` would on an unset credential variable,
+    without opening the endpoint; a `mock:` endpoint reads no credential."""
+    if not spec.url.startswith("mock:"):
+        read_credential(spec.api_key_env)

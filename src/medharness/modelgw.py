@@ -36,11 +36,10 @@ __all__ = [
     "complete",
     "default_max_tokens",
     "mock_from_file",
+    "read_credential",
     "parse_prompt_tail",
     "GoldAnswerPolicy",
     "GarbagePolicy",
-    "FixedTextPolicy",
-    "SequencePolicy",
     "FlakyGoldPolicy",
     "StageTablePolicy",
 ]
@@ -105,6 +104,17 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * 2.0 ** exponent)
 
 
+def read_credential(api_key_env: str | None) -> str | None:
+    """The key held by the environment variable `api_key_env` names, None if
+    it names none; a named variable that is unset or empty is a ConfigError."""
+    if not api_key_env:
+        return None
+    key = os.environ.get(api_key_env)
+    if not key:
+        raise ConfigError(f"credential variable {api_key_env} is not set")
+    return key
+
+
 class HttpEndpoint:
     """Completions/embeddings endpoint over HTTP(S), on stdlib `http.client`.
 
@@ -112,8 +122,8 @@ class HttpEndpoint:
     ones. A call takes one (or opens one) and gives it back only after it
     has read a complete response; a transport error closes it. So open
     connections never outnumber calls in flight. Proxy environment variables
-    are not read, and HTTPS verifies against the system CA store. `close`,
-    or leaving a `with` block, closes the idle connections.
+    are not read, and HTTPS verifies against the system CA store. `close`
+    closes the idle connections.
     """
 
     def __init__(
@@ -141,10 +151,8 @@ class HttpEndpoint:
         self.retry = retry
         self._sleep = time.sleep  # the backoff wait; tests record it instead
         self._headers = {"Content-Type": "application/json"}
-        if api_key_env:
-            key = os.environ.get(api_key_env)
-            if not key:
-                raise ConfigError(f"credential variable {api_key_env} is not set")
+        key = read_credential(api_key_env)
+        if key is not None:
             self._headers["Authorization"] = f"Bearer {key}"
         connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
                             else http.client.HTTPConnection)
@@ -159,12 +167,6 @@ class HttpEndpoint:
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
-
-    def __enter__(self) -> "HttpEndpoint":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _connection(self):
         """An idle connection the server has not closed, else a new one."""
@@ -350,35 +352,11 @@ class GoldAnswerPolicy:
         return answer
 
 
-class FixedTextPolicy:
-    """Always emit one literal string, whatever the prompt."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __call__(self, request: GenerationRequest, occurrence: int) -> str:
-        return self.text
-
-
-class GarbagePolicy(FixedTextPolicy):
+class GarbagePolicy:
     """Always emit text no answer can be extracted from."""
 
-    TEXT = "I am unable to determine the correct option."
-
-    def __init__(self, text: str = TEXT):
-        super().__init__(text)
-
-
-class SequencePolicy:
-    """Emit scripted outputs in order per distinct prompt, repeating the last."""
-
-    def __init__(self, outputs: list[str]):
-        if not outputs:
-            raise ConfigError("sequence policy needs at least one output")
-        self.outputs = list(outputs)
-
     def __call__(self, request: GenerationRequest, occurrence: int) -> str:
-        return self.outputs[min(occurrence, len(self.outputs) - 1)]
+        return "I am unable to determine the correct option."
 
 
 class FlakyGoldPolicy:
@@ -390,21 +368,15 @@ class FlakyGoldPolicy:
         answers: dict[str, str],
         fail_questions: set[str] | None = None,
         n_wrong: int = 3,
-        wrong_mode: str = "wrong_option",
     ):
         self.gold = GoldAnswerPolicy(answers)
         self.fail_questions = set(fail_questions or ())
         self.n_wrong = n_wrong
-        if wrong_mode not in ("wrong_option", "garbage"):
-            raise ConfigError(f"unknown wrong_mode {wrong_mode!r}")
-        self.wrong_mode = wrong_mode
 
     def __call__(self, request: GenerationRequest, occurrence: int) -> str:
         parts = parse_prompt_tail(request.prompt)
         q = parts["question"]
         if q in self.fail_questions and occurrence < self.n_wrong:
-            if self.wrong_mode == "garbage":
-                return "I really cannot say."
             gold_text = self.gold.answers.get(q)
             for token, text in parts["options"]:
                 if text != gold_text and token != gold_text:
@@ -481,14 +453,9 @@ def mock_model(policy) -> MockEndpoint:
 
 _POLICY_REGISTRY = {
     "gold": lambda spec: GoldAnswerPolicy(spec["answers"], spec.get("explanations")),
-    "garbage": lambda spec: GarbagePolicy(spec.get("text", GarbagePolicy.TEXT)),
-    "fixed_text": lambda spec: FixedTextPolicy(spec["text"]),
-    "sequence": lambda spec: SequencePolicy(spec["outputs"]),
+    "garbage": lambda spec: GarbagePolicy(),
     "flaky_gold": lambda spec: FlakyGoldPolicy(
-        spec["answers"],
-        set(spec.get("fail_questions", ())),
-        spec.get("n_wrong", 3),
-        spec.get("wrong_mode", "wrong_option"),
+        spec["answers"], set(spec.get("fail_questions", ())), spec.get("n_wrong", 3),
     ),
     "stage_table": lambda spec: StageTablePolicy(
         spec["table"], set(spec["random_exemplar_questions"])
@@ -496,7 +463,8 @@ _POLICY_REGISTRY = {
 }
 
 
-def mock_from_file(path: str | Path) -> MockEndpoint:
+def mock_from_file(path: str | Path, model_id: str) -> MockEndpoint:
+    """The in-process endpoint answering as `model_id` from the policy file at `path`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"mock policy file missing: {path}")
@@ -504,7 +472,7 @@ def mock_from_file(path: str | Path) -> MockEndpoint:
     name = spec.get("policy")
     if name not in _POLICY_REGISTRY:
         raise ConfigError(f"unknown mock policy {name!r} in {path}")
-    return MockEndpoint(_POLICY_REGISTRY[name](spec), model_id=spec.get("model_id", "mock"))
+    return MockEndpoint(_POLICY_REGISTRY[name](spec), model_id)
 
 
 def complete(request: GenerationRequest, endpoint) -> GenerationResponse:

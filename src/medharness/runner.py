@@ -298,7 +298,6 @@ def run_benchmark(
     max_tries: int = MAX_VALIDITY_TRIES,
     concurrency: int = 1,
     resume: bool = False,
-    progress=None,
 ) -> list[dict]:
     """Run one stage over a whole split, checkpointing each item to the trace.
 
@@ -367,8 +366,6 @@ def run_benchmark(
                 trace.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
                 trace.flush()
                 rows_by_id[row["item_id"]] = row
-            if progress is not None:
-                progress(row)
 
         # Every item thread has ended before the trace closes: the item pool
         # waits for its running items, also after an error or Ctrl-C.

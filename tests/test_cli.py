@@ -63,6 +63,13 @@ def build_env(tmp_path, n_test=4, n_pool=8, config_extra=None):
     return config, test_items, pool_items
 
 
+def set_concurrency(config, concurrency):
+    """Rewrite the config file `config` to answer `concurrency` items at a time."""
+    doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+    doc["concurrency"] = concurrency
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+
+
 def trace_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -488,15 +495,14 @@ class TestExitCodes:
         assert f"{key} must be an integer{bound}, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["run", "--stage", "ensemble"], ["ablate"]])
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_concurrency_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                  command, value):
+    def test_concurrency_option_is_gone(self, tmp_path, capsys, monkeypatch, command):
+        # The config file is the one place that sets the concurrency.
         config, _, _ = build_env(tmp_path)
         monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
         code = main([command[0], "--config", str(config), "--dataset", "medqa", *command[1:],
-                     "--concurrency", value])
+                     "--concurrency", "2"])
         assert code == 1
-        assert "--concurrency" in capsys.readouterr().err
+        assert "No such option '--concurrency'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-7, 2**40])
     def test_any_integer_seed_is_accepted(self, tmp_path, capsys, seed):
@@ -558,12 +564,13 @@ class TestRankOnce:
         assert ranked == [item.id for item in test_items[5:]]
 
     def test_concurrent_stage_ranks_each_item_once(self, tmp_path, ranked):
-        config, test_items, _ = build_env(tmp_path, n_test=40, n_pool=30)
+        config, test_items, _ = build_env(tmp_path, n_test=40, n_pool=30,
+                                          config_extra={"concurrency": 8})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             code = main(["run", "--config", str(config), "--dataset", "medqa",
-                         "--stage", "knn_fewshot_cot", "--concurrency", "8"])
+                         "--stage", "knn_fewshot_cot"])
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
@@ -589,11 +596,11 @@ class TestRankOnce:
         assert [row["item_id"] for row in rows] == [item.id for item in test_items[:32]]
 
     def test_teacher_calls_overlap_across_items(self, tmp_path, monkeypatch):
-        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
+        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30, config_extra={"concurrency": 4})
         teacher = SlowTeacher()
         wrap_endpoint(monkeypatch, "teacher-x", teacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
-                     "--stage", "knn_fewshot_cot", "--concurrency", "4"]) == 0
+                     "--stage", "knn_fewshot_cot"]) == 0
         assert teacher.most > 1
 
     def test_gen_cot_then_run_gives_the_prompts_of_run_alone(self, tmp_path):
@@ -870,12 +877,12 @@ class TestTeacherOpenedOnFirstCall:
         assert [model for model, _ in built] == ["target-x"]
 
     def test_manifest_misses_open_the_teacher_once(self, tmp_path, built):
-        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30, config_extra={"concurrency": 4})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             code = main(TestExemplarManifest.command("run", config, "--stage",
-                                                     "knn_fewshot_cot", "--concurrency", "4"))
+                                                     "knn_fewshot_cot"))
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
@@ -900,6 +907,38 @@ class TestTeacherOpenedOnFirstCall:
         assert main(TestExemplarManifest.command("run", config, "--stage", stage)) == 1
         assert "add a `teacher:` block" in capsys.readouterr().err
         assert calls == []
+
+
+    def test_unset_teacher_credential_fails_before_any_target_call(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # The manifest covers the first 3 of 4 items; the 4th needs the teacher.
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        assert main(TestExemplarManifest.command("index", config)) == 0
+        assert main(TestExemplarManifest.command("gen-cot", config, "--limit", "3")) == 0
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"] = {"url": "http://127.0.0.1:9", "model": "teacher-x",
+                          "api_key_env": "MEDHARNESS_TEST_UNSET_KEY"}
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
+        run = TestExemplarManifest.command("run", config, "--stage", "knn_fewshot_cot")
+        assert main(run + ["--dry-run"]) == 0
+        calls = []
+        wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        capsys.readouterr()
+        assert main(run) == 1
+        assert "credential variable MEDHARNESS_TEST_UNSET_KEY is not set" \
+            in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl").exists()
+
+    def test_mock_teacher_reads_no_credential(self, tmp_path, monkeypatch):
+        config, _, _ = build_env(tmp_path)
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"]["api_key_env"] = "MEDHARNESS_TEST_UNSET_KEY"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
 
 
 class TestPoolLineDigest:
@@ -1029,10 +1068,10 @@ class TestTraceWriter:
         trace = root / "out" / "medqa" / f"{stage}.trace.jsonl"
         return sorted(trace.read_text(encoding="utf-8").splitlines())
 
-    def interrupted(self, root, monkeypatch, stage, fail_at, error, *extra):
+    def interrupted(self, root, monkeypatch, stage, fail_at, error, **config_extra):
         """Run `stage` with a target failing on the item at index `fail_at`;
         return the exit code, the test items and the failing target."""
-        config, test_items, _ = build_env(root, n_test=8, n_pool=30)
+        config, test_items, _ = build_env(root, n_test=8, n_pool=30, config_extra=config_extra)
         trace = root / "out" / "medqa" / f"{stage}.trace.jsonl"
         targets = []
 
@@ -1043,16 +1082,16 @@ class TestTraceWriter:
         wrap_endpoint(monkeypatch, "target-x", wrap)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(TestExemplarManifest.command("run", config, "--stage", stage, *extra))
+            code = main(TestExemplarManifest.command("run", config, "--stage", stage))
             gc.collect()
         monkeypatch.setattr(cli, "build_endpoint", config_build_endpoint)
         return code, test_items, targets[0]
 
-    def resumed_equals_uninterrupted(self, root, stage, *extra):
-        args = ["--stage", stage, *extra]
+    def resumed_equals_uninterrupted(self, root, stage, **config_extra):
+        args = ["--stage", stage]
         assert main(TestExemplarManifest.command("run", root / "config.yaml", *args,
                                                  "--resume")) == 0
-        config, _, _ = build_env(root / "alone", n_test=8, n_pool=30)
+        config, _, _ = build_env(root / "alone", n_test=8, n_pool=30, config_extra=config_extra)
         assert main(TestExemplarManifest.command("run", config, *args)) == 0
         assert self.sorted_rows(root, stage) == self.sorted_rows(root / "alone", stage)
 
@@ -1078,7 +1117,7 @@ class TestTraceWriter:
         stage = "ensemble"
         code, test_items, _ = self.interrupted(tmp_path, monkeypatch, stage, 5,
                                                EndpointError("connection reset"),
-                                               "--concurrency", "4")
+                                               concurrency=4)
         assert code == 3
         assert "connection reset" in capsys.readouterr().err
         trace = tmp_path / "out" / "medqa" / f"{stage}.trace.jsonl"
@@ -1088,7 +1127,7 @@ class TestTraceWriter:
         opened, unraisable = handles
         assert len(opened) == 1 and opened[0].closed
         assert unraisable == []
-        self.resumed_equals_uninterrupted(tmp_path, stage, "--concurrency", "4")
+        self.resumed_equals_uninterrupted(tmp_path, stage, concurrency=4)
 
 
 class TestDryRunRequest:
@@ -1230,15 +1269,15 @@ class TestIndexedPool:
 
     def test_concurrent_run_builds_the_same_prompts(self, tmp_path):
         def prompts(root, concurrency):
-            config, _, _ = self.indexed(root, n_test=40, n_pool=30)
-            assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
-                                     "--concurrency", concurrency)) == 0
+            config, _, _ = self.indexed(root, n_test=40, n_pool=30,
+                                        config_extra={"concurrency": concurrency})
+            assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
             rows = trace_rows(root / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl")
             return {row["item_id"]: row["per_run"][0]["prompt_sha256"] for row in rows}
 
-        serial = prompts(tmp_path / "serial", "1")
+        serial = prompts(tmp_path / "serial", 1)
         assert len(set(serial.values())) == 40
-        assert prompts(tmp_path / "concurrent", "8") == serial
+        assert prompts(tmp_path / "concurrent", 8) == serial
 
 
 class TestRandomPool:
@@ -1400,10 +1439,10 @@ class TestEnsembleWaves:
                       key=lambda line: json.loads(line)["item_id"])
 
     def test_overlapping_waves_write_the_rows_of_a_sequential_run(self, tmp_path, wave_server):
-        config, test_items, _ = self.http_env(tmp_path, wave_server, n_test=8)
+        config, test_items, _ = self.http_env(tmp_path, wave_server, n_test=8, concurrency=1)
         args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"]
         trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
-        assert main(args + ["--concurrency", "1"]) == 0
+        assert main(args) == 0
         sequential = self.sorted_rows(trace)
         assert wave_server.peak == 1
         trace.unlink()
@@ -1425,7 +1464,8 @@ class TestEnsembleWaves:
         assert len(held) == 2
         wave_server.hold = {key: 0.3 for keys in held for key in keys}
         wave_server.peak = 0
-        assert main(args + ["--concurrency", "2"]) == 0
+        set_concurrency(config, 2)
+        assert main(args) == 0
         assert self.sorted_rows(trace) == sequential
         # One call budget of concurrency * (5 // 2 + 1), kept full.
         assert wave_server.peak == 2 * 3
@@ -1445,11 +1485,12 @@ class TestEnsembleWaves:
 
     def test_teacher_calls_stay_within_concurrency(self, tmp_path, monkeypatch, wave_server):
         # No gen-cot ran, so every item's exemplars ask the teacher.
-        config, _, _ = self.http_env(tmp_path, wave_server, n_test=12, n_pool=30)
+        config, _, _ = self.http_env(tmp_path, wave_server, n_test=12, n_pool=30,
+                                     concurrency=2)
         teacher = SlowTeacher()
         wrap_endpoint(monkeypatch, "teacher-x", teacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
-                     "--stage", "ensemble", "--concurrency", "2"]) == 0
+                     "--stage", "ensemble"]) == 0
         assert teacher.most <= 2
 
     # Runs 1 and 2 of the first wave fail; only the runs named are answered
@@ -1509,7 +1550,8 @@ class TestEnsembleWaves:
         trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
         rows = {}
         for concurrency in (1, 4):
-            assert main(args + ["--concurrency", str(concurrency)]) == 0
+            set_concurrency(config, concurrency)
+            assert main(args) == 0
             rows[concurrency] = self.sorted_rows(trace)
             trace.unlink()
         assert rows[4] == rows[1]

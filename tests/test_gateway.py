@@ -14,14 +14,12 @@ import golden_data as gd
 from medharness.config import EndpointConfig, build_endpoint
 from medharness.errors import ConfigError, EndpointError
 from medharness.modelgw import (
-    FixedTextPolicy,
     FlakyGoldPolicy,
     GarbagePolicy,
     GenerationRequest,
     GoldAnswerPolicy,
     HttpEndpoint,
     RetryPolicy,
-    SequencePolicy,
     StageTablePolicy,
     complete,
     default_max_tokens,
@@ -330,8 +328,10 @@ class TestConnections:
             time.sleep(0.01)
         assert keepalive_server.closed == opened
         # Still usable: the next call opens a new connection.
-        with ep:
+        try:
             assert complete(simple_request(), ep).text == "ok"
+        finally:
+            ep.close()
         assert keepalive_server.connections == opened + 1
 
     def test_response_cut_short_is_retried(self, keepalive_server):
@@ -483,7 +483,8 @@ class TestMockPolicies:
             complete(GenerationRequest(model_id="mock", prompt=text), ep)
 
     def test_sequence_policy_counts_per_prompt(self):
-        ep = mock_model(SequencePolicy(["first", "second", "last"]))
+        outputs = ["first", "second", "last"]
+        ep = mock_model(lambda request, occurrence: outputs[min(occurrence, 2)])
         req_a = GenerationRequest(model_id="mock", prompt="prompt A")
         req_b = GenerationRequest(model_id="mock", prompt="prompt B")
         assert complete(req_a, ep).text == "first"
@@ -495,7 +496,7 @@ class TestMockPolicies:
 
     def test_garbage_and_fixed_text(self):
         assert complete(simple_request(), mock_model(GarbagePolicy())).text.startswith("I am unable")
-        assert complete(simple_request(), mock_model(FixedTextPolicy("hi"))).text == "hi"
+        assert complete(simple_request(), mock_model(lambda request, occurrence: "hi")).text == "hi"
 
     def test_flaky_gold_fails_then_recovers(self):
         policy = FlakyGoldPolicy(
@@ -564,10 +565,11 @@ class TestMockFromFile:
 
     def test_unknown_policy_name(self, tmp_path):
         path = tmp_path / "policy.json"
-        path.write_text(json.dumps({"policy": "nonsense"}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown mock policy"):
-            mock_from_file(path)
+        for name in ("nonsense", "fixed_text", "sequence"):
+            path.write_text(json.dumps({"policy": name}), encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"unknown mock policy '{name}'"):
+                mock_from_file(path, "m")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):
-            mock_from_file(tmp_path / "absent.json")
+            mock_from_file(tmp_path / "absent.json", "m")

@@ -17,7 +17,6 @@ from medharness.modelgw import (
     GarbagePolicy,
     GenerationResponse,
     GoldAnswerPolicy,
-    SequencePolicy,
     mock_model,
     parse_prompt_tail,
 )
@@ -133,10 +132,8 @@ class TestAnswerItem:
         assert run["prompt_sha256"] == hashlib.sha256(expected.encode("utf-8")).hexdigest()
 
     def test_unparseable_output_is_retried(self):
-        endpoint = mock_model(SequencePolicy([
-            "no idea", "still thinking",
-            "### Answer: (B) Patellofemoral cartilage",
-        ]))
+        outputs = ["no idea", "still thinking", "### Answer: (B) Patellofemoral cartilage"]
+        endpoint = mock_model(lambda request, occurrence: outputs[occurrence])
         run = answer_item(gd.TEST_ITEM, Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION,
                           [], endpoint)
         assert run["decision"] == "B"
@@ -487,13 +484,6 @@ class TestRunBenchmark:
 
     def test_read_trace_missing_file(self, tmp_path):
         assert read_trace(tmp_path / "absent.jsonl") == []
-
-    def test_progress_called_per_new_item(self, bench_items, tmp_path):
-        seen = []
-        run_benchmark(bench_items, Stage.ZERO_SHOT, gold_endpoint(bench_items),
-                      gd.MEDQA_INSTRUCTION, no_exemplars, tmp_path / "t.jsonl",
-                      progress=seen.append)
-        assert sorted(r["item_id"] for r in seen) == [it.id for it in bench_items]
 
     def test_concurrent_run_stays_correct(self, tmp_path):
         items = [make_item(i, question=f"Parallel question number {i}?", gold="D")

@@ -13,7 +13,6 @@ from conftest import make_item
 from medharness.corpus import Split
 from medharness.errors import DataError, EndpointError
 from medharness.modelgw import (
-    FixedTextPolicy,
     FlakyGoldPolicy,
     GarbagePolicy,
     GoldAnswerPolicy,
@@ -90,7 +89,8 @@ class TestGenerateCot:
 
     def test_gold_without_explanation_is_rejected(self, tiny_pool):
         item = tiny_pool[0]
-        teacher = mock_model(FixedTextPolicy(f"### Answer: ({item.gold}) {item.gold_text}"))
+        answer = f"### Answer: ({item.gold}) {item.gold_text}"
+        teacher = mock_model(lambda request, occurrence: answer)
         outcome = generate_cot(item, teacher)
         assert not outcome.accepted
         assert outcome.attempts == 3

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import yaml
 
+from medharness import modelgw
 from medharness.cli import cli
 from medharness.config import RunConfig, load_config
 
@@ -83,6 +84,14 @@ def test_readme_names_exactly_the_cli_options():
     options = {opt for command in cli.commands.values() for param in command.params
                for opt in param.opts if opt.startswith("--")}
     assert named == options
+
+
+def test_readme_names_exactly_the_mock_policies():
+    """The README's Mock endpoints table lists every `mock:` policy name and
+    no other: a removed policy left in the docs, or a new one left out of
+    them, fails."""
+    named = set(re.findall(r"^\| `(\w+)` \|", readme_section("Mock endpoints"), re.M))
+    assert named == set(modelgw._POLICY_REGISTRY)
 
 
 def test_every_public_name_has_a_caller():
