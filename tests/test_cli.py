@@ -495,12 +495,15 @@ class TestExitCodes:
         assert f"{key} must be an integer{bound}, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["run", "--stage", "ensemble"], ["ablate"]])
-    def test_concurrency_option_is_gone(self, tmp_path, capsys, monkeypatch, command):
-        # The config file is the one place that sets the concurrency.
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_concurrency_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, value):
+        # The config file is the one place that sets the concurrency: the command line
+        # refuses a --concurrency option of any value as unknown.
         config, _, _ = build_env(tmp_path)
         monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
         code = main([command[0], "--config", str(config), "--dataset", "medqa", *command[1:],
-                     "--concurrency", "2"])
+                     "--concurrency", value])
         assert code == 1
         assert "No such option '--concurrency'" in capsys.readouterr().err
 
