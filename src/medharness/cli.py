@@ -23,13 +23,13 @@ import click
 from .config import (
     RunConfig,
     build_endpoint,
-    check_credential,
+    check_endpoint,
     config_fingerprint,
     instruction_for,
     load_config,
 )
 from .corpus import (CorpusFile, CorpusStore, Dataset, McqItem, PoolView, Split, load_dataset,
-                     read_normalized)
+                     read_normalized, write_atomically)
 from .errors import ConfigError, DataError, EndpointError, IncompleteRunError
 from .metrics import (
     ablation,
@@ -315,8 +315,8 @@ class _Teacher:
 
     `model_id` is the config's, so the CoT cache and the manifest are keyed
     without opening the endpoint. Concurrent first calls open it once, under
-    a lock, and add it to `opened` for `_Sources` to close. An unset
-    credential variable fails on construction, before any target call. With
+    a lock, and add it to `opened` for `_Sources` to close. A block that
+    `check_endpoint` refuses fails on construction, before any target call. With
     `opened` None (dry runs) every call is a configuration error, and a
     config with no `teacher:` block reads as model "none".
     """
@@ -328,7 +328,7 @@ class _Teacher:
         self._endpoint = None
         self.model_id = config.teacher.model_id if config.teacher else "none"
         if opened is not None:
-            check_credential(config.teacher)
+            check_endpoint(config.teacher)
 
     def _open(self):
         with self._lock:
@@ -472,12 +472,9 @@ def _write_ablation(config: RunConfig, dataset: Dataset, reports: list[dict]) ->
     """Write `ablation.json` and `ablation.txt` beside the traces; echo the text."""
     table = ablation(reports)
     out_dir = config.output_dir / dataset.value
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ablation.json").write_text(
-        json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_report(table, out_dir / "ablation.json")
     text = render_ablation_text(table)
-    (out_dir / "ablation.txt").write_text(text, encoding="utf-8")
+    write_atomically(out_dir / "ablation.txt", text)
     click.echo(text, nl=False)
 
 
@@ -539,9 +536,7 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
         rows = read_trace(_trace_path(config, dataset, Stage(best["stage"])))
         breakdown = subject_breakdown(scored_rows(rows, [item.id for item in sources.items]),
                                       sources.items)
-        (config.output_dir / dataset.value / "subjects.json").write_text(
-            json.dumps(breakdown, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_report(breakdown, config.output_dir / dataset.value / "subjects.json")
         for subject, stats in breakdown["subjects"].items():
             click.echo(f"  {subject}: {stats['accuracy_percent']:.1f}% "
                        f"({stats['n_correct']}/{stats['n_items']})")

@@ -22,7 +22,8 @@ import yaml
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .modelgw import DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file, read_credential
+from .modelgw import (DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file, read_credential,
+                      split_url)
 from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
@@ -34,7 +35,7 @@ __all__ = [
     "instruction_for",
     "config_fingerprint",
     "build_endpoint",
-    "check_credential",
+    "check_endpoint",
 ]
 
 BUILTIN_EMBEDDING = "builtin"
@@ -251,8 +252,14 @@ def build_endpoint(spec: EndpointConfig, retry: RetryPolicy):
                         timeout=spec.timeout, retry=retry)
 
 
-def check_credential(spec: EndpointConfig) -> None:
-    """Fail as `build_endpoint(spec)` would on an unset credential variable,
-    without opening the endpoint; a `mock:` endpoint reads no credential."""
-    if not spec.url.startswith("mock:"):
+def check_endpoint(spec: EndpointConfig) -> None:
+    """Fail as `build_endpoint(spec)` would on a missing `mock:` policy file,
+    a malformed URL or an unset credential variable, without opening the
+    endpoint: a policy file is only looked for, never parsed."""
+    if spec.url.startswith("mock:"):
+        path = Path(spec.url[len("mock:"):])
+        if not path.exists():
+            raise ConfigError(f"mock policy file missing: {path}")
+    else:
+        split_url(spec.url)
         read_credential(spec.api_key_env)

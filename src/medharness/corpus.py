@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import string
 import tempfile
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -50,6 +49,9 @@ __all__ = [
     "read_normalized",
     "write_normalized",
     "replace_atomically",
+    "write_atomically",
+    "write_headed",
+    "read_headed",
     "scan_jsonl",
     "mend_tail",
     "MMLU_MED_SUBJECTS",
@@ -226,16 +228,6 @@ class CorpusManifest:
     source_path: str
     checksum: str
     rejected_count: int = 0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dataset": self.dataset.value,
-            "split": self.split.value,
-            "item_count": self.item_count,
-            "source_path": self.source_path,
-            "checksum": self.checksum,
-            "rejected_count": self.rejected_count,
-        }
 
 
 @dataclass
@@ -495,6 +487,29 @@ def replace_atomically(path: str | Path):
         raise
 
 
+def write_atomically(path: str | Path, text: str) -> None:
+    """Replace `path` with the UTF-8 `text` (see `replace_atomically`)."""
+    with replace_atomically(path) as f:
+        f.write(text.encode("utf-8"))
+
+
+def write_headed(path: str | Path, header: dict, rows) -> None:
+    """Replace `path` with `header`'s JSON, keys sorted, then one JSON line
+    per row, keys in the row's own order."""
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(row) for row in rows]
+    write_atomically(path, "\n".join(lines) + "\n")
+
+
+def read_headed(path: str | Path) -> tuple[dict, list]:
+    """The header and rows `write_headed` wrote; ValueError if the file is not
+    UTF-8, the header is not an object, or the header or a row does not parse."""
+    first, *rows = Path(path).read_text(encoding="utf-8").split("\n")
+    header = json.loads(first)
+    if not isinstance(header, dict):
+        raise ValueError(f"header is a {type(header).__name__}, not a JSON object")
+    return header, json.loads("[" + ",".join(row for row in rows if row.strip()) + "]")
+
+
 def scan_jsonl(path: Path, corrupt) -> tuple[list[tuple[int, object]], tuple[int, bytes] | None]:
     """The (line number, parsed value) pairs of an append-only JSON-lines file,
     plus how to mend its tail before appending.
@@ -534,14 +549,8 @@ def mend_tail(path: Path, mend: tuple[int, bytes]) -> None:
 
 
 def write_normalized(items: list[McqItem], path: str | Path) -> None:
-    """Write items as one UTF-8 JSON object per line (stable key order)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    for item in items:
-        buf.write(item.canonical_json())
-        buf.write("\n")
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    """Replace `path` with the items, one UTF-8 JSON object per line (stable key order)."""
+    write_atomically(path, "".join(item.canonical_json() + "\n" for item in items))
 
 
 class PoolQuestion(NamedTuple):
@@ -658,13 +667,6 @@ class PoolView(Mapping):
         return len(self._lines)
 
 
-def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(manifest.to_json_obj(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 class CorpusStore:
     """Access to normalized corpora under one directory.
 
@@ -684,7 +686,8 @@ class CorpusStore:
     def save(self, result: LoadResult) -> Path:
         dataset, split = result.manifest.dataset, result.manifest.split
         write_normalized(result.items, self.corpus_path(dataset, split))
-        write_manifest(result.manifest, self.manifest_path(dataset, split))
+        write_atomically(self.manifest_path(dataset, split),
+                         json.dumps(asdict(result.manifest), indent=2, sort_keys=True) + "\n")
         return self.corpus_path(dataset, split)
 
     def load(self, dataset: Dataset, split: Split) -> list[McqItem]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .corpus import Dataset, MMLU_MED_SUBJECTS, McqItem, Split
+from .corpus import Dataset, MMLU_MED_SUBJECTS, McqItem, Split, write_atomically
 from .errors import DataError, IncompleteRunError
 from .parsing import INVALID
 from .runner import LADDER, Stage
@@ -111,9 +111,8 @@ def build_report(
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Replace `path` with `report` as indented JSON, keys sorted."""
+    write_atomically(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def ablation(reports: list[dict]) -> dict:

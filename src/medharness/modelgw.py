@@ -23,6 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, EndpointError
 
@@ -37,6 +38,7 @@ __all__ = [
     "default_max_tokens",
     "mock_from_file",
     "read_credential",
+    "split_url",
     "parse_prompt_tail",
     "GoldAnswerPolicy",
     "GarbagePolicy",
@@ -115,6 +117,19 @@ def read_credential(api_key_env: str | None) -> str | None:
     return key
 
 
+def split_url(url: str) -> tuple[str, str, int | None, str]:
+    """The scheme, host, port and path of an endpoint URL, trailing slashes
+    dropped; anything but http(s)://host[:port][/path] is a ConfigError."""
+    parts = urlsplit(url.rstrip("/"))
+    try:
+        host, port = parts.hostname, parts.port
+    except ValueError:
+        host = None
+    if parts.scheme not in ("http", "https") or not host:
+        raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {url!r}")
+    return parts.scheme, host, port, parts.path
+
+
 class HttpEndpoint:
     """Completions/embeddings endpoint over HTTP(S), on stdlib `http.client`.
 
@@ -137,16 +152,9 @@ class HttpEndpoint:
         # Imported here, not at module level, so runs against `mock:`
         # endpoints never load the HTTP and TLS modules.
         import http.client
-        from urllib.parse import urlsplit
 
         self.base_url = base_url.rstrip("/")
-        parts = urlsplit(self.base_url)
-        try:
-            host, port = parts.hostname, parts.port
-        except ValueError:
-            host = None
-        if parts.scheme not in ("http", "https") or not host:
-            raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {base_url!r}")
+        scheme, host, port, self._path_prefix = split_url(base_url)
         self.model_id = model_id
         self.retry = retry
         self._sleep = time.sleep  # the backoff wait; tests record it instead
@@ -154,10 +162,9 @@ class HttpEndpoint:
         key = read_credential(api_key_env)
         if key is not None:
             self._headers["Authorization"] = f"Bearer {key}"
-        connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
+        connection_class = (http.client.HTTPSConnection if scheme == "https"
                             else http.client.HTTPConnection)
         self._open = functools.partial(connection_class, host, port, timeout=timeout)
-        self._path_prefix = parts.path
         self._idle: list = []
         self._idle_lock = threading.Lock()
 

@@ -30,7 +30,6 @@ before it leaves the old header over the old rows.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import zipfile
@@ -43,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import McqItem, replace_atomically
+from .corpus import McqItem, read_headed, replace_atomically, write_headed
 from .errors import DataError
 
 __all__ = [
@@ -453,10 +452,7 @@ class VectorIndex:
             header["n_docs"] = self.provider.n_docs
         with replace_atomically(rows_path) as f:
             self._vectors.save(f)
-        lines = [json.dumps(header, sort_keys=True)]
-        lines += [json.dumps({"item_id": item_id}) for item_id in self._ids]
-        with replace_atomically(path) as f:
-            f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        write_headed(path, header, ({"item_id": item_id} for item_id in self._ids))
         superseded = re.compile(re.escape(path.stem) + r"(\.[0-9a-f]{16})?\.np[yz]")
         for old in path.parent.iterdir():
             if old != rows_path and superseded.fullmatch(old.name):
@@ -467,47 +463,38 @@ class VectorIndex:
         path = Path(path)
         if not path.exists():
             raise DataError(f"index file missing: {path}")
-        with open(path, encoding="utf-8") as f:
-            try:
-                header = json.loads(f.readline())
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: bad index header: {exc}") from exc
-            if header.get("schema") != INDEX_SCHEMA:
-                raise DataError(
-                    f"{path}: index schema {header.get('schema')} is not {INDEX_SCHEMA}; {_REBUILD}"
-                )
-            if provider is None:
-                if not header["provider_id"].startswith("builtin-tfidf-v1"):
-                    raise DataError(
-                        f"{path}: index was built by {header['provider_id']}; pass that provider to load it"
-                    )
-                provider = BuiltinProvider(
-                    dim=header["dim"],
-                    idf={int(b): w for b, w in header.get("idf", {}).items()},
-                    n_docs=header.get("n_docs", 0),
-                )
-            if provider.provider_id != header["provider_id"]:
-                raise DataError(
-                    f"{path}: index provider {header['provider_id']} does not match {provider.provider_id}"
-                )
-            if isinstance(provider, RemoteProvider):
-                if provider.dim not in (None, header["dim"]):
-                    raise DataError(f"{path}: index dim {header['dim']} != provider dim {provider.dim}")
-                # A query embedding of any other dimension is then refused.
-                provider.dim = header["dim"]
-            rows = [line for line in f if line.strip()]
         try:
-            ids = [row["item_id"] for row in json.loads("[" + ",".join(rows) + "]")]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: bad index row: {exc}") from exc
-        if len(ids) != header["count"]:
-            raise DataError(f"{path}: header count {header['count']} != {len(ids)} rows")
+            header, rows = read_headed(path)
+            if header.get("schema") != INDEX_SCHEMA:
+                raise DataError(f"{path}: index schema {header.get('schema')} is not "
+                                f"{INDEX_SCHEMA}; {_REBUILD}")
+            provider_id, dim, count = header["provider_id"], header["dim"], header["count"]
+            rows_name, idf = header["rows"], header.get("idf", {})
+            ids = [row["item_id"] for row in rows]
+            if provider is None and provider_id.startswith("builtin-tfidf-v1"):
+                provider = BuiltinProvider(dim=dim, idf={int(b): w for b, w in idf.items()},
+                                           n_docs=header.get("n_docs", 0))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: bad index file: {exc!r}; {_REBUILD}") from exc
+        if provider is None:
+            raise DataError(f"{path}: index was built by {provider_id}; "
+                            f"pass that provider to load it")
+        if provider.provider_id != provider_id:
+            raise DataError(f"{path}: index provider {provider_id} does not match "
+                            f"{provider.provider_id}")
+        if isinstance(provider, RemoteProvider):
+            if provider.dim not in (None, dim):
+                raise DataError(f"{path}: index dim {dim} != provider dim {provider.dim}")
+            # A query embedding of any other dimension is then refused.
+            provider.dim = dim
+        if len(ids) != count:
+            raise DataError(f"{path}: header count {count} != {len(ids)} rows")
         storage = _SparseRows if isinstance(provider, BuiltinProvider) else _DenseRows
-        vectors_path = path.with_name(header["rows"])
+        vectors_path = path.with_name(rows_name)
         if not vectors_path.exists():
             raise DataError(f"index vectors missing: {vectors_path}; {_REBUILD}")
         try:
-            vectors = storage.load(vectors_path, header["count"], header["dim"])
+            vectors = storage.load(vectors_path, count, dim)
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             raise DataError(f"{vectors_path}: unreadable index vectors: {exc}; {_REBUILD}") from exc
         return cls(provider, ids, vectors, pool_sha256=header.get("pool_sha256"))

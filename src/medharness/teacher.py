@@ -22,7 +22,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem, mend_tail, replace_atomically, scan_jsonl
+from .corpus import McqItem, mend_tail, read_headed, scan_jsonl, write_headed
 from .errors import DataError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
@@ -347,11 +347,8 @@ def save_exemplar_manifest(path: str | Path, header: dict,
                            exemplar_ids: dict[str, list[str]]) -> None:
     """Write an exemplar manifest: `header`, then one row per test item with
     its exemplar ids in prompt order."""
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps({"item_id": item_id, "exemplars": ids})
-              for item_id, ids in exemplar_ids.items()]
-    with replace_atomically(path) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_headed(path, header, ({"item_id": item_id, "exemplars": ids}
+                                for item_id, ids in exemplar_ids.items()))
 
 
 def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
@@ -368,10 +365,7 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
     if not path.exists():
         return {}
     try:
-        first, *rows = path.read_text(encoding="utf-8").split("\n")
-        recorded = json.loads(first)
-        if not isinstance(recorded, dict):
-            raise ValueError("header is not an object")
+        recorded, rows = read_headed(path)
         if recorded != header:
             if not warn_stale:
                 return {}
@@ -381,7 +375,7 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
                         "rerun `medharness gen-cot` to rebuild it", path, ", ".join(stale))
             return {}
         manifest = {}
-        for row in json.loads("[" + ",".join(row for row in rows if row.strip()) + "]"):
+        for row in rows:
             ids = tuple(row["exemplars"])
             in_pool = all(isinstance(i, str) and i in pool_ids for i in ids)
             if len(ids) != FEWSHOT_SIZE or not in_pool:

@@ -331,6 +331,56 @@ class TestAblate:
         assert list(breakdown["subjects"]) == ["anatomy"]
 
 
+class TestWholeFileCommits:
+    def test_every_output_but_the_appended_ones_is_committed_by_a_rename(self, tmp_path,
+                                                                        monkeypatch):
+        """Each file a command creates or changes is an `os.replace` destination
+        of that command, so a reader sees the old file or the new one, never
+        part of either. Traces and the CoT cache are appended to instead."""
+        config, test_items, _ = build_env(tmp_path, n_pool=30)
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps({"question": item.question,
+                                           "options": dict(item.options),
+                                           "answer_idx": item.gold}) + "\n"
+                               for item in test_items), encoding="utf-8")
+        subjects = ["anatomy", "anatomy", "virology", "virology"]
+        write_normalized([replace(item, dataset=Dataset.MMLU_MED, subject=subject)
+                          for item, subject in zip(test_items, subjects)],
+                         tmp_path / "corpus" / "mmlu_med" / "test.jsonl")
+        destinations = set()
+        os_replace = os.replace
+
+        def spy(src, dst):
+            destinations.add(Path(dst))
+            os_replace(src, dst)
+
+        def files():
+            return {path: (path.stat().st_ino, path.stat().st_mtime_ns, path.stat().st_size)
+                    for path in tmp_path.rglob("*") if path.is_file()}
+
+        monkeypatch.setattr(os, "replace", spy)
+        medqa = ["--config", str(config), "--dataset", "medqa"]
+        mmlu = ["--config", str(config), "--dataset", "mmlu_med"]
+        committed = set()
+        for argv in (["ingest", "--dataset", "medqa", "--split", "test", "--source", str(raw),
+                      "--corpus-dir", str(tmp_path / "ingested")],
+                     ["index", *medqa], ["gen-cot", *medqa], ["ablate", *medqa],
+                     ["report", *medqa], ["run", *mmlu, "--stage", "zero_shot"],
+                     ["report", *mmlu]):
+            before = files()
+            destinations.clear()
+            assert main(argv) == 0
+            produced = {path for path, stat in files().items() if before.get(path) != stat
+                        and not path.name.endswith(".trace.jsonl")
+                        and path.parent != tmp_path / "cache" / "cot"}
+            assert produced - destinations == set(), argv[0]
+            committed |= {path.relative_to(tmp_path).as_posix() for path in produced}
+        assert {"ingested/medqa/test.jsonl", "ingested/medqa/test.manifest.json",
+                "cache/index/medqa.jsonl", "cache/exemplars/medqa.jsonl",
+                "out/medqa/zero_shot.report.json", "out/medqa/ablation.json",
+                "out/medqa/ablation.txt", "out/mmlu_med/subjects.json"} <= committed
+
+
 class TestIndexAndGenCot:
     def test_index_command(self, tmp_path, capsys):
         config, _, _ = build_env(tmp_path)
@@ -879,6 +929,17 @@ class TestTeacherOpenedOnFirstCall:
         assert main(TestExemplarManifest.command("run", config, "--stage", stage)) == 0
         assert [model for model, _ in built] == ["target-x"]
 
+    def test_covered_stage_never_parses_the_teacher_policy(self, tmp_path):
+        # The up-front check only looks for the policy file.
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        (tmp_path / "teacher.json").write_text("not a policy", encoding="utf-8")
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"]["url"] = f"mock:{tmp_path / 'teacher.json'}"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
+
     def test_manifest_misses_open_the_teacher_once(self, tmp_path, built):
         config, _, _ = build_env(tmp_path, n_test=20, n_pool=30, config_extra={"concurrency": 4})
         interval = sys.getswitchinterval()
@@ -912,27 +973,42 @@ class TestTeacherOpenedOnFirstCall:
         assert calls == []
 
 
-    def test_unset_teacher_credential_fails_before_any_target_call(self, tmp_path,
-                                                                  monkeypatch, capsys):
-        # The manifest covers the first 3 of 4 items; the 4th needs the teacher.
+    @staticmethod
+    def fails_before_any_target_call(tmp_path, monkeypatch, capsys, teacher, message):
+        """With the `teacher:` block set to `teacher` after `gen-cot` covered 3
+        of 4 items, a dry run still works, and a kNN run exits 1 with `message`
+        before any target call or trace row."""
         config, _, _ = build_env(tmp_path, n_pool=30)
         assert main(TestExemplarManifest.command("index", config)) == 0
         assert main(TestExemplarManifest.command("gen-cot", config, "--limit", "3")) == 0
         doc = yaml.safe_load(config.read_text(encoding="utf-8"))
-        doc["teacher"] = {"url": "http://127.0.0.1:9", "model": "teacher-x",
-                          "api_key_env": "MEDHARNESS_TEST_UNSET_KEY"}
+        doc["teacher"] = {"model": "teacher-x", **teacher}
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
         run = TestExemplarManifest.command("run", config, "--stage", "knn_fewshot_cot")
         assert main(run + ["--dry-run"]) == 0
         calls = []
         wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
         capsys.readouterr()
         assert main(run) == 1
-        assert "credential variable MEDHARNESS_TEST_UNSET_KEY is not set" \
-            in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out" / "medqa" / "knn_fewshot_cot.trace.jsonl").exists()
+
+    def test_unset_teacher_credential_fails_before_any_target_call(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
+        self.fails_before_any_target_call(
+            tmp_path, monkeypatch, capsys,
+            {"url": "http://127.0.0.1:9", "api_key_env": "MEDHARNESS_TEST_UNSET_KEY"},
+            "credential variable MEDHARNESS_TEST_UNSET_KEY is not set")
+
+    @pytest.mark.parametrize("url, message", [
+        ("ftp://x", "endpoint URL must be http(s)://host[:port][/path], got 'ftp://x'"),
+        ("mock:/nonexistent/policy.json", "mock policy file missing: /nonexistent/policy.json"),
+    ], ids=["bad-scheme", "missing-mock-file"])
+    def test_bad_teacher_url_fails_before_any_target_call(self, tmp_path, monkeypatch, capsys,
+                                                          url, message):
+        self.fails_before_any_target_call(tmp_path, monkeypatch, capsys, {"url": url}, message)
 
     def test_mock_teacher_reads_no_credential(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path)

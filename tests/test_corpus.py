@@ -15,8 +15,10 @@ from medharness.corpus import (
     Split,
     canonical_labels,
     load_dataset,
+    read_headed,
     read_normalized,
     source_checksum,
+    write_headed,
     write_normalized,
 )
 from medharness.errors import DataError
@@ -425,3 +427,24 @@ class TestCorpusStore:
             store.manifest_path(Dataset.MEDQA, Split.TEST).read_text(encoding="utf-8")
         )
         assert manifest["item_count"] == 1
+
+
+class TestHeadedFile:
+    def test_header_keys_sorted_row_keys_kept(self, tmp_path):
+        path = tmp_path / "deep" / "headed.jsonl"
+        rows = [{"item_id": "b", "exemplars": ["x"]}, {"item_id": "a", "exemplars": []}]
+        write_headed(path, {"schema": 1, "a": "é"}, iter(rows))
+        assert path.read_bytes() == (b'{"a": "\\u00e9", "schema": 1}\n'
+                                     b'{"item_id": "b", "exemplars": ["x"]}\n'
+                                     b'{"item_id": "a", "exemplars": []}\n')
+        assert read_headed(path) == ({"schema": 1, "a": "é"}, rows)
+        assert [p.name for p in path.parent.iterdir()] == ["headed.jsonl"]
+
+    @pytest.mark.parametrize("data", [b"", b"[1]\n", b'{"schema": 1}\n{"item_id"\n',
+                                      b'{"schema": 1}\n\xff\n'],
+                             ids=["empty", "list-header", "torn-row", "not-utf8"])
+    def test_unreadable_file_is_value_error(self, tmp_path, data):
+        path = tmp_path / "headed.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            read_headed(path)

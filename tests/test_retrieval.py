@@ -541,6 +541,32 @@ class TestPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["pool.jsonl",
                                                                     rows_file(path).name])
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: [],
+        lambda header: "x",
+        lambda header: None,
+        *(lambda header, key=key: {k: v for k, v in header.items() if k != key}
+          for key in ("provider_id", "dim", "count", "rows")),
+        lambda header: {**header, "provider_id": 7},
+        lambda header: {**header, "idf": []},
+    ], ids=["list", "string", "null", "no-provider_id", "no-dim", "no-count", "no-rows",
+            "int-provider_id", "list-idf"])
+    def test_malformed_header_refused(self, tmp_path, edit):
+        path = tmp_path / "pool.jsonl"
+        build_index(word_soup_items(5)).save(path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([json.dumps(edit(json.loads(header))), *rows]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="bad index file.*medharness index"):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize("text", ["", "{\n", "\xff"], ids=["empty", "cut", "latin-1"])
+    def test_unparseable_index_file_refused(self, tmp_path, text):
+        path = tmp_path / "pool.jsonl"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError, match="bad index file.*medharness index"):
+            VectorIndex.load(path)
+
     def test_json_vector_index_refused(self, tmp_path):
         # The former layout: schema 1, vectors as JSON float lists.
         path = tmp_path / "pool.jsonl"

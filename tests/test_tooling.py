@@ -168,3 +168,25 @@ def test_every_defaulted_parameter_is_passed():
             unpassed.update(f"{qualified}.{param}" for param, position in params.items()
                             if param not in args and position not in args)
     assert unpassed == ACCEPTANCE_ONLY_PARAMETERS
+
+
+def test_whole_files_are_written_only_in_corpus():
+    """Outside `corpus.py` the package writes a whole file only through
+    `corpus.write_atomically`, `write_headed` or `replace_atomically`, so each
+    one is committed by a rename: no `write_text`, no `write_bytes`, and no
+    `open` or `fdopen` in a `w` or `x` mode. Appending stays allowed."""
+    found = []
+    for path in (ROOT / "src" / "medharness").glob("*.py"):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            writes = name in ("open", "fdopen") and any(
+                not isinstance(mode, ast.Constant) or set("wx") & set(str(mode.value))
+                for mode in modes)
+            if name in ("write_text", "write_bytes") or writes:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
