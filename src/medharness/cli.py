@@ -148,11 +148,16 @@ class _Sources:
     it closes the endpoints it opened.
 
     `writes_manifest` marks a command that replaces the exemplar manifest,
-    so a stale one is ignored without a warning.
+    so a stale one is ignored without a warning. `stages` are the stages the
+    command runs or builds exemplars for. Unless it is a dry run, the
+    `teacher:` block a chain-of-thought stage needs and the `embedding:`
+    block a kNN stage needs are checked on construction, so a fault in
+    either fails before any call.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
-                 allow_teacher: bool = True, writes_manifest: bool = False):
+                 allow_teacher: bool = True, writes_manifest: bool = False,
+                 stages: tuple[Stage, ...] = ()):
         self.config = config
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
@@ -166,6 +171,10 @@ class _Sources:
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._opened: list = []
+        if allow_teacher and config.embedding is not None and any(s.knn for s in stages):
+            check_endpoint(config.embedding)
+        if allow_teacher and any(s.cot for s in stages):
+            _ = self.teacher
 
     def __enter__(self) -> "_Sources":
         return self
@@ -448,7 +457,8 @@ def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
-    with _Sources(config, dataset, limit, allow_teacher=not dry_run) as sources:
+    with _Sources(config, dataset, limit, allow_teacher=not dry_run,
+                  stages=(stage,)) as sources:
         if dry_run:
             _print_dry_run(sources, stage)
         else:
@@ -463,7 +473,7 @@ def ablate(config_path: Path, dataset_name: str, limit: int | None):
     """Run every ladder stage in order and tabulate the ablation."""
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    with _Sources(config, dataset, limit) as sources:
+    with _Sources(config, dataset, limit, stages=LADDER) as sources:
         reports = [_run_stage(sources, stage, resume=True) for stage in LADDER]
     _write_ablation(config, dataset, reports)
 
@@ -492,12 +502,13 @@ def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
     """
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    with _Sources(config, dataset, limit, writes_manifest=kind == "knn") as sources:
+    stage = Stage.KNN_FEWSHOT_COT if kind == "knn" else Stage.RANDOM_FEWSHOT_COT
+    with _Sources(config, dataset, limit, writes_manifest=kind == "knn",
+                  stages=(stage,)) as sources:
+        provider = sources.exemplars_for(stage, sources.items)
         if kind == "random":
-            sources.exemplars_for(Stage.RANDOM_FEWSHOT_COT, sources.items)
             done = f"{FEWSHOT_SIZE} random exemplars verified"
         else:
-            provider = sources.exemplars_for(Stage.KNN_FEWSHOT_COT, sources.items)
             exemplar_ids = {item.id: [e.item.id for e in provider(item)]
                             for item in sources.items}
             save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids)

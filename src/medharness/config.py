@@ -116,7 +116,14 @@ def _given(mapping: dict, context: str, readers: dict) -> dict:
             for key, (name, check) in readers.items() if key in mapping}
 
 
-def _endpoint_block(block, context: str) -> EndpointConfig:
+def _under(base: Path, value: str) -> Path:
+    """`value` as a path, relative ones taken from `base`."""
+    path = Path(value)
+    return path if path.is_absolute() else base / path
+
+
+def _endpoint_block(block, context: str, base: Path) -> EndpointConfig:
+    """One endpoint block; a relative `mock:` policy path is taken from `base`."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected a mapping")
     _check_keys(block, {"url", "model", "api_key_env", "timeout"}, context)
@@ -124,8 +131,11 @@ def _endpoint_block(block, context: str) -> EndpointConfig:
     if api_key_env is not None and not isinstance(api_key_env, str):
         raise ConfigError(f"{context}: api_key_env must name an environment variable, "
                           f"got {api_key_env!r}")
+    url = str(_require(block, "url", context))
+    if url.startswith("mock:"):
+        url = f"mock:{_under(base, url[len('mock:'):])}"
     return EndpointConfig(
-        url=str(_require(block, "url", context)),
+        url=url,
         model_id=str(_require(block, "model", context)),
         api_key_env=api_key_env,
         **_given(block, context, {
@@ -181,8 +191,7 @@ def load_config(path: str | Path) -> RunConfig:
     base = path.parent
 
     def _dir(key: str) -> Path:
-        value = Path(str(_require(raw, key, str(path))))
-        return value if value.is_absolute() else base / value
+        return _under(base, str(_require(raw, key, str(path))))
 
     teacher = raw.get("teacher")
     embedding = raw.get("embedding")
@@ -190,9 +199,10 @@ def load_config(path: str | Path) -> RunConfig:
         corpus_dir=_dir("corpus_dir"),
         output_dir=_dir("output_dir"),
         cache_dir=_dir("cache_dir"),
-        target=_endpoint_block(_require(raw, "target", str(path)), f"{path}: target"),
-        teacher=_endpoint_block(teacher, f"{path}: teacher") if teacher else None,
-        embedding=_endpoint_block(embedding, f"{path}: embedding") if embedding else None,
+        target=_endpoint_block(_require(raw, "target", str(path)), f"{path}: target", base),
+        teacher=_endpoint_block(teacher, f"{path}: teacher", base) if teacher else None,
+        embedding=(_endpoint_block(embedding, f"{path}: embedding", base)
+                   if embedding else None),
         ensemble=ensemble,
         retry=retry,
         instructions=dict(instructions),

@@ -13,6 +13,16 @@ stage's sentinel ("### Explanation:" for chain-of-thought stages,
 "### Answer:" otherwise) with no trailing newline. Teacher prompts for
 explanation generation use a separate fixed template (``TEACHER_TEMPLATE``).
 
+A prompt is a head (`prompt_head`: the instruction and the exemplar blocks)
+plus the test block, and each part is rendered once for as long as its
+inputs live. An exemplar's block is rendered on its first use with each cot
+flag and kept on its `CotExemplar`, so every prompt that shows that object
+reuses it: a random stage's fixed exemplars serve all its items, and kNN
+exemplars kept by the command serve both kNN stages. The runner builds an
+item's head once and its ensemble runs share it. Only the test block, whose
+options a run may shuffle, is rendered per prompt. Nothing is kept at module
+level, so each command renders its parts anew.
+
 Options render inline as "(A) text (B) text ..."; datasets whose options are
 bare answer words (PubMedQA) render the words alone, "(yes) (no) (maybe)",
 while keeping letter labels internally so voting and scoring are uniform.
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -46,6 +56,7 @@ __all__ = [
     "FEWSHOT_SIZE",
     "TEACHER_TEMPLATE",
     "assemble_prompt",
+    "prompt_head",
     "teacher_prompt",
     "shuffle_options",
     "identity_permutation",
@@ -122,10 +133,21 @@ class CotExemplar:
     item: McqItem
     explanation: str = ""
     verified: bool = False
+    # cot flag -> this exemplar's rendered block
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.verified and not self.explanation.strip():
             raise ConfigError(f"{self.item.id}: verified exemplar without an explanation")
+
+    def block(self, cot: bool) -> str:
+        """This exemplar's prompt block, with its explanation if `cot`,
+        rendered on first use. Rendering is pure, so threads that race here
+        at worst render it twice."""
+        block = self._blocks.get(cot)
+        if block is None:
+            block = self._blocks[cot] = _exemplar_block(self, cot)
+        return block
 
 
 @dataclass(frozen=True)
@@ -179,20 +201,12 @@ def _exemplar_block(exemplar: CotExemplar, cot: bool) -> str:
     return "\n".join(lines)
 
 
-def assemble_prompt(
-    stage: Stage,
-    instruction: str,
-    exemplars: list[CotExemplar],
-    item: McqItem,
-    permutation: dict[str, str] | None = None,
-    run_index: int = 0,
-) -> PromptBundle:
-    """Render the full prompt for *item* (already shuffled, if applicable).
+def prompt_head(stage: Stage, instruction: str, exemplars: list[CotExemplar]) -> str:
+    """The part of every prompt of `stage` over `exemplars` that precedes the
+    test block: the instruction, then each exemplar's block.
 
-    *permutation* records how the item's canonical labels map to the labels
-    presented in its options; omit it for an unshuffled item. It is checked
-    to be a bijection over the item's labels. *run_index* does not shape
-    the text.
+    The instruction must be non-empty, the stage's exemplar count exact, and
+    a chain-of-thought stage's exemplars verified.
     """
     if not instruction or not instruction.strip():
         raise ConfigError("instruction must be non-empty")
@@ -201,20 +215,40 @@ def assemble_prompt(
         raise ConfigError(
             f"{stage.value} needs exactly {expected} exemplars, got {len(exemplars)}"
         )
-    if stage.cot:
+    cot = stage.cot
+    if cot:
         bad = [e.item.id for e in exemplars if not e.verified]
         if bad:
             raise ConfigError(f"unverified exemplars in a chain-of-thought prompt: {bad}")
-    if permutation is None:
-        permutation = identity_permutation(item)
-    if sorted(permutation) != sorted(item.labels) or sorted(permutation.values()) != sorted(item.labels):
-        raise ConfigError(f"{item.id}: permutation is not a bijection over {item.labels}")
+    return "\n\n".join([instruction, *(e.block(cot) for e in exemplars)])
+
+
+def assemble_prompt(
+    stage: Stage,
+    instruction: str,
+    exemplars: list[CotExemplar],
+    item: McqItem,
+    permutation: dict[str, str] | None = None,
+    run_index: int = 0,
+    head: str | None = None,
+) -> PromptBundle:
+    """Render the full prompt for *item* (already shuffled, if applicable).
+
+    *permutation* records how the item's canonical labels map to the labels
+    presented in its options; omit it for an unshuffled item. It is checked
+    to be a bijection over the item's labels. *head* is
+    `prompt_head(stage, instruction, exemplars)`, built here unless the
+    caller already holds it. *run_index* does not shape the text.
+    """
+    if head is None:
+        head = prompt_head(stage, instruction, exemplars)
+    if permutation is not None:
+        labels = sorted(item.labels)
+        if sorted(permutation) != labels or sorted(permutation.values()) != labels:
+            raise ConfigError(f"{item.id}: permutation is not a bijection over {item.labels}")
 
     sentinel = EXPLANATION_HEADING if stage.cot else ANSWER_HEADING
-    blocks = [instruction]
-    blocks.extend(_exemplar_block(e, stage.cot) for e in exemplars)
-    blocks.append(f"{_question_line(item)}\n{sentinel}")
-    text = "\n\n".join(blocks)
+    text = f"{head}\n\n{_question_line(item)}\n{sentinel}"
     # The test block must end at its sentinel: nothing, in particular no gold
     # answer text, may follow it.
     assert text.endswith(sentinel)

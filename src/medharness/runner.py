@@ -45,6 +45,7 @@ from .promptkit import (
     assemble_prompt,
     extraction_tokens,
     identity_permutation,
+    prompt_head,
     shuffle_options,
 )
 
@@ -108,6 +109,25 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
     raise AssertionError("unreachable: tied labels came from the decisions")
 
 
+class _SharedParts:
+    """What every run of one item shares: its prompt head and its token
+    budget, built by the first run. Building is pure, so runs that race on
+    it at worst build it twice."""
+
+    def __init__(self, stage: Stage, instruction: str, exemplars: list[CotExemplar]):
+        self._inputs = (stage, instruction, exemplars)
+        self._built: tuple[str, int] | None = None
+
+    def get(self) -> tuple[str, int]:
+        """(prompt head, max_tokens)."""
+        if self._built is None:
+            stage, instruction, exemplars = self._inputs
+            # Only stages that show explanations size the token budget from them.
+            self._built = (prompt_head(stage, instruction, exemplars),
+                           default_max_tokens(exemplars if stage.cot else []))
+        return self._built
+
+
 def answer_item(
     item: McqItem,
     stage: Stage,
@@ -119,6 +139,7 @@ def answer_item(
     shuffle: bool = False,
     seed: int = 0,
     max_tries: int = MAX_VALIDITY_TRIES,
+    shared: _SharedParts | None = None,
 ) -> dict:
     """One generation pass: build the prompt, call the model, extract.
 
@@ -131,22 +152,23 @@ def answer_item(
     parseable answer), the last `raw_text`, `tries`, `transport_errors` and
     the prompt's `prompt_sha256`. When every try failed in transport the
     model never answered, so there is nothing to score: that raises the last
-    `EndpointError`.
+    `EndpointError`. `shared` holds the prompt head and token budget of the
+    item's other runs, if any.
     """
     if shuffle:
         presented_item, permutation = shuffle_options(item, seed, run_index)
     else:
         presented_item, permutation = item, identity_permutation(item)
+    head, max_tokens = (shared or _SharedParts(stage, instruction, exemplars)).get()
     bundle = assemble_prompt(stage, instruction, exemplars, presented_item,
-                             permutation=permutation)
+                             permutation=permutation, head=head)
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
-    # Only stages that show explanations size the token budget from them.
     request = GenerationRequest(
         model_id=endpoint.model_id,
         prompt=bundle.text,
         temperature=temperature,
-        max_tokens=default_max_tokens(exemplars if stage.cot else []),
+        max_tokens=max_tokens,
         stop_sequences=STOP_SEQUENCES,
         seed=seed,
     )
@@ -213,11 +235,12 @@ def answer_stage_item(
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
+    shared = _SharedParts(stage, instruction, exemplars)
 
     def make_run(run_index: int) -> dict:
         return answer_item(item, stage, instruction, exemplars, endpoint,
                            temperature=temperature, run_index=run_index, shuffle=shuffle,
-                           seed=seed, max_tries=max_tries)
+                           seed=seed, max_tries=max_tries, shared=shared)
 
     runs: list[dict] = []
     counts: dict[str, int] = {}

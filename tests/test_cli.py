@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 from conftest import make_item
-from medharness import cli, corpus, runner, teacher
+from medharness import cli, corpus, promptkit, runner, teacher
 from medharness.cli import main
 from medharness.config import MAX_WAIT_S, build_endpoint as config_build_endpoint, load_config
 from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
@@ -1010,6 +1010,26 @@ class TestTeacherOpenedOnFirstCall:
                                                           url, message):
         self.fails_before_any_target_call(tmp_path, monkeypatch, capsys, {"url": url}, message)
 
+    @pytest.mark.parametrize("teacher, message", [
+        (None, "add a `teacher:` block"),
+        ({"url": "ftp://x", "model": "teacher-x"},
+         "endpoint URL must be http(s)://host[:port][/path], got 'ftp://x'"),
+    ], ids=["no-teacher-block", "bad-scheme"])
+    def test_ablate_checks_the_teacher_before_any_target_call(self, tmp_path, monkeypatch,
+                                                              capsys, teacher, message):
+        # The zero-shot and answer-only stages come first and need no teacher.
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["teacher"] = teacher
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        calls = []
+        wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        capsys.readouterr()
+        assert main(TestExemplarManifest.command("ablate", config)) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
     def test_mock_teacher_reads_no_credential(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path)
         doc = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -1018,6 +1038,93 @@ class TestTeacherOpenedOnFirstCall:
         monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
         assert main(TestExemplarManifest.command("run", config, "--stage",
                                                  "knn_fewshot_cot")) == 0
+
+
+class TestEmbeddingPreflight:
+    """A command that reaches a kNN stage checks the `embedding:` block before
+    any call, so a fault there costs no target call and leaves no trace."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--stage", "knn_fewshot_cot"], ["run", "--stage", "ensemble"], ["ablate"],
+    ], ids=["knn_fewshot_cot", "ensemble", "ablate"])
+    @pytest.mark.parametrize("embedding, message", [
+        ({"url": "ftp://x"},
+         "endpoint URL must be http(s)://host[:port][/path], got 'ftp://x'"),
+        ({"url": "mock:/nonexistent/embedding.json"},
+         "mock policy file missing: /nonexistent/embedding.json"),
+        ({"url": "http://127.0.0.1:9", "api_key_env": "MEDHARNESS_TEST_UNSET_KEY"},
+         "credential variable MEDHARNESS_TEST_UNSET_KEY is not set"),
+    ], ids=["bad-scheme", "missing-mock-file", "unset-credential"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bad_embedding_fails_before_any_target_call(self, tmp_path, monkeypatch, capsys,
+                                                        command, embedding, message, warm):
+        monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        if warm:
+            assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["embedding"] = {"model": "embedder", **embedding}
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        calls = []
+        wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        capsys.readouterr()
+        assert main(TestExemplarManifest.command(command[0], config, *command[1:])) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+
+class TestRelativeMockPath:
+    def test_mock_path_is_taken_from_the_config_directory(self, tmp_path, monkeypatch):
+        config, _, _ = build_env(tmp_path)
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        for block in ("target", "teacher"):
+            doc[block]["url"] = "mock:policy.json"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(TestExemplarManifest.command("run", config, "--stage",
+                                                 "knn_fewshot_cot")) == 0
+        assert load_config(config).target.url == f"mock:{tmp_path / 'policy.json'}"
+
+
+class TestPromptParts:
+    """Exemplar blocks are rendered once per exemplar object and cot flag, and
+    kept no longer than the command that made the exemplars."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """(exemplar, cot flag) of each block render, in call order."""
+        renders = []
+        render = promptkit._exemplar_block
+
+        def spy(exemplar, cot):
+            renders.append((exemplar, cot))
+            return render(exemplar, cot)
+
+        monkeypatch.setattr(promptkit, "_exemplar_block", spy)
+        return renders
+
+    def test_ablate_renders_each_block_once(self, tmp_path, rendered):
+        config, _, _ = build_env(tmp_path, n_test=6, n_pool=12)
+        assert main(TestExemplarManifest.command("ablate", config)) == 0
+        keys = [(id(exemplar), cot) for exemplar, cot in rendered]
+        assert len(keys) == len(set(keys))
+        # The answer-only stage's five blocks serve all six items.
+        assert [cot for _, cot in rendered].count(False) == FEWSHOT_SIZE
+
+    def test_a_new_command_renders_its_blocks_again(self, tmp_path, rendered):
+        config, _, _ = build_env(tmp_path)
+        run = TestExemplarManifest.command("run", config, "--stage", "random_fewshot")
+        assert main(run) == 0
+        first = len(rendered)
+        assert first == FEWSHOT_SIZE
+        (tmp_path / "out" / "medqa" / "random_fewshot.trace.jsonl").unlink()
+        assert main(run) == 0
+        assert len(rendered) == 2 * first
+        assert {exemplar.item.id for exemplar, _ in rendered[:first]} == {
+            exemplar.item.id for exemplar, _ in rendered[first:]}
 
 
 class TestPoolLineDigest:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import golden_data as gd
+import medharness.promptkit as promptkit
 from conftest import make_item
 from medharness.config import default_instruction
 from medharness.corpus import Dataset, Split
@@ -18,11 +19,13 @@ from medharness.promptkit import (
     Stage,
     assemble_prompt,
     extraction_tokens,
+    prompt_head,
     render_options_inline,
     shuffle_options,
     teacher_prompt,
     template_fingerprint,
 )
+from medharness.runner import answer_stage_item
 
 FIXTURES = Path(__file__).parent / "fixtures" / "prompts"
 
@@ -150,6 +153,36 @@ class TestAssembly:
                 Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
                 random_exemplars(False), gd.TEST_ITEM,
             )
+
+    def test_cot_refuses_unverified_exemplars_whose_blocks_are_rendered(self):
+        # A block rendered for an answer-only prompt is kept on the exemplar;
+        # a chain-of-thought prompt over that exemplar is still refused.
+        exemplars = random_exemplars(False)
+        plain = assemble_prompt(Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION, exemplars,
+                                gd.TEST_ITEM)
+        assert plain.text.startswith(prompt_head(Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION,
+                                                 exemplars))
+        message = "unverified exemplars in a chain-of-thought prompt"
+        for stage in (Stage.RANDOM_FEWSHOT_COT, Stage.KNN_FEWSHOT_COT, Stage.ENSEMBLE):
+            with pytest.raises(ConfigError, match=message):
+                assemble_prompt(stage, gd.MEDQA_INSTRUCTION, exemplars, gd.TEST_ITEM)
+            with pytest.raises(ConfigError, match=message):
+                answer_stage_item(gd.TEST_ITEM, stage, gd.MEDQA_INSTRUCTION, exemplars, None)
+
+    def test_each_block_is_rendered_once_per_cot_flag(self, monkeypatch):
+        rendered = []
+        render = promptkit._exemplar_block
+        monkeypatch.setattr(promptkit, "_exemplar_block",
+                            lambda exemplar, cot: rendered.append(cot) or render(exemplar, cot))
+        exemplars = knn_exemplars()
+        for stage in (Stage.RANDOM_FEWSHOT, Stage.KNN_FEWSHOT_COT, Stage.ENSEMBLE):
+            for item in (gd.TEST_ITEM, shuffle_options(gd.TEST_ITEM, 0, 1).item):
+                assemble_prompt(stage, gd.MEDQA_INSTRUCTION, exemplars, item)
+        assert sorted(rendered) == [False] * FEWSHOT_SIZE + [True] * FEWSHOT_SIZE
+        # Equal exemplars that are other objects render their own blocks.
+        assemble_prompt(Stage.KNN_FEWSHOT_COT, gd.MEDQA_INSTRUCTION, knn_exemplars(),
+                        gd.TEST_ITEM)
+        assert len(rendered) == 3 * FEWSHOT_SIZE
 
     def test_verified_exemplar_needs_explanation(self):
         with pytest.raises(ConfigError, match="explanation"):

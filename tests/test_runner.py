@@ -282,6 +282,26 @@ class TestEnsemble:
         assert not result["correct"]
         assert result["n_calls"] == 25
 
+    def test_head_and_budget_are_built_once_per_item(self, monkeypatch):
+        built = {"prompt_head": 0, "default_max_tokens": 0}
+        for name in built:
+            def spy(*args, _name=name, _real=getattr(runner, name)):
+                built[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(runner, name, spy)
+        sent = []
+        policy = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS).policy
+        endpoint = mock_model(lambda request, n: sent.append(request) or policy(request, n))
+        result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
+                                   KNN_EXEMPLARS, endpoint, seed=0)
+        assert len(result["per_run"]) == 3
+        assert built == {"prompt_head": 1, "default_max_tokens": 1}
+        # Each run's prompt is the one assembled from scratch for its shuffle.
+        for run, request in zip(result["per_run"], sent):
+            presented = shuffle_options(gd.TEST_ITEM, 0, run["run_index"]).item
+            assert request.prompt == assemble_prompt(
+                Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION, KNN_EXEMPLARS, presented).text
+
     def test_run_count_configurable(self):
         endpoint = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS)
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,

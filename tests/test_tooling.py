@@ -190,3 +190,42 @@ def test_whole_files_are_written_only_in_corpus():
             if name in ("write_text", "write_bytes") or writes:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+# Process-wide memos the package keeps on purpose: answer-extraction patterns
+# compiled once per label set, and the package's own default instructions.
+# Neither depends on a command's inputs.
+PROCESS_MEMOS = {"parsing.py lru_cache", "config.py global _DEFAULT_INSTRUCTIONS"}
+
+
+def test_no_process_wide_memo():
+    """The package memoises work on the objects a command creates, so a new
+    command renders and parses anew: no `functools.cache` or `lru_cache`, no
+    `global` rebinding and no write into a module-level container outside
+    `PROCESS_MEMOS`."""
+    mutators = {"setdefault", "update", "append", "add", "extend", "insert", "__setitem__"}
+    found = set()
+    for path in (ROOT / "src" / "medharness").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_names = {target.id for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets if isinstance(node, ast.Assign)
+                                       else [node.target])
+                        if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found.update(f"{path.name} {alias.name}" for alias in node.names
+                             if alias.name in ("cache", "lru_cache"))
+            elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                  and getattr(node.value, "id", None) == "functools"):
+                found.add(f"{path.name} {node.attr}")
+            elif isinstance(node, ast.Global):
+                found.update(f"{path.name} global {name}" for name in node.names)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) in module_names):
+                found.add(f"{path.name} writes {node.value.id}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in mutators
+                  and getattr(node.func.value, "id", None) in module_names):
+                found.add(f"{path.name} writes {node.func.value.id}")
+    assert found == PROCESS_MEMOS
