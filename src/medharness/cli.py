@@ -149,15 +149,16 @@ class _Sources:
 
     `writes_manifest` marks a command that replaces the exemplar manifest,
     so a stale one is ignored without a warning. `stages` are the stages the
-    command runs or builds exemplars for. Unless it is a dry run, the
-    `teacher:` block a chain-of-thought stage needs and the `embedding:`
-    block a kNN stage needs are checked on construction, so a fault in
-    either fails before any call.
+    command runs or builds exemplars for, and `runs_target` marks a command
+    that sends them to the target. Unless it is a dry run, the `target:`
+    block such a command needs, the `teacher:` block a chain-of-thought stage
+    needs and the `embedding:` block a kNN stage needs are checked on
+    construction, so a fault in any of them fails before any call.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
                  allow_teacher: bool = True, writes_manifest: bool = False,
-                 stages: tuple[Stage, ...] = ()):
+                 stages: tuple[Stage, ...] = (), runs_target: bool = False):
         self.config = config
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
@@ -171,6 +172,8 @@ class _Sources:
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._opened: list = []
+        if allow_teacher and runs_target:
+            check_endpoint(config.target)
         if allow_teacher and config.embedding is not None and any(s.knn for s in stages):
             check_endpoint(config.embedding)
         if allow_teacher and any(s.cot for s in stages):
@@ -458,7 +461,7 @@ def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
     with _Sources(config, dataset, limit, allow_teacher=not dry_run,
-                  stages=(stage,)) as sources:
+                  stages=(stage,), runs_target=True) as sources:
         if dry_run:
             _print_dry_run(sources, stage)
         else:
@@ -473,7 +476,7 @@ def ablate(config_path: Path, dataset_name: str, limit: int | None):
     """Run every ladder stage in order and tabulate the ablation."""
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
-    with _Sources(config, dataset, limit, stages=LADDER) as sources:
+    with _Sources(config, dataset, limit, stages=LADDER, runs_target=True) as sources:
         reports = [_run_stage(sources, stage, resume=True) for stage in LADDER]
     _write_ablation(config, dataset, reports)
 

@@ -127,10 +127,12 @@ class McqItem:
     gold: str
     subject: str | None = None
     context: str | None = None
+    # The options' labels in order, set once from `options`; not part of the
+    # item's value, so `==`, `hash`, `repr` and the JSON leave it out.
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.options)
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(label for label, _ in self.options))
 
     def option_text(self, label: str) -> str:
         for lab, text in self.options:

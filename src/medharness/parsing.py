@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = ["INVALID", "extract_answer", "extract_explanation"]
 
@@ -37,49 +38,59 @@ _ANSWER_IS_RE = re.compile(r"(?i)\banswer\s+is\b")
 _EXPLANATION_HEADING_RE = re.compile(r"(?im)^[ \t]*[#*> \t]*explanation[* \t]*:")
 
 
-_Patterns = tuple[tuple[re.Pattern, str], ...]
+class _Rule(NamedTuple):
+    """One rule's patterns as a single alternation, each pattern in its own
+    group, plus the label each group stands for: the earliest match wins, and
+    at one position the pattern listed first."""
+
+    pattern: re.Pattern
+    labels: tuple[str, ...]
+
+
+def _alternation(patterns: list[tuple[str, str]]) -> _Rule | None:
+    """The rule matching any of `patterns`, (regex, label) pairs, or None if empty."""
+    if not patterns:
+        return None
+    return _Rule(re.compile("|".join(f"({regex})" for regex, _ in patterns)),
+                 tuple(label for _, label in patterns))
 
 
 @lru_cache(maxsize=64)
 def _pattern_lists(
     labels: tuple[str, ...], words: tuple[tuple[str, str], ...]
-) -> tuple[_Patterns, _Patterns, _Patterns, _Patterns]:
-    """The token, parenthesized, bare-line and bare-word patterns of one
+) -> tuple[_Rule, _Rule, _Rule, _Rule | None]:
+    """The token, parenthesized, bare-line and bare-word rules of one
     (labels, word tokens) key, where `words` holds the word tokens' items.
 
-    Every item of a dataset presents the same few label sets, so each list
+    Every item of a dataset presents the same few label sets, so each rule
     is compiled once per key rather than once per extraction.
     """
-    bare_words = tuple(
-        (re.compile(rf"(?i)(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])"), label)
-        for word, label in words
-    )
+    bare_words = [
+        (rf"(?i:(?<![A-Za-z]){re.escape(word)}(?![A-Za-z]))", label) for word, label in words
+    ]
     # Not adjacent to letters or digits: keeps "B" out of "B12" and "C" out of
     # "C3-C5". Case-sensitive; a lowercase letter is prose.
-    tokens = tuple(
-        (re.compile(rf"(?<![A-Za-z0-9]){re.escape(label)}(?![A-Za-z0-9])"), label)
-        for label in labels
-    ) + bare_words
-    parenthesized = tuple(
-        (re.compile(rf"\({re.escape(label)}\)"), label) for label in labels
-    ) + tuple(
-        (re.compile(rf"(?i)\({re.escape(word)}\)"), label) for word, label in words
-    )
-    bare_lines = tuple(
-        (re.compile(rf"\(?{re.escape(label)}\)?[.:]?"), label) for label in labels
-    ) + tuple(
-        (re.compile(rf"(?i)\(?{re.escape(word)}\)?[.:]?"), label) for word, label in words
-    )
-    return tokens, parenthesized, bare_lines, bare_words
+    tokens = [
+        (rf"(?<![A-Za-z0-9]){re.escape(label)}(?![A-Za-z0-9])", label) for label in labels
+    ] + bare_words
+    parenthesized = [
+        (rf"\({re.escape(label)}\)", label) for label in labels
+    ] + [
+        (rf"(?i:\({re.escape(word)}\))", label) for word, label in words
+    ]
+    bare_lines = [
+        (rf"\(?{re.escape(label)}\)?[.:]?", label) for label in labels
+    ] + [
+        (rf"(?i:\(?{re.escape(word)}\)?[.:]?)", label) for word, label in words
+    ]
+    return (_alternation(tokens), _alternation(parenthesized), _alternation(bare_lines),
+            _alternation(bare_words))
 
 
-def _earliest(span: str, patterns: _Patterns) -> tuple[int, str] | None:
-    best: tuple[int, str] | None = None
-    for pattern, label in patterns:
-        m = pattern.search(span)
-        if m and (best is None or m.start() < best[0]):
-            best = (m.start(), label)
-    return best
+def _earliest(span: str, rule: _Rule) -> str | None:
+    """The label of the rule's earliest match in `span`, or None."""
+    m = rule.pattern.search(span)
+    return rule.labels[m.lastindex - 1] if m else None
 
 
 def extract_answer(
@@ -91,7 +102,7 @@ def extract_answer(
     labels = tuple(labels)
     if not labels:
         raise ValueError("labels must be non-empty")
-    patterns, paren_patterns, bare, word_patterns = _pattern_lists(
+    tokens, parenthesized, bare_lines, bare_words = _pattern_lists(
         labels, tuple((word_tokens or {}).items()))
 
     # Rule 1: answer headings, each scoped to the next heading.
@@ -100,9 +111,9 @@ def extract_answer(
         found: set[str] = set()
         for i, m in enumerate(headings):
             end = headings[i + 1].start() if i + 1 < len(headings) else len(raw)
-            hit = _earliest(raw[m.end():end], patterns)
+            hit = _earliest(raw[m.end():end], tokens)
             if hit:
-                found.add(hit[1])
+                found.add(hit)
         if len(found) > 1:
             return INVALID
         if found:
@@ -112,29 +123,29 @@ def extract_answer(
     for m in _ANSWER_IS_RE.finditer(raw):
         newline = raw.find("\n", m.end())
         end = newline if newline != -1 else len(raw)
-        hit = _earliest(raw[m.end():end], patterns)
+        hit = _earliest(raw[m.end():end], tokens)
         if hit:
-            return hit[1]
+            return hit
 
     # Rule 3: parenthesized token.
-    hit = _earliest(raw, paren_patterns)
+    hit = _earliest(raw, parenthesized)
     if hit:
-        return hit[1]
+        return hit
 
     # Rule 4: a line that is nothing but a token.
     for line in raw.splitlines():
         stripped = line.strip()
         if not stripped:
             continue
-        for pattern, label in bare:
-            if pattern.fullmatch(stripped):
-                return label
+        m = bare_lines.pattern.fullmatch(stripped)
+        if m:
+            return bare_lines.labels[m.lastindex - 1]
 
     # Rule 5: bare words anywhere, for word-answer datasets.
-    if word_patterns:
-        hit = _earliest(raw, word_patterns)
+    if bare_words:
+        hit = _earliest(raw, bare_words)
         if hit:
-            return hit[1]
+            return hit
 
     return INVALID
 

@@ -18,10 +18,15 @@ plus the test block, and each part is rendered once for as long as its
 inputs live. An exemplar's block is rendered on its first use with each cot
 flag and kept on its `CotExemplar`, so every prompt that shows that object
 reuses it: a random stage's fixed exemplars serve all its items, and kNN
-exemplars kept by the command serve both kNN stages. The runner builds an
-item's head once and its ensemble runs share it. Only the test block, whose
-options a run may shuffle, is rendered per prompt. Nothing is kept at module
-level, so each command renders its parts anew.
+exemplars kept by the command serve both kNN stages. The CoT cache hands
+out one exemplar object per pool item object, the one the teacher verified
+included, so a pool item's block is rendered once per cot flag however many
+test items show it. The runner builds a head once per exemplar list object:
+a random stage's one list gets one head for the whole stage, and an item's
+ensemble runs share its head. Only the test block, whose options a run may
+shuffle, is rendered per prompt; an unshuffled test item's block is rendered
+again by each stage that shows it. Nothing is kept at module level, so each
+command renders its parts anew.
 
 Options render inline as "(A) text (B) text ..."; datasets whose options are
 bare answer words (PubMedQA) render the words alone, "(yes) (no) (maybe)",
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -295,7 +300,9 @@ def shuffle_options(item: McqItem, seed: int, run_index: int) -> ShuffleResult:
     perm = _permutation_indices(seed, item.id, run_index, n)
     presented_options = tuple((labels[i], item.options[perm[i]][1]) for i in range(n))
     to_presented = {labels[perm[i]]: labels[i] for i in range(n)}
-    shuffled = replace(item, options=presented_options, gold=to_presented[item.gold])
+    shuffled = McqItem(id=item.id, dataset=item.dataset, split=item.split,
+                       question=item.question, options=presented_options,
+                       gold=to_presented[item.gold], subject=item.subject, context=item.context)
     shuffled.validate()
     return ShuffleResult(item=shuffled, permutation=to_presented)
 

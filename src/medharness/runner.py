@@ -110,21 +110,21 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
 
 
 class _SharedParts:
-    """What every run of one item shares: its prompt head and its token
-    budget, built by the first run. Building is pure, so runs that race on
-    it at worst build it twice."""
+    """What every prompt over one exemplar list shares: its head and its token
+    budget, built by the first run that needs them. The runs of one item
+    share them, and so do the items given the same list object. Building is
+    pure, so runs that race on it at worst build it twice."""
 
     def __init__(self, stage: Stage, instruction: str, exemplars: list[CotExemplar]):
-        self._inputs = (stage, instruction, exemplars)
+        self.stage, self.instruction, self.exemplars = stage, instruction, exemplars
         self._built: tuple[str, int] | None = None
 
     def get(self) -> tuple[str, int]:
         """(prompt head, max_tokens)."""
         if self._built is None:
-            stage, instruction, exemplars = self._inputs
             # Only stages that show explanations size the token budget from them.
-            self._built = (prompt_head(stage, instruction, exemplars),
-                           default_max_tokens(exemplars if stage.cot else []))
+            self._built = (prompt_head(self.stage, self.instruction, self.exemplars),
+                           default_max_tokens(self.exemplars if self.stage.cot else []))
         return self._built
 
 
@@ -212,6 +212,7 @@ def answer_stage_item(
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
     run_pool: ThreadPoolExecutor | None = None,
+    shared: _SharedParts | None = None,
 ) -> dict:
     """Answer one item as `stage` asks, vote, and return its trace row.
 
@@ -231,11 +232,12 @@ def answer_stage_item(
     makes. With `run_pool`, the pool makes a wave's runs at the same time
     while the caller waits for them; without it, a wave's runs are made in
     run-index order in the calling thread. Every other stage runs one greedy
-    pass over the canonical order.
+    pass over the canonical order. `shared` holds the prompt head and token
+    budget of `exemplars` when other items use them too.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
-    shared = _SharedParts(stage, instruction, exemplars)
+    shared = shared or _SharedParts(stage, instruction, exemplars)
 
     def make_run(run_index: int) -> dict:
         return answer_item(item, stage, instruction, exemplars, endpoint,
@@ -325,9 +327,12 @@ def run_benchmark(
     """Run one stage over a whole split, checkpointing each item to the trace.
 
     `exemplars_for` maps an item to the exemplar list its prompt should
-    carry; stages without exemplars pass a provider returning []. With
-    `resume`, item ids already present in the trace are skipped; without it,
-    a partially written trace is an error rather than silently extended.
+    carry; stages without exemplars pass a provider returning []. Items it
+    gives the same list object one after another share one prompt head and
+    token budget, so a provider that returns one fixed list builds them
+    once. With `resume`, item ids already present in the trace are skipped;
+    without it, a partially written trace is an error rather than silently
+    extended.
     An item whose every try failed in transport gets no row: its
     `EndpointError` ends the run, and a resumed run asks for it again.
 
@@ -377,16 +382,25 @@ def run_benchmark(
         budget = concurrency * (ensemble.n_runs // 2 + 1) if overlap else concurrency
         exemplar_slots = (threading.BoundedSemaphore(concurrency) if overlap
                           else contextlib.nullcontext())
+        # The parts of the last exemplar list handed out: a random stage's one
+        # fixed list builds its head once for the whole stage.
+        last_parts: _SharedParts | None = None
+        # One encoder per stage; `json.dumps` with options builds one per row.
+        encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
         def handle(item: McqItem, run_pool: ThreadPoolExecutor | None) -> None:
+            nonlocal last_parts
             with exemplar_slots:
                 exemplars = exemplars_for(item)
+            shared = last_parts
+            if shared is None or shared.exemplars is not exemplars:
+                shared = last_parts = _SharedParts(stage, instruction, exemplars)
             row = answer_stage_item(
                 item, stage, instruction, exemplars, endpoint, seed=seed,
-                ensemble=ensemble, max_tries=max_tries, run_pool=run_pool,
+                ensemble=ensemble, max_tries=max_tries, run_pool=run_pool, shared=shared,
             )
             with write_lock:
-                trace.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                trace.write(encode_row(row) + "\n")
                 trace.flush()
                 rows_by_id[row["item_id"]] = row
 

@@ -84,7 +84,12 @@ class CotCache:
     A corrupt row reads as a miss and logs a warning; a last line cut short
     by a crash is skipped, and cut off before the next append.
 
-    `verify` asks the teacher about each item at most once per instance.
+    The instance keeps the last exemplar per (fingerprint, id): the one
+    `get` built, or the one `put` made for the explanation it wrote, so the
+    exemplar a teacher just verified is the one later uses of that item
+    object get back. `verify` asks the teacher about each item at most once
+    per instance, and answers an item object it already accepted from what
+    it kept: that exemplar and the cache-hit outcome reporting it.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -93,9 +98,11 @@ class CotCache:
         # fingerprint -> item id -> (item digest, explanation)
         self._entries: dict[str, dict[str, tuple[str, str]]] = {}
         self._mends: dict[str, tuple[int, bytes] | None] = {}
-        # The last hit per (fingerprint, id), returned again for the same item
-        # object without digesting it again.
+        # The last exemplar per (fingerprint, id), returned again for the same
+        # item object without digesting it again.
         self._hits: dict[tuple[str, str], CotExemplar] = {}
+        # `verify`'s answer for an item it accepted: (exemplar, cache-hit outcome).
+        self._accepted: dict[tuple[str, str], tuple[CotExemplar, TeacherOutcome]] = {}
         self._verdicts: dict[tuple[str, str], Future] = {}
 
     def _path(self, fingerprint: str) -> Path:
@@ -147,7 +154,9 @@ class CotCache:
             self._hits[key] = hit
         return hit
 
-    def put(self, item: McqItem, explanation: str, fingerprint: str) -> None:
+    def put(self, item: McqItem, explanation: str, fingerprint: str) -> CotExemplar:
+        """Append the item's verified explanation; return the exemplar now kept for it."""
+        hit = CotExemplar(item=item, explanation=explanation, verified=True)
         digest = _sha256(item.canonical_json())
         row = {"id": item.id, "item_sha256": digest, "explanation": explanation}
         line = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
@@ -161,7 +170,8 @@ class CotCache:
             with open(path, "ab", buffering=0) as f:
                 f.write(line)
             entries[item.id] = (digest, explanation)
-            self._hits.pop((fingerprint, item.id), None)
+            self._hits[(fingerprint, item.id)] = hit
+        return hit
 
     def verify(self, item: McqItem, teacher,
                fingerprint: str) -> tuple[CotExemplar | None, TeacherOutcome]:
@@ -170,13 +180,17 @@ class CotCache:
         The first caller for an item does the work; callers arriving while it
         runs wait for its outcome. After that an accepted item is a cache hit
         and a rejected one stays rejected, so the exemplars never depend on
-        thread timing. Reused acceptances read as cache hits.
+        thread timing. Reused acceptances read as cache hits: the same item
+        object gets the kept exemplar and outcome back, with no new work.
         """
         key = (fingerprint, item.id)
         with self._lock:
             verdict = self._verdicts.get(key)
             first = verdict is None
             if first:
+                accepted = self._accepted.get(key)
+                if accepted is not None and accepted[0].item is item:
+                    return accepted
                 verdict = self._verdicts[key] = Future()
         if not first:
             exemplar, outcome = verdict.result()
@@ -186,18 +200,22 @@ class CotCache:
             if hit is not None:
                 result = hit, _cache_hit(hit)
             else:
-                result = _teacher_verdict(item, teacher)
-                if result[0] is not None:
-                    self.put(item, result[0].explanation, fingerprint)
+                outcome = generate_cot(item, teacher)
+                exemplar = (self.put(item, outcome.explanation, fingerprint)
+                            if outcome.accepted else None)
+                result = exemplar, outcome
         except BaseException as exc:
             verdict.set_exception(exc)
             raise
         verdict.set_result(result)
-        if result[0] is not None:
-            # Accepted: from now on the cache answers, so only rejections and
-            # errors keep their future.
+        exemplar = result[0]
+        if exemplar is not None:
+            # Accepted: from now on the kept answer serves the item, so only
+            # rejections and errors keep their future.
+            accepted = result if result[1].from_cache else (exemplar, _cache_hit(exemplar))
             with self._lock:
                 del self._verdicts[key]
+                self._accepted[key] = accepted
         return result
 
 

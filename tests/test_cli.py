@@ -1074,6 +1074,45 @@ class TestEmbeddingPreflight:
         assert list(tmp_path.rglob("*.trace.jsonl")) == []
 
 
+class TestTargetPreflight:
+    """`run` and `ablate` check the `target:` block before any call, so a fault
+    there costs no teacher call and leaves no trace; `gen-cot` and dry runs,
+    which send nothing to the target, do not check it."""
+
+    @staticmethod
+    def with_target_url(config, url):
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["target"]["url"] = url
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+
+    @pytest.mark.parametrize("command", [["run", "--stage", "random_fewshot_cot"], ["ablate"]],
+                             ids=["random_fewshot_cot", "ablate"])
+    @pytest.mark.parametrize("url, message", [
+        ("ftp://x", "endpoint URL must be http(s)://host[:port][/path], got 'ftp://x'"),
+        ("mock:/nonexistent/policy.json", "mock policy file missing: /nonexistent/policy.json"),
+    ], ids=["bad-scheme", "missing-mock-file"])
+    def test_bad_target_fails_before_any_teacher_call(self, tmp_path, monkeypatch, capsys,
+                                                      command, url, message):
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        self.with_target_url(config, url)
+        calls = []
+        wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        capsys.readouterr()
+        assert main(TestExemplarManifest.command(command[0], config, *command[1:])) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+    def test_commands_that_send_nothing_to_the_target_do_not_check_it(self, tmp_path):
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        self.with_target_url(config, "ftp://x")
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        assert main(TestExemplarManifest.command("gen-cot", config, "--kind", "random")) == 0
+        for stage in cli.STAGE_NAMES:
+            assert main(TestExemplarManifest.command("run", config, "--stage", stage,
+                                                     "--dry-run")) == 0
+
+
 class TestRelativeMockPath:
     def test_mock_path_is_taken_from_the_config_directory(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path)
@@ -1111,6 +1150,10 @@ class TestPromptParts:
         assert main(TestExemplarManifest.command("ablate", config)) == 0
         keys = [(id(exemplar), cot) for exemplar, cot in rendered]
         assert len(keys) == len(set(keys))
+        # The exemplar a teacher verifies is the one later uses of its pool
+        # item object get back, so each pool item object shows one block.
+        items = [(id(exemplar.item), cot) for exemplar, cot in rendered]
+        assert len(items) == len(set(items))
         # The answer-only stage's five blocks serve all six items.
         assert [cot for _, cot in rendered].count(False) == FEWSHOT_SIZE
 

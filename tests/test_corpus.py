@@ -1,5 +1,6 @@
 """Ingestion, normalization, and corpus store behavior."""
 
+import dataclasses
 import json
 import re
 
@@ -277,6 +278,26 @@ class TestValidation:
     def test_canonical_labels(self):
         assert canonical_labels(4) == ("A", "B", "C", "D")
         assert canonical_labels(3) == ("A", "B", "C")
+
+
+class TestLabels:
+    """`labels` is set once from `options` and is not part of the item's value."""
+
+    def test_replacing_the_options_gives_their_labels(self):
+        item = make_item(0)
+        assert item.labels == ("A", "B", "C", "D")
+        fewer = dataclasses.replace(item, options=(("A", "alpha"), ("B", "beta")))
+        assert fewer.labels == ("A", "B")
+        assert item.labels == ("A", "B", "C", "D")
+
+    def test_labels_stay_out_of_the_items_value(self):
+        item = make_item(0, subject="anatomy", context="ctx")
+        twin = make_item(0, subject="anatomy", context="ctx")
+        object.__setattr__(twin, "labels", ("Z",))
+        assert item == twin and hash(item) == hash(twin)
+        assert "labels" not in repr(item)
+        assert "labels" not in item.to_json_obj()
+        assert McqItem.from_json_obj(json.loads(item.canonical_json())) == item
 
 
 class TestNormalizedRoundTrip:

@@ -246,6 +246,12 @@ class TestShuffle:
             )
             assert restored == gd.TEST_ITEM
 
+    def test_presented_item_keeps_every_other_field(self):
+        for item in (gd.TEST_ITEM, gd.PUBMEDQA_ITEM, replace(gd.TEST_ITEM, subject="anatomy")):
+            shuffled, perm = shuffle_options(item, 7, 1)
+            assert shuffled == replace(item, options=shuffled.options, gold=perm[item.gold])
+            assert shuffled.labels == item.labels
+
     def test_pubmedqa_shuffles_words(self):
         seen_orders = set()
         for run in range(30):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -407,6 +408,57 @@ class TestRunBenchmark:
         assert all(r["stage"] == "zero_shot" and r["schema"] == 1 for r in rows)
         on_disk = [json.loads(line) for line in trace.read_text().splitlines()]
         assert len(on_disk) == 6
+
+    def test_items_given_one_exemplar_list_share_its_head(self, bench_items, tmp_path,
+                                                           monkeypatch):
+        """One head and token budget per exemplar list object: a random
+        stage's fixed list builds them once; equal lists that are other
+        objects build them per item. The prompts are the same either way."""
+        built = []
+        for name in ("prompt_head", "default_max_tokens"):
+            def spy(*args, _name=name, _real=getattr(runner, name)):
+                built.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(runner, name, spy)
+        fixed = [gd.exemplar(i, cot=True) for i in gd.RANDOM_ORDER]
+        copies = {item.id: list(fixed) for item in bench_items}
+        rows = {}
+        for name, provider in (("shared", lambda item: fixed),
+                               ("copied", lambda item: copies[item.id])):
+            built.clear()
+            rows[name] = run_benchmark(bench_items, Stage.RANDOM_FEWSHOT_COT,
+                                       gold_endpoint(bench_items), gd.MEDQA_INSTRUCTION,
+                                       provider, tmp_path / f"{name}.trace.jsonl")
+            per_list = 1 if name == "shared" else len(bench_items)
+            assert built.count("prompt_head") == built.count("default_max_tokens") == per_list
+        assert rows["shared"] == rows["copied"]
+
+    def test_threads_never_share_the_parts_of_another_list(self, tmp_path):
+        """Items alternate between two fixed lists, one at a time and on 8
+        threads: each row is the one its item gets answered on its own."""
+        items = [make_item(i, question=f"Bench question number {i}?", gold="C")
+                 for i in range(24)]
+        lists = ([gd.exemplar(i, cot=True) for i in gd.RANDOM_ORDER],
+                 [gd.exemplar(i, cot=True) for i in gd.KNN_ORDER])
+        position = {item.id: i for i, item in enumerate(items)}
+
+        def provider(item):
+            return lists[position[item.id] % 2]
+
+        endpoint = gold_endpoint(items)
+        alone = [answer_stage_item(item, Stage.RANDOM_FEWSHOT_COT, gd.MEDQA_INSTRUCTION,
+                                   provider(item), endpoint) for item in items]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for concurrency in (1, 8):
+                rows = run_benchmark(items, Stage.RANDOM_FEWSHOT_COT, endpoint,
+                                     gd.MEDQA_INSTRUCTION, provider,
+                                     tmp_path / f"{concurrency}.trace.jsonl",
+                                     concurrency=concurrency)
+                assert rows == alone
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_partial_trace_without_resume_is_an_error(self, bench_items, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -311,6 +311,25 @@ class TestVerifyOnce:
         assert sum(not outcome.from_cache for _, outcome in results) == 1
         assert len(cache_rows(tmp_path, fp)) == 1
 
+    def test_accepted_item_is_answered_from_the_kept_exemplar(self, tmp_path, tiny_pool):
+        """The exemplar the teacher verified is the one every later `verify`
+        and `get` of that item object returns, with no teacher call."""
+        teacher = gold_teacher(tiny_pool)
+        cache = CotCache(tmp_path)
+        fp = teacher_fingerprint(teacher.model_id)
+        exemplar, outcome = cache.verify(tiny_pool[0], teacher, fp)
+        assert teacher.call_count == 1 and not outcome.from_cache
+        again, reused = cache.verify(tiny_pool[0], teacher, fp)
+        assert again is exemplar and cache.get(tiny_pool[0], fp) is exemplar
+        assert reused.from_cache and reused.explanation == exemplar.explanation
+        assert cache.verify(tiny_pool[0], teacher, fp)[1] is reused
+        assert teacher.call_count == 1
+        # An equal item that is another object is checked against the cache.
+        twin = replace(tiny_pool[0])
+        hit, _ = cache.verify(twin, teacher, fp)
+        assert hit is not exemplar and hit.item is twin and hit == exemplar
+        assert teacher.call_count == 1
+
     def test_rejection_is_reused(self, tiny_pool, ranked, tmp_path):
         """A teacher that would accept on a later try is not asked again."""
         index, neighbors, full = ranked

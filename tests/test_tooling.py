@@ -4,6 +4,7 @@ step with the package."""
 import ast
 import importlib
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -192,19 +193,20 @@ def test_whole_files_are_written_only_in_corpus():
     assert found == []
 
 
-# Process-wide memos the package keeps on purpose: answer-extraction patterns
-# compiled once per label set, and the package's own default instructions.
-# Neither depends on a command's inputs.
-PROCESS_MEMOS = {"parsing.py lru_cache", "config.py global _DEFAULT_INSTRUCTIONS"}
+# Process-wide memos the package keeps on purpose, each counted once per
+# use: answer-extraction patterns compiled once per label set, and the
+# package's own default instructions. Neither depends on a command's inputs.
+PROCESS_MEMOS = Counter({"parsing.py lru_cache": 1, "config.py global _DEFAULT_INSTRUCTIONS": 1})
 
 
 def test_no_process_wide_memo():
     """The package memoises work on the objects a command creates, so a new
     command renders and parses anew: no `functools.cache` or `lru_cache`, no
-    `global` rebinding and no write into a module-level container outside
-    `PROCESS_MEMOS`."""
+    `global` rebinding and no write into a module-level container beyond
+    `PROCESS_MEMOS`. Each use counts, so a second `lru_cache` in a module
+    that already has one is found."""
     mutators = {"setdefault", "update", "append", "add", "extend", "insert", "__setitem__"}
-    found = set()
+    found = Counter()
     for path in (ROOT / "src" / "medharness").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module_names = {target.id for node in tree.body
@@ -212,20 +214,23 @@ def test_no_process_wide_memo():
                         for target in (node.targets if isinstance(node, ast.Assign)
                                        else [node.target])
                         if isinstance(target, ast.Name)}
+        # Local name -> functools name, for `from functools import lru_cache [as x]`.
+        memo_names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                      for alias in node.names if alias.name in ("cache", "lru_cache")}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "functools":
-                found.update(f"{path.name} {alias.name}" for alias in node.names
-                             if alias.name in ("cache", "lru_cache"))
+            if isinstance(node, ast.Name) and node.id in memo_names:
+                found[f"{path.name} {memo_names[node.id]}"] += 1
             elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
                   and getattr(node.value, "id", None) == "functools"):
-                found.add(f"{path.name} {node.attr}")
+                found[f"{path.name} {node.attr}"] += 1
             elif isinstance(node, ast.Global):
                 found.update(f"{path.name} global {name}" for name in node.names)
             elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                   and getattr(node.value, "id", None) in module_names):
-                found.add(f"{path.name} writes {node.value.id}")
+                found[f"{path.name} writes {node.value.id}"] += 1
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in mutators
                   and getattr(node.func.value, "id", None) in module_names):
-                found.add(f"{path.name} writes {node.func.value.id}")
+                found[f"{path.name} writes {node.func.value.id}"] += 1
     assert found == PROCESS_MEMOS
