@@ -162,7 +162,7 @@ class _Sources:
         self.config = config
         self.dataset = dataset
         self.store = CorpusStore(config.corpus_dir)
-        self.test_file = CorpusFile(self.store.corpus_path(dataset, Split.TEST))
+        self.test_file = self.store.split_file(dataset, Split.TEST)
         all_items = read_normalized(self.test_file)
         self.test_ids = {item.id for item in all_items}
         self.items = _limited(all_items, limit)
@@ -270,7 +270,9 @@ class _Sources:
     def exemplars_for(self, stage: Stage, items: list[McqItem]):
         """The stage's exemplar provider (item -> exemplars) over `items`."""
         if not stage.fewshot:
-            return lambda item: []
+            # One list for the stage, so its items share one prompt head.
+            none: list = []
+            return lambda item: none
         if not stage.knn:
             pool = PoolView(self.pool_file, [record.id for record in self.pool_questions])
             fixed, outcomes = build_random_exemplars(

@@ -195,14 +195,18 @@ def load_config(path: str | Path) -> RunConfig:
 
     teacher = raw.get("teacher")
     embedding = raw.get("embedding")
+    embedding = _endpoint_block(embedding, f"{path}: embedding", base) if embedding else None
+    if embedding is not None and embedding.url.startswith("mock:"):
+        # Mock endpoints only complete; the builtin embedder is the offline one.
+        raise ConfigError(f"{path}: embedding: url must be an http(s) URL, got "
+                          f"{embedding.url!r}; leave the block out for the builtin embedder")
     return RunConfig(
         corpus_dir=_dir("corpus_dir"),
         output_dir=_dir("output_dir"),
         cache_dir=_dir("cache_dir"),
         target=_endpoint_block(_require(raw, "target", str(path)), f"{path}: target", base),
         teacher=_endpoint_block(teacher, f"{path}: teacher", base) if teacher else None,
-        embedding=(_endpoint_block(embedding, f"{path}: embedding", base)
-                   if embedding else None),
+        embedding=embedding,
         ensemble=ensemble,
         retry=retry,
         instructions=dict(instructions),

@@ -693,7 +693,23 @@ class CorpusStore:
         return self.corpus_path(dataset, split)
 
     def load(self, dataset: Dataset, split: Split) -> list[McqItem]:
-        return read_normalized(self.corpus_path(dataset, split))
+        return read_normalized(self.split_file(dataset, split))
+
+    def split_file(self, dataset: Dataset, split: Split) -> CorpusFile:
+        """A normalized split, read once and checked against the item count
+        its ingest manifest records, where that manifest exists."""
+        source = CorpusFile(self.corpus_path(dataset, split))
+        manifest = self.manifest_path(dataset, split)
+        if manifest.exists():
+            try:
+                expected = json.loads(manifest.read_text(encoding="utf-8"))["item_count"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{manifest}: unreadable ingest manifest: {exc!r}") from exc
+            found = len(source.item_lines())
+            if found != expected:
+                raise DataError(f"{source.path} holds {found} items but {manifest} records "
+                                f"{expected}; re-ingest the split")
+        return source
 
     def has(self, dataset: Dataset, split: Split) -> bool:
         return self.corpus_path(dataset, split).exists()
@@ -706,7 +722,7 @@ class CorpusStore:
             raise DataError(
                 f"pool missing for {dataset.value}: ingest split '{split.value}' first ({path})"
             )
-        return CorpusFile(path)
+        return self.split_file(dataset, split)
 
     def check_disjoint(self, dataset: Dataset, pool_ids: list[str],
                        test_ids: set[str] | None = None) -> None:
@@ -716,8 +732,7 @@ class CorpusStore:
         read it already; otherwise its ids alone are read here, if it exists.
         """
         if test_ids is None and self.has(dataset, Split.TEST):
-            test_file = CorpusFile(self.corpus_path(dataset, Split.TEST))
-            test_ids = {record.id for record in test_file.questions()}
+            test_ids = {record.id for record in self.split_file(dataset, Split.TEST).questions()}
         if test_ids:
             overlap = [item_id for item_id in pool_ids if item_id in test_ids]
             if overlap:

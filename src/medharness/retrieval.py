@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import McqItem, read_headed, replace_atomically, write_headed
-from .errors import DataError
+from .errors import DataError, EndpointError
 
 __all__ = [
     "NeighborSet",
@@ -184,7 +184,14 @@ class RemoteProvider:
         if not text.strip():
             raise DataError("cannot embed empty text")
         [values] = self.endpoint.embed_batch([text], self.model)
+        # `json` reads NaN and Infinity, and numpy would take strings or nesting.
+        if not (isinstance(values, list) and all(
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                for value in values)):
+            raise EndpointError(f"embedding is not a flat list of numbers: {values!r:.80}")
         vec = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise EndpointError(f"embedding holds a value that is not finite: {values!r:.80}")
         if self.dim is None:
             self.dim = vec.shape[0]
         elif vec.shape[0] != self.dim:

@@ -5,15 +5,13 @@ the one place that turns a stage into generation passes. Single-generation
 stages ask the target model once per item at temperature 0. The ensemble
 stage runs the strongest prompt up to five times at temperature 0.4, each run
 presenting the test question's options in a different seeded order, and
-stops as soon as the remaining runs could no longer change the vote. Its runs
-go out in waves: a wave is the fewest next runs after which the vote could be
-settled, so no stop can fall inside one. Against an HTTP endpoint at
-concurrency above 1, a wave's runs overlap on one run pool that every open
-item shares: B = concurrency * (runs // 2 + 1) callers, with up to B items
-open at once, so more than `concurrency` items can be waiting on their
-waves while the target still sees at most B calls in flight and the
-teacher at most `concurrency`. Otherwise a wave's runs are made one by
-one. Every pass re-asks up to a bounded number of tries when no answer can be
+stops as soon as the remaining runs could no longer change the vote. An
+item's runs are made one by one, in the thread that answers the item.
+Against an HTTP endpoint at concurrency above 1, the stage keeps
+B = concurrency * (runs // 2 + 1) items open at once, each holding at most
+one call, so the target sees at most B calls in flight while exemplar
+building, and with it the teacher, stays at `concurrency` items at a time.
+Every pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
 
@@ -26,7 +24,6 @@ by skipping the item ids already present.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import threading
@@ -211,7 +208,6 @@ def answer_stage_item(
     seed: int = 0,
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
-    run_pool: ThreadPoolExecutor | None = None,
     shared: _SharedParts | None = None,
 ) -> dict:
     """Answer one item as `stage` asks, vote, and return its trace row.
@@ -225,38 +221,27 @@ def answer_stage_item(
     its run index. It stops once the leading label's count exceeds the
     runner-up's plus the runs left: no later run could change the decision
     or `tie_broken`, so the result equals the full vote and `per_run` lists
-    only the runs made, in run-index order. The runs go out in waves of the
-    fewest next runs after which the vote could be settled, even if all of
-    them went to the leader; with 5 runs the first wave is 3. No stop can
-    fall inside a wave, so the runs made are the ones a one-by-one vote
-    makes. With `run_pool`, the pool makes a wave's runs at the same time
-    while the caller waits for them; without it, a wave's runs are made in
-    run-index order in the calling thread. Every other stage runs one greedy
-    pass over the canonical order. `shared` holds the prompt head and token
-    budget of `exemplars` when other items use them too.
+    only the runs made, in run-index order. The runs are made one by one in
+    the calling thread, so a run's error ends the item before a later run is
+    sent. Every other stage runs one greedy pass over the canonical order.
+    `shared` holds the prompt head and token budget of `exemplars` when other
+    items use them too.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
     shared = shared or _SharedParts(stage, instruction, exemplars)
-
-    def make_run(run_index: int) -> dict:
-        return answer_item(item, stage, instruction, exemplars, endpoint,
-                           temperature=temperature, run_index=run_index, shuffle=shuffle,
-                           seed=seed, max_tries=max_tries, shared=shared)
-
     runs: list[dict] = []
     counts: dict[str, int] = {}
-    while len(runs) < n_runs:
+    for run_index in range(n_runs):
         leader, runner_up = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
-        left = n_runs - len(runs)
-        if leader > runner_up + left:
+        if leader > runner_up + n_runs - run_index:
             break
-        # A stop after k more runs needs leader + k > runner_up + left - k.
-        size = min(left, (runner_up + left - leader) // 2 + 1)
-        for run in _run_wave(make_run, range(len(runs), len(runs) + size), run_pool):
-            runs.append(run)
-            if run["decision"] != INVALID:
-                counts[run["decision"]] = counts.get(run["decision"], 0) + 1
+        run = answer_item(item, stage, instruction, exemplars, endpoint,
+                          temperature=temperature, run_index=run_index, shuffle=shuffle,
+                          seed=seed, max_tries=max_tries, shared=shared)
+        runs.append(run)
+        if run["decision"] != INVALID:
+            counts[run["decision"]] = counts.get(run["decision"], 0) + 1
     decision, tie_broken = aggregate_votes([run["decision"] for run in runs])
     return {
         "schema": TRACE_SCHEMA,
@@ -269,22 +254,6 @@ def answer_stage_item(
         "n_calls": sum(run["tries"] for run in runs),
         "per_run": runs,
     }
-
-
-def _run_wave(make_run, run_indices: range, run_pool: ThreadPoolExecutor | None
-              ) -> list[dict]:
-    """`make_run` over `run_indices`, returned in index order.
-
-    Without a pool the runs are made one by one and the first error ends the
-    wave. With one, the pool makes every run of the wave and the caller only
-    waits; every call of the wave returns before the lowest failing run's
-    error is raised, so no call outlives its item.
-    """
-    if run_pool is None:
-        return [make_run(run_index) for run_index in run_indices]
-    futures = [run_pool.submit(make_run, run_index) for run_index in run_indices]
-    wait(futures)
-    return [future.result() for future in futures]
 
 
 def read_trace(trace_path: str | Path) -> list[dict]:
@@ -343,17 +312,12 @@ def run_benchmark(
 
     `concurrency` items are answered at a time, with one exception: an
     ensemble of more than one run against an `HttpEndpoint` at concurrency
-    above 1. There the stage's calls share one budget of
-    B = `concurrency * (n_runs // 2 + 1)`: every run of every wave goes to
-    one run pool of B threads, and up to B items are open at once, so more
-    than `concurrency` items can be waiting on their waves. An item's own
-    thread only builds its exemplars, submits a wave, waits for it and
-    votes. The target sees at most B calls in flight, and building
-    exemplars (with any teacher calls on manifest misses) stays at
-    `concurrency` items at a time, so the teacher sees at most
-    `concurrency`. In-process endpoints make every run inline: their calls hold the
-    interpreter lock, and a mock's per-prompt answer script would depend on
-    thread timing.
+    above 1 keeps B = `concurrency * (n_runs // 2 + 1)` items open, each
+    making its runs one by one, so the target sees at most B calls in
+    flight. Building exemplars (with any teacher calls on manifest misses)
+    stays at `concurrency` items at a time in every stage, so the teacher
+    sees at most `concurrency`. In-process endpoints keep to `concurrency`
+    items: their calls hold the interpreter lock.
     Returns the trace rows for all requested items, in item order.
     """
     trace_path = Path(trace_path)
@@ -377,18 +341,18 @@ def run_benchmark(
         if mend is not None:
             mend_tail(trace_path, mend)
         write_lock = threading.Lock()
-        overlap = (concurrency > 1 and stage is Stage.ENSEMBLE and ensemble.n_runs > 1
-                   and isinstance(endpoint, HttpEndpoint))
-        budget = concurrency * (ensemble.n_runs // 2 + 1) if overlap else concurrency
-        exemplar_slots = (threading.BoundedSemaphore(concurrency) if overlap
-                          else contextlib.nullcontext())
+        width = concurrency
+        if (concurrency > 1 and stage is Stage.ENSEMBLE and ensemble.n_runs > 1
+                and isinstance(endpoint, HttpEndpoint)):
+            width *= ensemble.n_runs // 2 + 1
+        exemplar_slots = threading.BoundedSemaphore(concurrency)
         # The parts of the last exemplar list handed out: a random stage's one
         # fixed list builds its head once for the whole stage.
         last_parts: _SharedParts | None = None
         # One encoder per stage; `json.dumps` with options builds one per row.
         encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
-        def handle(item: McqItem, run_pool: ThreadPoolExecutor | None) -> None:
+        def handle(item: McqItem) -> None:
             nonlocal last_parts
             with exemplar_slots:
                 exemplars = exemplars_for(item)
@@ -397,7 +361,7 @@ def run_benchmark(
                 shared = last_parts = _SharedParts(stage, instruction, exemplars)
             row = answer_stage_item(
                 item, stage, instruction, exemplars, endpoint, seed=seed,
-                ensemble=ensemble, max_tries=max_tries, run_pool=run_pool, shared=shared,
+                ensemble=ensemble, max_tries=max_tries, shared=shared,
             )
             with write_lock:
                 trace.write(encode_row(row) + "\n")
@@ -409,13 +373,10 @@ def run_benchmark(
         with open(trace_path, "a", encoding="utf-8") as trace:
             if concurrency <= 1:
                 for item in todo:
-                    handle(item, None)
+                    handle(item)
             else:
-                run_pool = ThreadPoolExecutor(max_workers=budget) if overlap else None
-                # The item pool shuts down first: its running items still submit runs.
-                with run_pool or contextlib.nullcontext(), \
-                        ThreadPoolExecutor(max_workers=budget) as pool:
-                    futures = [pool.submit(handle, item, run_pool) for item in todo]
+                with ThreadPoolExecutor(max_workers=width) as pool:
+                    futures = [pool.submit(handle, item) for item in todo]
                     try:
                         wait(futures, return_when=FIRST_EXCEPTION)
                     finally:

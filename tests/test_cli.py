@@ -20,8 +20,9 @@ from conftest import make_item
 from medharness import cli, corpus, promptkit, runner, teacher
 from medharness.cli import main
 from medharness.config import MAX_WAIT_S, build_endpoint as config_build_endpoint, load_config
-from medharness.corpus import CorpusFile, Dataset, Split, write_normalized
-from medharness.errors import DataError, EndpointError
+from medharness.corpus import (CorpusFile, CorpusManifest, CorpusStore, Dataset, LoadResult,
+                               Split, write_normalized)
+from medharness.errors import ConfigError, DataError, EndpointError
 from medharness.modelgw import HttpEndpoint, parse_prompt_tail
 from medharness.retrieval import VectorIndex
 from medharness.promptkit import FEWSHOT_SIZE, shuffle_options, teacher_prompt
@@ -381,6 +382,44 @@ class TestWholeFileCommits:
                 "out/medqa/ablation.txt", "out/mmlu_med/subjects.json"} <= committed
 
 
+class TestSplitManifest:
+    """A normalized split whose item count disagrees with its ingest manifest
+    is refused before it is used."""
+
+    @staticmethod
+    def ingested(tmp_path, split, items, keep):
+        """Save `items` as `split` with its manifest, then keep only the
+        first `keep` lines of the split."""
+        path = CorpusStore(tmp_path / "corpus").save(LoadResult(items, CorpusManifest(
+            Dataset.MEDQA, split, len(items), "raw.jsonl", "0" * 64)))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:keep]), encoding="utf-8")
+        return path
+
+    def test_truncated_pool_is_refused(self, tmp_path, capsys):
+        config, _, pool_items = build_env(tmp_path, n_test=4, n_pool=30)
+        self.ingested(tmp_path, Split.TRAIN, pool_items, keep=30)
+        index = ["index", "--config", str(config), "--dataset", "medqa"]
+        assert main(index) == 0
+        path = self.ingested(tmp_path, Split.TRAIN, pool_items, keep=20)
+        capsys.readouterr()
+        assert main(index) == 2
+        err = capsys.readouterr().err
+        assert f"{path} holds 20 items but" in err and "train.manifest.json records 30" in err
+        assert "re-ingest" in err
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "knn_fewshot_cot"]) == 2
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+    def test_truncated_test_split_is_refused(self, tmp_path, capsys):
+        config, test_items, _ = build_env(tmp_path)
+        path = self.ingested(tmp_path, Split.TEST, test_items, keep=3)
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"]) == 2
+        assert f"{path} holds 3 items but" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+
 class TestIndexAndGenCot:
     def test_index_command(self, tmp_path, capsys):
         config, _, _ = build_env(tmp_path)
@@ -456,6 +495,17 @@ class TestExitCodes:
         code = main(["index", "--config", str(config), "--dataset", "medqa"])
         assert code == 3
         assert "gave up" in capsys.readouterr().err
+
+    def test_mock_embedding_is_config_error(self, tmp_path, capsys):
+        # Mock endpoints cannot embed; the builtin embedder is the offline one.
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30, config_extra={
+            "embedding": {"url": f"mock:{tmp_path / 'policy.json'}", "model": "embedder"}})
+        with pytest.raises(ConfigError, match="leave the block out for the builtin embedder"):
+            load_config(config)
+        assert main(["index", "--config", str(config), "--dataset", "medqa"]) == 1
+        err = capsys.readouterr().err
+        assert "embedding: url must be an http(s) URL" in err and "Traceback" not in err
+        assert not (tmp_path / "cache" / "index").exists()
 
     @pytest.mark.parametrize("key", ["n_fewshot", "k_neighbors"])
     def test_exemplar_count_keys_are_unknown(self, tmp_path, capsys, key):
@@ -1051,7 +1101,7 @@ class TestEmbeddingPreflight:
         ({"url": "ftp://x"},
          "endpoint URL must be http(s)://host[:port][/path], got 'ftp://x'"),
         ({"url": "mock:/nonexistent/embedding.json"},
-         "mock policy file missing: /nonexistent/embedding.json"),
+         "embedding: url must be an http(s) URL, got 'mock:/nonexistent/embedding.json'"),
         ({"url": "http://127.0.0.1:9", "api_key_env": "MEDHARNESS_TEST_UNSET_KEY"},
          "credential variable MEDHARNESS_TEST_UNSET_KEY is not set"),
     ], ids=["bad-scheme", "missing-mock-file", "unset-credential"])
@@ -1156,6 +1206,16 @@ class TestPromptParts:
         assert len(items) == len(set(items))
         # The answer-only stage's five blocks serve all six items.
         assert [cot for _, cot in rendered].count(False) == FEWSHOT_SIZE
+
+    def test_zero_shot_builds_one_head(self, tmp_path, monkeypatch):
+        heads = []
+        head = runner.prompt_head
+        monkeypatch.setattr(runner, "prompt_head",
+                            lambda *args: heads.append(args) or head(*args))
+        config, _, _ = build_env(tmp_path, n_test=6)
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"]) == 0
+        assert len(heads) == 1
 
     def test_a_new_command_renders_its_blocks_again(self, tmp_path, rendered):
         config, _, _ = build_env(tmp_path)
@@ -1651,7 +1711,7 @@ def wave_server():
 
 
 class TestEnsembleWaves:
-    """An ensemble item's undecided runs go out together only where calls wait on the network."""
+    """An HTTP ensemble keeps more items open than `concurrency`, each making its runs in order."""
 
     @staticmethod
     def http_env(tmp_path, server, n_test, n_pool=8, **extra):
@@ -1722,9 +1782,9 @@ class TestEnsembleWaves:
                      "--stage", "ensemble"]) == 0
         assert teacher.most <= 2
 
-    # Runs 1 and 2 of the first wave fail; only the runs named are answered
-    # without the delay. Either run 2 fails before run 1, or run 1 fails
-    # while run 2 is still in flight.
+    # Runs 1 and 2 would fail; only the runs named are answered without the
+    # delay. Whether or not run 1 fails at once, the item raises on run 1's
+    # failure and never sends run 2.
     @pytest.mark.parametrize("quick", [(0, 2), (0, 1)],
                              ids=["higher-run-fails-first", "wave-outlives-the-failure"])
     def test_failed_run_in_a_wave_ends_the_stage_after_the_whole_wave(self, tmp_path, capsys,
@@ -1752,10 +1812,11 @@ class TestEnsembleWaves:
         monkeypatch.setattr(runner, "answer_stage_item", spy)
         threads = threading.active_count()
         code = main(["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"])
-        assert answered_at_raise == [sorted(presentations)]
+        assert answered_at_raise == [sorted(presentations[:2])]
         for thread in wave_server.threads:
             thread.join(timeout=5)
         assert threading.active_count() == threads
+        assert presentations[2] not in map(presented_texts, wave_server.answered)
         assert code == 3
         err = capsys.readouterr().err
         assert f"{item.id}: all 1 tries failed" in err and "status 500" in err

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_item
 from medharness.corpus import Split
-from medharness.errors import DataError
+from medharness.errors import DataError, EndpointError
 from medharness.retrieval import (
     QUERY_BLOCK,
     SCORE_TIE_BAND,
@@ -655,6 +655,17 @@ class TestRemoteProvider:
         provider.embed("a")
         with pytest.raises(DataError, match="dimension"):
             provider.embed("b")
+
+    # `json.loads` reads NaN and Infinity as floats.
+    @pytest.mark.parametrize("values", [
+        json.loads("[NaN, 1.0]"), json.loads("[1.0, Infinity]"), "0.6", ["0.6", 0.8],
+        [0.6, [0.8]], [[0.6], [0.8]], [True, 0.8], {"0": 0.6},
+    ], ids=["nan", "inf", "string", "string-value", "ragged", "nested", "bool", "object"])
+    def test_embedding_that_is_not_flat_finite_numbers_is_refused(self, values):
+        provider = RemoteProvider(FakeEmbeddingEndpoint({"a": values}), "m")
+        with pytest.raises(EndpointError, match="embedding"):
+            provider.embed("a")
+        assert provider.dim is None
 
     def test_zero_vector_is_an_error(self):
         endpoint = FakeEmbeddingEndpoint({"a": [0.0, 0.0]})

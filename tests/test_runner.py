@@ -314,23 +314,15 @@ class TestEnsemble:
     def test_early_stop_equals_the_full_vote_exhaustively(self, monkeypatch):
         """Every decision sequence of 1-5 runs over 5 labels and invalid: the
         runs made vote as the whole sequence does, and the ensemble stops at
-        the first run after which no continuation could change the vote. The
-        runs go out in waves that end where a one-by-one vote could stop."""
+        the first run after which no continuation could change the vote."""
         symbols = ("A", "B", "C", "D", "E", INVALID)
         script = []
-        waves = []
-        run_wave = runner._run_wave
 
         def scripted(item, stage, instruction, exemplars, endpoint, run_index, **kwargs):
             decision = script[run_index]
             return {"run_index": run_index, "decision": decision, "tries": 1}
 
-        def recorded(make_run, run_indices, run_pool):
-            waves.append(list(run_indices))
-            return run_wave(make_run, run_indices, run_pool)
-
         monkeypatch.setattr(runner, "answer_item", scripted)
-        monkeypatch.setattr(runner, "_run_wave", recorded)
 
         @functools.cache
         def outcomes(prefix, n_runs):
@@ -340,7 +332,6 @@ class TestEnsemble:
         for n_runs in range(1, 6):
             for sequence in itertools.product(symbols, repeat=n_runs):
                 script[:] = sequence
-                waves.clear()
                 result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, "", [], None,
                                            ensemble=EnsembleConfig(n_runs=n_runs))
                 decided = next(k for k in range(1, n_runs + 1)
@@ -348,11 +339,6 @@ class TestEnsemble:
                 vote = aggregate_votes(list(sequence))
                 assert (result["decision"], result["tie_broken"]) == vote
                 assert [r["run_index"] for r in result["per_run"]] == list(range(decided))
-                assert [i for wave in waves for i in wave] == list(range(decided))
-                assert len(waves[0]) == n_runs // 2 + 1
-                for wave in waves:
-                    # After no run of a wave but its last could the vote stop.
-                    assert all(len(outcomes(sequence[:i + 1], n_runs)) > 1 for i in wave[:-1])
 
     @pytest.mark.parametrize("script, made, vote", [
         (["C", "C", "C", "B", "B"], 3, ("C", False)),

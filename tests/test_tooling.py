@@ -234,3 +234,24 @@ def test_no_process_wide_memo():
                   and getattr(node.func.value, "id", None) in module_names):
                 found[f"{path.name} writes {node.func.value.id}"] += 1
     assert found == PROCESS_MEMOS
+
+
+# Callables that start a thread or a process when constructed or called.
+THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process",
+                 "start_new_thread"}
+
+
+def test_threads_start_in_one_place():
+    """The package starts threads in one place, the item pool of
+    `runner.run_benchmark`, as `medbench/tracing.py` assumes when it parents
+    a worker's spans to the main thread's open span."""
+    found = []
+    for path in sorted((ROOT / "src" / "medharness").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in THREAD_MAKERS:
+                    found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
+    assert found == ["runner.py run_benchmark ThreadPoolExecutor"]
