@@ -40,7 +40,8 @@ from .metrics import (
     write_report,
 )
 from .promptkit import FEWSHOT_SIZE
-from .retrieval import QUERY_BLOCK, NeighborSet, RemoteProvider, VectorIndex, build_index
+from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvider, VectorIndex,
+                        build_index)
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
 from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
                       load_exemplar_manifest, save_exemplar_manifest, teacher_fingerprint)
@@ -97,6 +98,13 @@ def _embedding_provider(config: RunConfig):
     return RemoteProvider(endpoint, config.embedding.model_id)
 
 
+def _provider_id(config: RunConfig) -> str:
+    """The id of the provider `_embedding_provider` gives, without opening an endpoint."""
+    if config.embedding is None:
+        return BuiltinProvider().provider_id
+    return RemoteProvider(None, config.embedding.model_id).provider_id
+
+
 def _close(resource) -> None:
     """Close an endpoint or embedding provider; in-process ones hold nothing to close."""
     close = getattr(resource, "close", None)
@@ -135,14 +143,16 @@ class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
     The test split is read on construction; the pool file, its index and the
-    exemplar manifest on first use. The teacher's fingerprint comes from the
-    config, and its endpoint is opened only by its first call (`_Teacher`),
-    so a stage the manifest and the cache fully cover never opens it. Stages
-    parse only the pool items they look up: random stages by the ids
-    `CorpusFile.questions` reads, kNN stages by those of an index built from
-    the pool file's exact bytes. kNN exemplars are built once per test item
-    and kept, so the kNN and ensemble stages of one `ablate` share them;
-    query vectors live only until their item's exemplars are built.
+    exemplar manifest on first use. The teacher's fingerprint and the
+    embedding provider's id come from the config, and the teacher's endpoint
+    is opened only by its first call (`_Teacher`), so a stage the manifest
+    and the cache fully cover never opens it, nor the index. Stages parse
+    only the pool items they look up: random stages by the ids
+    `CorpusFile.questions` reads, kNN stages at the lines the manifest
+    records or by the ids of an index built from the pool file's exact
+    bytes. kNN exemplars are built once per test item and kept, so the kNN
+    and ensemble stages of one `ablate` share them; query vectors live only
+    until their item's exemplars are built.
     `outcomes` collects the outcome of every candidate the providers asked
     the teacher about; cache hits are not kept. Used as a context manager,
     it closes the endpoints it opened.
@@ -199,21 +209,24 @@ class _Sources:
 
     @cached_property
     def index(self) -> VectorIndex:
-        """The pool's index, loaded if built from the pool file's current bytes."""
+        """The pool's index, loaded if built from the pool file's current
+        bytes; `pool_items` then maps every pool id."""
         path = _index_path(self.config, self.dataset)
         provider = _embedding_provider(self.config)
         self._opened.append(provider)
         if not path.exists():
-            return _build_index(self.config, self.dataset, self.pool_questions,
-                                self.pool_file.sha256, provider)
-        index = VectorIndex.load(path, provider=provider)
-        if index.pool_sha256 != self.pool_file.sha256:
-            raise DataError(f"{path}: not built from the current {self.pool_file.path} "
-                            f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
-                            f"rebuild with `medharness index`")
-        # The digest matches, so the pool's ids are the index's, checked for
-        # validity and uniqueness when `index` read these bytes.
-        self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
+            index = _build_index(self.config, self.dataset, self.pool_questions,
+                                 self.pool_file.sha256, provider)
+        else:
+            index = VectorIndex.load(path, provider=provider)
+            if index.pool_sha256 != self.pool_file.sha256:
+                raise DataError(f"{path}: not built from the current {self.pool_file.path} "
+                                f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
+                                f"rebuild with `medharness index`")
+            # The digest matches, so the pool's ids are the index's, checked for
+            # validity and uniqueness when `index` read these bytes.
+            self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
+        self.pool_items.learn(index.ids)
         return index
 
     @cached_property
@@ -229,7 +242,9 @@ class _Sources:
 
     @cached_property
     def pool_items(self) -> PoolView:
-        return PoolView(self.pool_file, self.index.ids)
+        """The kNN stages' pool items: those the manifest lists, at its lines,
+        and every one once the index is loaded."""
+        return PoolView(self.pool_file)
 
     @property
     def manifest_path(self) -> Path:
@@ -239,18 +254,24 @@ class _Sources:
     def manifest_header(self) -> dict:
         """What a kNN exemplar set depends on besides its test item's id."""
         return {
-            "schema": 1,
+            "schema": 2,
             "pool_sha256": self.pool_file.sha256,
-            "provider_id": self.index.provider.provider_id,
+            "provider_id": _provider_id(self.config),
             "teacher": self.teacher_key,
             "test_sha256": self.test_file.sha256,
         }
 
     @cached_property
     def manifest(self) -> dict[str, tuple[str, ...]]:
-        """Exemplar ids per test item from `gen-cot`'s manifest, if it matches."""
-        return load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                      self.pool_items, warn_stale=not self.writes_manifest)
+        """Exemplar ids per command item from `gen-cot`'s manifest, if it
+        matches, each placed in `pool_items` and checked against the test
+        split's ids."""
+        manifest = load_exemplar_manifest(self.manifest_path, self.manifest_header,
+                                          self.pool_items, {item.id for item in self.items},
+                                          warn_stale=not self.writes_manifest)
+        self.store.check_disjoint(self.dataset, sorted({exemplar_id for ids in manifest.values()
+                                                        for exemplar_id in ids}), self.test_ids)
+        return manifest
 
     def manifest_exemplars(self, item: McqItem):
         """The item's exemplars from the manifest and the cache, kept; None unless
@@ -281,9 +302,14 @@ class _Sources:
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
-        # Loaded before the workers start, so they share one of each and a
-        # missing `teacher:` block fails before the first target call.
-        _ = self.pool_items, self.teacher, self.index, self.manifest
+        # Resolved before the workers start, so they share one of each and a
+        # missing `teacher:` block fails before the first target call: the
+        # items the manifest and the cache cover take their exemplars now,
+        # and the index is loaded only if one item is not covered.
+        _ = self.teacher
+        if not all(item.id in self._knn or self.manifest_exemplars(item) is not None
+                   for item in items):
+            _ = self.index
         position = {item.id: i for i, item in enumerate(items)}
         ranked: set[str] = set()
         pending: dict[str, NeighborSet] = {}
@@ -516,7 +542,8 @@ def gen_cot(config_path: Path, dataset_name: str, kind: str, limit: int | None):
         else:
             exemplar_ids = {item.id: [e.item.id for e in provider(item)]
                             for item in sources.items}
-            save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids)
+            save_exemplar_manifest(sources.manifest_path, sources.manifest_header, exemplar_ids,
+                                   sources.pool_items)
             done = f"exemplars ready for {len(sources.items)} items"
     fresh = sum(o.accepted for o in sources.outcomes)
     suffix = "" if kind == "random" else f" -> {sources.manifest_path}"

@@ -14,8 +14,9 @@ Four datasets are supported, each in its officially published serialization:
                 for the nine medical/clinical subjects.
 
 Normalized corpora are stored as UTF-8 JSON lines, one item per line, next to
-a manifest recording counts and the source checksum. Records that fail
-validation are excluded and counted, never silently dropped.
+a manifest recording counts, the source checksum and the normalized file's
+SHA-256. Records that fail validation are excluded and counted, never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import string
 import tempfile
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -230,6 +231,8 @@ class CorpusManifest:
     source_path: str
     checksum: str
     rejected_count: int = 0
+    # The SHA-256 of the normalized file `CorpusStore.save` wrote.
+    normalized_sha256: str | None = None
 
 
 @dataclass
@@ -550,9 +553,12 @@ def mend_tail(path: Path, mend: tuple[int, bytes]) -> None:
         f.write(tail)
 
 
-def write_normalized(items: list[McqItem], path: str | Path) -> None:
-    """Replace `path` with the items, one UTF-8 JSON object per line (stable key order)."""
-    write_atomically(path, "".join(item.canonical_json() + "\n" for item in items))
+def write_normalized(items: list[McqItem], path: str | Path) -> str:
+    """Replace `path` with the items, one UTF-8 JSON object per line (stable
+    key order); return the SHA-256 of the bytes written."""
+    text = "".join(item.canonical_json() + "\n" for item in items)
+    write_atomically(path, text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class PoolQuestion(NamedTuple):
@@ -630,30 +636,61 @@ def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
 class PoolView(Mapping):
     """Pool items by id, each parsed from its line on first lookup.
 
-    `ids` are the file's item ids in file order, as `CorpusFile.questions` or
-    an index built from the same bytes lists them; a line whose item has
-    another id, or is not a valid item, is an error when it is looked up.
+    A view maps the ids it was told to line indexes of `source.lines`: every
+    item's when given the file's ids in file order (`ids`, or `learn` later),
+    as `CorpusFile.questions` or an index built from the same bytes lists
+    them; or one id at a time at a known line (`place`), as the exemplar
+    manifest records them. Every parse checks that the line holds a valid
+    item with that id.
     """
 
-    def __init__(self, source: CorpusFile, ids: list[str]):
-        lines = source.item_lines()
-        if len(lines) != len(ids):
-            raise DataError(f"{source.path}: {len(lines)} items, expected {len(ids)}")
+    def __init__(self, source: CorpusFile, ids: list[str] | None = None):
         self._source = source
-        self._lines = dict(zip(ids, lines))
+        self._lines: dict[str, int] = {}
         self._items: dict[str, McqItem] = {}
+        if ids is not None:
+            self.learn(ids)
+
+    def learn(self, ids: list[str]) -> None:
+        """Map every item: `ids` are the file's ids in file order, and must
+        put each id already placed on its line."""
+        lines = self._source.item_lines()
+        if len(lines) != len(ids):
+            raise DataError(f"{self._source.path}: {len(lines)} items, expected {len(ids)}")
+        learned = dict(zip(ids, lines))
+        for item_id, line in self._lines.items():
+            if learned.get(item_id) != line:
+                raise DataError(f"{self._source.path}: line {line + 1} holds {item_id!r}, "
+                                f"which the pool's ids put elsewhere")
+        self._lines = learned
+
+    def place(self, item_id: str, line: int) -> None:
+        """Map `item_id` to line index `line`, parsing that line unless the id
+        is mapped there already; DataError unless it holds the item."""
+        if self._lines.get(item_id) == line:
+            return
+        if type(line) is not int or not 0 <= line < len(self._source.lines):
+            raise DataError(f"{self._source.path}: no line index {line!r}")
+        self._items[item_id] = self._parse(item_id, line)
+        self._lines[item_id] = line
+
+    def _parse(self, item_id: str, line: int) -> McqItem:
+        item = self._source.parse(line)
+        if item.id != item_id:
+            raise DataError(
+                f"{self._source.path}: line {line + 1} holds {item.id!r}, expected {item_id!r}"
+            )
+        return item
 
     def __getitem__(self, item_id: str) -> McqItem:
         item = self._items.get(item_id)
         if item is None:
-            line = self._lines[item_id]
-            item = self._source.parse(line)
-            if item.id != item_id:
-                raise DataError(
-                    f"{self._source.path}: line {line + 1} holds {item.id!r}, expected {item_id!r}"
-                )
-            self._items[item_id] = item
+            item = self._items[item_id] = self._parse(item_id, self._lines[item_id])
         return item
+
+    def line_index(self, item_id: str) -> int:
+        """The index in `source.lines` of the line `self[item_id]` is parsed from."""
+        return self._lines[item_id]
 
     def line(self, item_id: str) -> str:
         """The stripped line `self[item_id]` is parsed from."""
@@ -686,29 +723,32 @@ class CorpusStore:
         return self.root / dataset.value / f"{split.value}.manifest.json"
 
     def save(self, result: LoadResult) -> Path:
+        """Write the split, then its manifest with the split's `normalized_sha256`."""
         dataset, split = result.manifest.dataset, result.manifest.split
-        write_normalized(result.items, self.corpus_path(dataset, split))
+        digest = write_normalized(result.items, self.corpus_path(dataset, split))
+        manifest = replace(result.manifest, normalized_sha256=digest)
         write_atomically(self.manifest_path(dataset, split),
-                         json.dumps(asdict(result.manifest), indent=2, sort_keys=True) + "\n")
+                         json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
         return self.corpus_path(dataset, split)
 
     def load(self, dataset: Dataset, split: Split) -> list[McqItem]:
         return read_normalized(self.split_file(dataset, split))
 
     def split_file(self, dataset: Dataset, split: Split) -> CorpusFile:
-        """A normalized split, read once and checked against the item count
-        its ingest manifest records, where that manifest exists."""
+        """A normalized split, read once and, where its ingest manifest exists,
+        refused unless it holds the bytes that manifest's `normalized_sha256`
+        records."""
         source = CorpusFile(self.corpus_path(dataset, split))
         manifest = self.manifest_path(dataset, split)
         if manifest.exists():
             try:
-                expected = json.loads(manifest.read_text(encoding="utf-8"))["item_count"]
-            except (ValueError, KeyError, TypeError) as exc:
+                recorded = json.loads(manifest.read_text(encoding="utf-8")).get("normalized_sha256")
+            except (ValueError, AttributeError) as exc:
                 raise DataError(f"{manifest}: unreadable ingest manifest: {exc!r}") from exc
-            found = len(source.item_lines())
-            if found != expected:
-                raise DataError(f"{source.path} holds {found} items but {manifest} records "
-                                f"{expected}; re-ingest the split")
+            if recorded != source.sha256:
+                raise DataError(f"{source.path} is not the file {manifest} records "
+                                f"(normalized_sha256 {recorded or 'not recorded'}); "
+                                f"re-ingest the split")
         return source
 
     def has(self, dataset: Dataset, split: Split) -> bool:

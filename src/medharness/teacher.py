@@ -22,7 +22,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem, mend_tail, read_headed, scan_jsonl, write_headed
+from .corpus import McqItem, PoolView, mend_tail, read_headed, scan_jsonl, write_headed
 from .errors import DataError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
@@ -362,22 +362,26 @@ def build_random_exemplars(
 
 
 def save_exemplar_manifest(path: str | Path, header: dict,
-                           exemplar_ids: dict[str, list[str]]) -> None:
+                           exemplar_ids: dict[str, list[str]], pool: PoolView) -> None:
     """Write an exemplar manifest: `header`, then one row per test item with
-    its exemplar ids in prompt order."""
-    write_headed(path, header, ({"item_id": item_id, "exemplars": ids}
+    its exemplar ids in prompt order and each one's line index in the pool file."""
+    write_headed(path, header, ({"item_id": item_id, "exemplars": ids,
+                                 "lines": [pool.line_index(i) for i in ids]}
                                 for item_id, ids in exemplar_ids.items()))
 
 
-def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
+def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_ids: set[str],
                            warn_stale: bool = True) -> dict[str, tuple[str, ...]]:
-    """Exemplar ids per test item, from a manifest written under `header`.
+    """Exemplar ids per test item in `item_ids`, from a manifest written
+    under `header`; the rows of other items are skipped.
 
-    A missing manifest is empty. A manifest with another header (built from
-    another pool, index, teacher or test split) or with a row that is not
-    `FEWSHOT_SIZE` ids in `pool_ids` is ignored with one warning, so its
-    items build their exemplars as if it did not exist. `warn_stale=False`
-    ignores another header silently, for the command that replaces it.
+    Each exemplar is placed in `pool` at its recorded line, which is parsed
+    then. A missing manifest is empty. A manifest with another header
+    (another schema, or built from another pool, provider, teacher or test
+    split) or with a row that is not `FEWSHOT_SIZE` ids each on its recorded
+    pool line is ignored with one warning, so its items build their
+    exemplars as if it did not exist. `warn_stale=False` ignores another
+    header silently, for the command that replaces it.
     """
     path = Path(path)
     if not path.exists():
@@ -394,13 +398,16 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool_ids,
             return {}
         manifest = {}
         for row in rows:
-            ids = tuple(row["exemplars"])
-            in_pool = all(isinstance(i, str) and i in pool_ids for i in ids)
-            if len(ids) != FEWSHOT_SIZE or not in_pool:
+            if row["item_id"] not in item_ids:
+                continue
+            ids, lines = tuple(row["exemplars"]), row["lines"]
+            if len(ids) != FEWSHOT_SIZE or len(lines) != len(ids):
                 raise ValueError(f"{row['item_id']}: exemplars {ids} are not "
-                                 f"{FEWSHOT_SIZE} pool ids")
+                                 f"{FEWSHOT_SIZE} pool ids with their lines")
+            for exemplar_id, line in zip(ids, lines):
+                pool.place(exemplar_id, line)
             manifest[row["item_id"]] = ids
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, DataError) as exc:
         log.warning("ignoring corrupt exemplar manifest %s: %s", path, exc)
         return {}
     return manifest

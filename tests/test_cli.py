@@ -383,8 +383,8 @@ class TestWholeFileCommits:
 
 
 class TestSplitManifest:
-    """A normalized split whose item count disagrees with its ingest manifest
-    is refused before it is used."""
+    """A normalized split whose bytes are not the ones its ingest manifest
+    records is refused before it is used."""
 
     @staticmethod
     def ingested(tmp_path, split, items, keep):
@@ -405,7 +405,7 @@ class TestSplitManifest:
         capsys.readouterr()
         assert main(index) == 2
         err = capsys.readouterr().err
-        assert f"{path} holds 20 items but" in err and "train.manifest.json records 30" in err
+        assert f"{path} is not the file" in err and "train.manifest.json records" in err
         assert "re-ingest" in err
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot"]) == 2
@@ -416,7 +416,44 @@ class TestSplitManifest:
         path = self.ingested(tmp_path, Split.TEST, test_items, keep=3)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "zero_shot"]) == 2
-        assert f"{path} holds 3 items but" in capsys.readouterr().err
+        assert f"{path} is not the file" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+    def test_item_edited_in_place_is_refused_until_re_ingested(self, tmp_path, capsys):
+        config, _, pool_items = build_env(tmp_path, n_test=4, n_pool=30)
+        raw = tmp_path / "raw_train.jsonl"
+        raw.write_text("".join(json.dumps({"question": item.question,
+                                           "options": dict(item.options),
+                                           "answer_idx": item.gold}) + "\n"
+                               for item in pool_items), encoding="utf-8")
+        ingest = ["ingest", "--dataset", "medqa", "--split", "train", "--source", str(raw),
+                  "--corpus-dir", str(tmp_path / "corpus")]
+        index = ["index", "--config", str(config), "--dataset", "medqa"]
+        run = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "knn_fewshot_cot"]
+        assert main(ingest) == 0
+        assert main(index) == 0
+        # Same item count, one gold letter changed.
+        edit_pool_line(tmp_path, 0, lambda obj: {**obj, "gold": "A"})
+        capsys.readouterr()
+        for args in (index, run):
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert "train.manifest.json records" in err and "re-ingest" in err
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+        assert main(ingest) == 0
+        assert main(index) == 0
+        assert main(run) == 0
+
+    def test_manifest_without_the_digest_is_refused(self, tmp_path, capsys):
+        config, test_items, _ = build_env(tmp_path)
+        self.ingested(tmp_path, Split.TEST, test_items, keep=len(test_items))
+        manifest = tmp_path / "corpus" / "medqa" / "test.manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        del doc["normalized_sha256"]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"]) == 2
+        assert "(normalized_sha256 not recorded); re-ingest the split" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.trace.jsonl")) == []
 
 
@@ -803,7 +840,8 @@ class TestExemplarManifest:
         assert spies["ranked"] == [item.id for item in test_items[7:]]
         assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
 
-    def test_listed_item_with_an_uncached_exemplar_is_ranked_again(self, tmp_path, spies):
+    def test_listed_item_with_an_uncached_exemplar_is_ranked_again(self, tmp_path, spies,
+                                                                   index_loads):
         config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(self.command("gen-cot", config)) == 0
         manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
@@ -816,7 +854,10 @@ class TestExemplarManifest:
         cache_file.write_text("\n".join(kept) + "\n", encoding="utf-8")
         spies["ranked"].clear()
         spies["teacher"].clear()
+        index_loads.clear()
         assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        # The item is not covered, so the index is loaded, once, up front.
+        assert index_loads == ["medqa.jsonl"]
         # The first item needing the dropped exemplar ranks and verifies it
         # again; that puts it back in the cache for the items after it.
         assert spies["ranked"] == [first_user]
@@ -826,7 +867,7 @@ class TestExemplarManifest:
     # `k_neighbors` stands for a manifest written when the header still carried it.
     @pytest.mark.parametrize("field, value", [
         ("pool_sha256", "0" * 64), ("teacher", "0" * 16), ("k_neighbors", 7),
-        ("test_sha256", "0" * 64), ("provider_id", "remote:other"),
+        ("test_sha256", "0" * 64), ("provider_id", "remote:other"), ("schema", 1),
     ])
     def test_stale_manifest_is_ignored_with_one_warning(self, tmp_path, spies, caplog,
                                                         field, value):
@@ -930,6 +971,189 @@ class TestExemplarManifest:
             assert main(args) == 3
             assert "no scripted answer" in capsys.readouterr().err
         assert not (tmp_path / "cache" / "exemplars").exists()
+
+
+@pytest.fixture
+def index_loads(monkeypatch):
+    """Names of the index headers `VectorIndex.load` reads, in call order."""
+    names = []
+    load = VectorIndex.load.__func__
+
+    def spy(cls, path, provider=None):
+        names.append(Path(path).name)
+        return load(cls, path, provider=provider)
+
+    monkeypatch.setattr(VectorIndex, "load", classmethod(spy))
+    return names
+
+
+def build_shaped_env(tmp_path, dataset):
+    """`build_env` for another dataset's shape: PubMedQA's yes/no/maybe
+    options with a context, or MMLU-Med's subjects and `dev` pool."""
+    config, _, _ = build_env(tmp_path, n_test=1, n_pool=FEWSHOT_SIZE)
+    pool_split = corpus.POOL_SPLIT[dataset]
+
+    def shape(i, text):
+        if dataset is Dataset.PUBMEDQA:
+            return {"options": tuple(zip("ABC", corpus.PUBMEDQA_WORDS)),
+                    "context": f"Abstract {i} of {text}."}
+        return {"subject": corpus.MMLU_MED_SUBJECTS[i % len(corpus.MMLU_MED_SUBJECTS)]}
+
+    def items(split, n, text, gold):
+        return [make_item(i, split=split, dataset=dataset, question=f"{text} {i}?", gold=gold,
+                          **shape(i, text))
+                for i in range(n)]
+
+    test_items = items(Split.TEST, 6, "Exam question number", "B")
+    pool_items = items(pool_split, 30, "Drill question about area", "C")
+    write_normalized(test_items, tmp_path / "corpus" / dataset.value / "test.jsonl")
+    write_normalized(pool_items, tmp_path / "corpus" / dataset.value / f"{pool_split.value}.jsonl")
+    # The mocks key an answer by the question as the prompt shows it, context first.
+    (tmp_path / "policy.json").write_text(json.dumps({"policy": "gold", "answers": {
+        " ".join(filter(None, (it.context, it.question))): it.gold_text
+        for it in test_items + pool_items}}), encoding="utf-8")
+    return config
+
+
+class TestCoveredPass:
+    """A kNN pass whose every item the manifest and the CoT cache cover reads
+    neither index file: the manifest names each exemplar's pool line. An item
+    that is not covered loads the index before the first target call."""
+
+    command = staticmethod(TestExemplarManifest.command)
+    prompts = TestExemplarManifest.prompts
+    run_alone = TestExemplarManifest.run_alone
+
+    @staticmethod
+    def manifest_docs(root):
+        manifest = root / "cache" / "exemplars" / "medqa.jsonl"
+        return [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+
+    @staticmethod
+    def write_manifest(root, docs):
+        manifest = root / "cache" / "exemplars" / "medqa.jsonl"
+        manifest.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+
+    @pytest.mark.parametrize("stage", ["knn_fewshot_cot", "ensemble"])
+    def test_covered_pass_opens_neither_index_file(self, tmp_path, index_loads, stage):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        index_dir = tmp_path / "cache" / "index"
+        assert sorted(path.suffix for path in index_dir.iterdir()) == [".jsonl", ".npz"]
+        for path in index_dir.iterdir():
+            path.unlink()
+        index_dir.rmdir()
+        index_loads.clear()
+        assert main(self.command("run", config, "--stage", stage)) == 0
+        assert index_loads == []
+        assert not index_dir.exists()
+        assert self.prompts(tmp_path, stage) == self.run_alone(tmp_path / "alone", stage)
+
+    def test_manifest_rows_name_each_exemplar_line(self, tmp_path):
+        config, _, pool_items = build_env(tmp_path, n_test=4, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        header, *rows = self.manifest_docs(tmp_path)
+        assert header["schema"] == 2
+        assert header["provider_id"] == "builtin-tfidf-v1:dim=512"
+        line_of = {item.id: i for i, item in enumerate(pool_items)}
+        for row in rows:
+            assert row["lines"] == [line_of[i] for i in row["exemplars"]]
+
+    def test_limited_run_parses_only_its_items_exemplar_lines(self, tmp_path, parsed):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        _, *rows = self.manifest_docs(tmp_path)
+        parsed.clear()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
+                                 "--limit", "2")) == 0
+        assert sorted(parsed) == sorted({line for row in rows[:2] for line in row["lines"]})
+
+    def test_partly_covered_run_loads_the_index_before_the_first_target_call(
+            self, tmp_path, monkeypatch, capsys, index_loads):
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30)
+        assert main(self.command("gen-cot", config, "--limit", "2")) == 0
+        index_loads.clear()
+        # Target requests join the index loads in one list, in call order.
+        events = index_loads
+        wrap_endpoint(monkeypatch, "target-x", lambda endpoint: RecordingEndpoint(endpoint, events))
+        run = self.command("run", config, "--stage", "knn_fewshot_cot")
+        assert main(run) == 0
+        assert events[0] == "medqa.jsonl" and events.count("medqa.jsonl") == 1 and len(events) > 1
+        # A stale index still fails the pass before any target call.
+        (tmp_path / "out").rename(tmp_path / "out-first")
+        index_path = tmp_path / "cache" / "index" / "medqa.jsonl"
+        header, *rows = index_path.read_text(encoding="utf-8").splitlines()
+        header = {**json.loads(header), "pool_sha256": "0" * 64}
+        index_path.write_text("\n".join([json.dumps(header), *rows]) + "\n", encoding="utf-8")
+        events.clear()
+        capsys.readouterr()
+        assert main(run) == 2
+        assert "not built from the current" in capsys.readouterr().err
+        assert events == ["medqa.jsonl"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda ids, lines: (ids, [lines[1]] + lines[1:]),
+        lambda ids, lines: (ids, lines[:4] + [30]),
+        lambda ids, lines: (ids, lines[:4] + [-1]),
+        lambda ids, lines: (ids, lines[:4] + [str(lines[4])]),
+        lambda ids, lines: (ids, lines[:4]),
+        lambda ids, lines: (ids[:4], lines[:4]),
+    ], ids=["wrong-line", "line-past-the-end", "negative-line", "line-not-a-number",
+            "line-missing", "four-ids"])
+    def test_row_that_disagrees_with_the_pool_is_ignored(self, tmp_path, caplog, index_loads,
+                                                         edit):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        header, *rows = self.manifest_docs(tmp_path)
+        ids, lines = edit(rows[5]["exemplars"], rows[5]["lines"])
+        rows[5] = {**rows[5], "exemplars": ids, "lines": lines}
+        self.write_manifest(tmp_path, [header, *rows])
+        index_loads.clear()
+        with caplog.at_level("WARNING"):
+            assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert caplog.text.count("ignoring corrupt exemplar manifest") == 1
+        assert index_loads == ["medqa.jsonl"]
+        assert self.prompts(tmp_path) == self.run_alone(tmp_path / "alone")
+
+    def test_exemplar_in_the_test_split_is_refused(self, tmp_path, capsys, index_loads):
+        config, test_items, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        header, *rows = self.manifest_docs(tmp_path)
+        # A test item past `--limit` takes an exemplar's id; a manifest naming
+        # the new test split's bytes still lists that exemplar.
+        leaked = replace(test_items[0], id=rows[0]["exemplars"][0], question="A leaked question?")
+        test_path = tmp_path / "corpus" / "medqa" / "test.jsonl"
+        write_normalized(test_items + [leaked], test_path)
+        header["test_sha256"] = hashlib.sha256(test_path.read_bytes()).hexdigest()
+        self.write_manifest(tmp_path, [header, *rows])
+        index_loads.clear()
+        capsys.readouterr()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
+                                 "--limit", "20")) == 2
+        assert "pool overlaps test split on 1 ids" in capsys.readouterr().err
+        assert index_loads == []
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+
+    @pytest.mark.parametrize("name", ["pubmedqa", "mmlu_med"])
+    def test_other_dataset_shapes(self, tmp_path, index_loads, name):
+        dataset = Dataset(name)
+
+        def knn_prompts(root, warm):
+            config = build_shaped_env(root, dataset)
+            command = ["--config", str(config), "--dataset", dataset.value]
+            if warm:
+                assert main(["gen-cot", *command]) == 0
+                index_loads.clear()
+            assert main(["run", *command, "--stage", "knn_fewshot_cot"]) == 0
+            rows = trace_rows(root / "out" / dataset.value / "knn_fewshot_cot.trace.jsonl")
+            assert all(row["correct"] for row in rows)
+            return {row["item_id"]: row["per_run"][0]["prompt_sha256"] for row in rows}
+
+        warm = knn_prompts(tmp_path / "warm", warm=True)
+        assert index_loads == []
+        assert len(set(warm.values())) == 6
+        assert warm == knn_prompts(tmp_path / "alone", warm=False)
 
 
 class RecordingEndpoint:
@@ -1296,7 +1520,7 @@ class TestPoolLineDigest:
         assert used & rewritten and used - rewritten
         assert sorted(serialized) == sorted(used & rewritten)
 
-    def test_item_reingested_under_the_same_id_misses(self, tmp_path, monkeypatch):
+    def test_item_reingested_under_the_same_id_misses(self, tmp_path, monkeypatch, index_loads):
         config, _, pool_items = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(TestExemplarManifest.command("gen-cot", config)) == 0
         # Another pool that reuses an exemplar's id for other text writes that
@@ -1308,8 +1532,11 @@ class TestPoolLineDigest:
         teacher.CotCache(tmp_path / "cache").put(other, "About the edited item.", fp)
         calls = []
         wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
+        index_loads.clear()
         assert main(TestExemplarManifest.command("run", config, "--stage",
                                                  "knn_fewshot_cot")) == 0
+        # A row failing its digest check leaves its items uncovered.
+        assert index_loads == ["medqa.jsonl"]
         assert [request.prompt for request in calls] == [teacher_prompt(original)]
         assert (TestExemplarManifest().prompts(tmp_path)
                 == TestExemplarManifest().run_alone(tmp_path / "alone"))
