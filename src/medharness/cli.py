@@ -91,10 +91,10 @@ def _index_path(config: RunConfig, dataset: Dataset) -> Path:
     return config.cache_dir / "index" / f"{dataset.value}.jsonl"
 
 
-def _embedding_provider(config: RunConfig):
+def _embedding_provider(config: RunConfig, dry_run: bool = False):
     if config.embedding is None:
         return None
-    endpoint = build_endpoint(config.embedding, config.retry)
+    endpoint = _DryRunEmbedder() if dry_run else build_endpoint(config.embedding, config.retry)
     return RemoteProvider(endpoint, config.embedding.model_id)
 
 
@@ -163,11 +163,14 @@ class _Sources:
     that sends them to the target. Unless it is a dry run, the `target:`
     block such a command needs, the `teacher:` block a chain-of-thought stage
     needs and the `embedding:` block a kNN stage needs are checked on
-    construction, so a fault in any of them fails before any call.
+    construction, so a fault in any of them fails before any call. A dry run
+    calls no endpoint and writes nothing: where it would need a teacher call,
+    an embedding call or an index build, it stops with a `ConfigError` naming
+    the command to run first. It reads the manifest row of its first item only.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
-                 allow_teacher: bool = True, writes_manifest: bool = False,
+                 dry_run: bool = False, writes_manifest: bool = False,
                  stages: tuple[Stage, ...] = (), runs_target: bool = False):
         self.config = config
         self.dataset = dataset
@@ -176,17 +179,18 @@ class _Sources:
         all_items = read_normalized(self.test_file)
         self.test_ids = {item.id for item in all_items}
         self.items = _limited(all_items, limit)
-        self.allow_teacher = allow_teacher
+        self._listed = {item.id for item in (self.items[:1] if dry_run else self.items)}
+        self.dry_run = dry_run
         self.writes_manifest = writes_manifest
         self.cache = CotCache(config.cache_dir)
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._opened: list = []
-        if allow_teacher and runs_target:
+        if not dry_run and runs_target:
             check_endpoint(config.target)
-        if allow_teacher and config.embedding is not None and any(s.knn for s in stages):
+        if not dry_run and config.embedding is not None and any(s.knn for s in stages):
             check_endpoint(config.embedding)
-        if allow_teacher and any(s.cot for s in stages):
+        if not dry_run and any(s.cot for s in stages):
             _ = self.teacher
 
     def __enter__(self) -> "_Sources":
@@ -212,8 +216,12 @@ class _Sources:
         """The pool's index, loaded if built from the pool file's current
         bytes; `pool_items` then maps every pool id."""
         path = _index_path(self.config, self.dataset)
-        provider = _embedding_provider(self.config)
-        self._opened.append(provider)
+        if self.dry_run and not path.exists():
+            raise ConfigError("dry run would need to build the index; "
+                              "run `index` or `gen-cot` first")
+        provider = _embedding_provider(self.config, self.dry_run)
+        if not self.dry_run:
+            self._opened.append(provider)
         if not path.exists():
             index = _build_index(self.config, self.dataset, self.pool_questions,
                                  self.pool_file.sha256, provider)
@@ -231,9 +239,9 @@ class _Sources:
 
     @cached_property
     def teacher(self) -> _Teacher:
-        if self.allow_teacher and self.config.teacher is None:
+        if not self.dry_run and self.config.teacher is None:
             raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
-        return _Teacher(self.config, self._opened if self.allow_teacher else None)
+        return _Teacher(self.config, None if self.dry_run else self._opened)
 
     @cached_property
     def teacher_key(self) -> str:
@@ -263,11 +271,11 @@ class _Sources:
 
     @cached_property
     def manifest(self) -> dict[str, tuple[str, ...]]:
-        """Exemplar ids per command item from `gen-cot`'s manifest, if it
-        matches, each placed in `pool_items` and checked against the test
-        split's ids."""
+        """Exemplar ids per command item (a dry run's first item) from
+        `gen-cot`'s manifest, if it matches, each placed in `pool_items` and
+        checked against the test split's ids."""
         manifest = load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                          self.pool_items, {item.id for item in self.items},
+                                          self.pool_items, self._listed,
                                           warn_stale=not self.writes_manifest)
         self.store.check_disjoint(self.dataset, sorted({exemplar_id for ids in manifest.values()
                                                         for exemplar_id in ids}), self.test_ids)
@@ -439,6 +447,14 @@ def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
     return report
 
 
+class _DryRunEmbedder:
+    """Embedding endpoint stand-in for dry runs: a call is refused."""
+
+    def embed_batch(self, texts, model):
+        raise ConfigError("dry run would need an embedding call; run `gen-cot` first "
+                          "so the exemplar manifest covers the item")
+
+
 class _Sent(Exception):
     """The request `_DryRunTarget` was asked to send."""
 
@@ -488,7 +504,7 @@ def run(config_path: Path, dataset_name: str, stage_name: str, resume: bool, dry
     config = load_config(config_path)
     dataset = _dataset(dataset_name)
     stage = Stage(stage_name)
-    with _Sources(config, dataset, limit, allow_teacher=not dry_run,
+    with _Sources(config, dataset, limit, dry_run=dry_run,
                   stages=(stage,), runs_target=True) as sources:
         if dry_run:
             _print_dry_run(sources, stage)

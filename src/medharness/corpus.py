@@ -27,6 +27,7 @@ import json
 import os
 import string
 import tempfile
+import threading
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -53,8 +54,7 @@ __all__ = [
     "write_atomically",
     "write_headed",
     "read_headed",
-    "scan_jsonl",
-    "mend_tail",
+    "AppendLog",
     "MMLU_MED_SUBJECTS",
     "PUBMEDQA_WORDS",
     "POOL_SPLIT",
@@ -515,42 +515,68 @@ def read_headed(path: str | Path) -> tuple[dict, list]:
     return header, json.loads("[" + ",".join(row for row in rows if row.strip()) + "]")
 
 
-def scan_jsonl(path: Path, corrupt) -> tuple[list[tuple[int, object]], tuple[int, bytes] | None]:
-    """The (line number, parsed value) pairs of an append-only JSON-lines file,
-    plus how to mend its tail before appending.
+# One encoder for every append log: `json.dumps` with options builds one per call.
+_encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
-    A last line that lacks its newline and does not parse is a write cut
-    short by a crash; it is skipped. Any other line that does not parse is
-    passed to `corrupt(lineno, exc)`, which may raise. The mend is None for a
-    file that ends in a newline, else (offset, tail) for `mend_tail`: a torn
-    last line is cut off, a last row that parses gets its newline back. A
-    missing file has no rows.
+
+class AppendLog:
+    """An append-only JSON-lines file, read once on construction.
+
+    `rows` holds what `check` returns for each row; `check` raises ValueError
+    to refuse one. A last line that lacks its newline and does not parse is a
+    write cut short by a crash and is skipped; any other line that does not
+    parse or that `check` refuses goes to `corrupt(path, lineno, exc)`, which
+    may raise. The first `appending()` cuts that torn line off, or gives a
+    last row its missing newline.
     """
-    rows: list[tuple[int, object]] = []
-    if not path.exists():
-        return rows, None
-    offset, line = 0, b"\n"
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            start, offset = offset, offset + len(line)
-            if not line.strip():
-                continue
-            try:
-                rows.append((lineno, json.loads(line)))
-            except ValueError as exc:
-                if not line.endswith(b"\n"):
-                    return rows, (start, b"")
-                corrupt(lineno, exc)
-    return rows, None if line.endswith(b"\n") else (offset, b"\n")
 
+    def __init__(self, path: str | Path, check, corrupt):
+        self.path = Path(path)
+        self.rows: list = []
+        self._mend: tuple[int, bytes] | None = None
+        self._lock = threading.Lock()
+        if not self.path.exists():
+            return
+        offset, line = 0, b"\n"
+        with open(self.path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except ValueError as exc:
+                    if not line.endswith(b"\n"):
+                        self._mend = (start, b"")
+                        return
+                    corrupt(self.path, lineno, exc)
+                    continue
+                try:
+                    self.rows.append(check(row))
+                except ValueError as exc:
+                    corrupt(self.path, lineno, exc)
+        if not line.endswith(b"\n"):
+            self._mend = (offset, b"\n")
 
-def mend_tail(path: Path, mend: tuple[int, bytes]) -> None:
-    """Cut the file at `mend`'s offset and write its tail there (see `scan_jsonl`)."""
-    offset, tail = mend
-    with open(path, "rb+") as f:
-        f.truncate(offset)
-        f.seek(offset)
-        f.write(tail)
+    @contextmanager
+    def appending(self):
+        """Open the file once and yield `append(row)`, which writes the row as
+        one JSON line, keys sorted and non-ASCII kept, in one unbuffered write
+        under the log's lock."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab", buffering=0) as f:
+            with self._lock:
+                if self._mend is not None:
+                    f.truncate(self._mend[0])
+                    f.write(self._mend[1])
+                    self._mend = None
+
+            def append(row) -> None:
+                line = (_encode_row(row) + "\n").encode("utf-8")
+                with self._lock:
+                    f.write(line)
+
+            yield append
 
 
 def write_normalized(items: list[McqItem], path: str | Path) -> str:

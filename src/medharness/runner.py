@@ -25,13 +25,12 @@ by skipping the item ids already present.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem, mend_tail, scan_jsonl
+from .corpus import AppendLog, McqItem
 from .errors import ConfigError, EndpointError
 from .modelgw import GenerationRequest, HttpEndpoint, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
@@ -257,27 +256,22 @@ def answer_stage_item(
 
 
 def read_trace(trace_path: str | Path) -> list[dict]:
-    """The rows of a trace, in file order.
-
-    A last line that lacks its newline and does not parse is a write cut
-    short by a crash; it is skipped, so the item runs again on resume. A
-    corrupt line anywhere else, or a row that is not an object with a string
-    `item_id` and `stage`, is an error.
-    """
-    return _scan_trace(Path(trace_path))[0]
+    """The rows of a trace, in file order. A torn last line (see `AppendLog`)
+    is skipped, so its item runs again on resume; a corrupt line anywhere
+    else, or a row that is not an object with a string `item_id` and
+    `stage`, is an error."""
+    return AppendLog(trace_path, _trace_row, _corrupt_trace).rows
 
 
-def _scan_trace(path: Path) -> tuple[list[dict], tuple[int, bytes] | None]:
-    """`read_trace`'s rows, plus the tail mend `scan_jsonl` returns."""
-    def corrupt(lineno: int, exc: ValueError) -> None:
-        raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
+def _trace_row(row) -> dict:
+    if not (isinstance(row, dict) and isinstance(row.get("item_id"), str)
+            and isinstance(row.get("stage"), str)):
+        raise ValueError("not an object with a string item_id and stage")
+    return row
 
-    rows, mend = scan_jsonl(path, corrupt)
-    for lineno, row in rows:
-        if not (isinstance(row, dict) and isinstance(row.get("item_id"), str)
-                and isinstance(row.get("stage"), str)):
-            corrupt(lineno, ValueError("not an object with a string item_id and stage"))
-    return [row for _, row in rows], mend
+
+def _corrupt_trace(path: Path, lineno: int, exc: ValueError) -> None:
+    raise ConfigError(f"{path}:{lineno}: corrupt trace row: {exc}") from exc
 
 
 def run_benchmark(
@@ -305,10 +299,10 @@ def run_benchmark(
     An item whose every try failed in transport gets no row: its
     `EndpointError` ends the run, and a resumed run asks for it again.
 
-    The stage opens the trace once, after mending a torn tail once, and
-    writes and flushes each row under one lock, so a row is on disk before
-    the next is written. The file closes on every exit path, after every
-    item thread has ended: an error or Ctrl-C leaves only complete rows.
+    The stage appends to the trace through one `AppendLog` handle, so a row
+    is on disk before the next is written. The file closes on every exit
+    path, after every item thread has ended: an error or Ctrl-C leaves only
+    complete rows.
 
     `concurrency` items are answered at a time, with one exception: an
     ensemble of more than one run against an `HttpEndpoint` at concurrency
@@ -320,14 +314,13 @@ def run_benchmark(
     items: their calls hold the interpreter lock.
     Returns the trace rows for all requested items, in item order.
     """
-    trace_path = Path(trace_path)
-    existing, mend = _scan_trace(trace_path)
-    for row in existing:
+    trace = AppendLog(trace_path, _trace_row, _corrupt_trace)
+    for row in trace.rows:
         if row["stage"] != stage.value:
             raise ConfigError(
                 f"{trace_path}: trace holds stage {row['stage']!r}, expected {stage.value!r}"
             )
-    done = {row["item_id"] for row in existing}
+    done = {row["item_id"] for row in trace.rows}
     todo = [item for item in items if item.id not in done]
     if todo and done and not resume:
         raise ConfigError(
@@ -335,12 +328,8 @@ def run_benchmark(
             f"resume the run or remove the trace"
         )
 
-    rows_by_id = {row["item_id"]: row for row in existing}
+    rows_by_id = {row["item_id"]: row for row in trace.rows}
     if todo:
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        if mend is not None:
-            mend_tail(trace_path, mend)
-        write_lock = threading.Lock()
         width = concurrency
         if (concurrency > 1 and stage is Stage.ENSEMBLE and ensemble.n_runs > 1
                 and isinstance(endpoint, HttpEndpoint)):
@@ -349,8 +338,6 @@ def run_benchmark(
         # The parts of the last exemplar list handed out: a random stage's one
         # fixed list builds its head once for the whole stage.
         last_parts: _SharedParts | None = None
-        # One encoder per stage; `json.dumps` with options builds one per row.
-        encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
         def handle(item: McqItem) -> None:
             nonlocal last_parts
@@ -363,14 +350,12 @@ def run_benchmark(
                 item, stage, instruction, exemplars, endpoint, seed=seed,
                 ensemble=ensemble, max_tries=max_tries, shared=shared,
             )
-            with write_lock:
-                trace.write(encode_row(row) + "\n")
-                trace.flush()
-                rows_by_id[row["item_id"]] = row
+            append(row)
+            rows_by_id[row["item_id"]] = row
 
         # Every item thread has ended before the trace closes: the item pool
         # waits for its running items, also after an error or Ctrl-C.
-        with open(trace_path, "a", encoding="utf-8") as trace:
+        with trace.appending() as append:
             if concurrency <= 1:
                 for item in todo:
                     handle(item)

@@ -13,7 +13,6 @@ template, so reruns never re-pay teacher calls.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 import threading
@@ -22,7 +21,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import McqItem, PoolView, mend_tail, read_headed, scan_jsonl, write_headed
+from .corpus import AppendLog, McqItem, PoolView, read_headed, write_headed
 from .errors import DataError
 from .modelgw import GenerationRequest, MAX_COT_MAX_TOKENS, complete
 from .parsing import extract_answer, extract_explanation
@@ -81,8 +80,7 @@ class CotCache:
     line, when the caller has it: a match means the line is the canonical
     JSON `put` digested, so the item need not be serialized again. Any other
     line (keys reordered, spaces added) falls back to the canonical digest.
-    A corrupt row reads as a miss and logs a warning; a last line cut short
-    by a crash is skipped, and cut off before the next append.
+    The file is an `AppendLog`: a corrupt row reads as a miss and logs a warning.
 
     The instance keeps the last exemplar per (fingerprint, id): the one
     `get` built, or the one `put` made for the explanation it wrote, so the
@@ -95,9 +93,8 @@ class CotCache:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self._lock = threading.Lock()
-        # fingerprint -> item id -> (item digest, explanation)
-        self._entries: dict[str, dict[str, tuple[str, str]]] = {}
-        self._mends: dict[str, tuple[int, bytes] | None] = {}
+        # fingerprint -> (its file, item id -> (item digest, explanation))
+        self._files: dict[str, tuple[AppendLog, dict[str, tuple[str, str]]]] = {}
         # The last exemplar per (fingerprint, id), returned again for the same
         # item object without digesting it again.
         self._hits: dict[tuple[str, str], CotExemplar] = {}
@@ -105,34 +102,14 @@ class CotCache:
         self._accepted: dict[tuple[str, str], tuple[CotExemplar, TeacherOutcome]] = {}
         self._verdicts: dict[tuple[str, str], Future] = {}
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / "cot" / f"{fingerprint}.jsonl"
-
-    def _loaded(self, fingerprint: str) -> dict[str, tuple[str, str]]:
-        """The fingerprint's entries, read from disk on first use; call under the lock."""
-        entries = self._entries.get(fingerprint)
-        if entries is not None:
-            return entries
-        path = self._path(fingerprint)
-
-        def corrupt(lineno: int, problem) -> None:
-            log.warning("discarding corrupt cache row %s:%d: %s", path, lineno, problem)
-
-        entries = {}
-        rows, self._mends[fingerprint] = scan_jsonl(path, corrupt)
-        for lineno, row in rows:
-            try:
-                item_id, digest, explanation = row["id"], row["item_sha256"], row["explanation"]
-                if not all(isinstance(v, str) for v in (item_id, digest, explanation)):
-                    raise TypeError("id, item_sha256 and explanation must be strings")
-                if not explanation.strip():
-                    raise ValueError("empty explanation")
-            except (KeyError, TypeError, ValueError) as exc:
-                corrupt(lineno, repr(exc))
-                continue
-            entries[item_id] = (digest, explanation)
-        self._entries[fingerprint] = entries
-        return entries
+    def _loaded(self, fingerprint: str) -> tuple[AppendLog, dict[str, tuple[str, str]]]:
+        """The fingerprint's file and entries, read on first use; call under the lock."""
+        if fingerprint not in self._files:
+            cache_file = AppendLog(self.cache_dir / "cot" / f"{fingerprint}.jsonl",
+                                   _cache_entry, _discard_corrupt)
+            self._files[fingerprint] = cache_file, {
+                item_id: (digest, text) for item_id, digest, text in cache_file.rows}
+        return self._files[fingerprint]
 
     def get(self, item: McqItem, fingerprint: str, line: str | None = None
             ) -> CotExemplar | None:
@@ -143,7 +120,7 @@ class CotCache:
             hit = self._hits.get(key)
             if hit is not None and hit.item is item:
                 return hit
-            entry = self._loaded(fingerprint).get(item.id)
+            entry = self._loaded(fingerprint)[1].get(item.id)
         if entry is None:
             return None
         digest = entry[0]
@@ -158,17 +135,10 @@ class CotCache:
         """Append the item's verified explanation; return the exemplar now kept for it."""
         hit = CotExemplar(item=item, explanation=explanation, verified=True)
         digest = _sha256(item.canonical_json())
-        row = {"id": item.id, "item_sha256": digest, "explanation": explanation}
-        line = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-        path = self._path(fingerprint)
         with self._lock:
-            entries = self._loaded(fingerprint)
-            mend = self._mends.pop(fingerprint, None)
-            if mend is not None:
-                mend_tail(path, mend)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "ab", buffering=0) as f:
-                f.write(line)
+            cache_file, entries = self._loaded(fingerprint)
+            with cache_file.appending() as append:
+                append({"id": item.id, "item_sha256": digest, "explanation": explanation})
             entries[item.id] = (digest, explanation)
             self._hits[(fingerprint, item.id)] = hit
         return hit
@@ -217,6 +187,23 @@ class CotCache:
                 del self._verdicts[key]
                 self._accepted[key] = accepted
         return result
+
+
+def _cache_entry(row) -> tuple[str, str, str]:
+    """A cache row's id, item digest and explanation: strings, the last not blank."""
+    try:
+        entry = row["id"], row["item_sha256"], row["explanation"]
+        if not all(isinstance(v, str) for v in entry):
+            raise TypeError("id, item_sha256 and explanation must be strings")
+        if not entry[2].strip():
+            raise ValueError("empty explanation")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(repr(exc)) from exc
+    return entry
+
+
+def _discard_corrupt(path: Path, lineno: int, exc: ValueError) -> None:
+    log.warning("discarding corrupt cache row %s:%d: %s", path, lineno, exc)
 
 
 def _cache_hit(exemplar: CotExemplar) -> TeacherOutcome:

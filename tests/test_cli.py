@@ -771,7 +771,7 @@ class TestExemplarManifest:
         """Ranking calls, teacher calls and CoT cache files read, by name."""
         seen = {"ranked": [], "teacher": [], "cache_reads": []}
         rank_all, nearest_many = VectorIndex.rank_all, VectorIndex.nearest_many
-        scan_jsonl = teacher.scan_jsonl
+        read_log = corpus.AppendLog.__init__
 
         def rank_spy(index, *args, **kwargs):
             seen["ranked"].append("rank_all")
@@ -790,14 +790,15 @@ class TestExemplarManifest:
                 seen["teacher"].append(request.prompt)
                 return self.endpoint.complete(request)
 
-        def scan_spy(path, corrupt):
-            seen["cache_reads"].append(Path(path).name)
-            return scan_jsonl(path, corrupt)
+        def read_spy(appends, path, check, corrupt):
+            if Path(path).parent.name == "cot":
+                seen["cache_reads"].append(Path(path).name)
+            read_log(appends, path, check, corrupt)
 
         monkeypatch.setattr(VectorIndex, "rank_all", rank_spy)
         monkeypatch.setattr(VectorIndex, "nearest_many", nearest_spy)
         wrap_endpoint(monkeypatch, "teacher-x", CountingTeacher)
-        monkeypatch.setattr(teacher, "scan_jsonl", scan_spy)
+        monkeypatch.setattr(corpus.AppendLog, "__init__", read_spy)
         return seen
 
     def prompts(self, root, stage="knn_fewshot_cot"):
@@ -1566,16 +1567,17 @@ class TestTraceWriter:
 
     @pytest.fixture
     def handles(self, monkeypatch):
-        """The files `run_benchmark` opens, and what was raised where no caller
-        could see it (a file closed only by the garbage collector)."""
+        """The trace files opened for appending, and what was raised where no
+        caller could see it (a file closed only by the garbage collector)."""
         opened, unraisable = [], []
 
-        def spy(*args, **kwargs):
-            f = open(*args, **kwargs)
-            opened.append(f)
+        def spy(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if Path(file).name.endswith(".trace.jsonl") and "a" in mode:
+                opened.append(f)
             return f
 
-        monkeypatch.setattr(runner, "open", spy, raising=False)
+        monkeypatch.setattr(corpus, "open", spy, raising=False)
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         return opened, unraisable
 
@@ -1692,6 +1694,90 @@ class TestDryRunRequest:
         assert prompt == first.prompt
         assert (f"temperature: {first.temperature}  max_tokens: {first.max_tokens}  "
                 f"stop: {json.dumps(list(first.stop_sequences))}  seed: {first.seed}\n") in params
+
+
+class EmbeddingHandler(BaseHTTPRequestHandler):
+    """Embeddings server: each input's vector comes from its text's digest.
+    `server.paths` logs the path of every request."""
+
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["input"]
+        self.server.paths.append(self.path)
+        body = json.dumps({"data": [
+            {"index": i, "embedding": [1.0 + b for b in hashlib.sha256(text.encode()).digest()[:8]]}
+            for i, text in enumerate(texts)]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.fixture
+def embedding_server():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), EmbeddingHandler)
+    httpd.paths = []
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+
+
+def files_under(root):
+    """Each file under `root` with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+class TestDryRunCallsNothing:
+    """A dry run calls no endpoint and writes no file: where it would need an
+    index build, an embedding call or a teacher call, it exits 1 naming the
+    command to run first."""
+
+    @pytest.mark.parametrize("stage", ["knn_fewshot_cot", "ensemble"])
+    def test_builtin_embedder_without_an_index_builds_none(self, tmp_path, capsys, stage):
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30)
+        before = files_under(tmp_path)
+        assert main(TestExemplarManifest.command("run", config, "--stage", stage,
+                                                 "--dry-run")) == 1
+        assert "run `index` or `gen-cot` first" in capsys.readouterr().err
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["no-index", "indexed"])
+    def test_embedding_endpoint_is_never_called(self, tmp_path, capsys, embedding_server,
+                                                indexed):
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30, config_extra={"embedding": {
+            "url": f"http://127.0.0.1:{embedding_server.server_address[1]}",
+            "model": "embedder"}})
+        if indexed:
+            assert main(TestExemplarManifest.command("index", config)) == 0
+            assert len(embedding_server.paths) == 30
+        embedding_server.paths.clear()
+        capsys.readouterr()
+        before = files_under(tmp_path)
+        assert main(TestExemplarManifest.command("run", config, "--stage", "knn_fewshot_cot",
+                                                 "--dry-run")) == 1
+        err = capsys.readouterr().err
+        assert ("run `gen-cot` first" if indexed else "run `index` or `gen-cot` first") in err
+        assert embedding_server.paths == []
+        assert files_under(tmp_path) == before
+
+    def test_reads_only_its_first_items_manifest_row(self, tmp_path, parsed, capsys):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        manifest = tmp_path / "cache" / "exemplars" / "medqa.jsonl"
+        _, first, *_ = [json.loads(line) for line in manifest.read_text().splitlines()]
+        parsed.clear()
+        capsys.readouterr()
+        assert main(TestExemplarManifest.command("run", config, "--stage", "knn_fewshot_cot",
+                                                 "--dry-run")) == 0
+        assert parsed == first["lines"]
+        assert capsys.readouterr().out.partition("\n---\n")[0].endswith("### Explanation:")
 
 
 class TestIndexedPool:

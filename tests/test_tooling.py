@@ -193,6 +193,32 @@ def test_whole_files_are_written_only_in_corpus():
     assert found == []
 
 
+def test_files_are_appended_and_cut_only_in_corpus():
+    """Outside `corpus.py` the package appends to a file only through
+    `corpus.AppendLog`, the one place that knows how a torn last row is read
+    and mended: no `open`, `fdopen` or `Path.open` in an append or update
+    mode (`a`, `+`), or in a mode that is not a literal, and no `truncate`."""
+    found = []
+    for path in (ROOT / "src" / "medharness").glob("*.py"):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            # `open(file, mode)`, `os.fdopen(fd, mode)` and `io.open(...)`; `path.open(mode)`.
+            method = (isinstance(node.func, ast.Attribute)
+                      and getattr(node.func.value, "id", None) not in ("os", "io"))
+            modes = (node.args[:1] if method else node.args[1:2]) + [
+                kw.value for kw in node.keywords if kw.arg == "mode"]
+            appends = name in ("open", "fdopen") and any(
+                not isinstance(mode, ast.Constant) or set("a+") & set(str(mode.value))
+                for mode in modes)
+            if name == "truncate" or appends:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 # Process-wide memos the package keeps on purpose, each counted once per
 # use: answer-extraction patterns compiled once per label set, and the
 # package's own default instructions. Neither depends on a command's inputs.
