@@ -21,9 +21,9 @@ from pathlib import Path
 import click
 
 from .config import (
+    EndpointConfig,
     RunConfig,
     build_endpoint,
-    check_endpoint,
     config_fingerprint,
     instruction_for,
     load_config,
@@ -91,22 +91,19 @@ def _index_path(config: RunConfig, dataset: Dataset) -> Path:
     return config.cache_dir / "index" / f"{dataset.value}.jsonl"
 
 
-def _embedding_provider(config: RunConfig, dry_run: bool = False):
-    if config.embedding is None:
-        return None
-    endpoint = _DryRunEmbedder() if dry_run else build_endpoint(config.embedding, config.retry)
-    return RemoteProvider(endpoint, config.embedding.model_id)
+def _embedding_provider(config: RunConfig, embedder):
+    """The provider that embeds through `embedder`; None, the builtin one,
+    when the config has no `embedding:` block."""
+    return None if config.embedding is None else RemoteProvider(embedder, config.embedding.model_id)
 
 
 def _provider_id(config: RunConfig) -> str:
-    """The id of the provider `_embedding_provider` gives, without opening an endpoint."""
-    if config.embedding is None:
-        return BuiltinProvider().provider_id
-    return RemoteProvider(None, config.embedding.model_id).provider_id
+    """The id of the provider `_embedding_provider` gives."""
+    return (_embedding_provider(config, None) or BuiltinProvider()).provider_id
 
 
 def _close(resource) -> None:
-    """Close an endpoint or embedding provider; in-process ones hold nothing to close."""
+    """Close an endpoint; in-process ones hold nothing to close."""
     close = getattr(resource, "close", None)
     if close is not None:
         close()
@@ -130,11 +127,12 @@ def index_cmd(config_path: Path, dataset_name: str):
     source = store.pool_file(dataset)
     pool = source.questions()
     store.check_disjoint(dataset, [record.id for record in pool])
-    provider = _embedding_provider(config)
+    embedder = build_endpoint(config.embedding, config.retry) if config.embedding else None
     try:
-        index = _build_index(config, dataset, pool, source.sha256, provider)
+        index = _build_index(config, dataset, pool, source.sha256,
+                             _embedding_provider(config, embedder))
     finally:
-        _close(provider)
+        _close(embedder)
     click.echo(f"{dataset.value}: indexed {len(index)} pool items "
                f"({index.provider.provider_id}) -> {_index_path(config, dataset)}")
 
@@ -144,29 +142,30 @@ class _Sources:
 
     The test split is read on construction; the pool file, its index and the
     exemplar manifest on first use. The teacher's fingerprint and the
-    embedding provider's id come from the config, and the teacher's endpoint
-    is opened only by its first call (`_Teacher`), so a stage the manifest
-    and the cache fully cover never opens it, nor the index. Stages parse
-    only the pool items they look up: random stages by the ids
+    embedding provider's id come from the config, so a stage the manifest
+    and the cache fully cover calls no teacher and opens no index. Stages
+    parse only the pool items they look up: random stages by the ids
     `CorpusFile.questions` reads, kNN stages at the lines the manifest
     records or by the ids of an index built from the pool file's exact
     bytes. kNN exemplars are built once per test item and kept, so the kNN
     and ensemble stages of one `ablate` share them; query vectors live only
     until their item's exemplars are built.
     `outcomes` collects the outcome of every candidate the providers asked
-    the teacher about; cache hits are not kept. Used as a context manager,
-    it closes the endpoints it opened.
+    the teacher about; cache hits are not kept.
 
     `writes_manifest` marks a command that replaces the exemplar manifest,
     so a stale one is ignored without a warning. `stages` are the stages the
     command runs or builds exemplars for, and `runs_target` marks a command
-    that sends them to the target. Unless it is a dry run, the `target:`
-    block such a command needs, the `teacher:` block a chain-of-thought stage
-    needs and the `embedding:` block a kNN stage needs are checked on
-    construction, so a fault in any of them fails before any call. A dry run
-    calls no endpoint and writes nothing: where it would need a teacher call,
-    an embedding call or an index build, it stops with a `ConfigError` naming
-    the command to run first. It reads the manifest row of its first item only.
+    that sends them to the target. Construction builds, once for the
+    command, the endpoints those stages need: `target` for such a command,
+    `embedder` for a kNN stage when the config has an `embedding:` block and
+    `teacher` for a chain-of-thought stage. Building an endpoint is its
+    check, so a fault in any block fails before any call; an endpoint
+    acquires nothing before its first call, and used as a context manager
+    `_Sources` closes them all. A dry run builds none and calls nothing:
+    its teacher and embedder refuse every call with a `ConfigError` naming
+    the command to run first, as an index build does. It reads the manifest
+    row of its first item only.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
@@ -185,20 +184,34 @@ class _Sources:
         self.cache = CotCache(config.cache_dir)
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
-        self._opened: list = []
-        if not dry_run and runs_target:
-            check_endpoint(config.target)
-        if not dry_run and config.embedding is not None and any(s.knn for s in stages):
-            check_endpoint(config.embedding)
-        if not dry_run and any(s.cot for s in stages):
-            _ = self.teacher
+        self._built: list = []
+        self.target = self._build(config.target) if runs_target and not dry_run else None
+        self.embedder = self.teacher = None
+        if config.embedding is not None and any(s.knn for s in stages):
+            self.embedder = self._build(config.embedding, "dry run would need an embedding call; "
+                                        "run `gen-cot` first so the exemplar manifest covers "
+                                        "the item")
+        if any(s.cot for s in stages):
+            if config.teacher is None and not dry_run:
+                raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
+            self.teacher = self._build(config.teacher, "dry run would need a teacher call; "
+                                       "run `gen-cot` first to warm the cache")
+
+    def _build(self, spec: EndpointConfig | None, dry_run_hint: str = ""):
+        """The endpoint `spec` describes, closed on exit; in a dry run, a
+        stand-in refusing every call with `dry_run_hint`."""
+        if self.dry_run:
+            return _DryRun(spec.model_id if spec else "none", dry_run_hint)
+        endpoint = build_endpoint(spec, self.config.retry)
+        self._built.append(endpoint)
+        return endpoint
 
     def __enter__(self) -> "_Sources":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for resource in self._opened:
-            _close(resource)
+        for endpoint in self._built:
+            _close(endpoint)
 
     @cached_property
     def pool_file(self) -> CorpusFile:
@@ -219,9 +232,7 @@ class _Sources:
         if self.dry_run and not path.exists():
             raise ConfigError("dry run would need to build the index; "
                               "run `index` or `gen-cot` first")
-        provider = _embedding_provider(self.config, self.dry_run)
-        if not self.dry_run:
-            self._opened.append(provider)
+        provider = _embedding_provider(self.config, self.embedder)
         if not path.exists():
             index = _build_index(self.config, self.dataset, self.pool_questions,
                                  self.pool_file.sha256, provider)
@@ -238,15 +249,10 @@ class _Sources:
         return index
 
     @cached_property
-    def teacher(self) -> _Teacher:
-        if not self.dry_run and self.config.teacher is None:
-            raise ConfigError("this stage needs a teacher endpoint; add a `teacher:` block")
-        return _Teacher(self.config, None if self.dry_run else self._opened)
-
-    @cached_property
     def teacher_key(self) -> str:
         """The teacher fingerprint that keys the CoT cache and the manifest."""
-        return teacher_fingerprint(self.teacher.model_id)
+        return teacher_fingerprint(self.config.teacher.model_id if self.config.teacher
+                                   else "none")
 
     @cached_property
     def pool_items(self) -> PoolView:
@@ -310,11 +316,9 @@ class _Sources:
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
-        # Resolved before the workers start, so they share one of each and a
-        # missing `teacher:` block fails before the first target call: the
+        # Resolved before the workers start, so they share one of each: the
         # items the manifest and the cache cover take their exemplars now,
         # and the index is loaded only if one item is not covered.
-        _ = self.teacher
         if not all(item.id in self._knn or self.manifest_exemplars(item) is not None
                    for item in items):
             _ = self.index
@@ -358,41 +362,6 @@ class _Sources:
         return provider
 
 
-class _Teacher:
-    """The config's teacher endpoint, opened by its first call.
-
-    `model_id` is the config's, so the CoT cache and the manifest are keyed
-    without opening the endpoint. Concurrent first calls open it once, under
-    a lock, and add it to `opened` for `_Sources` to close. A block that
-    `check_endpoint` refuses fails on construction, before any target call. With
-    `opened` None (dry runs) every call is a configuration error, and a
-    config with no `teacher:` block reads as model "none".
-    """
-
-    def __init__(self, config: RunConfig, opened: list | None):
-        self._config = config
-        self._opened = opened
-        self._lock = threading.Lock()
-        self._endpoint = None
-        self.model_id = config.teacher.model_id if config.teacher else "none"
-        if opened is not None:
-            check_endpoint(config.teacher)
-
-    def _open(self):
-        with self._lock:
-            if self._endpoint is None:
-                self._endpoint = build_endpoint(self._config.teacher, self._config.retry)
-                self._opened.append(self._endpoint)
-            return self._endpoint
-
-    def complete(self, request):
-        if self._opened is None:
-            raise ConfigError(
-                "dry run would need a teacher call; run `gen-cot` first to warm the cache"
-            )
-        return self._open().complete(request)
-
-
 def _trace_path(config: RunConfig, dataset: Dataset, stage: Stage) -> Path:
     return config.output_dir / dataset.value / f"{stage.value}.trace.jsonl"
 
@@ -414,21 +383,17 @@ def _run_stage(sources: _Sources, stage: Stage, resume: bool) -> dict:
     instruction = instruction_for(config, dataset)
     provider = sources.exemplars_for(stage, items)
     trace_path = _trace_path(config, dataset, stage)
-    target = build_endpoint(config.target, config.retry)
-    try:
-        rows = run_benchmark(
-            items,
-            stage,
-            target,
-            instruction,
-            provider,
-            trace_path,
-            concurrency=config.concurrency,
-            resume=resume,
-            **_answer_options(config),
-        )
-    finally:
-        _close(target)
+    rows = run_benchmark(
+        items,
+        stage,
+        sources.target,
+        instruction,
+        provider,
+        trace_path,
+        concurrency=config.concurrency,
+        resume=resume,
+        **_answer_options(config),
+    )
     report = _stage_report(sources, stage, rows)
     click.echo(
         f"{dataset.value}/{stage.value}: {report['accuracy_percent']:.1f}% "
@@ -447,12 +412,18 @@ def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
     return report
 
 
-class _DryRunEmbedder:
-    """Embedding endpoint stand-in for dry runs: a call is refused."""
+class _DryRun:
+    """Teacher or embedder stand-in for dry runs: a call is refused with `hint`."""
+
+    def __init__(self, model_id: str, hint: str):
+        self.model_id = model_id
+        self.hint = hint
+
+    def complete(self, request):
+        raise ConfigError(self.hint)
 
     def embed_batch(self, texts, model):
-        raise ConfigError("dry run would need an embedding call; run `gen-cot` first "
-                          "so the exemplar manifest covers the item")
+        raise ConfigError(self.hint)
 
 
 class _Sent(Exception):

@@ -22,8 +22,7 @@ import yaml
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .modelgw import (DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file, read_credential,
-                      split_url)
+from .modelgw import DEFAULT_TIMEOUT, HttpEndpoint, RetryPolicy, mock_from_file
 from .promptkit import template_fingerprint
 from .runner import EnsembleConfig, MAX_VALIDITY_TRIES
 
@@ -35,7 +34,6 @@ __all__ = [
     "instruction_for",
     "config_fingerprint",
     "build_endpoint",
-    "check_endpoint",
 ]
 
 BUILTIN_EMBEDDING = "builtin"
@@ -122,6 +120,15 @@ def _under(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _section(raw: dict, key: str, context: str) -> dict:
+    """The mapping under `key`, empty if unset or empty; any other value is a
+    ConfigError."""
+    section = raw.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context}: expected a mapping")
+    return section
+
+
 def _endpoint_block(block, context: str, base: Path) -> EndpointConfig:
     """One endpoint block; a relative `mock:` policy path is taken from `base`."""
     if not isinstance(block, dict):
@@ -163,14 +170,14 @@ def load_config(path: str | Path) -> RunConfig:
         str(path),
     )
 
-    ensemble_raw = raw.get("ensemble", {}) or {}
+    ensemble_raw = _section(raw, "ensemble", f"{path}: ensemble")
     _check_keys(ensemble_raw, {"runs", "temperature"}, f"{path}: ensemble")
     ensemble = EnsembleConfig(**_given(ensemble_raw, f"{path}: ensemble", {
         "runs": ("n_runs", partial(_integer, minimum=1)),
         "temperature": ("temperature", _finite),
     }))
 
-    retry_raw = raw.get("retry", {}) or {}
+    retry_raw = _section(raw, "retry", f"{path}: retry")
     _check_keys(retry_raw, {"max_retries", "backoff_base", "backoff_cap"}, f"{path}: retry")
     retry = RetryPolicy(**_given(retry_raw, f"{path}: retry", {
         "max_retries": ("max_retries", partial(_integer, minimum=0)),
@@ -258,22 +265,12 @@ def config_fingerprint(config: RunConfig, dataset: Dataset) -> str:
 
 
 def build_endpoint(spec: EndpointConfig, retry: RetryPolicy):
-    """Open the endpoint a config block describes: a `mock:<policy.json>` URL
-    runs in process, any other is HTTP."""
+    """The endpoint a config block describes: a `mock:<policy.json>` URL runs
+    in process, any other is HTTP. Building it is the block's check: a missing
+    policy file, a malformed URL or an unset credential variable fails here.
+    It acquires nothing until its first call, which opens the first HTTP
+    connection or parses the policy file."""
     if spec.url.startswith("mock:"):
         return mock_from_file(spec.url[len("mock:"):], spec.model_id)
     return HttpEndpoint(spec.url, spec.model_id, api_key_env=spec.api_key_env,
                         timeout=spec.timeout, retry=retry)
-
-
-def check_endpoint(spec: EndpointConfig) -> None:
-    """Fail as `build_endpoint(spec)` would on a missing `mock:` policy file,
-    a malformed URL or an unset credential variable, without opening the
-    endpoint: a policy file is only looked for, never parsed."""
-    if spec.url.startswith("mock:"):
-        path = Path(spec.url[len("mock:"):])
-        if not path.exists():
-            raise ConfigError(f"mock policy file missing: {path}")
-    else:
-        split_url(spec.url)
-        read_credential(spec.api_key_env)

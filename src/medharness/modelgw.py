@@ -37,8 +37,6 @@ __all__ = [
     "complete",
     "default_max_tokens",
     "mock_from_file",
-    "read_credential",
-    "split_url",
     "parse_prompt_tail",
     "GoldAnswerPolicy",
     "GarbagePolicy",
@@ -106,30 +104,6 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * 2.0 ** exponent)
 
 
-def read_credential(api_key_env: str | None) -> str | None:
-    """The key held by the environment variable `api_key_env` names, None if
-    it names none; a named variable that is unset or empty is a ConfigError."""
-    if not api_key_env:
-        return None
-    key = os.environ.get(api_key_env)
-    if not key:
-        raise ConfigError(f"credential variable {api_key_env} is not set")
-    return key
-
-
-def split_url(url: str) -> tuple[str, str, int | None, str]:
-    """The scheme, host, port and path of an endpoint URL, trailing slashes
-    dropped; anything but http(s)://host[:port][/path] is a ConfigError."""
-    parts = urlsplit(url.rstrip("/"))
-    try:
-        host, port = parts.hostname, parts.port
-    except ValueError:
-        host = None
-    if parts.scheme not in ("http", "https") or not host:
-        raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], got {url!r}")
-    return parts.scheme, host, port, parts.path
-
-
 class HttpEndpoint:
     """Completions/embeddings endpoint over HTTP(S), on stdlib `http.client`.
 
@@ -139,6 +113,10 @@ class HttpEndpoint:
     connections never outnumber calls in flight. Proxy environment variables
     are not read, and HTTPS verifies against the system CA store. `close`
     closes the idle connections.
+
+    Construction opens nothing: it refuses a URL other than
+    http(s)://host[:port][/path] and an `api_key_env` naming an unset or
+    empty variable, and the first call opens the first connection.
     """
 
     def __init__(
@@ -154,15 +132,25 @@ class HttpEndpoint:
         import http.client
 
         self.base_url = base_url.rstrip("/")
-        scheme, host, port, self._path_prefix = split_url(base_url)
+        parts = urlsplit(self.base_url)
+        try:
+            host, port = parts.hostname, parts.port
+        except ValueError:
+            host = None
+        if parts.scheme not in ("http", "https") or not host:
+            raise ConfigError(f"endpoint URL must be http(s)://host[:port][/path], "
+                              f"got {base_url!r}")
+        self._path_prefix = parts.path
         self.model_id = model_id
         self.retry = retry
         self._sleep = time.sleep  # the backoff wait; tests record it instead
         self._headers = {"Content-Type": "application/json"}
-        key = read_credential(api_key_env)
-        if key is not None:
+        if api_key_env:
+            key = os.environ.get(api_key_env)
+            if not key:
+                raise ConfigError(f"credential variable {api_key_env} is not set")
             self._headers["Authorization"] = f"Bearer {key}"
-        connection_class = (http.client.HTTPSConnection if scheme == "https"
+        connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
                             else http.client.HTTPConnection)
         self._open = functools.partial(connection_class, host, port, timeout=timeout)
         self._idle: list = []
@@ -471,15 +459,48 @@ _POLICY_REGISTRY = {
 
 
 def mock_from_file(path: str | Path, model_id: str) -> MockEndpoint:
-    """The in-process endpoint answering as `model_id` from the policy file at `path`."""
+    """The in-process endpoint answering as `model_id` from the policy file at
+    `path`. The file must exist now; the endpoint's first call reads it and
+    builds the policy, so an endpoint never called never parses it."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"mock policy file missing: {path}")
-    spec = json.loads(path.read_text(encoding="utf-8"))
+    return MockEndpoint(_PolicyFile(path), model_id)
+
+
+class _PolicyFile:
+    """The policy a `mock:` file describes, read and built by the first call, once."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._policy = None
+        self._lock = threading.Lock()
+
+    def __call__(self, request: GenerationRequest, occurrence: int) -> str:
+        if self._policy is None:
+            with self._lock:
+                if self._policy is None:
+                    self._policy = _read_policy(self.path)
+        return self._policy(request, occurrence)
+
+
+def _read_policy(path: Path):
+    """The policy the JSON object in `path` names. A body that is not a JSON
+    object, an unknown `policy` or a missing key the policy needs is a
+    ConfigError naming the file."""
+    try:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"mock policy file {path} is not readable JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"mock policy file {path} must hold a JSON object")
     name = spec.get("policy")
     if name not in _POLICY_REGISTRY:
         raise ConfigError(f"unknown mock policy {name!r} in {path}")
-    return MockEndpoint(_POLICY_REGISTRY[name](spec), model_id)
+    try:
+        return _POLICY_REGISTRY[name](spec)
+    except KeyError as exc:
+        raise ConfigError(f"mock policy {name!r} in {path} needs key {exc}") from None
 
 
 def complete(request: GenerationRequest, endpoint) -> GenerationResponse:

@@ -177,9 +177,6 @@ class RemoteProvider:
     def provider_id(self) -> str:
         return f"remote:{self.model}"
 
-    def close(self) -> None:
-        self.endpoint.close()
-
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise DataError("cannot embed empty text")

@@ -24,6 +24,7 @@ from medharness.corpus import (CorpusFile, CorpusManifest, CorpusStore, Dataset,
                                Split, write_normalized)
 from medharness.errors import ConfigError, DataError, EndpointError
 from medharness.modelgw import HttpEndpoint, parse_prompt_tail
+from medharness.parsing import INVALID
 from medharness.retrieval import VectorIndex
 from medharness.promptkit import FEWSHOT_SIZE, shuffle_options, teacher_prompt
 from medharness.runner import Stage
@@ -644,6 +645,38 @@ class TestExitCodes:
         assert code == 1
         assert "No such option '--concurrency'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, section", [
+        ({"ensemble": 5}, "ensemble"),
+        ({"retry": 3}, "retry"),
+        ({"ensemble": ["runs"]}, "ensemble"),
+    ])
+    def test_config_section_that_is_not_a_mapping_is_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch, extra, section):
+        config, _, _ = build_env(tmp_path, config_extra=extra)
+        monkeypatch.setattr(cli, "build_endpoint", lambda *args: pytest.fail("endpoint opened"))
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        assert f"{section}: expected a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ("not json", "is not readable JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"policy": "gold"}', "needs key 'answers'"),
+    ], ids=["not-json", "not-an-object", "missing-key"])
+    def test_malformed_mock_policy_is_config_error(self, tmp_path, capsys, body, message):
+        config, _, _ = build_env(tmp_path)
+        policy = tmp_path / "policy.json"
+        policy.write_text(body, encoding="utf-8")
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"mock policy file {policy}" in err or f"in {policy}" in err
+        assert message in err
+        trace = tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl"
+        assert not trace.exists() or trace.read_text(encoding="utf-8") == ""
+
     @pytest.mark.parametrize("seed", [-7, 2**40])
     def test_any_integer_seed_is_accepted(self, tmp_path, capsys, seed):
         config, _, _ = build_env(tmp_path, config_extra={"seed": seed})
@@ -1157,6 +1190,81 @@ class TestCoveredPass:
         assert warm == knn_prompts(tmp_path / "alone", warm=False)
 
 
+class TestEveryDatasetThroughTheCli:
+    """`index`, `gen-cot`, `ablate` and `report` on MedMCQA, PubMedQA and
+    MMLU-Med shaped corpora, with a gold teacher: a gold target scores 100%
+    on every stage, and a garbage one 0%, every row invalid after exactly
+    `max_validity_tries` tries per run."""
+
+    N_TEST = 12
+
+    def build(self, tmp_path, dataset, target_policy):
+        pool_split = corpus.POOL_SPLIT[dataset]
+
+        def shape(i, text):
+            if dataset is Dataset.PUBMEDQA:
+                return {"options": tuple(zip("ABC", corpus.PUBMEDQA_WORDS)),
+                        "context": f"Abstract {i} of {text}."}
+            if dataset is Dataset.MMLU_MED:
+                return {"subject": corpus.MMLU_MED_SUBJECTS[i % len(corpus.MMLU_MED_SUBJECTS)]}
+            return {}
+
+        def items(split, n, text, gold):
+            return [make_item(i, split=split, dataset=dataset, question=f"{text} {i}?",
+                              gold=gold, **shape(i, text))
+                    for i in range(n)]
+
+        test_items = items(Split.TEST, self.N_TEST, "Exam question number", "B")
+        pool_items = items(pool_split, 30, "Drill question about area", "C")
+        corpus_dir = tmp_path / "corpus" / dataset.value
+        write_normalized(test_items, corpus_dir / "test.jsonl")
+        write_normalized(pool_items, corpus_dir / f"{pool_split.value}.jsonl")
+        # The mocks key an answer by the question as the prompt shows it, context first.
+        gold = {"policy": "gold", "answers": {
+            " ".join(filter(None, (it.context, it.question))): it.gold_text
+            for it in test_items + pool_items}}
+        for name, spec in (("teacher", gold), ("target", {**gold, "policy": target_policy})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({
+            "corpus_dir": "corpus", "output_dir": "out", "cache_dir": "cache",
+            "target": {"url": "mock:target.json", "model": "target-x"},
+            "teacher": {"url": "mock:teacher.json", "model": "teacher-x"},
+        }), encoding="utf-8")
+        return config
+
+    @pytest.mark.parametrize("policy", ["gold", "garbage"])
+    @pytest.mark.parametrize("name", ["medmcqa", "pubmedqa", "mmlu_med"])
+    def test_ladder(self, tmp_path, name, policy):
+        config = self.build(tmp_path, Dataset(name), policy)
+        for command in ("index", "gen-cot", "ablate", "report"):
+            assert main([command, "--config", str(config), "--dataset", name]) == 0
+        out = tmp_path / "out" / name
+        percent = 100.0 if policy == "gold" else 0.0
+        table = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
+        assert [row["accuracy_percent"] for row in table["rows"]] == [percent] * 5
+        tries = load_config(config).max_validity_tries
+        for stage in cli.STAGE_NAMES:
+            rows = trace_rows(out / f"{stage}.trace.jsonl")
+            assert len(rows) == self.N_TEST
+            if policy == "gold":
+                assert all(row["correct"] for row in rows)
+            else:
+                assert {row["decision"] for row in rows} == {INVALID}
+                assert {run["tries"] for row in rows for run in row["per_run"]} == {tries}
+        if name == "mmlu_med":
+            subjects = json.loads((out / "subjects.json").read_text(encoding="utf-8"))
+            counts = {subject: (stats["n_items"], stats["n_correct"])
+                      for subject, stats in subjects["subjects"].items()}
+            # Twelve items over nine subjects: the first three get two each.
+            n_items = {subject: 2 if i < 3 else 1
+                       for i, subject in enumerate(corpus.MMLU_MED_SUBJECTS)}
+            assert counts == {subject: (n, n if policy == "gold" else 0)
+                              for subject, n in n_items.items()}
+        else:
+            assert not (out / "subjects.json").exists()
+
+
 class RecordingEndpoint:
     """`wrap_endpoint`'s wrapper that appends each request to `requests` and
     counts its closes."""
@@ -1174,35 +1282,35 @@ class RecordingEndpoint:
         self.closed += 1
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The endpoints commands build, in order, as (model id, endpoint)."""
+    endpoints = []
+    build_endpoint = cli.build_endpoint
+
+    def spy(spec, retry):
+        endpoint = RecordingEndpoint(build_endpoint(spec, retry))
+        endpoints.append((spec.model_id, endpoint))
+        return endpoint
+
+    monkeypatch.setattr(cli, "build_endpoint", spy)
+    return endpoints
+
+
 class TestTeacherOpenedOnFirstCall:
-    """The teacher endpoint is opened by its first call, so a stage the manifest
-    and the cache cover never opens it; a missing `teacher:` block still fails
-    before any target call."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The endpoints commands open, in order, as (model id, endpoint)."""
-        opened = []
-        build_endpoint = cli.build_endpoint
-
-        def spy(spec, retry):
-            if spec.model_id == "teacher-x":
-                time.sleep(0.02)  # widen the window concurrent first calls race in
-            endpoint = RecordingEndpoint(build_endpoint(spec, retry))
-            opened.append((spec.model_id, endpoint))
-            return endpoint
-
-        monkeypatch.setattr(cli, "build_endpoint", spy)
-        return opened
+    """The teacher endpoint acquires nothing before its first call, so a stage
+    the manifest and the cache cover makes no teacher call; a missing or bad
+    `teacher:` block still fails before any target call."""
 
     @pytest.mark.parametrize("stage", ["knn_fewshot_cot", "ensemble"])
-    def test_covered_stage_opens_no_teacher(self, tmp_path, built, stage):
+    def test_covered_stage_makes_no_teacher_call(self, tmp_path, built, stage):
         config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(TestExemplarManifest.command("gen-cot", config)) == 0
         assert [model for model, _ in built] == ["teacher-x"]
         built.clear()
         assert main(TestExemplarManifest.command("run", config, "--stage", stage)) == 0
-        assert [model for model, _ in built] == ["target-x"]
+        calls = {model: len(endpoint.requests) for model, endpoint in built}
+        assert calls["teacher-x"] == 0 and calls["target-x"] >= 20
 
     def test_covered_stage_never_parses_the_teacher_policy(self, tmp_path):
         # The up-front check only looks for the policy file.
@@ -1313,6 +1421,21 @@ class TestTeacherOpenedOnFirstCall:
         monkeypatch.delenv("MEDHARNESS_TEST_UNSET_KEY", raising=False)
         assert main(TestExemplarManifest.command("run", config, "--stage",
                                                  "knn_fewshot_cot")) == 0
+
+
+class TestEndpointsBuiltOnce:
+    """A command builds each endpoint it needs once, when it starts, and
+    closes each once: `ablate`'s five stages share one target."""
+
+    def test_ablate_builds_and_closes_each_endpoint_once(self, tmp_path, built):
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        assert main(TestExemplarManifest.command("ablate", config)) == 0
+        assert sorted(model for model, _ in built) == ["target-x", "teacher-x"]
+        assert [endpoint.closed for _, endpoint in built] == [1, 1]
+        [target] = [endpoint for model, endpoint in built if model == "target-x"]
+        assert len(target.requests) == sum(
+            row["n_calls"] for stage in cli.STAGE_NAMES
+            for row in trace_rows(tmp_path / "out" / "medqa" / f"{stage}.trace.jsonl"))
 
 
 class TestEmbeddingPreflight:

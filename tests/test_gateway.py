@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import golden_data as gd
+from medharness import modelgw
 from medharness.config import EndpointConfig, build_endpoint
 from medharness.errors import ConfigError, EndpointError
 from medharness.modelgw import (
@@ -565,10 +566,58 @@ class TestMockFromFile:
 
     def test_unknown_policy_name(self, tmp_path):
         path = tmp_path / "policy.json"
+        request = GenerationRequest(model_id="m", prompt=assemble_prompt(
+            Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text)
         for name in ("nonsense", "fixed_text", "sequence"):
             path.write_text(json.dumps({"policy": name}), encoding="utf-8")
+            endpoint = mock_from_file(path, "m")
             with pytest.raises(ConfigError, match=f"unknown mock policy '{name}'"):
-                mock_from_file(path, "m")
+                endpoint.complete(request)
+
+    def test_policy_is_read_once_by_the_first_call(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text("not yet a policy", encoding="utf-8")
+        endpoint = mock_from_file(path, "m")
+        path.write_text(json.dumps({"policy": "gold", "answers": {
+            gd.TEST_ITEM.question: gd.TEST_ITEM.gold_text}}), encoding="utf-8")
+        request = GenerationRequest(model_id="m", prompt=assemble_prompt(
+            Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text)
+        expected = "### Answer: (B) Patellofemoral cartilage"
+        assert endpoint.complete(request).text == expected
+        path.unlink()
+        assert endpoint.complete(request).text == expected
+
+    def test_concurrent_first_calls_read_the_policy_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"policy": "gold", "answers": {
+            gd.TEST_ITEM.question: gd.TEST_ITEM.gold_text}}), encoding="utf-8")
+        reads = []
+        read_policy = modelgw._read_policy
+
+        def spy(policy_path):
+            reads.append(policy_path)
+            time.sleep(0.01)  # widen the window concurrent first calls race in
+            return read_policy(policy_path)
+
+        monkeypatch.setattr(modelgw, "_read_policy", spy)
+        endpoint = mock_from_file(path, "m")
+        request = GenerationRequest(model_id="m", prompt=assemble_prompt(
+            Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text)
+        texts = []
+        threads = [threading.Thread(target=lambda: texts.append(endpoint.complete(request).text))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reads == [path]
+        assert texts == ["### Answer: (B) Patellofemoral cartilage"] * 8
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):

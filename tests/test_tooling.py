@@ -281,3 +281,20 @@ def test_threads_start_in_one_place():
                 if name in THREAD_MAKERS:
                     found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
     assert found == ["runner.py run_benchmark ThreadPoolExecutor"]
+
+
+def test_endpoints_are_built_in_one_place():
+    """Within the package only `config.build_endpoint` constructs an endpoint
+    from a config block, so one function decides what building one checks
+    and nothing else decides when an endpoint acquires anything."""
+    found = []
+    for path in sorted((ROOT / "src" / "medharness").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("HttpEndpoint", "mock_from_file"):
+                    found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
+    assert sorted(found) == ["config.py build_endpoint HttpEndpoint",
+                             "config.py build_endpoint mock_from_file"]
