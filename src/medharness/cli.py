@@ -44,7 +44,7 @@ from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvide
                         build_index)
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
 from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
-                      load_exemplar_manifest, save_exemplar_manifest, teacher_fingerprint)
+                      load_exemplar_manifest, save_exemplar_manifest)
 
 STAGE_NAMES = [stage.value for stage in LADDER]
 
@@ -141,15 +141,16 @@ class _Sources:
     """What one command's stages draw on, each read or built at most once.
 
     The test split is read on construction; the pool file, its index and the
-    exemplar manifest on first use. The teacher's fingerprint and the
-    embedding provider's id come from the config, so a stage the manifest
-    and the cache fully cover calls no teacher and opens no index. Stages
-    parse only the pool items they look up: random stages by the ids
-    `CorpusFile.questions` reads, kNN stages at the lines the manifest
-    records or by the ids of an index built from the pool file's exact
-    bytes. kNN exemplars are built once per test item and kept, so the kNN
-    and ensemble stages of one `ablate` share them; query vectors live only
-    until their item's exemplars are built.
+    exemplar manifest on first use. `cache` is the CoT cache of the config's
+    teacher model (`"none"` without a `teacher:` block); its fingerprint
+    heads the manifest. It and the embedding provider's id come from the
+    config, so a stage the manifest and the cache fully cover calls no
+    teacher and opens no index. Stages parse only the pool items they look
+    up: random stages by the ids `CorpusFile.questions` reads, kNN stages at
+    the lines the manifest records or by the ids of an index built from the
+    pool file's exact bytes. kNN exemplars are built once per test item and
+    kept, so the kNN and ensemble stages of one `ablate` share them; query
+    vectors live only until their item's exemplars are built.
     `outcomes` collects the outcome of every candidate the providers asked
     the teacher about; cache hits are not kept.
 
@@ -181,7 +182,8 @@ class _Sources:
         self._listed = {item.id for item in (self.items[:1] if dry_run else self.items)}
         self.dry_run = dry_run
         self.writes_manifest = writes_manifest
-        self.cache = CotCache(config.cache_dir)
+        self.cache = CotCache(config.cache_dir,
+                              config.teacher.model_id if config.teacher else "none")
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._built: list = []
@@ -249,12 +251,6 @@ class _Sources:
         return index
 
     @cached_property
-    def teacher_key(self) -> str:
-        """The teacher fingerprint that keys the CoT cache and the manifest."""
-        return teacher_fingerprint(self.config.teacher.model_id if self.config.teacher
-                                   else "none")
-
-    @cached_property
     def pool_items(self) -> PoolView:
         """The kNN stages' pool items: those the manifest lists, at its lines,
         and every one once the index is loaded."""
@@ -271,7 +267,7 @@ class _Sources:
             "schema": 2,
             "pool_sha256": self.pool_file.sha256,
             "provider_id": _provider_id(self.config),
-            "teacher": self.teacher_key,
+            "teacher": self.cache.fingerprint,
             "test_sha256": self.test_file.sha256,
         }
 
@@ -292,7 +288,7 @@ class _Sources:
         the manifest lists the item and every one of its exemplars is cached."""
         exemplars = []
         for exemplar_id in self.manifest.get(item.id, ()):
-            exemplar = self.cache.get(self.pool_items[exemplar_id], self.teacher_key,
+            exemplar = self.cache.get(self.pool_items[exemplar_id],
                                       line=self.pool_items.line(exemplar_id))
             if exemplar is None:
                 return None

@@ -14,6 +14,7 @@ is never retried, whatever its text says.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -388,6 +389,9 @@ class StageTablePolicy:
     whether the exemplar questions match a designated set.
     """
 
+    # The prompt shapes `classify` tells apart: the ladder's stage names.
+    SHAPES = ("zero_shot", "random_fewshot", "random_fewshot_cot", "knn_fewshot_cot", "ensemble")
+
     def __init__(self, table: dict[str, dict], random_exemplar_questions: set[str]):
         # table[question] = {"gold": text, "wrong": text, "stages": [shape, ...]}
         self.table = dict(table)
@@ -423,20 +427,22 @@ class MockEndpoint:
 
     The policy receives the request plus how many times this exact prompt
     byte string has been seen before, so retry behavior can be scripted.
-    Thread-safe; counts every call.
+    Prompts are counted by their SHA-256 digest, so the endpoint keeps 32
+    bytes per distinct prompt, not its text. Thread-safe; counts every call.
     """
 
     def __init__(self, policy, model_id: str = "mock"):
         self.policy = policy
         self.model_id = model_id
         self.call_count = 0
-        self._occurrences: dict[str, int] = {}
+        self._occurrences: dict[bytes, int] = {}
         self._lock = threading.Lock()
 
     def complete(self, request: GenerationRequest) -> GenerationResponse:
+        key = hashlib.sha256(request.prompt.encode("utf-8", "surrogatepass")).digest()
         with self._lock:
-            n = self._occurrences.get(request.prompt, 0)
-            self._occurrences[request.prompt] = n + 1
+            n = self._occurrences.get(key, 0)
+            self._occurrences[key] = n + 1
             self.call_count += 1
         text = self.policy(request, n)
         return GenerationResponse(text=text, finish_reason="stop", usage={}, latency=0.0)
@@ -455,6 +461,34 @@ _POLICY_REGISTRY = {
     "stage_table": lambda spec: StageTablePolicy(
         spec["table"], set(spec["random_exemplar_questions"])
     ),
+}
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _string_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _table_rows(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(row, dict) and isinstance(row.get("gold"), str)
+        and isinstance(row.get("wrong"), str) and isinstance(row.get("stages"), list)
+        and all(shape in StageTablePolicy.SHAPES for shape in row["stages"])
+        for row in value.values())
+
+
+# What each policy key holds, wherever it appears: (check, description).
+_KEY_TYPES = {
+    "answers": (_string_map, "an object mapping strings to strings"),
+    "explanations": (_string_map, "an object mapping strings to strings"),
+    "fail_questions": (_strings, "a list of strings"),
+    "random_exemplar_questions": (_strings, "a list of strings"),
+    "n_wrong": (lambda v: type(v) is int and v >= 0, "an integer of at least 0"),
+    "table": (_table_rows, "an object of rows with string gold and wrong and a list of "
+                           f"stage names from {', '.join(StageTablePolicy.SHAPES)}"),
 }
 
 
@@ -486,8 +520,8 @@ class _PolicyFile:
 
 def _read_policy(path: Path):
     """The policy the JSON object in `path` names. A body that is not a JSON
-    object, an unknown `policy` or a missing key the policy needs is a
-    ConfigError naming the file."""
+    object, an unknown `policy`, a missing key the policy needs or a key not
+    of its `_KEY_TYPES` type is a ConfigError naming the file."""
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -497,6 +531,9 @@ def _read_policy(path: Path):
     name = spec.get("policy")
     if name not in _POLICY_REGISTRY:
         raise ConfigError(f"unknown mock policy {name!r} in {path}")
+    for key, (check, expected) in _KEY_TYPES.items():
+        if key in spec and not check(spec[key]):
+            raise ConfigError(f"mock policy {name!r} in {path}: {key!r} must be {expected}")
     try:
         return _POLICY_REGISTRY[name](spec)
     except KeyError as exc:

@@ -69,58 +69,57 @@ def _sha256(text: str) -> str:
 
 
 class CotCache:
-    """Verified explanations, one append-only JSON-lines file per teacher fingerprint.
+    """Verified explanations of one teacher, in one append-only JSON-lines file.
 
-    `cot/<fingerprint>.jsonl` holds one row per verified explanation: the
-    item id, the SHA-256 of the item's canonical JSON, and the explanation.
-    The file is read once per instance, on first use; for an id written
-    twice the last row wins. An entry is a hit only for an item with the
-    recorded digest, so an item re-ingested under the same id with other
-    text misses. `get` first compares the digest of the item's stripped pool
-    line, when the caller has it: a match means the line is the canonical
-    JSON `put` digested, so the item need not be serialized again. Any other
-    line (keys reordered, spaces added) falls back to the canonical digest.
-    The file is an `AppendLog`: a corrupt row reads as a miss and logs a warning.
+    The teacher's fingerprint (`teacher_fingerprint(teacher_model)`) is fixed
+    on construction and names the file, `cot/<fingerprint>.jsonl`, which
+    holds one row per verified explanation: the item id, the SHA-256 of the
+    item's canonical JSON, and the explanation. The file is read once per
+    instance, on first use; for an id written twice the last row wins. An
+    entry is a hit only for an item with the recorded digest, so an item
+    re-ingested under the same id with other text misses. `get` first
+    compares the digest of the item's stripped pool line, when the caller
+    has it: a match means the line is the canonical JSON `put` digested, so
+    the item need not be serialized again. Any other line (keys reordered,
+    spaces added) falls back to the canonical digest. The file is an
+    `AppendLog`: a corrupt row reads as a miss and logs a warning.
 
-    The instance keeps the last exemplar per (fingerprint, id): the one
-    `get` built, or the one `put` made for the explanation it wrote, so the
-    exemplar a teacher just verified is the one later uses of that item
-    object get back. `verify` asks the teacher about each item at most once
-    per instance, and answers an item object it already accepted from what
-    it kept: that exemplar and the cache-hit outcome reporting it.
+    The instance keeps the last exemplar per id: the one `get` built, or the
+    one `put` made for the explanation it wrote, so the exemplar a teacher
+    just verified is the one later uses of that item object get back.
+    `verify` asks the teacher about each item at most once per instance, and
+    answers an item object it already accepted from what it kept: that
+    exemplar and the cache-hit outcome reporting it, built once.
     """
 
-    def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
+    def __init__(self, cache_dir: str | Path, teacher_model: str):
+        self.teacher_model = teacher_model
+        self.fingerprint = teacher_fingerprint(teacher_model)
+        self.path = Path(cache_dir) / "cot" / f"{self.fingerprint}.jsonl"
         self._lock = threading.Lock()
-        # fingerprint -> (its file, item id -> (item digest, explanation))
-        self._files: dict[str, tuple[AppendLog, dict[str, tuple[str, str]]]] = {}
-        # The last exemplar per (fingerprint, id), returned again for the same
-        # item object without digesting it again.
-        self._hits: dict[tuple[str, str], CotExemplar] = {}
-        # `verify`'s answer for an item it accepted: (exemplar, cache-hit outcome).
-        self._accepted: dict[tuple[str, str], tuple[CotExemplar, TeacherOutcome]] = {}
-        self._verdicts: dict[tuple[str, str], Future] = {}
+        self._log: AppendLog | None = None
+        self._entries: dict[str, tuple[str, str]] = {}  # item id -> (item digest, explanation)
+        # item id -> the last exemplar kept for it, returned again for the same
+        # item object without digesting it again, and once `verify` has
+        # answered with it, the cache-hit outcome reporting it.
+        self._hits: dict[str, tuple[CotExemplar, TeacherOutcome | None]] = {}
+        self._verdicts: dict[str, Future] = {}
 
-    def _loaded(self, fingerprint: str) -> tuple[AppendLog, dict[str, tuple[str, str]]]:
-        """The fingerprint's file and entries, read on first use; call under the lock."""
-        if fingerprint not in self._files:
-            cache_file = AppendLog(self.cache_dir / "cot" / f"{fingerprint}.jsonl",
-                                   _cache_entry, _discard_corrupt)
-            self._files[fingerprint] = cache_file, {
-                item_id: (digest, text) for item_id, digest, text in cache_file.rows}
-        return self._files[fingerprint]
+    def _loaded(self) -> dict[str, tuple[str, str]]:
+        """The entries, read from the file on first use; call under the lock."""
+        if self._log is None:
+            self._log = AppendLog(self.path, _cache_entry, _discard_corrupt)
+            self._entries = {item_id: (digest, text) for item_id, digest, text in self._log.rows}
+        return self._entries
 
-    def get(self, item: McqItem, fingerprint: str, line: str | None = None
-            ) -> CotExemplar | None:
+    def get(self, item: McqItem, line: str | None = None) -> CotExemplar | None:
         """The item's cached exemplar, or None; `line` is the stripped pool
         line `item` was parsed from, if the caller has it."""
-        key = (fingerprint, item.id)
         with self._lock:
-            hit = self._hits.get(key)
-            if hit is not None and hit.item is item:
-                return hit
-            entry = self._loaded(fingerprint)[1].get(item.id)
+            kept = self._hits.get(item.id)
+            if kept is not None and kept[0].item is item:
+                return kept[0]
+            entry = self._loaded().get(item.id)
         if entry is None:
             return None
         digest = entry[0]
@@ -128,23 +127,22 @@ class CotCache:
             return None
         hit = CotExemplar(item=item, explanation=entry[1], verified=True)
         with self._lock:
-            self._hits[key] = hit
+            self._hits[item.id] = hit, None
         return hit
 
-    def put(self, item: McqItem, explanation: str, fingerprint: str) -> CotExemplar:
+    def put(self, item: McqItem, explanation: str) -> CotExemplar:
         """Append the item's verified explanation; return the exemplar now kept for it."""
         hit = CotExemplar(item=item, explanation=explanation, verified=True)
         digest = _sha256(item.canonical_json())
         with self._lock:
-            cache_file, entries = self._loaded(fingerprint)
-            with cache_file.appending() as append:
+            entries = self._loaded()
+            with self._log.appending() as append:
                 append({"id": item.id, "item_sha256": digest, "explanation": explanation})
             entries[item.id] = (digest, explanation)
-            self._hits[(fingerprint, item.id)] = hit
+            self._hits[item.id] = hit, None
         return hit
 
-    def verify(self, item: McqItem, teacher,
-               fingerprint: str) -> tuple[CotExemplar | None, TeacherOutcome]:
+    def verify(self, item: McqItem, teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
         """The item's exemplar from the cache, else from the teacher, once per instance.
 
         The first caller for an item does the work; callers arriving while it
@@ -153,39 +151,39 @@ class CotCache:
         thread timing. Reused acceptances read as cache hits: the same item
         object gets the kept exemplar and outcome back, with no new work.
         """
-        key = (fingerprint, item.id)
         with self._lock:
-            verdict = self._verdicts.get(key)
+            verdict = self._verdicts.get(item.id)
             first = verdict is None
             if first:
-                accepted = self._accepted.get(key)
-                if accepted is not None and accepted[0].item is item:
-                    return accepted
-                verdict = self._verdicts[key] = Future()
+                kept = self._hits.get(item.id)
+                if kept is not None and kept[0].item is item:
+                    if kept[1] is None:
+                        kept = self._hits[item.id] = kept[0], _cache_hit(kept[0])
+                    return kept
+                verdict = self._verdicts[item.id] = Future()
         if not first:
             exemplar, outcome = verdict.result()
             return exemplar, (outcome if exemplar is None else _cache_hit(exemplar))
         try:
-            hit = self.get(item, fingerprint)
+            hit = self.get(item)
             if hit is not None:
                 result = hit, _cache_hit(hit)
             else:
                 outcome = generate_cot(item, teacher)
-                exemplar = (self.put(item, outcome.explanation, fingerprint)
-                            if outcome.accepted else None)
-                result = exemplar, outcome
+                result = (self.put(item, outcome.explanation) if outcome.accepted else None,
+                          outcome)
         except BaseException as exc:
             verdict.set_exception(exc)
             raise
         verdict.set_result(result)
-        exemplar = result[0]
+        exemplar, outcome = result
         if exemplar is not None:
             # Accepted: from now on the kept answer serves the item, so only
             # rejections and errors keep their future.
-            accepted = result if result[1].from_cache else (exemplar, _cache_hit(exemplar))
             with self._lock:
-                del self._verdicts[key]
-                self._accepted[key] = accepted
+                del self._verdicts[item.id]
+                self._hits[item.id] = exemplar, (outcome if outcome.from_cache
+                                                 else _cache_hit(exemplar))
         return result
 
 
@@ -249,8 +247,10 @@ def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, Teache
 def _first_verified(candidates, teacher,
                     cache: CotCache | None) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
     """The first `FEWSHOT_SIZE` candidates that verify, in stream order; fewer
-    if the stream runs out. Candidates past the last acceptance are never drawn."""
-    fingerprint = teacher_fingerprint(teacher.model_id)
+    if the stream runs out. Candidates past the last acceptance are never drawn.
+    A cache of another teacher is refused."""
+    if cache is not None and cache.teacher_model != teacher.model_id:
+        raise ValueError(f"{teacher.model_id!r} cannot verify into {cache.teacher_model!r}'s cache")
     exemplars: list[CotExemplar] = []
     outcomes: list[TeacherOutcome] = []
     candidates = iter(candidates)
@@ -259,7 +259,7 @@ def _first_verified(candidates, teacher,
         if item is None:
             break
         if cache is not None:
-            exemplar, outcome = cache.verify(item, teacher, fingerprint)
+            exemplar, outcome = cache.verify(item, teacher)
         else:
             exemplar, outcome = _teacher_verdict(item, teacher)
         outcomes.append(outcome)

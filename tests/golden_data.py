@@ -1,7 +1,8 @@
 """Hand-written items and explanations behind the golden prompt fixtures.
 
-The byte-exact expected prompts live in tests/fixtures/prompts/; this module
-restates the items those files were written from. Change either side only
+The byte-exact expected prompts live in tests/fixtures/prompts/ and
+tests/fixtures/word_prompts/; this module restates the items those files
+were written from. Change either side only
 together, and only deliberately.
 """
 
@@ -145,6 +146,71 @@ def exemplar(item_id: str, cot: bool) -> CotExemplar:
         )
     return CotExemplar(item=POOL_BY_ID[item_id])
 
+
+# PubMedQA exemplars behind tests/fixtures/word_prompts/, in the order the
+# similarity prompt lists them: (id, context, question, gold, explanation).
+_PUBMEDQA_POOL_SPEC = [
+    (
+        "8000001",
+        "Forty adults with condition Y received drug X for 8 weeks in an open "
+        "trial. Symptom scores fell by half in 28 of them, and no serious adverse "
+        "events were recorded.",
+        "Is drug X tolerated by adults with condition Y?",
+        "A",
+        "No serious adverse events occurred in 40 treated adults over 8 weeks, "
+        "which supports tolerability in this population.",
+    ),
+    (
+        "8000002",
+        "In a cohort of 500 patients with condition Y, biomarker Z levels did not "
+        "differ between those who relapsed and those who stayed in remission "
+        "over two years of follow-up.",
+        "Does biomarker Z predict relapse in condition Y?",
+        "B",
+        "Biomarker Z levels were the same in relapsing and non-relapsing patients, "
+        "so the cohort gives no evidence that it predicts relapse.",
+    ),
+    (
+        "8000003",
+        "A pilot study of 12 children with condition Y found lower symptom scores "
+        "after drug X, but it had no control group and four children left the "
+        "study early.",
+        "Does drug X reduce symptoms in children with condition Y?",
+        "C",
+        "The scores fell, but with no control group and a third of the children "
+        "lost to follow-up the improvement cannot be attributed to drug X.",
+    ),
+    (
+        "8000004",
+        "Mice lacking gene W developed condition Y at twice the rate of wild-type "
+        "littermates, and restoring gene W expression returned the rate to "
+        "normal.",
+        "Does loss of gene W promote condition Y in mice?",
+        "A",
+        "Knocking out gene W doubled the rate of condition Y and restoring it "
+        "reversed the effect, which shows that its loss promotes the condition.",
+    ),
+    (
+        "8000005",
+        "A randomized trial of 300 adults found identical remission rates with "
+        "drug V and placebo after 12 weeks, with narrow confidence intervals.",
+        "Does drug V induce remission in adults with condition Y?",
+        "B",
+        "Remission rates were identical with drug V and placebo in a large, "
+        "precise trial, so drug V does not induce remission.",
+    ),
+]
+
+PUBMEDQA_EXEMPLARS = [
+    CotExemplar(
+        item=McqItem(id=item_id, dataset=Dataset.PUBMEDQA, split=Split.TRAIN,
+                     question=question, options=(("A", "yes"), ("B", "no"), ("C", "maybe")),
+                     gold=gold, context=context),
+        explanation=explanation,
+        verified=True,
+    )
+    for item_id, context, question, gold, explanation in _PUBMEDQA_POOL_SPEC
+]
 
 # Exemplar orders the fixture files were written with: the answer-only and
 # random chain-of-thought prompts list the pool in id order, the similarity

@@ -677,6 +677,42 @@ class TestExitCodes:
         trace = tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl"
         assert not trace.exists() or trace.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"policy": "gold", "answers": [1, 2]}, "answers"),
+        ({"policy": "gold", "answers": "abc"}, "answers"),
+        ({"policy": "gold", "answers": {"What?": 5}}, "answers"),
+        ({"policy": "gold", "answers": {}, "explanations": ["Because."]}, "explanations"),
+        ({"policy": "flaky_gold", "answers": {}, "n_wrong": "3"}, "n_wrong"),
+        ({"policy": "flaky_gold", "answers": {}, "n_wrong": -1}, "n_wrong"),
+        ({"policy": "flaky_gold", "answers": {}, "n_wrong": True}, "n_wrong"),
+        ({"policy": "flaky_gold", "answers": {}, "fail_questions": "What?"}, "fail_questions"),
+        ({"policy": "stage_table", "table": {}, "random_exemplar_questions": 5},
+         "random_exemplar_questions"),
+        ({"policy": "stage_table", "random_exemplar_questions": [],
+          "table": {"What?": {"gold": 1, "wrong": "b", "stages": []}}}, "table"),
+        ({"policy": "stage_table", "random_exemplar_questions": [],
+          "table": {"What?": {"gold": "a", "wrong": "b", "stages": "zero_shot"}}}, "table"),
+        ({"policy": "stage_table", "random_exemplar_questions": [],
+          "table": {"What?": {"gold": "a", "wrong": "b", "stages": ["knn"]}}}, "table"),
+        ({"policy": "stage_table", "random_exemplar_questions": [],
+          "table": {"What?": ["a", "b"]}}, "table"),
+    ], ids=["answers-list", "answers-string", "answer-not-string", "explanations-list",
+            "n_wrong-string", "n_wrong-negative", "n_wrong-bool", "fail_questions-string",
+            "random-questions-int", "table-gold-int", "table-stages-string",
+            "table-unknown-stage", "table-row-list"])
+    def test_mock_policy_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys,
+                                                                  spec, key):
+        config, _, _ = build_env(tmp_path)
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(spec), encoding="utf-8")
+        code = main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"in {policy}: {key!r} must be" in err
+        trace = tmp_path / "out" / "medqa" / "zero_shot.trace.jsonl"
+        assert not trace.exists() or trace.read_text(encoding="utf-8") == ""
+
     @pytest.mark.parametrize("seed", [-7, 2**40])
     def test_any_integer_seed_is_accepted(self, tmp_path, capsys, seed):
         config, _, _ = build_env(tmp_path, config_extra={"seed": seed})
@@ -1652,8 +1688,7 @@ class TestPoolLineDigest:
         exemplar_id = sorted(self.exemplar_ids(tmp_path))[0]
         original = next(item for item in pool_items if item.id == exemplar_id)
         other = replace(original, question=original.question + " Edited?")
-        fp = teacher_fingerprint("teacher-x")
-        teacher.CotCache(tmp_path / "cache").put(other, "About the edited item.", fp)
+        teacher.CotCache(tmp_path / "cache", "teacher-x").put(other, "About the edited item.")
         calls = []
         wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
         index_loads.clear()

@@ -1,5 +1,6 @@
 """Endpoint wire behavior, retry policy, token budgets, and scripted mocks."""
 
+import hashlib
 import json
 import socket
 import sys
@@ -513,6 +514,27 @@ class TestMockPolicies:
         third = complete(req, ep).text
         assert "(B)" not in first and "(B)" not in second
         assert third.endswith("### Answer: (B) Patellofemoral cartilage")
+
+    def test_prompts_are_counted_by_digest(self):
+        """The occurrence table holds each prompt's 32-byte SHA-256 digest,
+        not its text, and `flaky_gold` still counts per prompt."""
+        policy = FlakyGoldPolicy(
+            {gd.TEST_ITEM.question: gd.TEST_ITEM.gold_text},
+            fail_questions={gd.TEST_ITEM.question},
+            n_wrong=1,
+        )
+        ep = mock_model(policy)
+        teacher = GenerationRequest(model_id="mock", prompt=teacher_prompt(gd.TEST_ITEM))
+        zero_shot = GenerationRequest(model_id="mock", prompt=assemble_prompt(
+            Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM).text)
+        right = "(B) Patellofemoral cartilage"
+        assert right not in complete(teacher, ep).text
+        assert right not in complete(zero_shot, ep).text
+        assert right in complete(teacher, ep).text
+        assert right in complete(zero_shot, ep).text
+        assert sorted(ep._occurrences.values()) == [2, 2]
+        assert all(type(key) is bytes and len(key) == 32 for key in ep._occurrences)
+        assert hashlib.sha256(teacher.prompt.encode("utf-8")).digest() in ep._occurrences
 
     def test_stage_table_classification(self):
         # The classifier tells random from similarity few-shot by the exemplar

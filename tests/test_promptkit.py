@@ -86,6 +86,15 @@ class TestGoldenPrompts:
         )
         self.assert_matches("pubmedqa_zero_shot.txt", bundle.text)
 
+    def test_pubmedqa_knn_fewshot_cot(self):
+        """Word-answer exemplars: context before the question, the options as
+        `(yes) (no) (maybe)`, the answer as `### Answer: yes`. The fixture
+        lives beside the acceptance suite's fixture set, not in it."""
+        bundle = assemble_prompt(Stage.KNN_FEWSHOT_COT, gd.PUBMEDQA_INSTRUCTION,
+                                 gd.PUBMEDQA_EXEMPLARS, gd.PUBMEDQA_ITEM)
+        fixture = FIXTURES.parent / "word_prompts" / "pubmedqa_knn_fewshot_cot.txt"
+        assert bundle.text.encode("utf-8") + b"\n" == fixture.read_bytes()
+
     def test_teacher_prompts(self):
         self.assert_matches("teacher_medqa.txt", teacher_prompt(gd.TEST_ITEM))
         self.assert_matches("teacher_pubmedqa.txt", teacher_prompt(gd.PUBMEDQA_ITEM))

@@ -111,7 +111,7 @@ class TestGenerateCot:
         answers = {it.question: it.gold_text for it in tiny_pool if it.question != dead}
         with pytest.raises(EndpointError):
             build_exemplars(neighbors, index, pool_items, mock_model(GoldAnswerPolicy(answers)),
-                            cache=CotCache(tmp_path))
+                            cache=CotCache(tmp_path, "mock"))
         fp = teacher_fingerprint("mock")
         assert [json.loads(row)["id"] for row in cache_rows(tmp_path, fp)] == full[:1]
 
@@ -124,21 +124,21 @@ def cache_rows(tmp_path, fp):
 
 class TestCotCache:
     def test_round_trip(self, tmp_path, tiny_pool):
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "Because the phrenic nerve fires.", fp)
-        for reader in (cache, CotCache(tmp_path)):
-            hit = reader.get(tiny_pool[0], fp)
+        cache.put(tiny_pool[0], "Because the phrenic nerve fires.")
+        for reader in (cache, CotCache(tmp_path, "teach-1")):
+            hit = reader.get(tiny_pool[0])
             assert hit is not None
             assert hit.verified
             assert hit.explanation == "Because the phrenic nerve fires."
             assert hit.item == tiny_pool[0]
 
     def test_one_file_per_fingerprint_without_item_text(self, tmp_path, tiny_pool):
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
         for item in tiny_pool[:3]:
-            cache.put(item, f"Explained {item.id}.", fp)
+            cache.put(item, f"Explained {item.id}.")
         assert [p.name for p in (tmp_path / "cot").iterdir()] == [f"{fp}.jsonl"]
         rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
         assert [sorted(row) for row in rows] == [["explanation", "id", "item_sha256"]] * 3
@@ -146,45 +146,45 @@ class TestCotCache:
         assert tiny_pool[0].question not in "".join(cache_rows(tmp_path, fp))
 
     def test_absent_entry_misses(self, tmp_path, tiny_pool):
-        assert CotCache(tmp_path).get(tiny_pool[0], "0" * 16) is None
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]) is None
 
     def test_corrupt_entry_misses_with_warning(self, tmp_path, tiny_pool, caplog):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(tiny_pool[0], "Fine.", fp)
-        CotCache(tmp_path).put(tiny_pool[1], "Fine too.", fp)
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fine.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[1], "Fine too.")
         good = cache_rows(tmp_path, fp)[1]
         blank = json.dumps({"id": tiny_pool[2].id, "item_sha256": "x", "explanation": " "})
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_text("{not json\n" + good + "\n" + blank + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            cache = CotCache(tmp_path)
-            assert cache.get(tiny_pool[0], fp) is None
-            assert cache.get(tiny_pool[2], fp) is None
-        assert cache.get(tiny_pool[1], fp).explanation == "Fine too."
+            cache = CotCache(tmp_path, "teach-1")
+            assert cache.get(tiny_pool[0]) is None
+            assert cache.get(tiny_pool[2]) is None
+        assert cache.get(tiny_pool[1]).explanation == "Fine too."
         assert caplog.text.count("corrupt cache row") == 2
 
     def test_wrong_item_in_entry_misses(self, tmp_path, tiny_pool):
         """An item re-ingested under the same id with other text is a miss."""
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "Fine.", fp)
-        assert cache.get(tiny_pool[0], fp).explanation == "Fine."
+        cache.put(tiny_pool[0], "Fine.")
+        assert cache.get(tiny_pool[0]).explanation == "Fine."
         edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
-        assert cache.get(edited, fp) is None
-        assert CotCache(tmp_path).get(edited, fp) is None
-        assert CotCache(tmp_path).get(tiny_pool[0], fp).explanation == "Fine."
+        assert cache.get(edited) is None
+        assert CotCache(tmp_path, "teach-1").get(edited) is None
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]).explanation == "Fine."
 
     def test_canonical_pool_line_hits_without_serializing_the_item(self, tmp_path, tiny_pool,
                                                                     monkeypatch):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(tiny_pool[0], "Fine.", fp)
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fine.")
         line = tiny_pool[0].canonical_json()
 
         def refuse(item):
             raise AssertionError("serialized the item")
 
         monkeypatch.setattr(type(tiny_pool[0]), "canonical_json", refuse)
-        assert CotCache(tmp_path).get(tiny_pool[0], fp, line=line).explanation == "Fine."
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0], line=line).explanation == "Fine."
 
     @pytest.mark.parametrize("rewrite", [
         lambda obj: json.dumps(dict(reversed(obj.items()))),
@@ -195,79 +195,78 @@ class TestCotCache:
             self, tmp_path, tiny_pool, rewrite):
         item = replace(tiny_pool[0], question="Which nerve fires \u2014 phrenic?")
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(item, "Fine.", fp)
+        CotCache(tmp_path, "teach-1").put(item, "Fine.")
         line = rewrite(json.loads(item.canonical_json()))
         assert line != item.canonical_json()
-        assert CotCache(tmp_path).get(item, fp, line=line).explanation == "Fine."
+        assert CotCache(tmp_path, "teach-1").get(item, line=line).explanation == "Fine."
 
     def test_line_of_an_item_reingested_under_the_same_id_misses(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
         edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
-        CotCache(tmp_path).put(edited, "About the edited item.", fp)
-        cache = CotCache(tmp_path)
-        assert cache.get(tiny_pool[0], fp, line=tiny_pool[0].canonical_json()) is None
-        assert cache.get(edited, fp, line=edited.canonical_json()) is not None
+        CotCache(tmp_path, "teach-1").put(edited, "About the edited item.")
+        cache = CotCache(tmp_path, "teach-1")
+        assert cache.get(tiny_pool[0], line=tiny_pool[0].canonical_json()) is None
+        assert cache.get(edited, line=edited.canonical_json()) is not None
 
     def test_torn_last_row_misses_and_is_cut_before_the_next_put(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
-        CotCache(tmp_path).put(tiny_pool[1], "Second.", fp)
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[1], "Second.")
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_bytes(path.read_bytes()[:-9])
-        cache = CotCache(tmp_path)
-        assert cache.get(tiny_pool[0], fp).explanation == "First."
-        assert cache.get(tiny_pool[1], fp) is None
-        cache.put(tiny_pool[2], "Third.", fp)
-        fresh = CotCache(tmp_path)
-        assert [fresh.get(it, fp) is not None for it in tiny_pool[:3]] == [True, False, True]
+        cache = CotCache(tmp_path, "teach-1")
+        assert cache.get(tiny_pool[0]).explanation == "First."
+        assert cache.get(tiny_pool[1]) is None
+        cache.put(tiny_pool[2], "Third.")
+        fresh = CotCache(tmp_path, "teach-1")
+        assert [fresh.get(it) is not None for it in tiny_pool[:3]] == [True, False, True]
         assert len(cache_rows(tmp_path, fp)) == 2
 
     def test_last_row_without_newline_gets_it_back(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        cache = CotCache(tmp_path)
-        assert cache.get(tiny_pool[0], fp).explanation == "First."
-        cache.put(tiny_pool[1], "Second.", fp)
-        fresh = CotCache(tmp_path)
-        assert fresh.get(tiny_pool[0], fp).explanation == "First."
-        assert fresh.get(tiny_pool[1], fp).explanation == "Second."
+        cache = CotCache(tmp_path, "teach-1")
+        assert cache.get(tiny_pool[0]).explanation == "First."
+        cache.put(tiny_pool[1], "Second.")
+        fresh = CotCache(tmp_path, "teach-1")
+        assert fresh.get(tiny_pool[0]).explanation == "First."
+        assert fresh.get(tiny_pool[1]).explanation == "Second."
 
     def test_fingerprints_partition_the_cache(self, tmp_path, tiny_pool):
-        cache = CotCache(tmp_path)
-        cache.put(tiny_pool[0], "From teacher one.", teacher_fingerprint("teach-1"))
-        assert cache.get(tiny_pool[0], teacher_fingerprint("teach-2")) is None
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "From teacher one.")
+        assert CotCache(tmp_path, "teach-2").get(tiny_pool[0]) is None
         assert teacher_fingerprint("teach-1") != teacher_fingerprint("teach-2")
 
     def test_overwrite_leaves_one_valid_entry(self, tmp_path, tiny_pool):
         """Both rows stay in the append-only file; the last one wins."""
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "First.", fp)
-        cache.put(tiny_pool[0], "Second.", fp)
+        cache.put(tiny_pool[0], "First.")
+        cache.put(tiny_pool[0], "Second.")
         rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
         assert [row["explanation"] for row in rows] == ["First.", "Second."]
-        assert cache.get(tiny_pool[0], fp).explanation == "Second."
-        assert CotCache(tmp_path).get(tiny_pool[0], fp).explanation == "Second."
+        assert cache.get(tiny_pool[0]).explanation == "Second."
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]).explanation == "Second."
 
     def test_entries_read_once_per_instance(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path).put(tiny_pool[0], "First.", fp)
-        cache = CotCache(tmp_path)
-        assert cache.get(tiny_pool[0], fp).explanation == "First."
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
+        cache = CotCache(tmp_path, "teach-1")
+        assert cache.get(tiny_pool[0]).explanation == "First."
         (tmp_path / "cot" / f"{fp}.jsonl").unlink()
-        assert cache.get(tiny_pool[0], fp).explanation == "First."
-        cache.put(tiny_pool[0], "Second.", fp)
-        assert cache.get(tiny_pool[0], fp).explanation == "Second."
+        assert cache.get(tiny_pool[0]).explanation == "First."
+        cache.put(tiny_pool[0], "Second.")
+        assert cache.get(tiny_pool[0]).explanation == "Second."
 
     def test_hostile_item_ids_round_trip(self, tmp_path, tiny_pool):
         item = replace(tiny_pool[0], id='a/b c*d\n"\u2028')
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(item, "Safe.", fp)
+        cache.put(item, "Safe.")
         assert len(cache_rows(tmp_path, fp)) == 1
-        hit = CotCache(tmp_path).get(item, fp)
+        hit = CotCache(tmp_path, "teach-1").get(item)
         assert hit is not None and hit.explanation == "Safe."
 
 
@@ -285,14 +284,14 @@ class TestVerifyOnce:
                 time.sleep(0.05)
                 return gold.complete(request)
 
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, gold.model_id)
         fp = teacher_fingerprint(gold.model_id)
         barrier = threading.Barrier(8)
         results = []
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(cache.verify(item, SlowTeacher(), fp))
+            results.append(cache.verify(item, SlowTeacher()))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -315,27 +314,34 @@ class TestVerifyOnce:
         """The exemplar the teacher verified is the one every later `verify`
         and `get` of that item object returns, with no teacher call."""
         teacher = gold_teacher(tiny_pool)
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, teacher.model_id)
         fp = teacher_fingerprint(teacher.model_id)
-        exemplar, outcome = cache.verify(tiny_pool[0], teacher, fp)
+        exemplar, outcome = cache.verify(tiny_pool[0], teacher)
         assert teacher.call_count == 1 and not outcome.from_cache
-        again, reused = cache.verify(tiny_pool[0], teacher, fp)
-        assert again is exemplar and cache.get(tiny_pool[0], fp) is exemplar
+        again, reused = cache.verify(tiny_pool[0], teacher)
+        assert again is exemplar and cache.get(tiny_pool[0]) is exemplar
         assert reused.from_cache and reused.explanation == exemplar.explanation
-        assert cache.verify(tiny_pool[0], teacher, fp)[1] is reused
+        assert cache.verify(tiny_pool[0], teacher)[1] is reused
         assert teacher.call_count == 1
         # An equal item that is another object is checked against the cache.
         twin = replace(tiny_pool[0])
-        hit, _ = cache.verify(twin, teacher, fp)
+        hit, _ = cache.verify(twin, teacher)
         assert hit is not exemplar and hit.item is twin and hit == exemplar
         assert teacher.call_count == 1
+
+    def test_cache_of_another_teacher_is_refused(self, tmp_path, tiny_pool):
+        teacher = gold_teacher(tiny_pool)
+        with pytest.raises(ValueError, match="'teach-1'"):
+            build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
+                                   cache=CotCache(tmp_path, "teach-1"))
+        assert teacher.call_count == 0
 
     def test_rejection_is_reused(self, tiny_pool, ranked, tmp_path):
         """A teacher that would accept on a later try is not asked again."""
         index, neighbors, full = ranked
         pool_items = {it.id: it for it in tiny_pool}
         teacher = flaky_teacher(tiny_pool, {pool_items[full[1]].question}, n_wrong=3)
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "mock")
         first, _ = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
         calls = teacher.call_count
         second, outcomes = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
@@ -386,7 +392,7 @@ class TestBuildExemplars:
         index, neighbors, full = ranked
         pool_items = {it.id: it for it in tiny_pool}
         teacher = gold_teacher(tiny_pool)
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "mock")
         first, _ = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
         assert teacher.call_count == 5
         second, outcomes = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
@@ -454,7 +460,7 @@ class TestBuildRandomExemplars:
 
     def test_cot_cache_warm_start(self, tiny_pool, tmp_path):
         teacher = gold_teacher(tiny_pool)
-        cache = CotCache(tmp_path)
+        cache = CotCache(tmp_path, "mock")
         first, _ = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
                                           cache=cache)
         calls = teacher.call_count

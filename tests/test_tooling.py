@@ -298,3 +298,19 @@ def test_endpoints_are_built_in_one_place():
                     found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
     assert sorted(found) == ["config.py build_endpoint HttpEndpoint",
                              "config.py build_endpoint mock_from_file"]
+
+
+def test_teacher_fingerprint_is_computed_in_one_place():
+    """Within the package only `teacher.py` calls `teacher_fingerprint`: a
+    `CotCache` fixes its teacher's fingerprint when a command builds it, and
+    the exemplar manifest's header takes it from there."""
+    found = []
+    for path in sorted((ROOT / "src" / "medharness").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "teacher_fingerprint":
+                    found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
+    assert found == ["teacher.py CotCache teacher_fingerprint"]
