@@ -39,7 +39,7 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
-from .promptkit import FEWSHOT_SIZE
+from .promptkit import FEWSHOT_SIZE, CotExemplar
 from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvider, VectorIndex,
                         build_index)
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
@@ -147,7 +147,8 @@ class _Sources:
     config, so a stage the manifest and the cache fully cover calls no
     teacher and opens no index. Stages parse only the pool items they look
     up: random stages by the ids `CorpusFile.questions` reads, kNN stages at
-    the lines the manifest records or by the ids of an index built from the
+    the byte offsets the manifest records, each listed exemplar parsed and
+    checked against the cache once, or by the ids of an index built from the
     pool file's exact bytes. kNN exemplars are built once per test item and
     kept, so the kNN and ensemble stages of one `ablate` share them; query
     vectors live only until their item's exemplars are built.
@@ -186,6 +187,7 @@ class _Sources:
                               config.teacher.model_id if config.teacher else "none")
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
+        self._covered: dict[str, CotExemplar] = {}
         self._built: list = []
         self.target = self._build(config.target) if runs_target and not dry_run else None
         self.embedder = self.teacher = None
@@ -264,7 +266,7 @@ class _Sources:
     def manifest_header(self) -> dict:
         """What a kNN exemplar set depends on besides its test item's id."""
         return {
-            "schema": 2,
+            "schema": 3,
             "pool_sha256": self.pool_file.sha256,
             "provider_id": _provider_id(self.config),
             "teacher": self.cache.fingerprint,
@@ -274,24 +276,34 @@ class _Sources:
     @cached_property
     def manifest(self) -> dict[str, tuple[str, ...]]:
         """Exemplar ids per command item (a dry run's first item) from
-        `gen-cot`'s manifest, if it matches, each placed in `pool_items` and
-        checked against the test split's ids."""
-        manifest = load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                          self.pool_items, self._listed,
-                                          warn_stale=not self.writes_manifest)
-        self.store.check_disjoint(self.dataset, sorted({exemplar_id for ids in manifest.values()
-                                                        for exemplar_id in ids}), self.test_ids)
+        `gen-cot`'s manifest, if it matches, checked against the test split's
+        ids. Each exemplar listed is resolved once, here: its line is parsed
+        into `pool_items` and checked against the CoT cache, and a hit is kept
+        for every item that lists it."""
+        manifest, lines = load_exemplar_manifest(self.manifest_path, self.manifest_header,
+                                                 self.pool_items, self._listed,
+                                                 warn_stale=not self.writes_manifest)
+        self.store.check_disjoint(self.dataset, sorted(lines), self.test_ids)
+        for exemplar_id, line in lines.items():
+            exemplar = self.cache.get(self.pool_items[exemplar_id], line=line)
+            if exemplar is not None:
+                self._covered[exemplar_id] = exemplar
         return manifest
 
     def manifest_exemplars(self, item: McqItem):
         """The item's exemplars from the manifest and the cache, kept; None unless
-        the manifest lists the item and every one of its exemplars is cached."""
+        the manifest lists the item and every one of its exemplars is cached.
+        An exemplar the cache lacked when the manifest was read is looked up
+        again: a teacher may have verified it since."""
         exemplars = []
         for exemplar_id in self.manifest.get(item.id, ()):
-            exemplar = self.cache.get(self.pool_items[exemplar_id],
-                                      line=self.pool_items.line(exemplar_id))
+            exemplar = self._covered.get(exemplar_id)
             if exemplar is None:
-                return None
+                exemplar = self.cache.get(self.pool_items[exemplar_id],
+                                          line=self.pool_items.line(exemplar_id))
+                if exemplar is None:
+                    return None
+                self._covered[exemplar_id] = exemplar
             exemplars.append(exemplar)
         if not exemplars:
             return None

@@ -110,6 +110,10 @@ def canonical_labels(n_options: int) -> tuple[str, ...]:
     return tuple(_LETTERS[:n_options])
 
 
+# canonical_labels(n) for every n it can be equal to.
+_CANONICAL = {n: canonical_labels(n) for n in range(len(_LETTERS) + 1)}
+
+
 @dataclass(frozen=True)
 class McqItem:
     """One normalized multiple-choice question.
@@ -147,6 +151,30 @@ class McqItem:
 
     def validate(self) -> None:
         """Raise DataError unless every schema invariant holds."""
+        # A valid item passes the checks common to every dataset in one
+        # expression; any fault runs them one by one, so the message names the
+        # first fault in `_check_common`'s order.
+        labels = self.labels
+        if not (self.id and self.question and self.question.strip() and len(labels) >= 2
+                and labels == _CANONICAL.get(len(labels)) and self.gold in labels
+                and all(text.strip() for _, text in self.options)):
+            self._check_common()
+        if self.dataset is Dataset.PUBMEDQA:
+            # Set comparison: shuffled presentation may reorder the words.
+            texts = tuple(text for _, text in self.options)
+            if sorted(texts) != sorted(PUBMEDQA_WORDS):
+                raise DataError(
+                    f"{self.id}: PubMedQA options must be the words {PUBMEDQA_WORDS}, got {texts}"
+                )
+            if not (self.context and self.context.strip()):
+                raise DataError(f"{self.id}: PubMedQA items need a non-empty context")
+        if self.dataset is Dataset.MEDQA and len(self.options) != 4:
+            raise DataError(f"{self.id}: MedQA items carry exactly 4 options")
+        if self.dataset is Dataset.MMLU_MED and self.subject not in MMLU_MED_SUBJECTS:
+            raise DataError(f"{self.id}: unknown MMLU-Med subject {self.subject!r}")
+
+    def _check_common(self) -> None:
+        """The checks every dataset shares, in order; DataError at the first fault."""
         if not self.id:
             raise DataError("item id must be non-empty")
         if not self.question or not self.question.strip():
@@ -165,19 +193,6 @@ class McqItem:
             raise DataError(f"{self.id}: gold {self.gold!r} not among labels {labels}")
         if any(not text.strip() for _, text in self.options):
             raise DataError(f"{self.id}: blank option text")
-        if self.dataset is Dataset.PUBMEDQA:
-            # Set comparison: shuffled presentation may reorder the words.
-            texts = tuple(text for _, text in self.options)
-            if sorted(texts) != sorted(PUBMEDQA_WORDS):
-                raise DataError(
-                    f"{self.id}: PubMedQA options must be the words {PUBMEDQA_WORDS}, got {texts}"
-                )
-            if not (self.context and self.context.strip()):
-                raise DataError(f"{self.id}: PubMedQA items need a non-empty context")
-        if self.dataset is Dataset.MEDQA and len(self.options) != 4:
-            raise DataError(f"{self.id}: MedQA items carry exactly 4 options")
-        if self.dataset is Dataset.MMLU_MED and self.subject not in MMLU_MED_SUBJECTS:
-            raise DataError(f"{self.id}: unknown MMLU-Med subject {self.subject!r}")
 
     def canonical_json(self) -> str:
         """The item as one line of a normalized corpus file."""
@@ -200,18 +215,50 @@ class McqItem:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "McqItem":
-        item = cls(
-            id=obj["id"],
-            dataset=Dataset(obj["dataset"]),
-            split=Split(obj["split"]),
-            question=obj["question"],
-            options=tuple((lab, text) for lab, text in obj["options"]),
-            gold=obj["gold"],
-            subject=obj.get("subject"),
-            context=obj.get("context"),
-        )
+        """The validated item a normalized line holds. A missing key, an
+        unknown dataset or split, or options that are not pairs raise as
+        decoding them does; a field that is not a string is a DataError."""
+        item_id = obj["id"]
+        dataset = _member(Dataset, _DATASETS, obj["dataset"])
+        split = _member(Split, _SPLITS, obj["split"])
+        question = obj["question"]
+        options, labels, mistyped = [], [], None
+        for label, text in obj["options"]:
+            options.append((label, text))
+            labels.append(label)
+            if mistyped is None and (type(label) is not str or type(text) is not str):
+                mistyped = [label, text]
+        gold = obj["gold"]
+        subject, context = obj.get("subject"), obj.get("context")
+        if type(item_id) is not str:
+            raise DataError(f"id must be a string, got {item_id!r}")
+        if type(question) is not str:
+            raise DataError(f"{item_id}: question must be a string, got {question!r}")
+        if mistyped is not None:
+            raise DataError(f"{item_id}: option labels and texts must be strings, got {mistyped!r}")
+        if type(gold) is not str:
+            raise DataError(f"{item_id}: gold must be a string, got {gold!r}")
+        for name, value in (("subject", subject), ("context", context)):
+            if value is not None and type(value) is not str:
+                raise DataError(f"{item_id}: {name} must be a string, got {value!r}")
+        # Set as `__init__` and `__post_init__` would set them, without their
+        # per-field `object.__setattr__` calls: every field, `labels` included.
+        item = object.__new__(cls)
+        item.__dict__.update(id=item_id, dataset=dataset, split=split, question=question,
+                             options=tuple(options), gold=gold, subject=subject,
+                             context=context, labels=tuple(labels))
         item.validate()
         return item
+
+
+def _member(enum, members: dict, value):
+    """`enum(value)` by one dict lookup when `value` is a member's string."""
+    member = members.get(value) if type(value) is str else None
+    return enum(value) if member is None else member
+
+
+_DATASETS = {member.value: member for member in Dataset}
+_SPLITS = {member.value: member for member in Split}
 
 
 @dataclass(frozen=True)
@@ -595,44 +642,66 @@ class PoolQuestion(NamedTuple):
 
 
 class CorpusFile:
-    """A normalized corpus file, read once: its SHA-256 and its lines.
+    """A normalized corpus file, read once: its bytes and their SHA-256.
 
-    `sha256` digests exactly the bytes the lines come from. Lines are split
-    on "\n" alone, never on the other separators `str.splitlines` knows, so
-    a raw U+2028 inside a question stays in its line; the "\r" of a CRLF
-    ending is whitespace. A blank line holds no item. `read_normalized`
-    parses its lines as held, without reading the file again.
+    `sha256` digests exactly the bytes held. Items are lines split on "\n"
+    alone, never on the other separators `str.splitlines` knows, so a raw
+    U+2028 inside a question stays in its line; the "\r" of a CRLF ending
+    is whitespace. A blank line holds no item. A line is named by the byte
+    offset it starts at, so reading one item slices its line alone; only
+    `item_lines`, for callers that read every item, splits the file. The
+    whole file is checked to be UTF-8 on reading, so every line decodes.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         if not self.path.exists():
             raise DataError(f"normalized corpus file missing: {self.path}")
-        data = self.path.read_bytes()
-        self.sha256 = hashlib.sha256(data).hexdigest()
-        try:
-            self.lines = data.decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{self.path}: not UTF-8: {exc}") from exc
+        self.data = self.path.read_bytes()
+        self.sha256 = hashlib.sha256(self.data).hexdigest()
+        if not self.data.isascii():
+            try:
+                self.data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{self.path}: not UTF-8: {exc}") from exc
 
-    def item_lines(self) -> list[int]:
-        """Index in `lines` of each item, in file order."""
-        return [i for i, line in enumerate(self.lines) if line.strip()]
+    def item_lines(self) -> Iterator[tuple[int, int, str]]:
+        """The line index, byte offset and text of each item's line, in file order."""
+        ascii_only = self.data.isascii()
+        offset = 0
+        for i, line in enumerate(self.data.decode("utf-8").split("\n")):
+            if line.strip():
+                yield i, offset, line
+            offset += 1 + (len(line) if ascii_only else len(line.encode("utf-8")))
 
-    def parse(self, i: int) -> McqItem:
-        """The validated item on line index `i`."""
+    def lineno(self, offset: int) -> int:
+        """The 1-based number of the line starting at byte `offset`."""
+        return self.data.count(b"\n", 0, offset) + 1
+
+    def line(self, offset: int) -> str:
+        """The stripped line starting at byte `offset`; DataError unless one starts there."""
+        data = self.data
+        if (type(offset) is not int or not 0 <= offset < len(data)
+                or (offset and data[offset - 1] != 0x0A)):
+            raise DataError(f"{self.path}: no line starts at byte {offset!r}")
+        end = data.find(b"\n", offset)
+        return data[offset:end if end >= 0 else len(data)].decode("utf-8").strip()
+
+    def parse(self, offset: int, line: str | None = None) -> McqItem:
+        """The validated item on the line starting at byte `offset`; `line`
+        is that line, stripped, when the caller has it."""
         try:
-            return McqItem.from_json_obj(json.loads(self.lines[i].strip()))
+            return McqItem.from_json_obj(json.loads(self.line(offset) if line is None else line))
         except (KeyError, TypeError, DataError, ValueError) as exc:
-            raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
+            raise DataError(f"{self.path}: line {self.lineno(offset)}: {exc}") from exc
 
     def questions(self) -> list[PoolQuestion]:
         """Each item's id and question, in file order, ids unique; no `McqItem` is built."""
         records = []
-        lines = self.item_lines()
-        for i in lines:
+        lines = []
+        for i, _, line in self.item_lines():
             try:
-                obj = json.loads(self.lines[i].strip())
+                obj = json.loads(line.strip())
                 if not isinstance(obj, dict):
                     raise DataError(f"expected a JSON object, got {type(obj).__name__}")
                 item_id, question = obj.get("id"), obj.get("question")
@@ -643,6 +712,7 @@ class CorpusFile:
             except (DataError, ValueError) as exc:
                 raise DataError(f"{self.path}: line {i + 1}: {exc}") from exc
             records.append(PoolQuestion(item_id, question))
+            lines.append(i)
         _check_unique_ids([record.id for record in records], self.path, lines)
         return records
 
@@ -650,11 +720,13 @@ class CorpusFile:
 def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
     """Every item of a normalized corpus file, validated, ids unique.
 
-    `path` may be a CorpusFile already read; its lines are parsed as held.
+    `path` may be a CorpusFile already read; its bytes are parsed as held.
     """
     source = path if isinstance(path, CorpusFile) else CorpusFile(path)
-    lines = source.item_lines()
-    items = [source.parse(i) for i in lines]
+    lines, items = [], []
+    for i, offset, line in source.item_lines():
+        items.append(source.parse(offset, line.strip()))
+        lines.append(i)
     _check_unique_ids([item.id for item in items], source.path, lines)
     return items
 
@@ -662,17 +734,18 @@ def read_normalized(path: str | Path | CorpusFile) -> list[McqItem]:
 class PoolView(Mapping):
     """Pool items by id, each parsed from its line on first lookup.
 
-    A view maps the ids it was told to line indexes of `source.lines`: every
-    item's when given the file's ids in file order (`ids`, or `learn` later),
-    as `CorpusFile.questions` or an index built from the same bytes lists
-    them; or one id at a time at a known line (`place`), as the exemplar
-    manifest records them. Every parse checks that the line holds a valid
-    item with that id.
+    A view maps the ids it was told to the byte offsets of their lines in
+    `source`: every item's when given the file's ids in file order (`ids`,
+    or `learn` later), as `CorpusFile.questions` or an index built from the
+    same bytes lists them; or one id at a time at a known offset (`place`),
+    as the exemplar manifest records them. An offset that is out of range or
+    does not start a line is refused, and every parse checks that the line
+    holds a valid item with that id.
     """
 
     def __init__(self, source: CorpusFile, ids: list[str] | None = None):
         self._source = source
-        self._lines: dict[str, int] = {}
+        self._offsets: dict[str, int] = {}
         self._items: dict[str, McqItem] = {}
         if ids is not None:
             self.learn(ids)
@@ -680,56 +753,53 @@ class PoolView(Mapping):
     def learn(self, ids: list[str]) -> None:
         """Map every item: `ids` are the file's ids in file order, and must
         put each id already placed on its line."""
-        lines = self._source.item_lines()
-        if len(lines) != len(ids):
-            raise DataError(f"{self._source.path}: {len(lines)} items, expected {len(ids)}")
-        learned = dict(zip(ids, lines))
-        for item_id, line in self._lines.items():
-            if learned.get(item_id) != line:
-                raise DataError(f"{self._source.path}: line {line + 1} holds {item_id!r}, "
-                                f"which the pool's ids put elsewhere")
-        self._lines = learned
+        offsets = [offset for _, offset, _ in self._source.item_lines()]
+        if len(offsets) != len(ids):
+            raise DataError(f"{self._source.path}: {len(offsets)} items, expected {len(ids)}")
+        learned = dict(zip(ids, offsets))
+        for item_id, offset in self._offsets.items():
+            if learned.get(item_id) != offset:
+                raise DataError(f"{self._source.path}: line {self._source.lineno(offset)} holds "
+                                f"{item_id!r}, which the pool's ids put elsewhere")
+        self._offsets = learned
 
-    def place(self, item_id: str, line: int) -> None:
-        """Map `item_id` to line index `line`, parsing that line unless the id
-        is mapped there already; DataError unless it holds the item."""
-        if self._lines.get(item_id) == line:
-            return
-        if type(line) is not int or not 0 <= line < len(self._source.lines):
-            raise DataError(f"{self._source.path}: no line index {line!r}")
-        self._items[item_id] = self._parse(item_id, line)
-        self._lines[item_id] = line
+    def place(self, item_id: str, offset: int) -> str:
+        """Map `item_id` to the line starting at byte `offset` and parse that
+        line; return it, stripped. DataError unless it holds the item."""
+        line = self._source.line(offset)
+        self._items[item_id] = self._parse(item_id, offset, line)
+        self._offsets[item_id] = offset
+        return line
 
-    def _parse(self, item_id: str, line: int) -> McqItem:
-        item = self._source.parse(line)
+    def _parse(self, item_id: str, offset: int, line: str | None = None) -> McqItem:
+        item = self._source.parse(offset, line)
         if item.id != item_id:
-            raise DataError(
-                f"{self._source.path}: line {line + 1} holds {item.id!r}, expected {item_id!r}"
-            )
+            raise DataError(f"{self._source.path}: line {self._source.lineno(offset)} holds "
+                            f"{item.id!r}, expected {item_id!r}")
         return item
 
     def __getitem__(self, item_id: str) -> McqItem:
         item = self._items.get(item_id)
         if item is None:
-            item = self._items[item_id] = self._parse(item_id, self._lines[item_id])
+            item = self._items[item_id] = self._parse(item_id, self._offsets[item_id])
         return item
 
-    def line_index(self, item_id: str) -> int:
-        """The index in `source.lines` of the line `self[item_id]` is parsed from."""
-        return self._lines[item_id]
+    def offset(self, item_id: str) -> int:
+        """The byte offset of the line `self[item_id]` is parsed from."""
+        return self._offsets[item_id]
 
     def line(self, item_id: str) -> str:
         """The stripped line `self[item_id]` is parsed from."""
-        return self._source.lines[self._lines[item_id]].strip()
+        return self._source.line(self._offsets[item_id])
 
     def __contains__(self, item_id) -> bool:
-        return item_id in self._lines
+        return item_id in self._offsets
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._lines)
+        return iter(self._offsets)
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._offsets)
 
 
 class CorpusStore:

@@ -170,14 +170,10 @@ def uses_word_options(dataset: Dataset) -> bool:
     return dataset is Dataset.PUBMEDQA
 
 
-def _option_fragment(dataset: Dataset, label: str, text: str) -> str:
-    if uses_word_options(dataset):
-        return f"({text})"
-    return f"({label}) {text}"
-
-
 def render_options_inline(dataset: Dataset, options: tuple[tuple[str, str], ...]) -> str:
-    return " ".join(_option_fragment(dataset, label, text) for label, text in options)
+    if uses_word_options(dataset):
+        return " ".join([f"({text})" for _, text in options])
+    return " ".join([f"({label}) {text}" for label, text in options])
 
 
 def _answer_reference(item: McqItem) -> str:
@@ -199,11 +195,9 @@ def _question_line(item: McqItem) -> str:
 
 
 def _exemplar_block(exemplar: CotExemplar, cot: bool) -> str:
-    lines = [_question_line(exemplar.item)]
-    if cot:
-        lines.append(f"{EXPLANATION_HEADING} {exemplar.explanation}")
-    lines.append(f"{ANSWER_HEADING} {_answer_reference(exemplar.item)}")
-    return "\n".join(lines)
+    item = exemplar.item
+    explanation = f"{EXPLANATION_HEADING} {exemplar.explanation}\n" if cot else ""
+    return f"{_question_line(item)}\n{explanation}{ANSWER_HEADING} {_answer_reference(item)}"
 
 
 def prompt_head(stage: Stage, instruction: str, exemplars: list[CotExemplar]) -> str:

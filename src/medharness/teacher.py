@@ -351,50 +351,58 @@ def build_random_exemplars(
 def save_exemplar_manifest(path: str | Path, header: dict,
                            exemplar_ids: dict[str, list[str]], pool: PoolView) -> None:
     """Write an exemplar manifest: `header`, then one row per test item with
-    its exemplar ids in prompt order and each one's line index in the pool file."""
+    its exemplar ids in prompt order and the byte offset of each one's line
+    in the pool file."""
     write_headed(path, header, ({"item_id": item_id, "exemplars": ids,
-                                 "lines": [pool.line_index(i) for i in ids]}
+                                 "offsets": [pool.offset(i) for i in ids]}
                                 for item_id, ids in exemplar_ids.items()))
 
 
 def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_ids: set[str],
-                           warn_stale: bool = True) -> dict[str, tuple[str, ...]]:
+                           warn_stale: bool = True
+                           ) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
     """Exemplar ids per test item in `item_ids`, from a manifest written
-    under `header`; the rows of other items are skipped.
+    under `header`, and the stripped pool line of each exemplar they list;
+    the rows of other items are skipped.
 
-    Each exemplar is placed in `pool` at its recorded line, which is parsed
-    then. A missing manifest is empty. A manifest with another header
-    (another schema, or built from another pool, provider, teacher or test
-    split) or with a row that is not `FEWSHOT_SIZE` ids each on its recorded
-    pool line is ignored with one warning, so its items build their
-    exemplars as if it did not exist. `warn_stale=False` ignores another
-    header silently, for the command that replaces it.
+    Each exemplar is placed in `pool` at its recorded offset, and its line
+    parsed then, once however many rows list it. A missing manifest is
+    empty. A manifest with another header (another schema, or built from
+    another pool, provider, teacher or test split) or with a row that is not
+    `FEWSHOT_SIZE` ids each at the offset of its pool line is ignored with
+    one warning, so its items build their exemplars as if it did not exist.
+    `warn_stale=False` ignores another header silently, for the command that
+    replaces it.
     """
     path = Path(path)
     if not path.exists():
-        return {}
+        return {}, {}
     try:
         recorded, rows = read_headed(path)
         if recorded != header:
             if not warn_stale:
-                return {}
+                return {}, {}
             stale = sorted(key for key in header.keys() | recorded.keys()
                            if recorded.get(key) != header.get(key))
             log.warning("ignoring exemplar manifest %s: %s differ from this run; "
                         "rerun `medharness gen-cot` to rebuild it", path, ", ".join(stale))
-            return {}
-        manifest = {}
+            return {}, {}
+        manifest, lines = {}, {}
         for row in rows:
             if row["item_id"] not in item_ids:
                 continue
-            ids, lines = tuple(row["exemplars"]), row["lines"]
-            if len(ids) != FEWSHOT_SIZE or len(lines) != len(ids):
+            ids, offsets = tuple(row["exemplars"]), row["offsets"]
+            if len(ids) != FEWSHOT_SIZE or len(offsets) != len(ids):
                 raise ValueError(f"{row['item_id']}: exemplars {ids} are not "
-                                 f"{FEWSHOT_SIZE} pool ids with their lines")
-            for exemplar_id, line in zip(ids, lines):
-                pool.place(exemplar_id, line)
+                                 f"{FEWSHOT_SIZE} pool ids with their offsets")
+            for exemplar_id, offset in zip(ids, offsets):
+                if exemplar_id not in lines:
+                    lines[exemplar_id] = pool.place(exemplar_id, offset)
+                elif type(offset) is not int or offset != pool.offset(exemplar_id):
+                    raise ValueError(f"{row['item_id']}: {exemplar_id} at offset {offset!r}, "
+                                     f"listed before at {pool.offset(exemplar_id)}")
             manifest[row["item_id"]] = ids
     except (ValueError, KeyError, TypeError, DataError) as exc:
         log.warning("ignoring corrupt exemplar manifest %s: %s", path, exc)
-        return {}
-    return manifest
+        return {}, {}
+    return manifest, lines

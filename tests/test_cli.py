@@ -142,17 +142,25 @@ def reads(monkeypatch):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """Line indexes of the pool items parsed, in call order."""
-    lines = []
+    """Byte offsets of the pool lines parsed, in call order."""
+    offsets = []
     parse = CorpusFile.parse
 
-    def spy(source, i):
+    def spy(source, offset, line=None):
         if source.path.name == "train.jsonl":
-            lines.append(i)
-        return parse(source, i)
+            offsets.append(offset)
+        return parse(source, offset, line)
 
     monkeypatch.setattr(CorpusFile, "parse", spy)
-    return lines
+    return offsets
+
+
+def line_offsets(path):
+    """The byte offset at which each line of the file `path` starts."""
+    offsets = [0]
+    for line in path.read_bytes().split(b"\n")[:-1]:
+        offsets.append(offsets[-1] + len(line) + 1)
+    return offsets
 
 
 def edit_pool_line(tmp_path, i, edit):
@@ -1123,11 +1131,13 @@ class TestCoveredPass:
         config, _, pool_items = build_env(tmp_path, n_test=4, n_pool=30)
         assert main(self.command("gen-cot", config)) == 0
         header, *rows = self.manifest_docs(tmp_path)
-        assert header["schema"] == 2
+        assert header["schema"] == 3
         assert header["provider_id"] == "builtin-tfidf-v1:dim=512"
-        line_of = {item.id: i for i, item in enumerate(pool_items)}
+        offsets = line_offsets(tmp_path / "corpus" / "medqa" / "train.jsonl")
+        offset_of = {item.id: offsets[i] for i, item in enumerate(pool_items)}
         for row in rows:
-            assert row["lines"] == [line_of[i] for i in row["exemplars"]]
+            assert list(row) == ["item_id", "exemplars", "offsets"]
+            assert row["offsets"] == [offset_of[i] for i in row["exemplars"]]
 
     def test_limited_run_parses_only_its_items_exemplar_lines(self, tmp_path, parsed):
         config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
@@ -1136,7 +1146,34 @@ class TestCoveredPass:
         parsed.clear()
         assert main(self.command("run", config, "--stage", "knn_fewshot_cot",
                                  "--limit", "2")) == 0
-        assert sorted(parsed) == sorted({line for row in rows[:2] for line in row["lines"]})
+        assert sorted(parsed) == sorted({offset for row in rows[:2] for offset in row["offsets"]})
+
+    def test_covered_pass_does_per_exemplar_work_only(self, tmp_path, monkeypatch, parsed):
+        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        assert main(self.command("gen-cot", config)) == 0
+        _, *rows = self.manifest_docs(tmp_path)
+        listed = [offset for row in rows for offset in row["offsets"]]
+        split, got = [], []
+        item_lines, get = CorpusFile.item_lines, teacher.CotCache.get
+
+        def split_spy(source):
+            split.append(source.path.name)
+            return item_lines(source)
+
+        def get_spy(cache, item, line=None):
+            got.append(item.id)
+            return get(cache, item, line)
+
+        monkeypatch.setattr(CorpusFile, "item_lines", split_spy)
+        monkeypatch.setattr(teacher.CotCache, "get", get_spy)
+        parsed.clear()
+        assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        # 100 listings of at most 30 pool items: each distinct one is parsed
+        # and looked up in the cache once, and the pool is never split.
+        assert len(set(listed)) < len(listed)
+        assert sorted(parsed) == sorted(set(listed))
+        assert sorted(got) == sorted({i for row in rows for i in row["exemplars"]})
+        assert split == ["test.jsonl"]
 
     def test_partly_covered_run_loads_the_index_before_the_first_target_call(
             self, tmp_path, monkeypatch, capsys, index_loads):
@@ -1163,21 +1200,27 @@ class TestCoveredPass:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", [
-        lambda ids, lines: (ids, [lines[1]] + lines[1:]),
-        lambda ids, lines: (ids, lines[:4] + [30]),
-        lambda ids, lines: (ids, lines[:4] + [-1]),
-        lambda ids, lines: (ids, lines[:4] + [str(lines[4])]),
-        lambda ids, lines: (ids, lines[:4]),
-        lambda ids, lines: (ids[:4], lines[:4]),
-    ], ids=["wrong-line", "line-past-the-end", "negative-line", "line-not-a-number",
-            "line-missing", "four-ids"])
+        lambda ids, offsets, size: (ids, [offsets[1]] + offsets[1:]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [size]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [size + 1000]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [offsets[4] + 1]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [-1]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [str(offsets[4])]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [offsets[4] == 0]),
+        lambda ids, offsets, size: (ids, offsets[:4] + [float(offsets[4])]),
+        lambda ids, offsets, size: (ids, offsets[:4]),
+        lambda ids, offsets, size: (ids[:4], offsets[:4]),
+    ], ids=["wrong-line", "offset-at-the-end", "offset-past-the-end", "mid-line",
+            "negative-offset", "offset-not-a-number", "offset-a-bool", "offset-a-float",
+            "offset-missing", "four-ids"])
     def test_row_that_disagrees_with_the_pool_is_ignored(self, tmp_path, caplog, index_loads,
                                                          edit):
         config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(self.command("gen-cot", config)) == 0
         header, *rows = self.manifest_docs(tmp_path)
-        ids, lines = edit(rows[5]["exemplars"], rows[5]["lines"])
-        rows[5] = {**rows[5], "exemplars": ids, "lines": lines}
+        size = (tmp_path / "corpus" / "medqa" / "train.jsonl").stat().st_size
+        ids, offsets = edit(rows[5]["exemplars"], rows[5]["offsets"], size)
+        rows[5] = {**rows[5], "exemplars": ids, "offsets": offsets}
         self.write_manifest(tmp_path, [header, *rows])
         index_loads.clear()
         with caplog.at_level("WARNING"):
@@ -1224,6 +1267,34 @@ class TestCoveredPass:
         assert index_loads == []
         assert len(set(warm.values())) == 6
         assert warm == knn_prompts(tmp_path / "alone", warm=False)
+
+
+class TestWrongTypedFields:
+    """A split line whose field has the wrong JSON type is a data error naming
+    the file and line (exit 2): never a traceback, and never a trace row that
+    `report` then calls corrupt."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"id": 7}, "id must be a string, got 7"),
+        ({"question": 5}, "test-00001: question must be a string, got 5"),
+        ({"options": [["A", 1.5], ["B", "beta"], ["C", "gamma"], ["D", "delta"]]},
+         "test-00001: option labels and texts must be strings, got ['A', 1.5]"),
+        ({"options": [[1, "alpha"], ["B", "beta"], ["C", "gamma"], ["D", "delta"]]},
+         "test-00001: option labels and texts must be strings, got [1, 'alpha']"),
+        ({"gold": 1}, "test-00001: gold must be a string, got 1"),
+        ({"subject": 3}, "test-00001: subject must be a string, got 3"),
+        ({"context": ["a", "b"]}, "test-00001: context must be a string, got ['a', 'b']"),
+    ], ids=["id", "question", "option-text", "option-label", "gold", "subject", "context"])
+    def test_run_exits_2(self, tmp_path, capsys, edit, message):
+        config, _, _ = build_env(tmp_path, n_test=3)
+        path = tmp_path / "corpus" / "medqa" / "test.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **edit})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--dataset", "medqa",
+                     "--stage", "zero_shot"]) == 2
+        assert f"test.jsonl: line 2: {message}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
 
 
 class TestEveryDatasetThroughTheCli:
@@ -1934,7 +2005,7 @@ class TestDryRunCallsNothing:
         capsys.readouterr()
         assert main(TestExemplarManifest.command("run", config, "--stage", "knn_fewshot_cot",
                                                  "--dry-run")) == 0
-        assert parsed == first["lines"]
+        assert parsed == first["offsets"]
         assert capsys.readouterr().out.partition("\n---\n")[0].endswith("### Explanation:")
 
 
@@ -2054,7 +2125,8 @@ class TestRandomPool:
         assert main(self.command("run", config, "--stage", stage)) == 0
         ids = [item.id for item in pool_items]
         drawn = random_candidate_stream(ids, seed=0)[:FEWSHOT_SIZE]
-        assert sorted(parsed) == sorted(ids.index(item_id) for item_id in drawn)
+        offsets = line_offsets(tmp_path / "corpus" / "medqa" / "train.jsonl")
+        assert sorted(parsed) == sorted(offsets[ids.index(item_id)] for item_id in drawn)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: [obj["id"]], "train.jsonl: line 3: expected a JSON object"),

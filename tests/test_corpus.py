@@ -280,6 +280,91 @@ class TestValidation:
         assert canonical_labels(3) == ("A", "B", "C")
 
 
+LETTER_OPTIONS = [["A", "a"], ["B", "b"], ["C", "c"], ["D", "d"]]
+LABELS = "('A', 'B', 'C', 'D')"
+
+
+class TestValidationMessages:
+    """`McqItem.from_json_obj` refuses each fault with the same exception and
+    message, byte for byte, in the same order: one case per check of
+    `validate`, then the decoding faults before it."""
+
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"id": ""}, DataError, "item id must be non-empty"),
+        ({"question": ""}, DataError, "x: question must be non-empty"),
+        ({"question": " \t"}, DataError, "x: question must be non-empty"),
+        ({"options": [["A", "a"]]}, DataError, "x: needs at least 2 options"),
+        ({"options": [["A", "a"], ["A", "b"], ["C", "c"], ["D", "d"]]}, DataError,
+         "x: duplicate option labels ('A', 'A', 'C', 'D')"),
+        ({"options": [["B", "b"], ["A", "a"], ["C", "c"], ["D", "d"]]}, DataError,
+         f"x: labels ('B', 'A', 'C', 'D') not in canonical order {LABELS}"),
+        ({"options": [["a", "a"], ["b", "b"], ["c", "c"], ["d", "d"]]}, DataError,
+         f"x: labels ('a', 'b', 'c', 'd') not in canonical order {LABELS}"),
+        ({"gold": "E"}, DataError, f"x: gold 'E' not among labels {LABELS}"),
+        ({"gold": ""}, DataError, f"x: gold '' not among labels {LABELS}"),
+        ({"options": [["A", "a"], ["B", " "], ["C", "c"], ["D", "d"]]}, DataError,
+         "x: blank option text"),
+        ({"dataset": "pubmedqa", "options": [["A", "yes"], ["B", "no"], ["C", "unsure"]],
+          "context": "ctx"}, DataError,
+         "x: PubMedQA options must be the words ('yes', 'no', 'maybe'), "
+         "got ('yes', 'no', 'unsure')"),
+        ({"dataset": "pubmedqa", "options": [["A", "yes"], ["B", "no"], ["C", "maybe"]]},
+         DataError, "x: PubMedQA items need a non-empty context"),
+        ({"dataset": "pubmedqa", "options": [["A", "yes"], ["B", "no"], ["C", "maybe"]],
+          "context": " \n"}, DataError, "x: PubMedQA items need a non-empty context"),
+        ({"options": LETTER_OPTIONS[:3]}, DataError, "x: MedQA items carry exactly 4 options"),
+        ({"options": LETTER_OPTIONS + [["E", "e"]]}, DataError,
+         "x: MedQA items carry exactly 4 options"),
+        ({"dataset": "mmlu_med", "subject": "astrology"}, DataError,
+         "x: unknown MMLU-Med subject 'astrology'"),
+        ({"dataset": "mmlu_med"}, DataError, "x: unknown MMLU-Med subject None"),
+        # Two faults: the check `validate` makes first names the item's fault.
+        ({"question": "", "gold": "E"}, DataError, "x: question must be non-empty"),
+        ({"options": [["B", "b"], ["A", " "], ["C", "c"], ["D", "d"]], "gold": "E"}, DataError,
+         f"x: labels ('B', 'A', 'C', 'D') not in canonical order {LABELS}"),
+        ({"gold": "E", "options": [["A", " "], ["B", "b"], ["C", "c"], ["D", "d"]]}, DataError,
+         f"x: gold 'E' not among labels {LABELS}"),
+        ({"options": LETTER_OPTIONS[:3] + [["D", ""]]}, DataError, "x: blank option text"),
+        # Decoding faults, raised before any check.
+        ({"dataset": "medical"}, ValueError, "'medical' is not a valid Dataset"),
+        ({"split": "validation"}, ValueError, "'validation' is not a valid Split"),
+        ({"options": 5}, TypeError, "'int' object is not iterable"),
+        ({"options": [5, 6]}, TypeError, "cannot unpack non-iterable int object"),
+        ({"options": [["A"], ["B", "b"]]}, ValueError,
+         "not enough values to unpack (expected 2, got 1)"),
+        ({"options": [["A", "a", "x"], ["B", "b"]]}, ValueError,
+         "too many values to unpack (expected 2)"),
+        ({"question": None, "options": 5}, TypeError, "'int' object is not iterable"),
+    ])
+    def test_each_fault_keeps_its_message(self, edit, error, message):
+        obj = {"id": "x", "dataset": "medqa", "split": "test", "question": "Q?",
+               "options": LETTER_OPTIONS, "gold": "A", **edit}
+        with pytest.raises(error) as caught:
+            McqItem.from_json_obj(obj)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("key", ["id", "dataset", "split", "question", "options", "gold"])
+    def test_missing_key(self, key):
+        obj = {"id": "x", "dataset": "medqa", "split": "test", "question": "Q?",
+               "options": LETTER_OPTIONS, "gold": "A"}
+        del obj[key]
+        with pytest.raises(KeyError) as caught:
+            McqItem.from_json_obj(obj)
+        assert str(caught.value) == repr(key)
+
+    def test_decoded_item_sets_every_field(self):
+        item = make_item(0, subject="anatomy", context="ctx")
+        decoded = McqItem.from_json_obj(json.loads(item.canonical_json()))
+        assert vars(decoded) == vars(item)
+        assert set(vars(decoded)) == {field.name for field in dataclasses.fields(McqItem)}
+
+    def test_two_character_strings_stand_for_pairs(self):
+        obj = {"id": "x", "dataset": "medqa", "split": "test", "question": "Q?",
+               "options": ["Aa", "Bb", "Cc", "Dd"], "gold": "A"}
+        assert McqItem.from_json_obj(obj).options == tuple(zip("ABCD", "abcd"))
+
+
 class TestLabels:
     """`labels` is set once from `options` and is not part of the item's value."""
 

@@ -11,8 +11,9 @@ from pathlib import Path
 import yaml
 
 from medharness import modelgw
-from medharness.cli import cli
+from medharness.cli import cli, main
 from medharness.config import RunConfig, load_config
+from medharness.corpus import read_headed
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "medbench" / "tracing.py"
@@ -85,6 +86,21 @@ def test_readme_names_exactly_the_cli_options():
     options = {opt for command in cli.commands.values() for param in command.params
                for opt in param.opts if opt.startswith("--")}
     assert named == options
+
+
+def test_readme_names_the_exemplar_manifest_layout(tmp_path):
+    """The README's data layout line for the exemplar manifest names the
+    schema `gen-cot` writes and exactly the keys of its rows: a schema bump
+    or a renamed key left out of the docs fails."""
+    from test_cli import build_env
+
+    config, _, _ = build_env(tmp_path, n_test=1, n_pool=5)
+    assert main(["gen-cot", "--config", str(config), "--dataset", "medqa"]) == 0
+    header, rows = read_headed(tmp_path / "cache" / "exemplars" / "medqa.jsonl")
+    [line] = [line for line in README.read_text(encoding="utf-8").splitlines()
+              if line.startswith("cache/exemplars/medqa.jsonl")]
+    assert f"(schema {header['schema']})" in line
+    assert re.findall(r'"(\w+)"', line) == list(rows[0])
 
 
 def test_readme_names_exactly_the_mock_policies():
