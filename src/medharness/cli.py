@@ -39,7 +39,7 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
-from .promptkit import FEWSHOT_SIZE, CotExemplar
+from .promptkit import FEWSHOT_SIZE
 from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvider, VectorIndex,
                         build_index)
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
@@ -187,7 +187,6 @@ class _Sources:
                               config.teacher.model_id if config.teacher else "none")
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
-        self._covered: dict[str, CotExemplar] = {}
         self._built: list = []
         self.target = self._build(config.target) if runs_target and not dry_run else None
         self.embedder = self.teacher = None
@@ -254,7 +253,7 @@ class _Sources:
 
     @cached_property
     def pool_items(self) -> PoolView:
-        """The kNN stages' pool items: those the manifest lists, at its lines,
+        """The kNN stages' pool items: those the manifest lists, at its offsets,
         and every one once the index is loaded."""
         return PoolView(self.pool_file)
 
@@ -278,32 +277,32 @@ class _Sources:
         """Exemplar ids per command item (a dry run's first item) from
         `gen-cot`'s manifest, if it matches, checked against the test split's
         ids. Each exemplar listed is resolved once, here: its line is parsed
-        into `pool_items` and checked against the CoT cache, and a hit is kept
-        for every item that lists it."""
-        manifest, lines = load_exemplar_manifest(self.manifest_path, self.manifest_header,
-                                                 self.pool_items, self._listed,
-                                                 warn_stale=not self.writes_manifest)
-        self.store.check_disjoint(self.dataset, sorted(lines), self.test_ids)
-        for exemplar_id, line in lines.items():
-            exemplar = self.cache.get(self.pool_items[exemplar_id], line=line)
-            if exemplar is not None:
-                self._covered[exemplar_id] = exemplar
+        into `pool_items` and checked against the CoT cache once, and an item
+        whose exemplars are all cached keeps them in `_knn` now."""
+        manifest = load_exemplar_manifest(self.manifest_path, self.manifest_header,
+                                          self.pool_items, self._listed,
+                                          warn_stale=not self.writes_manifest)
+        listed = sorted({exemplar_id for ids in manifest.values() for exemplar_id in ids})
+        self.store.check_disjoint(self.dataset, listed, self.test_ids)
+        cached = {exemplar_id: self.cache.get(self.pool_items[exemplar_id],
+                                              line=self.pool_items.line(exemplar_id))
+                  for exemplar_id in listed}
+        for item_id, ids in manifest.items():
+            exemplars = [cached[exemplar_id] for exemplar_id in ids]
+            if all(exemplar is not None for exemplar in exemplars):
+                self._knn[item_id] = exemplars
         return manifest
 
     def manifest_exemplars(self, item: McqItem):
-        """The item's exemplars from the manifest and the cache, kept; None unless
-        the manifest lists the item and every one of its exemplars is cached.
-        An exemplar the cache lacked when the manifest was read is looked up
-        again: a teacher may have verified it since."""
+        """The exemplars of an item the manifest lists but did not cover when
+        read, kept; None unless the cache now holds every one of them: a
+        teacher may have verified one since."""
         exemplars = []
         for exemplar_id in self.manifest.get(item.id, ()):
-            exemplar = self._covered.get(exemplar_id)
+            exemplar = self.cache.get(self.pool_items[exemplar_id],
+                                      line=self.pool_items.line(exemplar_id))
             if exemplar is None:
-                exemplar = self.cache.get(self.pool_items[exemplar_id],
-                                          line=self.pool_items.line(exemplar_id))
-                if exemplar is None:
-                    return None
-                self._covered[exemplar_id] = exemplar
+                return None
             exemplars.append(exemplar)
         if not exemplars:
             return None
@@ -327,8 +326,8 @@ class _Sources:
         # Resolved before the workers start, so they share one of each: the
         # items the manifest and the cache cover take their exemplars now,
         # and the index is loaded only if one item is not covered.
-        if not all(item.id in self._knn or self.manifest_exemplars(item) is not None
-                   for item in items):
+        _ = self.manifest
+        if not all(item.id in self._knn for item in items):
             _ = self.index
         position = {item.id: i for i, item in enumerate(items)}
         ranked: set[str] = set()

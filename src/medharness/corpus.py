@@ -151,14 +151,23 @@ class McqItem:
 
     def validate(self) -> None:
         """Raise DataError unless every schema invariant holds."""
-        # A valid item passes the checks common to every dataset in one
-        # expression; any fault runs them one by one, so the message names the
-        # first fault in `_check_common`'s order.
+        if not self.id:
+            raise DataError("item id must be non-empty")
+        if not self.question or not self.question.strip():
+            raise DataError(f"{self.id}: question must be non-empty")
         labels = self.labels
-        if not (self.id and self.question and self.question.strip() and len(labels) >= 2
-                and labels == _CANONICAL.get(len(labels)) and self.gold in labels
-                and all(text.strip() for _, text in self.options)):
-            self._check_common()
+        if len(labels) < 2:
+            raise DataError(f"{self.id}: needs at least 2 options")
+        if labels != _CANONICAL.get(len(labels)):
+            if len(set(labels)) != len(labels):
+                raise DataError(f"{self.id}: duplicate option labels {labels}")
+            raise DataError(f"{self.id}: labels {labels} not in canonical order "
+                            f"{canonical_labels(len(labels))}")
+        # Canonical labels are distinct, so this is the gold appearing once.
+        if self.gold not in labels:
+            raise DataError(f"{self.id}: gold {self.gold!r} not among labels {labels}")
+        if not all(text.strip() for _, text in self.options):
+            raise DataError(f"{self.id}: blank option text")
         if self.dataset is Dataset.PUBMEDQA:
             # Set comparison: shuffled presentation may reorder the words.
             texts = tuple(text for _, text in self.options)
@@ -172,27 +181,6 @@ class McqItem:
             raise DataError(f"{self.id}: MedQA items carry exactly 4 options")
         if self.dataset is Dataset.MMLU_MED and self.subject not in MMLU_MED_SUBJECTS:
             raise DataError(f"{self.id}: unknown MMLU-Med subject {self.subject!r}")
-
-    def _check_common(self) -> None:
-        """The checks every dataset shares, in order; DataError at the first fault."""
-        if not self.id:
-            raise DataError("item id must be non-empty")
-        if not self.question or not self.question.strip():
-            raise DataError(f"{self.id}: question must be non-empty")
-        if len(self.options) < 2:
-            raise DataError(f"{self.id}: needs at least 2 options")
-        labels = self.labels
-        if len(set(labels)) != len(labels):
-            raise DataError(f"{self.id}: duplicate option labels {labels}")
-        expected = canonical_labels(len(self.options))
-        if labels != expected:
-            raise DataError(
-                f"{self.id}: labels {labels} not in canonical order {expected}"
-            )
-        if sum(1 for lab in labels if lab == self.gold) != 1:
-            raise DataError(f"{self.id}: gold {self.gold!r} not among labels {labels}")
-        if any(not text.strip() for _, text in self.options):
-            raise DataError(f"{self.id}: blank option text")
 
     def canonical_json(self) -> str:
         """The item as one line of a normalized corpus file."""
@@ -222,10 +210,9 @@ class McqItem:
         dataset = _member(Dataset, _DATASETS, obj["dataset"])
         split = _member(Split, _SPLITS, obj["split"])
         question = obj["question"]
-        options, labels, mistyped = [], [], None
+        options, mistyped = [], None
         for label, text in obj["options"]:
             options.append((label, text))
-            labels.append(label)
             if mistyped is None and (type(label) is not str or type(text) is not str):
                 mistyped = [label, text]
         gold = obj["gold"]
@@ -241,12 +228,8 @@ class McqItem:
         for name, value in (("subject", subject), ("context", context)):
             if value is not None and type(value) is not str:
                 raise DataError(f"{item_id}: {name} must be a string, got {value!r}")
-        # Set as `__init__` and `__post_init__` would set them, without their
-        # per-field `object.__setattr__` calls: every field, `labels` included.
-        item = object.__new__(cls)
-        item.__dict__.update(id=item_id, dataset=dataset, split=split, question=question,
-                             options=tuple(options), gold=gold, subject=subject,
-                             context=context, labels=tuple(labels))
+        item = cls(id=item_id, dataset=dataset, split=split, question=question,
+                   options=tuple(options), gold=gold, subject=subject, context=context)
         item.validate()
         return item
 
@@ -763,16 +746,14 @@ class PoolView(Mapping):
                                 f"{item_id!r}, which the pool's ids put elsewhere")
         self._offsets = learned
 
-    def place(self, item_id: str, offset: int) -> str:
+    def place(self, item_id: str, offset: int) -> None:
         """Map `item_id` to the line starting at byte `offset` and parse that
-        line; return it, stripped. DataError unless it holds the item."""
-        line = self._source.line(offset)
-        self._items[item_id] = self._parse(item_id, offset, line)
+        line; DataError unless it holds the item."""
+        self._items[item_id] = self._parse(item_id, offset)
         self._offsets[item_id] = offset
-        return line
 
-    def _parse(self, item_id: str, offset: int, line: str | None = None) -> McqItem:
-        item = self._source.parse(offset, line)
+    def _parse(self, item_id: str, offset: int) -> McqItem:
+        item = self._source.parse(offset)
         if item.id != item_id:
             raise DataError(f"{self._source.path}: line {self._source.lineno(offset)} holds "
                             f"{item.id!r}, expected {item_id!r}")

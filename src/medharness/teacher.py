@@ -359,11 +359,9 @@ def save_exemplar_manifest(path: str | Path, header: dict,
 
 
 def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_ids: set[str],
-                           warn_stale: bool = True
-                           ) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+                           warn_stale: bool = True) -> dict[str, tuple[str, ...]]:
     """Exemplar ids per test item in `item_ids`, from a manifest written
-    under `header`, and the stripped pool line of each exemplar they list;
-    the rows of other items are skipped.
+    under `header`; the rows of other items are skipped.
 
     Each exemplar is placed in `pool` at its recorded offset, and its line
     parsed then, once however many rows list it. A missing manifest is
@@ -376,18 +374,18 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_
     """
     path = Path(path)
     if not path.exists():
-        return {}, {}
+        return {}
     try:
         recorded, rows = read_headed(path)
         if recorded != header:
             if not warn_stale:
-                return {}, {}
+                return {}
             stale = sorted(key for key in header.keys() | recorded.keys()
                            if recorded.get(key) != header.get(key))
             log.warning("ignoring exemplar manifest %s: %s differ from this run; "
                         "rerun `medharness gen-cot` to rebuild it", path, ", ".join(stale))
-            return {}, {}
-        manifest, lines = {}, {}
+            return {}
+        manifest = {}
         for row in rows:
             if row["item_id"] not in item_ids:
                 continue
@@ -396,13 +394,13 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_
                 raise ValueError(f"{row['item_id']}: exemplars {ids} are not "
                                  f"{FEWSHOT_SIZE} pool ids with their offsets")
             for exemplar_id, offset in zip(ids, offsets):
-                if exemplar_id not in lines:
-                    lines[exemplar_id] = pool.place(exemplar_id, offset)
+                if exemplar_id not in pool:
+                    pool.place(exemplar_id, offset)
                 elif type(offset) is not int or offset != pool.offset(exemplar_id):
                     raise ValueError(f"{row['item_id']}: {exemplar_id} at offset {offset!r}, "
-                                     f"listed before at {pool.offset(exemplar_id)}")
+                                     f"placed before at {pool.offset(exemplar_id)}")
             manifest[row["item_id"]] = ids
     except (ValueError, KeyError, TypeError, DataError) as exc:
         log.warning("ignoring corrupt exemplar manifest %s: %s", path, exc)
-        return {}, {}
-    return manifest, lines
+        return {}
+    return manifest
