@@ -574,7 +574,9 @@ class AppendLog:
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
+                    # Rows are written as UTF-8; `json.loads` of bytes would
+                    # guess the encoding of each one.
+                    row = json.loads(line.decode("utf-8"))
                 except ValueError as exc:
                     if not line.endswith(b"\n"):
                         self._mend = (start, b"")

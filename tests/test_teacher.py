@@ -163,6 +163,15 @@ class TestCotCache:
         assert cache.get(tiny_pool[1]).explanation == "Fine too."
         assert caplog.text.count("corrupt cache row") == 2
 
+    def test_row_that_is_not_utf8_misses_with_warning(self, tmp_path, tiny_pool, caplog):
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fièvre — 症状.")
+        path = tmp_path / "cot" / f"{teacher_fingerprint('teach-1')}.jsonl"
+        path.write_bytes(b'{"id": "\xff"}\n' + path.read_bytes())
+        with caplog.at_level("WARNING"):
+            cache = CotCache(tmp_path, "teach-1")
+            assert cache.get(tiny_pool[0]).explanation == "Fièvre — 症状."
+        assert caplog.text.count("corrupt cache row") == 1
+
     def test_wrong_item_in_entry_misses(self, tmp_path, tiny_pool):
         """An item re-ingested under the same id with other text is a miss."""
         cache = CotCache(tmp_path, "teach-1")
