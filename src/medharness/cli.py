@@ -39,6 +39,7 @@ from .metrics import (
     subject_breakdown,
     write_report,
 )
+from .modelgw import GenerationRequest, GenerationResponse
 from .promptkit import FEWSHOT_SIZE
 from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvider, VectorIndex,
                         build_index)
@@ -165,9 +166,10 @@ class _Sources:
     check, so a fault in any block fails before any call; an endpoint
     acquires nothing before its first call, and used as a context manager
     `_Sources` closes them all. A dry run builds none and calls nothing:
-    its teacher and embedder refuse every call with a `ConfigError` naming
-    the command to run first, as an index build does. It reads the manifest
-    row of its first item only.
+    each endpoint is a `_DryRun` stand-in that records its requests. The
+    target answers each with no text; the teacher and embedder refuse every
+    call with a `ConfigError` naming the command to run first, as an index
+    build does. It reads the manifest row of its first item only.
     """
 
     def __init__(self, config: RunConfig, dataset: Dataset, limit: int | None,
@@ -188,7 +190,7 @@ class _Sources:
         self.outcomes: list[TeacherOutcome] = []
         self._knn: dict[str, list] = {}
         self._built: list = []
-        self.target = self._build(config.target) if runs_target and not dry_run else None
+        self.target = self._build(config.target) if runs_target else None
         self.embedder = self.teacher = None
         if config.embedding is not None and any(s.knn for s in stages):
             self.embedder = self._build(config.embedding, "dry run would need an embedding call; "
@@ -201,8 +203,8 @@ class _Sources:
                                        "run `gen-cot` first to warm the cache")
 
     def _build(self, spec: EndpointConfig | None, dry_run_hint: str = ""):
-        """The endpoint `spec` describes, closed on exit; in a dry run, a
-        stand-in refusing every call with `dry_run_hint`."""
+        """The endpoint `spec` describes, closed on exit; in a dry run, its
+        `_DryRun` stand-in with `dry_run_hint`."""
         if self.dry_run:
             return _DryRun(spec.model_id if spec else "none", dry_run_hint)
         endpoint = build_endpoint(spec, self.config.retry)
@@ -253,8 +255,9 @@ class _Sources:
 
     @cached_property
     def pool_items(self) -> PoolView:
-        """The kNN stages' pool items: those the manifest lists, at its offsets,
-        and every one once the index is loaded."""
+        """The command's pool items, one `McqItem` per id across its stages:
+        those the manifest lists, at its offsets, and every one once a random
+        stage has read the pool's ids or the index is loaded."""
         return PoolView(self.pool_file)
 
     @property
@@ -316,9 +319,9 @@ class _Sources:
             none: list = []
             return lambda item: none
         if not stage.knn:
-            pool = PoolView(self.pool_file, [record.id for record in self.pool_questions])
+            self.pool_items.learn([record.id for record in self.pool_questions])
             fixed, outcomes = build_random_exemplars(
-                pool, self.config.seed, teacher=self.teacher if stage.cot else None,
+                self.pool_items, self.config.seed, teacher=self.teacher if stage.cot else None,
                 cache=self.cache,
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
@@ -420,31 +423,22 @@ def _stage_report(sources: _Sources, stage: Stage, rows: list[dict]) -> dict:
 
 
 class _DryRun:
-    """Teacher or embedder stand-in for dry runs: a call is refused with `hint`."""
+    """Endpoint stand-in for dry runs. It records every request, then refuses
+    it with `hint` or, without one, answers with no text."""
 
     def __init__(self, model_id: str, hint: str):
         self.model_id = model_id
         self.hint = hint
+        self.requests: list[GenerationRequest] = []
 
-    def complete(self, request):
-        raise ConfigError(self.hint)
+    def complete(self, request: GenerationRequest) -> GenerationResponse:
+        self.requests.append(request)
+        if self.hint:
+            raise ConfigError(self.hint)
+        return GenerationResponse("")
 
     def embed_batch(self, texts, model):
         raise ConfigError(self.hint)
-
-
-class _Sent(Exception):
-    """The request `_DryRunTarget` was asked to send."""
-
-
-class _DryRunTarget:
-    """Target stand-in for dry runs: the first call ends the item, carrying its request."""
-
-    def __init__(self, model_id: str):
-        self.model_id = model_id
-
-    def complete(self, request):
-        raise _Sent(request)
 
 
 def _print_dry_run(sources: _Sources, stage: Stage):
@@ -453,12 +447,10 @@ def _print_dry_run(sources: _Sources, stage: Stage):
     if not items:
         raise DataError(f"{dataset.value}: no test items")
     item = items[0]
-    try:
-        answer_stage_item(item, stage, instruction_for(config, dataset),
-                          sources.exemplars_for(stage, [item])(item),
-                          _DryRunTarget(config.target.model_id), **_answer_options(config))
-    except _Sent as sent:
-        [request] = sent.args
+    answer_stage_item(item, stage, instruction_for(config, dataset),
+                      sources.exemplars_for(stage, [item])(item), sources.target,
+                      **_answer_options(config))
+    request = sources.target.requests[0]
     click.echo(request.prompt)
     click.echo("---")
     click.echo(f"model: {request.model_id}")

@@ -204,17 +204,22 @@ class McqItem:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "McqItem":
         """The validated item a normalized line holds. A missing key, an
-        unknown dataset or split, or options that are not pairs raise as
-        decoding them does; a field that is not a string is a DataError."""
+        unknown dataset or split, or options that are not iterable raise as
+        decoding them does; an option that is not a two-element list or a
+        field that is not a string is a DataError."""
         item_id = obj["id"]
         dataset = _member(Dataset, _DATASETS, obj["dataset"])
         split = _member(Split, _SPLITS, obj["split"])
         question = obj["question"]
         options, mistyped = [], None
-        for label, text in obj["options"]:
+        for option in obj["options"]:
+            if type(option) is not list or len(option) != 2:
+                raise DataError(f"{item_id}: options must be [label, text] pairs, "
+                                f"got {option!r}")
+            label, text = option
             options.append((label, text))
             if mistyped is None and (type(label) is not str or type(text) is not str):
-                mistyped = [label, text]
+                mistyped = option
         gold = obj["gold"]
         subject, context = obj.get("subject"), obj.get("context")
         if type(item_id) is not str:
@@ -720,20 +725,18 @@ class PoolView(Mapping):
     """Pool items by id, each parsed from its line on first lookup.
 
     A view maps the ids it was told to the byte offsets of their lines in
-    `source`: every item's when given the file's ids in file order (`ids`,
-    or `learn` later), as `CorpusFile.questions` or an index built from the
-    same bytes lists them; or one id at a time at a known offset (`place`),
-    as the exemplar manifest records them. An offset that is out of range or
-    does not start a line is refused, and every parse checks that the line
-    holds a valid item with that id.
+    `source`: every item's when given the file's ids in file order (`learn`),
+    as `CorpusFile.questions` or an index built from the same bytes lists
+    them; or one id at a time at a known offset (`place`), as the exemplar
+    manifest records them. An offset that is out of range or does not start
+    a line is refused, and every parse checks that the line holds a valid
+    item with that id.
     """
 
-    def __init__(self, source: CorpusFile, ids: list[str] | None = None):
+    def __init__(self, source: CorpusFile):
         self._source = source
         self._offsets: dict[str, int] = {}
         self._items: dict[str, McqItem] = {}
-        if ids is not None:
-            self.learn(ids)
 
     def learn(self, ids: list[str]) -> None:
         """Map every item: `ids` are the file's ids in file order, and must

@@ -269,20 +269,22 @@ class _Transient(Exception):
 
 # -- prompt parsing shared by the mock policies ------------------------
 
+_QUESTION_HEADING = "### Question: "
+_OPTION_TOKEN = re.compile(r"\(([^()\n]+)\)")
+
 
 def parse_prompt_tail(prompt: str) -> dict:
     """Split the final question block of a prompt into its parts.
 
-    Returns question text, presented (token, text) option pairs, exemplar
-    question texts, and whether the prompt ends at an explanation heading.
-    Mocks key their behavior off these parts, so scripted corpora must keep
-    parentheses out of question and option text.
+    Returns question text, presented (token, text) option pairs, and
+    whether the prompt ends at an explanation heading. Mocks key their
+    behavior off these parts, so scripted corpora must keep parentheses out
+    of question and option text.
     """
-    marker = "### Question: "
-    start = prompt.rfind(marker)
+    start = prompt.rfind(_QUESTION_HEADING)
     if start < 0:
         raise EndpointError("mock endpoint: prompt has no question heading")
-    segment = prompt[start + len(marker):]
+    segment = prompt[start + len(_QUESTION_HEADING):]
     options_line = None
     if "\n### Options: " in segment:
         segment, rest = segment.split("\n### Options: ", 1)
@@ -290,7 +292,7 @@ def parse_prompt_tail(prompt: str) -> dict:
     else:
         segment = segment.split("\n###", 1)[0]
     source = options_line if options_line is not None else segment
-    tokens = list(re.finditer(r"\(([^()\n]+)\)", source))
+    tokens = list(_OPTION_TOKEN.finditer(source))
     options: list[tuple[str, str]] = []
     for i, m in enumerate(tokens):
         end = tokens[i + 1].start() if i + 1 < len(tokens) else len(source)
@@ -299,17 +301,9 @@ def parse_prompt_tail(prompt: str) -> dict:
     question = source[: tokens[0].start()].strip() if tokens else segment.strip()
     if options_line is not None and tokens:
         question = segment.strip()
-
-    exemplar_questions = []
-    for chunk in prompt.split(marker)[1:-1]:
-        body = chunk.split("\n###", 1)[0]
-        first = re.search(r"\(([^()\n]+)\)", body)
-        exemplar_questions.append(body[: first.start()].strip() if first else body.strip())
-
     return {
         "question": question,
         "options": options,
-        "exemplar_questions": exemplar_questions,
         "wants_explanation": prompt.endswith("### Explanation:"),
         "is_teacher": options_line is not None,
     }
@@ -397,14 +391,25 @@ class StageTablePolicy:
         self.table = dict(table)
         self.random_exemplar_questions = set(random_exemplar_questions)
 
+    @staticmethod
+    def exemplar_questions(prompt: str) -> list[str]:
+        """The question text of each exemplar block of `prompt`, in order."""
+        questions = []
+        for chunk in prompt.split(_QUESTION_HEADING)[1:-1]:
+            body = chunk.split("\n###", 1)[0]
+            first = _OPTION_TOKEN.search(body)
+            questions.append(body[: first.start()].strip() if first else body.strip())
+        return questions
+
     def classify(self, request: GenerationRequest, parts: dict) -> str:
         if request.temperature >= 0.2:
             return "ensemble"
-        if not parts["exemplar_questions"]:
+        exemplar_questions = self.exemplar_questions(request.prompt)
+        if not exemplar_questions:
             return "zero_shot"
         if not parts["wants_explanation"]:
             return "random_fewshot"
-        if set(parts["exemplar_questions"]) == self.random_exemplar_questions:
+        if set(exemplar_questions) == self.random_exemplar_questions:
             return "random_fewshot_cot"
         return "knn_fewshot_cot"
 

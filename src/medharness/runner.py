@@ -7,10 +7,10 @@ stage runs the strongest prompt up to five times at temperature 0.4, each run
 presenting the test question's options in a different seeded order, and
 stops as soon as the remaining runs could no longer change the vote. An
 item's runs are made one by one, in the thread that answers the item.
-Against an HTTP endpoint at concurrency above 1, the stage keeps
-B = concurrency * (runs // 2 + 1) items open at once, each holding at most
-one call, so the target sees at most B calls in flight while exemplar
-building, and with it the teacher, stays at `concurrency` items at a time.
+At concurrency above 1 the stage keeps B = concurrency * (runs // 2 + 1)
+items open at once, each holding at most one call, so the target sees at
+most B calls in flight while exemplar building, and with it the teacher,
+stays at `concurrency` items at a time.
 Every pass re-asks up to a bounded number of tries when no answer can be
 extracted, and the passes' decisions, mapped back to canonical labels, are
 majority-voted.
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .corpus import AppendLog, McqItem
 from .errors import ConfigError, EndpointError
-from .modelgw import GenerationRequest, HttpEndpoint, complete, default_max_tokens
+from .modelgw import GenerationRequest, complete, default_max_tokens
 from .parsing import INVALID, extract_answer
 from .promptkit import (
     STOP_SEQUENCES,
@@ -305,13 +305,12 @@ def run_benchmark(
     complete rows.
 
     `concurrency` items are answered at a time, with one exception: an
-    ensemble of more than one run against an `HttpEndpoint` at concurrency
-    above 1 keeps B = `concurrency * (n_runs // 2 + 1)` items open, each
-    making its runs one by one, so the target sees at most B calls in
-    flight. Building exemplars (with any teacher calls on manifest misses)
-    stays at `concurrency` items at a time in every stage, so the teacher
-    sees at most `concurrency`. In-process endpoints keep to `concurrency`
-    items: their calls hold the interpreter lock.
+    ensemble of more than one run at concurrency above 1 keeps
+    B = `concurrency * (n_runs // 2 + 1)` items open, each making its runs
+    one by one, so the target sees at most B calls in flight. Building
+    exemplars (with any teacher calls on manifest misses) stays at
+    `concurrency` items at a time in every stage, so the teacher sees at
+    most `concurrency`.
     Returns the trace rows for all requested items, in item order.
     """
     trace = AppendLog(trace_path, _trace_row, _corrupt_trace)
@@ -330,10 +329,7 @@ def run_benchmark(
 
     rows_by_id = {row["item_id"]: row for row in trace.rows}
     if todo:
-        width = concurrency
-        if (concurrency > 1 and stage is Stage.ENSEMBLE and ensemble.n_runs > 1
-                and isinstance(endpoint, HttpEndpoint)):
-            width *= ensemble.n_runs // 2 + 1
+        width = concurrency * (ensemble.n_runs // 2 + 1 if stage is Stage.ENSEMBLE else 1)
         exemplar_slots = threading.BoundedSemaphore(concurrency)
         # The parts of the last exemplar list handed out: a random stage's one
         # fixed list builds its head once for the whole stage.

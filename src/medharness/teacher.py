@@ -363,12 +363,14 @@ def load_exemplar_manifest(path: str | Path, header: dict, pool: PoolView, item_
     """Exemplar ids per test item in `item_ids`, from a manifest written
     under `header`; the rows of other items are skipped.
 
-    Each exemplar is placed in `pool` at its recorded offset, and its line
-    parsed then, once however many rows list it. A missing manifest is
-    empty. A manifest with another header (another schema, or built from
-    another pool, provider, teacher or test split) or with a row that is not
-    `FEWSHOT_SIZE` ids each at the offset of its pool line is ignored with
-    one warning, so its items build their exemplars as if it did not exist.
+    An exemplar `pool` does not map yet is placed at its recorded offset,
+    and its line parsed then, once however many rows list it; one that
+    `learn` already mapped has its offset checked, not parsed. A missing
+    manifest is empty. A manifest with another header (another schema, or
+    built from another pool, provider, teacher or test split) or with a row
+    that is not `FEWSHOT_SIZE` ids each at the offset of its pool line is
+    ignored with one warning, so its items build their exemplars as if it
+    did not exist.
     `warn_stale=False` ignores another header silently, for the command that
     replaces it.
     """

@@ -27,7 +27,7 @@ from medharness.modelgw import HttpEndpoint, parse_prompt_tail
 from medharness.parsing import INVALID
 from medharness.retrieval import VectorIndex
 from medharness.promptkit import FEWSHOT_SIZE, shuffle_options, teacher_prompt
-from medharness.runner import Stage
+from medharness.runner import Stage, read_trace
 from medharness.teacher import random_candidate_stream, teacher_fingerprint
 
 
@@ -73,11 +73,18 @@ def set_concurrency(config, concurrency):
 
 
 def trace_rows(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    """The rows of the trace at `path`, which must exist, as `runner.read_trace` reads them."""
+    assert path.exists(), path
+    return read_trace(path)
 
 
-class SlowTeacher:
-    """`wrap_endpoint`'s wrapper for a teacher whose calls each take 20 ms
+def sorted_rows(trace):
+    """`trace_rows` ordered by item id."""
+    return sorted(trace_rows(trace), key=lambda row: row["item_id"])
+
+
+class SlowEndpoint:
+    """`wrap_endpoint`'s wrapper for an endpoint whose calls each take 20 ms
     longer; `most` is the peak of calls in flight."""
 
     def __init__(self):
@@ -814,7 +821,7 @@ class TestRankOnce:
 
     def test_teacher_calls_overlap_across_items(self, tmp_path, monkeypatch):
         config, _, _ = build_env(tmp_path, n_test=8, n_pool=30, config_extra={"concurrency": 4})
-        teacher = SlowTeacher()
+        teacher = SlowEndpoint()
         wrap_endpoint(monkeypatch, "teacher-x", teacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "knn_fewshot_cot"]) == 0
@@ -1810,11 +1817,6 @@ class TestTraceWriter:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         return opened, unraisable
 
-    @staticmethod
-    def sorted_rows(root, stage):
-        trace = root / "out" / "medqa" / f"{stage}.trace.jsonl"
-        return sorted(trace.read_text(encoding="utf-8").splitlines())
-
     def interrupted(self, root, monkeypatch, stage, fail_at, error, **config_extra):
         """Run `stage` with a target failing on the item at index `fail_at`;
         return the exit code, the test items and the failing target."""
@@ -1840,7 +1842,8 @@ class TestTraceWriter:
                                                  "--resume")) == 0
         config, _, _ = build_env(root / "alone", n_test=8, n_pool=30, config_extra=config_extra)
         assert main(TestExemplarManifest.command("run", config, *args)) == 0
-        assert self.sorted_rows(root, stage) == self.sorted_rows(root / "alone", stage)
+        trace = Path("out", "medqa", f"{stage}.trace.jsonl")
+        assert sorted_rows(root / trace) == sorted_rows(root / "alone" / trace)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_interrupt_at_item_k_leaves_k_minus_1_rows(self, tmp_path, monkeypatch, handles,
@@ -2254,7 +2257,7 @@ def wave_server():
 
 
 class TestEnsembleWaves:
-    """An HTTP ensemble keeps more items open than `concurrency`, each making its runs in order."""
+    """An ensemble keeps more items open than `concurrency`, each making its runs in order."""
 
     @staticmethod
     def http_env(tmp_path, server, n_test, n_pool=8, **extra):
@@ -2265,17 +2268,12 @@ class TestEnsembleWaves:
             **extra,
         })
 
-    @staticmethod
-    def sorted_rows(trace):
-        return sorted(trace.read_text(encoding="utf-8").splitlines(),
-                      key=lambda line: json.loads(line)["item_id"])
-
     def test_overlapping_waves_write_the_rows_of_a_sequential_run(self, tmp_path, wave_server):
         config, test_items, _ = self.http_env(tmp_path, wave_server, n_test=8, concurrency=1)
         args = ["run", "--config", str(config), "--dataset", "medqa", "--stage", "ensemble"]
         trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
         assert main(args) == 0
-        sequential = self.sorted_rows(trace)
+        sequential = sorted_rows(trace)
         assert wave_server.peak == 1
         trace.unlink()
 
@@ -2287,7 +2285,7 @@ class TestEnsembleWaves:
         # first-wave run shares their presentation, are held 0.3 s.
         items = {item.id: item for item in test_items}
         held = []
-        for row in map(json.loads, sequential):
+        for row in sequential:
             item = items[row["item_id"]]
             first = {presentation(item, run_index) for run_index in range(3)}
             later = {presentation(item, run["run_index"]) for run in row["per_run"][3:]} - first
@@ -2298,7 +2296,7 @@ class TestEnsembleWaves:
         wave_server.peak = 0
         set_concurrency(config, 2)
         assert main(args) == 0
-        assert self.sorted_rows(trace) == sequential
+        assert sorted_rows(trace) == sequential
         # One call budget of concurrency * (5 // 2 + 1), kept full.
         assert wave_server.peak == 2 * 3
 
@@ -2319,7 +2317,7 @@ class TestEnsembleWaves:
         # No gen-cot ran, so every item's exemplars ask the teacher.
         config, _, _ = self.http_env(tmp_path, wave_server, n_test=12, n_pool=30,
                                      concurrency=2)
-        teacher = SlowTeacher()
+        teacher = SlowEndpoint()
         wrap_endpoint(monkeypatch, "teacher-x", teacher)
         assert main(["run", "--config", str(config), "--dataset", "medqa",
                      "--stage", "ensemble"]) == 0
@@ -2366,6 +2364,16 @@ class TestEnsembleWaves:
         trace = tmp_path / "out" / "medqa" / "ensemble.trace.jsonl"
         assert not trace.exists() or trace.read_text(encoding="utf-8") == ""
 
+    def test_in_process_target_gets_the_same_call_budget(self, tmp_path, monkeypatch):
+        config, _, _ = build_env(tmp_path, n_test=12, config_extra={"concurrency": 2})
+        command = ["--config", str(config), "--dataset", "medqa"]
+        assert main(["gen-cot", *command]) == 0
+        target = SlowEndpoint()
+        wrap_endpoint(monkeypatch, "target-x", target)
+        assert main(["run", *command, "--stage", "ensemble"]) == 0
+        # One call budget of concurrency * (5 // 2 + 1), whatever the transport.
+        assert target.most == 2 * 3
+
     def test_in_process_target_makes_runs_in_order(self, tmp_path):
         # The first ask of a presentation gets a wrong answer, a repeat the
         # right one: an item whose runs share a presentation has rows that
@@ -2385,12 +2393,12 @@ class TestEnsembleWaves:
         for concurrency in (1, 4):
             set_concurrency(config, concurrency)
             assert main(args) == 0
-            rows[concurrency] = self.sorted_rows(trace)
+            rows[concurrency] = sorted_rows(trace)
             trace.unlink()
         assert rows[4] == rows[1]
         assert any(len({json.dumps(run["permutation"], sort_keys=True)
                         for run in row["per_run"]}) < len(row["per_run"])
-                   for row in map(json.loads, rows[1]))
+                   for row in rows[1])
 
 
 class TestLazyHttpImport:

@@ -329,11 +329,11 @@ class TestValidationMessages:
         ({"dataset": "medical"}, ValueError, "'medical' is not a valid Dataset"),
         ({"split": "validation"}, ValueError, "'validation' is not a valid Split"),
         ({"options": 5}, TypeError, "'int' object is not iterable"),
-        ({"options": [5, 6]}, TypeError, "cannot unpack non-iterable int object"),
-        ({"options": [["A"], ["B", "b"]]}, ValueError,
-         "not enough values to unpack (expected 2, got 1)"),
-        ({"options": [["A", "a", "x"], ["B", "b"]]}, ValueError,
-         "too many values to unpack (expected 2)"),
+        ({"options": [5, 6]}, DataError, "x: options must be [label, text] pairs, got 5"),
+        ({"options": [["A"], ["B", "b"]]}, DataError,
+         "x: options must be [label, text] pairs, got ['A']"),
+        ({"options": [["A", "a", "x"], ["B", "b"]]}, DataError,
+         "x: options must be [label, text] pairs, got ['A', 'a', 'x']"),
         ({"question": None, "options": 5}, TypeError, "'int' object is not iterable"),
     ])
     def test_each_fault_keeps_its_message(self, edit, error, message):
@@ -359,10 +359,15 @@ class TestValidationMessages:
         assert vars(decoded) == vars(item)
         assert set(vars(decoded)) == {field.name for field in dataclasses.fields(McqItem)}
 
-    def test_two_character_strings_stand_for_pairs(self):
+    def test_two_character_strings_are_not_pairs(self, tmp_path):
         obj = {"id": "x", "dataset": "medqa", "split": "test", "question": "Q?",
                "options": ["Aa", "Bb", "Cc", "Dd"], "gold": "A"}
-        assert McqItem.from_json_obj(obj).options == tuple(zip("ABCD", "abcd"))
+        path = tmp_path / "test.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            read_normalized(path)
+        assert str(caught.value) == (f"{path}: line 1: x: options must be [label, text] pairs, "
+                                     f"got 'Aa'")
 
 
 class TestLabels:
@@ -434,14 +439,16 @@ class TestPoolView:
         assert "\u2028".encode("utf-8") in path.read_bytes()
         assert read_normalized(path) == items
         assert CorpusFile(path).questions() == [(item.id, item.question) for item in items]
-        view = PoolView(CorpusFile(path), [item.id for item in items])
+        view = PoolView(CorpusFile(path))
+        view.learn([item.id for item in items])
         assert [view[item.id] for item in reversed(items)] == list(reversed(items))
 
     def test_line_with_another_id_is_an_error(self, tmp_path):
         items = [make_item(i, split=Split.TRAIN) for i in range(3)]
         path = tmp_path / "train.jsonl"
         write_normalized(items, path)
-        view = PoolView(CorpusFile(path), [items[1].id, items[0].id, items[2].id])
+        view = PoolView(CorpusFile(path))
+        view.learn([items[1].id, items[0].id, items[2].id])
         assert view[items[2].id] == items[2]
         with pytest.raises(DataError, match="line 2 holds 'train-00001'"):
             view[items[0].id]
@@ -501,7 +508,9 @@ class TestCorpusStore:
         assert store.load(Dataset.MEDQA, Split.TEST) == test
         pool = store.pool_file(Dataset.MEDQA)
         assert pool.questions() == [(item.id, item.question) for item in train]
-        assert list(PoolView(pool, [item.id for item in train]).values()) == train
+        view = PoolView(pool)
+        view.learn([item.id for item in train])
+        assert list(view.values()) == train
 
     def test_pool_missing_is_an_error(self, tmp_path):
         store = CorpusStore(tmp_path)

@@ -40,7 +40,7 @@ from medharness.corpus import (POOL_SPLIT, PUBMEDQA_WORDS, Dataset, Split, read_
 from medharness.modelgw import FlakyGoldPolicy, mock_model
 from medharness.promptkit import FEWSHOT_SIZE, CotExemplar, assemble_prompt
 from medharness.retrieval import BuiltinProvider
-from medharness.runner import Stage
+from medharness.runner import Stage, read_trace
 from medharness.teacher import generate_cot, random_candidate_stream
 
 WORDS = ("renal", "cardiac", "hepatic", "fever", "rash", "cough", "anemia", "sepsis",
@@ -228,9 +228,7 @@ def check_run(tmp_path, stage: Stage, scenario: str, concurrency: int, shape: st
         shutil.rmtree(tmp_path / "out", ignore_errors=True)
     assert main(command("run", config, "--stage", stage.value, dataset=dataset)) == 0
     trace = tmp_path / "out" / dataset.value / f"{stage.value}.trace.jsonl"
-    # Lines split on "\n" alone: a raw U+2028 may sit inside a row.
-    sent = {row["item_id"]: row["per_run"][0]["prompt_sha256"]
-            for row in map(json.loads, filter(None, trace.read_bytes().split(b"\n")))}
+    sent = {row["item_id"]: row["per_run"][0]["prompt_sha256"] for row in read_trace(trace)}
     assert sent == reference_prompts(config, teacher_spec, stage, dataset)
 
 

@@ -421,7 +421,7 @@ class TestPromptTailParsing:
         parts = parse_prompt_tail(text)
         assert parts["question"] == gd.TEST_ITEM.question
         assert parts["options"] == list(gd.TEST_ITEM.options)
-        assert parts["exemplar_questions"] == []
+        assert StageTablePolicy.exemplar_questions(text) == []
         assert not parts["wants_explanation"]
         assert not parts["is_teacher"]
 
@@ -429,7 +429,7 @@ class TestPromptTailParsing:
         parts = parse_prompt_tail(knn_prompt())
         assert parts["question"] == gd.TEST_ITEM.question
         assert parts["wants_explanation"]
-        assert parts["exemplar_questions"] == [
+        assert StageTablePolicy.exemplar_questions(knn_prompt()) == [
             gd.POOL_BY_ID[i].question for i in gd.KNN_ORDER
         ]
 

@@ -392,7 +392,7 @@ class TestRunBenchmark:
         assert [r["item_id"] for r in rows] == [it.id for it in bench_items]
         assert all(r["correct"] for r in rows)
         assert all(r["stage"] == "zero_shot" and r["schema"] == 1 for r in rows)
-        on_disk = [json.loads(line) for line in trace.read_text().splitlines()]
+        on_disk = read_trace(trace)
         assert len(on_disk) == 6
 
     def test_items_given_one_exemplar_list_share_its_head(self, bench_items, tmp_path,
@@ -551,7 +551,7 @@ class TestRunBenchmark:
                              gd.MEDQA_INSTRUCTION, no_exemplars, trace, concurrency=4)
         assert [r["item_id"] for r in rows] == [it.id for it in items]
         assert all(r["correct"] for r in rows)
-        on_disk = [json.loads(line) for line in trace.read_text().splitlines()]
+        on_disk = read_trace(trace)
         assert sorted(r["item_id"] for r in on_disk) == [it.id for it in items]
 
     def test_first_error_stops_scheduling_items(self, tmp_path):
@@ -598,7 +598,7 @@ class TestRunBenchmark:
         rows = run_benchmark(bench_items, stage, gold_endpoint(bench_items, gd.POOL_ITEMS),
                              gd.MEDQA_INSTRUCTION, lambda item: exemplars, trace,
                              seed=gd.SHUFFLE_SEED)
-        lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        lines = read_trace(trace)
         assert lines == [returned[item.id] for item in bench_items] == rows
         # A unanimous ensemble item stops after three of its five runs.
         runs = 3 if stage is Stage.ENSEMBLE else 1

@@ -316,6 +316,15 @@ def test_endpoints_are_built_in_one_place():
                              "config.py build_endpoint mock_from_file"]
 
 
+def test_only_the_gateway_and_config_name_the_http_transport():
+    """Within the package only `modelgw.py`, which defines `HttpEndpoint`, and
+    `config.py`, which builds it, name it: no other module treats an
+    endpoint differently by its transport."""
+    found = sorted(path.name for path in (ROOT / "src" / "medharness").glob("*.py")
+                   if "HttpEndpoint" in path.read_text(encoding="utf-8"))
+    assert found == ["config.py", "modelgw.py"]
+
+
 def test_teacher_fingerprint_is_computed_in_one_place():
     """Within the package only `teacher.py` calls `teacher_fingerprint`: a
     `CotCache` fixes its teacher's fingerprint when a command builds it, and
