@@ -41,8 +41,8 @@ from .metrics import (
 )
 from .modelgw import GenerationRequest, GenerationResponse
 from .promptkit import FEWSHOT_SIZE
-from .retrieval import (QUERY_BLOCK, BuiltinProvider, NeighborSet, RemoteProvider, VectorIndex,
-                        build_index)
+from .retrieval import (QUERY_BLOCK, BuiltinProvider, EmbeddingError, NeighborSet,
+                        RemoteProvider, VectorIndex, build_index)
 from .runner import LADDER, Stage, answer_stage_item, run_benchmark
 from .teacher import (CotCache, TeacherOutcome, build_exemplars, build_random_exemplars,
                       load_exemplar_manifest, save_exemplar_manifest)
@@ -110,9 +110,15 @@ def _close(resource) -> None:
         close()
 
 
-def _build_index(config: RunConfig, dataset: Dataset, pool: list,
-                 pool_sha256: str, provider) -> VectorIndex:
-    index = build_index(pool, provider=provider, pool_sha256=pool_sha256)
+def _build_index(config: RunConfig, dataset: Dataset, source: CorpusFile, pool: list,
+                 provider) -> VectorIndex:
+    """Build and save the index of `pool`, the records `source.questions()` gave."""
+    try:
+        index = build_index(pool, provider=provider, pool_sha256=source.sha256)
+    except EmbeddingError as exc:
+        row = next(row for row, record in enumerate(pool) if record.id == exc.item_id)
+        raise DataError(f"{source.path}: line {source.lineno(source.offsets()[row])}: "
+                        f"{exc}") from None
     index.save(_index_path(config, dataset))
     return index
 
@@ -130,7 +136,7 @@ def index_cmd(config_path: Path, dataset_name: str):
     store.check_disjoint(dataset, [record.id for record in pool])
     embedder = build_endpoint(config.embedding, config.retry) if config.embedding else None
     try:
-        index = _build_index(config, dataset, pool, source.sha256,
+        index = _build_index(config, dataset, source, pool,
                              _embedding_provider(config, embedder))
     finally:
         _close(embedder)
@@ -165,7 +171,8 @@ class _Sources:
     `teacher` for a chain-of-thought stage. Building an endpoint is its
     check, so a fault in any block fails before any call; an endpoint
     acquires nothing before its first call, and used as a context manager
-    `_Sources` closes them all. A dry run builds none and calls nothing:
+    `_Sources` closes them all, and the append handle the cache opened on
+    its first `put`. A dry run builds none and calls nothing:
     each endpoint is a `_DryRun` stand-in that records its requests. The
     target answers each with no text; the teacher and embedder refuse every
     call with a `ConfigError` naming the command to run first, as an index
@@ -215,8 +222,11 @@ class _Sources:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for endpoint in self._built:
-            _close(endpoint)
+        try:
+            self.cache.close()
+        finally:
+            for endpoint in self._built:
+                _close(endpoint)
 
     @cached_property
     def pool_file(self) -> CorpusFile:
@@ -224,9 +234,12 @@ class _Sources:
 
     @cached_property
     def pool_questions(self) -> list:
-        """The pool's ids and questions, checked against the test split's ids."""
+        """The pool's ids and questions, checked against the test split's
+        ids; `pool_items` then maps every pool id."""
         pool = self.pool_file.questions()
-        self.store.check_disjoint(self.dataset, [record.id for record in pool], self.test_ids)
+        ids = [record.id for record in pool]
+        self.store.check_disjoint(self.dataset, ids, self.test_ids)
+        self.pool_items.learn(ids)
         return pool
 
     @cached_property
@@ -239,17 +252,16 @@ class _Sources:
                               "run `index` or `gen-cot` first")
         provider = _embedding_provider(self.config, self.embedder)
         if not path.exists():
-            index = _build_index(self.config, self.dataset, self.pool_questions,
-                                 self.pool_file.sha256, provider)
-        else:
-            index = VectorIndex.load(path, provider=provider)
-            if index.pool_sha256 != self.pool_file.sha256:
-                raise DataError(f"{path}: not built from the current {self.pool_file.path} "
-                                f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
-                                f"rebuild with `medharness index`")
-            # The digest matches, so the pool's ids are the index's, checked for
-            # validity and uniqueness when `index` read these bytes.
-            self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
+            return _build_index(self.config, self.dataset, self.pool_file,
+                                self.pool_questions, provider)
+        index = VectorIndex.load(path, provider=provider)
+        if index.pool_sha256 != self.pool_file.sha256:
+            raise DataError(f"{path}: not built from the current {self.pool_file.path} "
+                            f"(pool_sha256 {index.pool_sha256 or 'not recorded'}); "
+                            f"rebuild with `medharness index`")
+        # The digest matches, so the pool's ids are the index's, checked for
+        # validity and uniqueness when `index` read these bytes.
+        self.store.check_disjoint(self.dataset, index.ids, self.test_ids)
         self.pool_items.learn(index.ids)
         return index
 
@@ -319,7 +331,7 @@ class _Sources:
             none: list = []
             return lambda item: none
         if not stage.knn:
-            self.pool_items.learn([record.id for record in self.pool_questions])
+            _ = self.pool_questions  # maps every pool id, once per command
             fixed, outcomes = build_random_exemplars(
                 self.pool_items, self.config.seed, teacher=self.teacher if stage.cot else None,
                 cache=self.cache,

@@ -28,7 +28,8 @@ import os
 import string
 import tempfile
 import threading
-from collections.abc import Iterator, Mapping
+from array import array
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -563,6 +564,10 @@ class AppendLog:
     parse or that `check` refuses goes to `corrupt(path, lineno, exc)`, which
     may raise. The first `appending()` cuts that torn line off, or gives a
     last row its missing newline.
+
+    A writer appends through one `appending()` handle for as long as it
+    writes, not one per row: a stage its trace, a command its CoT cache.
+    Each row is still one unbuffered write, on disk when `append` returns.
     """
 
     def __init__(self, path: str | Path, check, corrupt):
@@ -639,8 +644,10 @@ class CorpusFile:
     U+2028 inside a question stays in its line; the "\r" of a CRLF ending
     is whitespace. A blank line holds no item. A line is named by the byte
     offset it starts at, so reading one item slices its line alone; only
-    `item_lines`, for callers that read every item, splits the file. The
-    whole file is checked to be UTF-8 on reading, so every line decodes.
+    `item_lines`, for callers that read every item, splits the file, and a
+    pass of it that reaches the end keeps the item lines' offsets, so
+    `offsets` need not split it again. The whole file is checked to be
+    UTF-8 on reading, so every line decodes.
     """
 
     def __init__(self, path: str | Path):
@@ -654,15 +661,26 @@ class CorpusFile:
                 self.data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{self.path}: not UTF-8: {exc}") from exc
+        self._offsets: array | None = None
 
     def item_lines(self) -> Iterator[tuple[int, int, str]]:
         """The line index, byte offset and text of each item's line, in file order."""
         ascii_only = self.data.isascii()
+        offsets = array("q")
         offset = 0
         for i, line in enumerate(self.data.decode("utf-8").split("\n")):
             if line.strip():
+                offsets.append(offset)
                 yield i, offset, line
             offset += 1 + (len(line) if ascii_only else len(line.encode("utf-8")))
+        self._offsets = offsets
+
+    def offsets(self) -> Sequence[int]:
+        """The byte offset of each item's line, in file order."""
+        if self._offsets is None:
+            for _ in self.item_lines():
+                pass
+        return self._offsets
 
     def lineno(self, offset: int) -> int:
         """The 1-based number of the line starting at byte `offset`."""
@@ -741,7 +759,7 @@ class PoolView(Mapping):
     def learn(self, ids: list[str]) -> None:
         """Map every item: `ids` are the file's ids in file order, and must
         put each id already placed on its line."""
-        offsets = [offset for _, offset, _ in self._source.item_lines()]
+        offsets = self._source.offsets()
         if len(offsets) != len(ids):
             raise DataError(f"{self._source.path}: {len(offsets)} items, expected {len(ids)}")
         learned = dict(zip(ids, offsets))

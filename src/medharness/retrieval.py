@@ -33,10 +33,10 @@ from __future__ import annotations
 import math
 import re
 import zipfile
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b, sha256
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -48,6 +48,7 @@ from .errors import DataError, EndpointError
 __all__ = [
     "NeighborSet",
     "BuiltinProvider",
+    "EmbeddingError",
     "RemoteProvider",
     "VectorIndex",
     "QUERY_BLOCK",
@@ -63,14 +64,16 @@ INDEX_SCHEMA = 4
 # Queries scored per block. Larger blocks stream the pool less often but grow
 # the block's score buffer; at 16 it is 1.3 MB for a 10k pool.
 QUERY_BLOCK = 16
-# Pool questions embedded per dense block while building a builtin index
-# (4 MB at dim 512); the index keeps only each block's non-zero entries.
+# Pool questions embedded per block while building a builtin index; each
+# block's rows are summed and normed in one dense (EMBED_BLOCK, dim) buffer
+# (4 MB at dim 512), and the index keeps only their non-zero entries.
 EMBED_BLOCK = 1024
 # Rows whose block score is within this of the k-th best are re-scored per
 # pair. It is far above the ~dim * eps (~6e-14 at dim 512) by which a block
 # score and a per-pair `np.dot` can differ.
 SCORE_TIE_BAND = 1e-9
 _REBUILD = "rebuild with `medharness index`"
+_NO_TOKEN = "cannot embed empty text: it has no a-z or 0-9 token"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -104,14 +107,14 @@ class BuiltinProvider:
     idf is fit on the pool at index build time: ln((1+N)/(1+df)) + 1 per hash
     bucket, where df counts pool documents containing the bucket. Buckets
     unseen at fit time get the df=0 weight. Each distinct token is hashed
-    once per provider.
+    once per provider, and a token's weight is gathered from one array of
+    every bucket's weight, kept beside `idf`.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, idf: dict[int, float] | None = None, n_docs: int = 0):
         self.dim = dim
-        self.idf = dict(idf or {})
-        self.n_docs = n_docs
         self._token_buckets: dict[str, int] = {}
+        self._set_idf(dict(idf or {}), n_docs)
 
     @property
     def provider_id(self) -> str:
@@ -123,11 +126,24 @@ class BuiltinProvider:
         provider._fit([provider.buckets(text) for text in texts])
         return provider
 
+    def _set_idf(self, idf: dict[int, float], n_docs: int) -> None:
+        if not all(0 <= b < self.dim for b in idf):
+            raise ValueError(f"idf names a bucket outside 0..{self.dim - 1}")
+        self.idf = idf
+        self.n_docs = n_docs
+        self._weights = np.full(self.dim, _idf(n_docs, 0))
+        self._weights[list(idf)] = list(idf.values())
+
     def _fit(self, bucket_lists: list[list[int]]) -> None:
-        df = Counter(b for buckets in bucket_lists for b in set(buckets))
+        """Fit idf on the texts' buckets; df is counted EMBED_BLOCK texts at a time."""
+        df = np.zeros(self.dim, dtype=np.intp)
+        for start in range(0, len(bucket_lists), EMBED_BLOCK):
+            block = bucket_lists[start:start + EMBED_BLOCK]
+            keys, _ = self._keys(block)
+            df += np.bincount(_distinct(keys, len(block) * self.dim) % self.dim,
+                              minlength=self.dim)
         n = len(bucket_lists)
-        self.idf = {b: math.log((1 + n) / (1 + count)) + 1.0 for b, count in df.items()}
-        self.n_docs = n
+        self._set_idf({b: _idf(n, count) for b, count in enumerate(df.tolist()) if count}, n)
 
     def buckets(self, text: str) -> list[int]:
         """The hash bucket of each of the text's tokens, in token order."""
@@ -141,27 +157,79 @@ class BuiltinProvider:
         return buckets
 
     def _bucket_weight(self, bucket: int) -> float:
-        try:
-            return self.idf[bucket]
-        except KeyError:
-            return math.log((1 + self.n_docs) / 1) + 1.0
+        return float(self._weights[bucket])
 
     def embed(self, text: str) -> np.ndarray:
-        [vec] = self._embed_rows([self.buckets(text)])
-        return vec
+        rows, _ = self._unit_rows([self.buckets(text)])
+        return rows[0]
 
-    def _embed_rows(self, bucket_lists: list[list[int]]) -> np.ndarray:
-        """One unit row per text's buckets: each token adds its bucket's
-        weight, in token order (`np.add.at` adds in index order), then the
-        row is divided by its own `np.linalg.norm`."""
+    def _keys(self, bucket_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's `row * dim + bucket` key, row being its text's
+        position in `bucket_lists`, and its bucket; tokens in text order."""
+        counts = np.fromiter(map(len, bucket_lists), dtype=np.intp, count=len(bucket_lists))
+        buckets = np.fromiter(chain.from_iterable(bucket_lists), dtype=np.intp,
+                              count=int(counts.sum()))
+        row_starts = np.arange(0, len(bucket_lists) * self.dim, self.dim, dtype=np.intp)
+        return np.repeat(row_starts, counts) + buckets, buckets
+
+    def _unit_rows(self, bucket_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """One unit row per text's buckets, as a (len, dim) block, and the
+        block's `_keys`.
+
+        Each token adds its bucket's weight, in token order (`np.bincount`
+        sums in input order), then each row is divided by its norm taken as
+        `np.linalg.norm` takes it: the square root of a dot over the dense
+        row, which a sum over the non-zeros alone would round differently.
+        """
         if not all(bucket_lists):
-            raise DataError("cannot embed empty text")
-        flat = [b for buckets in bucket_lists for b in buckets]
-        row_starts = np.repeat(np.arange(len(bucket_lists)) * self.dim, list(map(len, bucket_lists)))
-        rows = np.zeros((len(bucket_lists), self.dim), dtype=np.float64)
-        np.add.at(rows.ravel(), row_starts + flat, [self._bucket_weight(b) for b in flat])
-        rows /= np.array([np.linalg.norm(row) for row in rows])[:, None]
-        return rows
+            raise DataError(_NO_TOKEN)
+        keys, buckets = self._keys(bucket_lists)
+        n = len(bucket_lists)
+        rows = np.bincount(keys, weights=self._weights[buckets],
+                           minlength=n * self.dim).reshape(n, self.dim)
+        rows /= np.sqrt([row.dot(row) for row in rows])[:, None]
+        return rows, keys
+
+    def _sparse_rows(self, bucket_lists: list[list[int]]) -> "_SparseRows":
+        """`_unit_rows` as CSR rows: a row's buckets are its distinct keys'."""
+        rows, keys = self._unit_rows(bucket_lists)
+        keys = _distinct(keys, rows.size)
+        indptr = _offsets(np.bincount(keys // self.dim, minlength=len(bucket_lists)))
+        return _SparseRows(indptr, (keys % self.dim).astype(np.int32), rows.ravel()[keys],
+                           self.dim)
+
+
+def _distinct(keys: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of `keys`, all below `size`, ascending.
+
+    A presence mask, not `np.sort` or `np.unique`: numpy 2's hashing
+    `np.unique` is about 15x slower on a block's keys, and either pages in
+    sort code (0.3 MB of RSS) that an `index` run uses nowhere else.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present)
+
+
+def _idf(n_docs: int, df: int) -> float:
+    """A bucket's weight: ln((1+N)/(1+df)) + 1."""
+    return math.log((1 + n_docs) / (1 + df)) + 1.0
+
+
+class EmbeddingError(DataError):
+    """An item whose question cannot be embedded; `item_id` names it."""
+
+    def __init__(self, item_id: str, reason):
+        super().__init__(f"{item_id}: {reason}")
+        self.item_id = item_id
+
+
+def _embed_item(provider, item) -> np.ndarray:
+    """The item's question embedded; a DataError names the item."""
+    try:
+        return provider.embed(item.question)
+    except DataError as exc:
+        raise EmbeddingError(item.id, exc) from None
 
 
 class RemoteProvider:
@@ -356,7 +424,7 @@ class VectorIndex:
 
     def embed_query(self, item: McqItem) -> np.ndarray:
         # Similarity is over question text only; contexts stay out.
-        return self.provider.embed(item.question)
+        return _embed_item(self.provider, item)
 
     def rank_all(self, query_vector: np.ndarray, exclude_id: str | None = None,
                  limit: int | None = None) -> list[tuple[str, float]]:
@@ -510,10 +578,11 @@ def build_index(pool: list, provider=None, pool_sha256: str | None = None) -> Ve
     Only each item's `id` and `question` are read, as `CorpusFile.questions`
     gives them. `pool_sha256` is the SHA-256 of the file `pool` was read from.
 
-    The builtin fit and rows tokenize each question once, and only the
-    non-zero entries of each EMBED_BLOCK rows are kept, as CSR arrays. A
+    The builtin fit and rows tokenize each question once, and build the
+    CSR arrays of EMBED_BLOCK rows at a time straight from their buckets. A
     given provider's rows go into one preallocated matrix, sized by the
-    first embedding, so its vectors are never held twice.
+    first embedding, so its vectors are never held twice. An item whose
+    question cannot be embedded raises `EmbeddingError`.
     """
     if not pool:
         raise DataError("cannot index an empty pool")
@@ -521,17 +590,19 @@ def build_index(pool: list, provider=None, pool_sha256: str | None = None) -> Ve
     if provider is None:
         provider = BuiltinProvider()
         bucket_lists = [provider.buckets(item.question) for item in pool]
+        if not all(bucket_lists):
+            raise EmbeddingError(pool[bucket_lists.index([])].id, _NO_TOKEN)
         provider._fit(bucket_lists)
         rows = _SparseRows.concatenate([
-            _SparseRows.from_matrix(provider._embed_rows(bucket_lists[start:start + EMBED_BLOCK]))
+            provider._sparse_rows(bucket_lists[start:start + EMBED_BLOCK])
             for start in range(0, len(pool), EMBED_BLOCK)
         ])
         return VectorIndex(provider, ids, rows, pool_sha256=pool_sha256)
-    first = provider.embed(pool[0].question)
+    first = _embed_item(provider, pool[0])
     matrix = np.empty((len(pool), first.shape[0]), dtype=np.float64)
     matrix[0] = first
     for row, item in enumerate(pool[1:], start=1):
-        matrix[row] = provider.embed(item.question)
+        matrix[row] = _embed_item(provider, item)
     return VectorIndex(provider, ids, matrix, pool_sha256=pool_sha256)
 
 

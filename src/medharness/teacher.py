@@ -18,6 +18,7 @@ import random
 import threading
 from collections.abc import Iterator, Mapping
 from concurrent.futures import Future
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +83,10 @@ class CotCache:
     has it: a match means the line is the canonical JSON `put` digested, so
     the item need not be serialized again. Any other line (keys reordered,
     spaces added) falls back to the canonical digest. The file is an
-    `AppendLog`: a corrupt row reads as a miss and logs a warning.
+    `AppendLog`: a corrupt row reads as a miss and logs a warning. The first
+    `put` opens it for appending and later ones write through that one
+    handle, each row in one unbuffered write, on disk before `put` returns,
+    until `close()`; a `put` after that opens it again.
 
     The instance keeps the last exemplar per id: the one `get` built, or the
     one `put` made for the explanation it wrote, so the exemplar a teacher
@@ -98,6 +102,9 @@ class CotCache:
         self.path = Path(cache_dir) / "cot" / f"{self.fingerprint}.jsonl"
         self._lock = threading.Lock()
         self._log: AppendLog | None = None
+        # The append handle, from the first `put` until `close()`.
+        self._appending = ExitStack()
+        self._append = None
         self._entries: dict[str, tuple[str, str]] = {}  # item id -> (item digest, explanation)
         # item id -> the last exemplar kept for it, returned again for the same
         # item object without digesting it again, and once `verify` has
@@ -136,11 +143,18 @@ class CotCache:
         digest = _sha256(item.canonical_json())
         with self._lock:
             entries = self._loaded()
-            with self._log.appending() as append:
-                append({"id": item.id, "item_sha256": digest, "explanation": explanation})
+            if self._append is None:
+                self._append = self._appending.enter_context(self._log.appending())
+            self._append({"id": item.id, "item_sha256": digest, "explanation": explanation})
             entries[item.id] = (digest, explanation)
             self._hits[item.id] = hit, None
         return hit
+
+    def close(self) -> None:
+        """Close the append handle, if a `put` opened one; closing twice does nothing."""
+        with self._lock:
+            self._append = None
+            self._appending.close()
 
     def verify(self, item: McqItem, teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
         """The item's exemplar from the cache, else from the teacher, once per instance.

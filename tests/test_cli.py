@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import closing
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -1766,7 +1767,8 @@ class TestPoolLineDigest:
         exemplar_id = sorted(self.exemplar_ids(tmp_path))[0]
         original = next(item for item in pool_items if item.id == exemplar_id)
         other = replace(original, question=original.question + " Edited?")
-        teacher.CotCache(tmp_path / "cache", "teacher-x").put(other, "About the edited item.")
+        with closing(teacher.CotCache(tmp_path / "cache", "teacher-x")) as cache:
+            cache.put(other, "About the edited item.")
         calls = []
         wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
         index_loads.clear()
@@ -2160,6 +2162,129 @@ class TestRandomPool:
         assert main(self.command("index", config)) == 0
         assert main(self.command("run", config, "--stage", "random_fewshot")) == 2
         assert f"train.jsonl: line {line + 1}:" in capsys.readouterr().err
+
+
+class TestPoolSplitOnce:
+    """A command splits the pool file into lines at most once."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Names of the files `CorpusFile.item_lines` splits, in call order."""
+        names = []
+        item_lines = CorpusFile.item_lines
+
+        def spy(source):
+            names.append(source.path.name)
+            return item_lines(source)
+
+        monkeypatch.setattr(CorpusFile, "item_lines", spy)
+        return names
+
+    def test_ablate_learns_the_pool_once(self, tmp_path, split):
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30)
+        assert main(TestRandomPool.command("gen-cot", config)) == 0
+        split.clear()
+        assert main(TestRandomPool.command("ablate", config)) == 0
+        assert split == ["test.jsonl", "train.jsonl"]
+
+    def test_stage_that_builds_the_index_splits_the_pool_once(self, tmp_path, split):
+        config, _, _ = build_env(tmp_path, n_test=4, n_pool=30)
+        assert main(TestRandomPool.command("run", config, "--stage", "knn_fewshot_cot")) == 0
+        assert split == ["test.jsonl", "train.jsonl"]
+
+
+class TestUnembeddableQuestion:
+    """A question with no token for the builtin provider fails with exit 2,
+    named by its pool line or its test item."""
+
+    def test_index_names_the_pool_file_and_line(self, tmp_path, capsys):
+        config, _, _ = build_env(tmp_path, n_pool=30)
+        edit_pool_line(tmp_path, 6, lambda obj: {**obj, "question": "Τι νεύρο;"})
+        for command in ("index", "gen-cot"):
+            assert main(TestRandomPool.command(command, config)) == 2
+            err = capsys.readouterr().err
+            assert "train.jsonl: line 7: train-00006: cannot embed empty text" in err
+
+    def test_knn_stage_names_the_test_item(self, tmp_path, capsys):
+        config, test_items, _ = build_env(tmp_path, n_pool=30)
+        test_items[2] = replace(test_items[2], question="Τι νεύρο;")
+        write_normalized(test_items, tmp_path / "corpus" / "medqa" / "test.jsonl")
+        assert main(TestRandomPool.command("index", config)) == 0
+        assert main(TestRandomPool.command("run", config, "--stage", "knn_fewshot_cot")) == 2
+        assert "error: test-00002: cannot embed empty text" in capsys.readouterr().err
+
+
+class TestCotCacheHandle:
+    """A command appends to the CoT cache through one handle, closed when it
+    ends, and writes the bytes one open per row would."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The CoT cache files `corpus.py` opens for appending, in order.
+        Every cache a command makes is kept alive, so its handle is closed
+        only if the command closes it, not by the garbage collector."""
+        files, caches = [], []
+        init = teacher.CotCache.__init__
+
+        def spy(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if Path(file).parent.name == "cot" and "a" in mode:
+                files.append(f)
+            return f
+
+        def keep(cache, *args, **kwargs):
+            init(cache, *args, **kwargs)
+            caches.append(cache)
+
+        monkeypatch.setattr(corpus, "open", spy, raising=False)
+        monkeypatch.setattr(teacher.CotCache, "__init__", keep)
+        yield files
+        for cache in caches:
+            cache.close()
+
+    def test_gen_cot_opens_the_cache_once(self, tmp_path, opened):
+        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
+        assert main(TestRandomPool.command("gen-cot", config)) == 0
+        [path] = (tmp_path / "cache" / "cot").glob("*.jsonl")
+        assert len(path.read_bytes().splitlines()) > 1
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_one_handle_writes_the_bytes_of_one_open_per_put(self, tmp_path, monkeypatch,
+                                                              opened):
+        def cache_bytes(root):
+            config, _, _ = build_env(root, n_test=8, n_pool=30)
+            assert main(TestRandomPool.command("ablate", config)) == 0
+            [path] = (root / "cache" / "cot").glob("*.jsonl")
+            return path.read_bytes()
+
+        kept = cache_bytes(tmp_path / "kept")
+        assert len(opened) == 1
+        put = teacher.CotCache.put
+
+        def put_and_close(cache, item, explanation):
+            exemplar = put(cache, item, explanation)
+            cache.close()
+            return exemplar
+
+        monkeypatch.setattr(teacher.CotCache, "put", put_and_close)
+        assert cache_bytes(tmp_path / "each") == kept
+        assert len(opened) == 1 + kept.count(b"\n")
+        assert all(f.closed for f in opened)
+
+    def test_interrupted_command_closes_the_cache(self, tmp_path, monkeypatch, opened):
+        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
+
+        class InterruptedTeacher(RecordingEndpoint):
+            def complete(self, request):
+                if len(self.requests) == 3:
+                    raise KeyboardInterrupt
+                return super().complete(request)
+
+        wrap_endpoint(monkeypatch, "teacher-x", InterruptedTeacher)
+        assert main(TestRandomPool.command("gen-cot", config)) == 130
+        [path] = (tmp_path / "cache" / "cot").glob("*.jsonl")
+        assert len(path.read_bytes().splitlines()) == 3
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestClosesEndpoints:

@@ -14,9 +14,11 @@ from conftest import make_item
 from medharness.corpus import Split
 from medharness.errors import DataError, EndpointError
 from medharness.retrieval import (
+    EMBED_BLOCK,
     QUERY_BLOCK,
     SCORE_TIE_BAND,
     BuiltinProvider,
+    EmbeddingError,
     NeighborSet,
     RemoteProvider,
     VectorIndex,
@@ -111,6 +113,40 @@ class TestBuiltinProvider:
         assert provider.n_docs == len(texts)
         for text in texts + ["term1 delta unseen words"]:
             assert provider.embed(text).tobytes() == reference_embed(provider, text).tobytes()
+
+
+class TestBuiltinRows:
+    """`build_index` builds the builtin rows EMBED_BLOCK at a time, straight
+    into CSR arrays; each row is the reference loop's, bit for bit."""
+
+    def test_rows_across_blocks_equal_the_reference_loop(self):
+        pool = word_soup_items(2 * EMBED_BLOCK + 37, vocab_size=300, words_per_item=9)
+        # A token repeated inside one question, in the second block.
+        pool[EMBED_BLOCK + 3] = make_item(EMBED_BLOCK + 3, split=Split.TRAIN,
+                                          question="Alpha alpha term7 ALPHA alpha beta?")
+        texts = [item.question for item in pool]
+        index = build_index(pool)
+        provider = index.provider
+        assert provider.idf == reference_fit(texts)
+        assert provider.n_docs == len(texts)
+        for row, text in enumerate(texts):
+            assert index._vectors.row(row).tobytes() == reference_embed(provider, text).tobytes()
+        # A query holding a bucket unseen at fit time.
+        unseen = next(token for token in (f"unseen{i}" for i in range(10_000))
+                      if token_bucket(token, provider.dim) not in provider.idf)
+        for text in (f"{unseen} term3 term3?", f"{unseen}?"):
+            assert provider.embed(text).tobytes() == reference_embed(provider, text).tobytes()
+
+    def test_question_with_no_token_names_its_item(self):
+        pool = word_soup_items(EMBED_BLOCK + 5)
+        pool[EMBED_BLOCK + 2] = make_item(EMBED_BLOCK + 2, split=Split.TRAIN,
+                                          question="Τι νεύρο;")
+        with pytest.raises(EmbeddingError, match="empty") as caught:
+            build_index(pool)
+        assert caught.value.item_id == pool[EMBED_BLOCK + 2].id
+        index = build_index(pool[:EMBED_BLOCK])
+        with pytest.raises(EmbeddingError, match="^test-00009: cannot embed empty text"):
+            index.nearest(make_item(9, question="?!"), 3)
 
 
 class TestNearest:
@@ -549,8 +585,11 @@ class TestPersistence:
           for key in ("provider_id", "dim", "count", "rows")),
         lambda header: {**header, "provider_id": 7},
         lambda header: {**header, "idf": []},
+        lambda header: {**header, "idf": {"512": 1.5}},
+        lambda header: {**header, "idf": {"-1": 1.5}},
+        lambda header: {**header, "idf": {"3": "x"}},
     ], ids=["list", "string", "null", "no-provider_id", "no-dim", "no-count", "no-rows",
-            "int-provider_id", "list-idf"])
+            "int-provider_id", "list-idf", "idf-past-dim", "idf-negative", "idf-string-weight"])
     def test_malformed_header_refused(self, tmp_path, edit):
         path = tmp_path / "pool.jsonl"
         build_index(word_soup_items(5)).save(path)

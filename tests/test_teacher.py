@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import make_item
+from medharness import corpus
 from medharness.corpus import Split
 from medharness.errors import DataError, EndpointError
 from medharness.modelgw import (
@@ -40,6 +41,24 @@ def flaky_teacher(pool, fail_questions, n_wrong=3):
         n_wrong=n_wrong,
     )
     return mock_model(policy)
+
+
+@pytest.fixture(autouse=True)
+def caches_closed(monkeypatch):
+    """Close every `CotCache` a test makes when the test ends, as a command
+    closes its own on exit: a cache keeps the append handle its first `put`
+    opens until `close()`."""
+    made = []
+    init = CotCache.__init__
+
+    def register(cache, *args, **kwargs):
+        init(cache, *args, **kwargs)
+        made.append(cache)
+
+    monkeypatch.setattr(CotCache, "__init__", register)
+    yield
+    for cache in made:
+        cache.close()
 
 
 @pytest.fixture
@@ -277,6 +296,68 @@ class TestCotCache:
         assert len(cache_rows(tmp_path, fp)) == 1
         hit = CotCache(tmp_path, "teach-1").get(item)
         assert hit is not None and hit.explanation == "Safe."
+
+
+class TestAppendHandle:
+    """A cache opens its file for appending on the first `put` and keeps
+    that one handle until `close()`."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The files `corpus.py` opens for appending, in order."""
+        files = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if "a" in mode:
+                files.append(f)
+            return f
+
+        monkeypatch.setattr(corpus, "open", spy, raising=False)
+        return files
+
+    def test_puts_share_one_handle_and_are_on_disk_at_once(self, tmp_path, tiny_pool, opened):
+        cache = CotCache(tmp_path, "teach-1")
+        fp = teacher_fingerprint("teach-1")
+        assert opened == []
+        for n, item in enumerate(tiny_pool[:3], start=1):
+            cache.put(item, f"Explained {item.id}.")
+            assert len(cache_rows(tmp_path, fp)) == n
+        assert len(opened) == 1 and not opened[0].closed
+
+    def test_close_is_idempotent_and_leaves_no_open_file(self, tmp_path, tiny_pool, opened):
+        cache = CotCache(tmp_path, "teach-1")
+        cache.close()
+        cache.put(tiny_pool[0], "First.")
+        cache.close()
+        assert [f.closed for f in opened] == [True]
+        cache.close()
+        assert [f.closed for f in opened] == [True]
+
+    def test_put_after_close_opens_the_file_again(self, tmp_path, tiny_pool, opened):
+        cache = CotCache(tmp_path, "teach-1")
+        cache.put(tiny_pool[0], "First.")
+        cache.close()
+        cache.put(tiny_pool[1], "Second.")
+        assert [f.closed for f in opened] == [True, False]
+        cache.close()
+        assert all(f.closed for f in opened)
+        fresh = CotCache(tmp_path, "teach-1")
+        assert [fresh.get(it).explanation for it in tiny_pool[:2]] == ["First.", "Second."]
+
+    def test_one_handle_writes_the_bytes_of_one_open_per_put(self, tmp_path, tiny_pool):
+        texts = ["Fièvre — 症状.", "Second.", "Third\u2028line."]
+        kept = CotCache(tmp_path / "kept", "teach-1")
+        for item, text in zip(tiny_pool, texts):
+            kept.put(item, text)
+            # A cache of its own per row: one open, one write, one close.
+            each = CotCache(tmp_path / "each", "teach-1")
+            each.put(item, text)
+            each.close()
+        kept.close()
+        fp = teacher_fingerprint("teach-1")
+        assert ((tmp_path / "kept" / "cot" / f"{fp}.jsonl").read_bytes()
+                == (tmp_path / "each" / "cot" / f"{fp}.jsonl").read_bytes())
 
 
 class TestVerifyOnce:
