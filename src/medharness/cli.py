@@ -116,8 +116,7 @@ def _build_index(config: RunConfig, dataset: Dataset, source: CorpusFile, pool: 
     try:
         index = build_index(pool, provider=provider, pool_sha256=source.sha256)
     except EmbeddingError as exc:
-        row = next(row for row, record in enumerate(pool) if record.id == exc.item_id)
-        raise DataError(f"{source.path}: line {source.lineno(source.offsets()[row])}: "
+        raise DataError(f"{source.path}: line {source.lineno(source.offsets()[exc.row])}: "
                         f"{exc}") from None
     index.save(_index_path(config, dataset))
     return index

@@ -534,10 +534,10 @@ def write_atomically(path: str | Path, text: str) -> None:
         f.write(text.encode("utf-8"))
 
 
-def write_headed(path: str | Path, header: dict, rows) -> None:
+def write_headed(path: str | Path, header: dict, rows, encode=json.dumps) -> None:
     """Replace `path` with `header`'s JSON, keys sorted, then one JSON line
-    per row, keys in the row's own order."""
-    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(row) for row in rows]
+    per row, keys in the row's own order; `encode` turns a row into its line."""
+    lines = [json.dumps(header, sort_keys=True)] + [encode(row) for row in rows]
     write_atomically(path, "\n".join(lines) + "\n")
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import blake2b, sha256
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -73,7 +74,8 @@ EMBED_BLOCK = 1024
 # score and a per-pair `np.dot` can differ.
 SCORE_TIE_BAND = 1e-9
 _REBUILD = "rebuild with `medharness index`"
-_NO_TOKEN = "cannot embed empty text: it has no a-z or 0-9 token"
+# The largest builtin dim an index header may name: its weight array is 8 MB.
+_MAX_DIM = 1 << 20
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -112,6 +114,8 @@ class BuiltinProvider:
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, idf: dict[int, float] | None = None, n_docs: int = 0):
+        if isinstance(dim, bool) or not isinstance(dim, int) or not 0 < dim <= _MAX_DIM:
+            raise ValueError(f"dim must be an int in 1..{_MAX_DIM}, got {dim!r}")
         self.dim = dim
         self._token_buckets: dict[str, int] = {}
         self._set_idf(dict(idf or {}), n_docs)
@@ -129,6 +133,8 @@ class BuiltinProvider:
     def _set_idf(self, idf: dict[int, float], n_docs: int) -> None:
         if not all(0 <= b < self.dim for b in idf):
             raise ValueError(f"idf names a bucket outside 0..{self.dim - 1}")
+        if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in idf.values()):
+            raise ValueError("idf weights must be numbers")
         self.idf = idf
         self.n_docs = n_docs
         self._weights = np.full(self.dim, _idf(n_docs, 0))
@@ -157,7 +163,11 @@ class BuiltinProvider:
         return buckets
 
     def _bucket_weight(self, bucket: int) -> float:
-        return float(self._weights[bucket])
+        """A bucket's weight read from `idf`, apart from the array rows gather from."""
+        try:
+            return self.idf[bucket]
+        except KeyError:
+            return _idf(self.n_docs, 0)
 
     def embed(self, text: str) -> np.ndarray:
         rows, _ = self._unit_rows([self.buckets(text)])
@@ -182,7 +192,7 @@ class BuiltinProvider:
         row, which a sum over the non-zeros alone would round differently.
         """
         if not all(bucket_lists):
-            raise DataError(_NO_TOKEN)
+            raise DataError("cannot embed empty text: it has no a-z or 0-9 token")
         keys, buckets = self._keys(bucket_lists)
         n = len(bucket_lists)
         rows = np.bincount(keys, weights=self._weights[buckets],
@@ -217,19 +227,21 @@ def _idf(n_docs: int, df: int) -> float:
 
 
 class EmbeddingError(DataError):
-    """An item whose question cannot be embedded; `item_id` names it."""
+    """An item whose question cannot be embedded; `item_id` names it, and
+    `row`, for a pool item, is its position in the pool `build_index` got."""
 
-    def __init__(self, item_id: str, reason):
+    def __init__(self, item_id: str, reason, row: int | None = None):
         super().__init__(f"{item_id}: {reason}")
         self.item_id = item_id
+        self.row = row
 
 
-def _embed_item(provider, item) -> np.ndarray:
+def _embed_item(provider, item, row: int | None = None) -> np.ndarray:
     """The item's question embedded; a DataError names the item."""
     try:
         return provider.embed(item.question)
     except DataError as exc:
-        raise EmbeddingError(item.id, exc) from None
+        raise EmbeddingError(item.id, exc, row) from None
 
 
 class RemoteProvider:
@@ -524,7 +536,7 @@ class VectorIndex:
             header["n_docs"] = self.provider.n_docs
         with replace_atomically(rows_path) as f:
             self._vectors.save(f)
-        write_headed(path, header, ({"item_id": item_id} for item_id in self._ids))
+        write_headed(path, header, self._ids, encode=_id_row)
         superseded = re.compile(re.escape(path.stem) + r"(\.[0-9a-f]{16})?\.np[yz]")
         for old in path.parent.iterdir():
             if old != rows_path and superseded.fullmatch(old.name):
@@ -572,6 +584,11 @@ class VectorIndex:
         return cls(provider, ids, vectors, pool_sha256=header.get("pool_sha256"))
 
 
+def _id_row(item_id: str) -> str:
+    """`json.dumps({"item_id": item_id})`, without an encoder built per row."""
+    return '{"item_id": ' + encode_basestring_ascii(item_id) + "}"
+
+
 def build_index(pool: list, provider=None, pool_sha256: str | None = None) -> VectorIndex:
     """Embed every pool item's question; fit the builtin provider if none given.
 
@@ -590,19 +607,21 @@ def build_index(pool: list, provider=None, pool_sha256: str | None = None) -> Ve
     if provider is None:
         provider = BuiltinProvider()
         bucket_lists = [provider.buckets(item.question) for item in pool]
-        if not all(bucket_lists):
-            raise EmbeddingError(pool[bucket_lists.index([])].id, _NO_TOKEN)
         provider._fit(bucket_lists)
-        rows = _SparseRows.concatenate([
-            provider._sparse_rows(bucket_lists[start:start + EMBED_BLOCK])
-            for start in range(0, len(pool), EMBED_BLOCK)
-        ])
+        try:
+            rows = _SparseRows.concatenate([
+                provider._sparse_rows(bucket_lists[start:start + EMBED_BLOCK])
+                for start in range(0, len(pool), EMBED_BLOCK)
+            ])
+        except DataError as exc:
+            row = bucket_lists.index([])
+            raise EmbeddingError(pool[row].id, exc, row) from None
         return VectorIndex(provider, ids, rows, pool_sha256=pool_sha256)
-    first = _embed_item(provider, pool[0])
+    first = _embed_item(provider, pool[0], 0)
     matrix = np.empty((len(pool), first.shape[0]), dtype=np.float64)
     matrix[0] = first
     for row, item in enumerate(pool[1:], start=1):
-        matrix[row] = _embed_item(provider, item)
+        matrix[row] = _embed_item(provider, item, row)
     return VectorIndex(provider, ids, matrix, pool_sha256=pool_sha256)
 
 

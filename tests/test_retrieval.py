@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_item
-from medharness.corpus import Split
+from medharness.corpus import PoolQuestion, Split
 from medharness.errors import DataError, EndpointError
 from medharness.retrieval import (
     EMBED_BLOCK,
@@ -143,7 +143,8 @@ class TestBuiltinRows:
                                           question="Τι νεύρο;")
         with pytest.raises(EmbeddingError, match="empty") as caught:
             build_index(pool)
-        assert caught.value.item_id == pool[EMBED_BLOCK + 2].id
+        assert (caught.value.item_id, caught.value.row) == (pool[EMBED_BLOCK + 2].id,
+                                                            EMBED_BLOCK + 2)
         index = build_index(pool[:EMBED_BLOCK])
         with pytest.raises(EmbeddingError, match="^test-00009: cannot embed empty text"):
             index.nearest(make_item(9, question="?!"), 3)
@@ -443,6 +444,15 @@ class TestPersistence:
         for query in queries:
             assert reloaded.nearest(query, 7) == index.nearest(query, 7)
 
+    def test_id_rows_are_json_dumps_lines(self, tmp_path):
+        ids = ["train-00001", 'quote"back\\slash', "é\u2028\U0001f642", "tab\tnul\x00"]
+        path = tmp_path / "pool.jsonl"
+        build_index([PoolQuestion(item_id, f"alpha term{i}?")
+                     for i, item_id in enumerate(ids)]).save(path)
+        _, *rows = path.read_text(encoding="utf-8").split("\n")
+        assert rows == [json.dumps({"item_id": item_id}) for item_id in ids] + [""]
+        assert VectorIndex.load(path).ids == ids
+
     def test_load_rejects_other_provider(self, tmp_path):
         pool = word_soup_items(5)
         index = build_index(pool)
@@ -588,8 +598,13 @@ class TestPersistence:
         lambda header: {**header, "idf": {"512": 1.5}},
         lambda header: {**header, "idf": {"-1": 1.5}},
         lambda header: {**header, "idf": {"3": "x"}},
+        lambda header: {**header, "idf": {"3": "1.5"}},
+        lambda header: {**header, "idf": {"3": True}},
+        lambda header: {**header, "dim": 1 << 40},
+        lambda header: {**header, "dim": 0},
     ], ids=["list", "string", "null", "no-provider_id", "no-dim", "no-count", "no-rows",
-            "int-provider_id", "list-idf", "idf-past-dim", "idf-negative", "idf-string-weight"])
+            "int-provider_id", "list-idf", "idf-past-dim", "idf-negative", "idf-string-weight",
+            "idf-numeric-string", "idf-bool-weight", "huge-dim", "zero-dim"])
     def test_malformed_header_refused(self, tmp_path, edit):
         path = tmp_path / "pool.jsonl"
         build_index(word_soup_items(5)).save(path)
