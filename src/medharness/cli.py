@@ -326,9 +326,7 @@ class _Sources:
     def exemplars_for(self, stage: Stage, items: list[McqItem]):
         """The stage's exemplar provider (item -> exemplars) over `items`."""
         if not stage.fewshot:
-            # One list for the stage, so its items share one prompt head.
-            none: list = []
-            return lambda item: none
+            return lambda item: []
         if not stage.knn:
             _ = self.pool_questions  # maps every pool id, once per command
             fixed, outcomes = build_random_exemplars(
@@ -563,6 +561,7 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
         rows = read_trace(_trace_path(config, dataset, stage))
         if not rows:
             continue
+        last_rows = rows
         rep = _stage_report(sources, stage, rows)
         reports.append(rep)
         click.echo(f"{stage.value}: {rep['accuracy_percent']:.1f}% "
@@ -572,9 +571,8 @@ def report(config_path: Path, dataset_name: str, limit: int | None):
     if len(reports) == len(LADDER):
         _write_ablation(config, dataset, reports)
     if dataset is Dataset.MMLU_MED:
-        best = reports[-1]
-        rows = read_trace(_trace_path(config, dataset, Stage(best["stage"])))
-        breakdown = subject_breakdown(scored_rows(rows, [item.id for item in sources.items]),
+        # The subject breakdown is of the last ladder stage that has a trace.
+        breakdown = subject_breakdown(scored_rows(last_rows, [item.id for item in sources.items]),
                                       sources.items)
         write_report(breakdown, config.output_dir / dataset.value / "subjects.json")
         for subject, stats in breakdown["subjects"].items():

@@ -13,20 +13,15 @@ stage's sentinel ("### Explanation:" for chain-of-thought stages,
 "### Answer:" otherwise) with no trailing newline. Teacher prompts for
 explanation generation use a separate fixed template (``TEACHER_TEMPLATE``).
 
-A prompt is a head (`prompt_head`: the instruction and the exemplar blocks)
-plus the test block, and each part is rendered once for as long as its
-inputs live. An exemplar's block is rendered on its first use with each cot
-flag and kept on its `CotExemplar`, so every prompt that shows that object
-reuses it: a random stage's fixed exemplars serve all its items, and kNN
-exemplars kept by the command serve both kNN stages. The CoT cache hands
-out one exemplar object per pool item object, the one the teacher verified
-included, so a pool item's block is rendered once per cot flag however many
-test items show it. The runner builds a head once per exemplar list object:
-a random stage's one list gets one head for the whole stage, and an item's
-ensemble runs share its head. Only the test block, whose options a run may
-shuffle, is rendered per prompt; an unshuffled test item's block is rendered
-again by each stage that shows it. Nothing is kept at module level, so each
-command renders its parts anew.
+Each exemplar's block is rendered once per exemplar object and cot flag,
+on its first use, and kept on its `CotExemplar`: a random stage's fixed
+exemplars serve all its items, and kNN exemplars kept by the command serve
+both kNN stages. The CoT cache hands out one exemplar object per pool item
+object, the one the teacher verified included, so a pool item's block is
+rendered once per cot flag however many test items show it. Every prompt
+joins the instruction, those blocks and its test block, which is rendered
+per prompt since a run may shuffle its options. Nothing is kept at module
+level, so each command renders its blocks anew.
 
 Options render inline as "(A) text (B) text ..."; datasets whose options are
 bare answer words (PubMedQA) render the words alone, "(yes) (no) (maybe)",
@@ -61,7 +56,6 @@ __all__ = [
     "FEWSHOT_SIZE",
     "TEACHER_TEMPLATE",
     "assemble_prompt",
-    "prompt_head",
     "teacher_prompt",
     "shuffle_options",
     "identity_permutation",
@@ -200,12 +194,22 @@ def _exemplar_block(exemplar: CotExemplar, cot: bool) -> str:
     return f"{_question_line(item)}\n{explanation}{ANSWER_HEADING} {_answer_reference(item)}"
 
 
-def prompt_head(stage: Stage, instruction: str, exemplars: list[CotExemplar]) -> str:
-    """The part of every prompt of `stage` over `exemplars` that precedes the
-    test block: the instruction, then each exemplar's block.
+def assemble_prompt(
+    stage: Stage,
+    instruction: str,
+    exemplars: list[CotExemplar],
+    item: McqItem,
+    permutation: dict[str, str] | None = None,
+    run_index: int = 0,
+) -> PromptBundle:
+    """Render the full prompt for *item* (already shuffled, if applicable):
+    the instruction, each exemplar's block, then the test block.
 
     The instruction must be non-empty, the stage's exemplar count exact, and
-    a chain-of-thought stage's exemplars verified.
+    a chain-of-thought stage's exemplars verified. *permutation* records how
+    the item's canonical labels map to the labels presented in its options;
+    omit it for an unshuffled item. It is checked to be a bijection over the
+    item's labels. *run_index* does not shape the text.
     """
     if not instruction or not instruction.strip():
         raise ConfigError("instruction must be non-empty")
@@ -219,35 +223,14 @@ def prompt_head(stage: Stage, instruction: str, exemplars: list[CotExemplar]) ->
         bad = [e.item.id for e in exemplars if not e.verified]
         if bad:
             raise ConfigError(f"unverified exemplars in a chain-of-thought prompt: {bad}")
-    return "\n\n".join([instruction, *(e.block(cot) for e in exemplars)])
-
-
-def assemble_prompt(
-    stage: Stage,
-    instruction: str,
-    exemplars: list[CotExemplar],
-    item: McqItem,
-    permutation: dict[str, str] | None = None,
-    run_index: int = 0,
-    head: str | None = None,
-) -> PromptBundle:
-    """Render the full prompt for *item* (already shuffled, if applicable).
-
-    *permutation* records how the item's canonical labels map to the labels
-    presented in its options; omit it for an unshuffled item. It is checked
-    to be a bijection over the item's labels. *head* is
-    `prompt_head(stage, instruction, exemplars)`, built here unless the
-    caller already holds it. *run_index* does not shape the text.
-    """
-    if head is None:
-        head = prompt_head(stage, instruction, exemplars)
     if permutation is not None:
         labels = sorted(item.labels)
         if sorted(permutation) != labels or sorted(permutation.values()) != labels:
             raise ConfigError(f"{item.id}: permutation is not a bijection over {item.labels}")
 
-    sentinel = EXPLANATION_HEADING if stage.cot else ANSWER_HEADING
-    text = f"{head}\n\n{_question_line(item)}\n{sentinel}"
+    sentinel = EXPLANATION_HEADING if cot else ANSWER_HEADING
+    text = "\n\n".join([instruction, *(e.block(cot) for e in exemplars),
+                         f"{_question_line(item)}\n{sentinel}"])
     # The test block must end at its sentinel: nothing, in particular no gold
     # answer text, may follow it.
     assert text.endswith(sentinel)

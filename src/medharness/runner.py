@@ -41,7 +41,6 @@ from .promptkit import (
     assemble_prompt,
     extraction_tokens,
     identity_permutation,
-    prompt_head,
     shuffle_options,
 )
 
@@ -105,25 +104,6 @@ def aggregate_votes(decisions: list[str]) -> tuple[str, bool]:
     raise AssertionError("unreachable: tied labels came from the decisions")
 
 
-class _SharedParts:
-    """What every prompt over one exemplar list shares: its head and its token
-    budget, built by the first run that needs them. The runs of one item
-    share them, and so do the items given the same list object. Building is
-    pure, so runs that race on it at worst build it twice."""
-
-    def __init__(self, stage: Stage, instruction: str, exemplars: list[CotExemplar]):
-        self.stage, self.instruction, self.exemplars = stage, instruction, exemplars
-        self._built: tuple[str, int] | None = None
-
-    def get(self) -> tuple[str, int]:
-        """(prompt head, max_tokens)."""
-        if self._built is None:
-            # Only stages that show explanations size the token budget from them.
-            self._built = (prompt_head(self.stage, self.instruction, self.exemplars),
-                           default_max_tokens(self.exemplars if self.stage.cot else []))
-        return self._built
-
-
 def answer_item(
     item: McqItem,
     stage: Stage,
@@ -135,7 +115,6 @@ def answer_item(
     shuffle: bool = False,
     seed: int = 0,
     max_tries: int = MAX_VALIDITY_TRIES,
-    shared: _SharedParts | None = None,
 ) -> dict:
     """One generation pass: build the prompt, call the model, extract.
 
@@ -148,23 +127,22 @@ def answer_item(
     parseable answer), the last `raw_text`, `tries`, `transport_errors` and
     the prompt's `prompt_sha256`. When every try failed in transport the
     model never answered, so there is nothing to score: that raises the last
-    `EndpointError`. `shared` holds the prompt head and token budget of the
-    item's other runs, if any.
+    `EndpointError`.
     """
     if shuffle:
         presented_item, permutation = shuffle_options(item, seed, run_index)
     else:
         presented_item, permutation = item, identity_permutation(item)
-    head, max_tokens = (shared or _SharedParts(stage, instruction, exemplars)).get()
     bundle = assemble_prompt(stage, instruction, exemplars, presented_item,
-                             permutation=permutation, head=head)
+                             permutation=permutation)
     labels, word_tokens = extraction_tokens(presented_item)
     to_canonical = {presented: canonical for canonical, presented in permutation.items()}
     request = GenerationRequest(
         model_id=endpoint.model_id,
         prompt=bundle.text,
         temperature=temperature,
-        max_tokens=max_tokens,
+        # Only stages that show explanations size the token budget from them.
+        max_tokens=default_max_tokens(exemplars if stage.cot else []),
         stop_sequences=STOP_SEQUENCES,
         seed=seed,
     )
@@ -207,7 +185,6 @@ def answer_stage_item(
     seed: int = 0,
     ensemble: EnsembleConfig = EnsembleConfig(),
     max_tries: int = MAX_VALIDITY_TRIES,
-    shared: _SharedParts | None = None,
 ) -> dict:
     """Answer one item as `stage` asks, vote, and return its trace row.
 
@@ -223,12 +200,9 @@ def answer_stage_item(
     only the runs made, in run-index order. The runs are made one by one in
     the calling thread, so a run's error ends the item before a later run is
     sent. Every other stage runs one greedy pass over the canonical order.
-    `shared` holds the prompt head and token budget of `exemplars` when other
-    items use them too.
     """
     shuffle = stage is Stage.ENSEMBLE
     n_runs, temperature = (ensemble.n_runs, ensemble.temperature) if shuffle else (1, 0.0)
-    shared = shared or _SharedParts(stage, instruction, exemplars)
     runs: list[dict] = []
     counts: dict[str, int] = {}
     for run_index in range(n_runs):
@@ -237,7 +211,7 @@ def answer_stage_item(
             break
         run = answer_item(item, stage, instruction, exemplars, endpoint,
                           temperature=temperature, run_index=run_index, shuffle=shuffle,
-                          seed=seed, max_tries=max_tries, shared=shared)
+                          seed=seed, max_tries=max_tries)
         runs.append(run)
         if run["decision"] != INVALID:
             counts[run["decision"]] = counts.get(run["decision"], 0) + 1
@@ -290,10 +264,8 @@ def run_benchmark(
     """Run one stage over a whole split, checkpointing each item to the trace.
 
     `exemplars_for` maps an item to the exemplar list its prompt should
-    carry; stages without exemplars pass a provider returning []. Items it
-    gives the same list object one after another share one prompt head and
-    token budget, so a provider that returns one fixed list builds them
-    once. With `resume`, item ids already present in the trace are skipped;
+    carry; stages without exemplars pass a provider returning []. With
+    `resume`, item ids already present in the trace are skipped;
     without it, a partially written trace is an error rather than silently
     extended.
     An item whose every try failed in transport gets no row: its
@@ -331,20 +303,13 @@ def run_benchmark(
     if todo:
         width = concurrency * (ensemble.n_runs // 2 + 1 if stage is Stage.ENSEMBLE else 1)
         exemplar_slots = threading.BoundedSemaphore(concurrency)
-        # The parts of the last exemplar list handed out: a random stage's one
-        # fixed list builds its head once for the whole stage.
-        last_parts: _SharedParts | None = None
 
         def handle(item: McqItem) -> None:
-            nonlocal last_parts
             with exemplar_slots:
                 exemplars = exemplars_for(item)
-            shared = last_parts
-            if shared is None or shared.exemplars is not exemplars:
-                shared = last_parts = _SharedParts(stage, instruction, exemplars)
             row = answer_stage_item(
                 item, stage, instruction, exemplars, endpoint, seed=seed,
-                ensemble=ensemble, max_tries=max_tries, shared=shared,
+                ensemble=ensemble, max_tries=max_tries,
             )
             append(row)
             rows_by_id[row["item_id"]] = row

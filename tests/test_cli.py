@@ -28,7 +28,7 @@ from medharness.modelgw import HttpEndpoint, parse_prompt_tail
 from medharness.parsing import INVALID
 from medharness.retrieval import VectorIndex
 from medharness.promptkit import FEWSHOT_SIZE, shuffle_options, teacher_prompt
-from medharness.runner import Stage, read_trace
+from medharness.runner import LADDER, Stage, read_trace
 from medharness.teacher import random_candidate_stream, teacher_fingerprint
 
 
@@ -347,6 +347,29 @@ class TestAblate:
                                .read_text(encoding="utf-8"))
         assert breakdown["overall"]["n_items"] == 2
         assert list(breakdown["subjects"]) == ["anatomy"]
+
+    def test_report_reads_each_trace_once(self, tmp_path, monkeypatch):
+        """The subject breakdown takes the rows of the last stage with a
+        trace from the pass over the ladder, not from a second read."""
+        config, test_items, pool_items = build_env(tmp_path)
+        corpus = tmp_path / "corpus" / "mmlu_med"
+        write_normalized([replace(item, dataset=Dataset.MMLU_MED, subject="anatomy")
+                          for item in test_items], corpus / "test.jsonl")
+        write_normalized([replace(item, dataset=Dataset.MMLU_MED, split=Split.DEV,
+                                  subject="anatomy")
+                          for item in pool_items], corpus / "dev.jsonl")
+        args = ["--config", str(config), "--dataset", "mmlu_med"]
+        for stage in ("zero_shot", "random_fewshot"):
+            assert main(["run", *args, "--stage", stage]) == 0
+        reads = []
+        read = runner.read_trace
+        monkeypatch.setattr(runner, "read_trace",
+                            lambda path: reads.append(Path(path).name) or read(path))
+        assert main(["report", *args]) == 0
+        assert sorted(reads) == sorted(f"{stage.value}.trace.jsonl" for stage in LADDER)
+        breakdown = json.loads((tmp_path / "out" / "mmlu_med" / "subjects.json")
+                               .read_text(encoding="utf-8"))
+        assert breakdown["overall"]["n_items"] == len(test_items)
 
 
 class TestWholeFileCommits:
@@ -1669,16 +1692,6 @@ class TestPromptParts:
         assert len(items) == len(set(items))
         # The answer-only stage's five blocks serve all six items.
         assert [cot for _, cot in rendered].count(False) == FEWSHOT_SIZE
-
-    def test_zero_shot_builds_one_head(self, tmp_path, monkeypatch):
-        heads = []
-        head = runner.prompt_head
-        monkeypatch.setattr(runner, "prompt_head",
-                            lambda *args: heads.append(args) or head(*args))
-        config, _, _ = build_env(tmp_path, n_test=6)
-        assert main(["run", "--config", str(config), "--dataset", "medqa",
-                     "--stage", "zero_shot"]) == 0
-        assert len(heads) == 1
 
     def test_a_new_command_renders_its_blocks_again(self, tmp_path, rendered):
         config, _, _ = build_env(tmp_path)

@@ -1,13 +1,13 @@
 """A slow reference for the chain-of-thought exemplar sets of `run`.
 
 The reference is sequential and keeps nothing between commands: no
-`CotCache`, exemplar manifest, index file, `PoolView` or shared prompt
-parts. It reads the splits with `read_normalized`, embeds with
-`BuiltinProvider.fit`, ranks every pool item by its own `np.dot` with ties
-broken by id, and asks a fresh teacher about each distinct candidate at most
-once, as `CotCache.verify` promises within one command. Random exemplars
-come from `random_candidate_stream`. Run 0 of each item is assembled with
-`assemble_prompt` and no `head=`.
+`CotCache`, exemplar manifest, index file or `PoolView`. It reads the
+splits with `read_normalized`, embeds with `BuiltinProvider.fit`, ranks
+every pool item by its own `np.dot` with ties broken by id, and asks a
+fresh teacher about each distinct candidate at most once, as
+`CotCache.verify` promises within one command. Random exemplars come from
+`random_candidate_stream`. Run 0 of each item is assembled with
+`assemble_prompt`.
 
 `run --stage random_fewshot_cot` and `run --stage knn_fewshot_cot` must send
 the reference's run-0 prompt for every item, whatever the command found

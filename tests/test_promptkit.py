@@ -19,7 +19,6 @@ from medharness.promptkit import (
     Stage,
     assemble_prompt,
     extraction_tokens,
-    prompt_head,
     render_options_inline,
     shuffle_options,
     teacher_prompt,
@@ -169,8 +168,8 @@ class TestAssembly:
         exemplars = random_exemplars(False)
         plain = assemble_prompt(Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION, exemplars,
                                 gd.TEST_ITEM)
-        assert plain.text.startswith(prompt_head(Stage.RANDOM_FEWSHOT, gd.MEDQA_INSTRUCTION,
-                                                 exemplars))
+        assert plain.text.startswith("\n\n".join(
+            [gd.MEDQA_INSTRUCTION, *(e.block(False) for e in exemplars)]))
         message = "unverified exemplars in a chain-of-thought prompt"
         for stage in (Stage.RANDOM_FEWSHOT_COT, Stage.KNN_FEWSHOT_COT, Stage.ENSEMBLE):
             with pytest.raises(ConfigError, match=message):

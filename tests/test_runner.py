@@ -283,20 +283,13 @@ class TestEnsemble:
         assert not result["correct"]
         assert result["n_calls"] == 25
 
-    def test_head_and_budget_are_built_once_per_item(self, monkeypatch):
-        built = {"prompt_head": 0, "default_max_tokens": 0}
-        for name in built:
-            def spy(*args, _name=name, _real=getattr(runner, name)):
-                built[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(runner, name, spy)
+    def test_each_run_sends_the_prompt_of_its_shuffle(self):
         sent = []
         policy = gold_endpoint([gd.TEST_ITEM], gd.POOL_ITEMS).policy
         endpoint = mock_model(lambda request, n: sent.append(request) or policy(request, n))
         result = answer_stage_item(gd.TEST_ITEM, Stage.ENSEMBLE, gd.MEDQA_INSTRUCTION,
                                    KNN_EXEMPLARS, endpoint, seed=0)
-        assert len(result["per_run"]) == 3
-        assert built == {"prompt_head": 1, "default_max_tokens": 1}
+        assert len(result["per_run"]) == len(sent) == 3
         # Each run's prompt is the one assembled from scratch for its shuffle.
         for run, request in zip(result["per_run"], sent):
             presented = shuffle_options(gd.TEST_ITEM, 0, run["run_index"]).item
@@ -395,28 +388,16 @@ class TestRunBenchmark:
         on_disk = read_trace(trace)
         assert len(on_disk) == 6
 
-    def test_items_given_one_exemplar_list_share_its_head(self, bench_items, tmp_path,
-                                                           monkeypatch):
-        """One head and token budget per exemplar list object: a random
-        stage's fixed list builds them once; equal lists that are other
-        objects build them per item. The prompts are the same either way."""
-        built = []
-        for name in ("prompt_head", "default_max_tokens"):
-            def spy(*args, _name=name, _real=getattr(runner, name)):
-                built.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(runner, name, spy)
+    def test_one_shared_exemplar_list_gives_the_rows_of_per_item_copies(self, bench_items,
+                                                                        tmp_path):
         fixed = [gd.exemplar(i, cot=True) for i in gd.RANDOM_ORDER]
         copies = {item.id: list(fixed) for item in bench_items}
         rows = {}
         for name, provider in (("shared", lambda item: fixed),
                                ("copied", lambda item: copies[item.id])):
-            built.clear()
             rows[name] = run_benchmark(bench_items, Stage.RANDOM_FEWSHOT_COT,
                                        gold_endpoint(bench_items), gd.MEDQA_INSTRUCTION,
                                        provider, tmp_path / f"{name}.trace.jsonl")
-            per_list = 1 if name == "shared" else len(bench_items)
-            assert built.count("prompt_head") == built.count("default_max_tokens") == per_list
         assert rows["shared"] == rows["copied"]
 
     def test_threads_never_share_the_parts_of_another_list(self, tmp_path):

@@ -339,3 +339,22 @@ def test_teacher_fingerprint_is_computed_in_one_place():
                 if name == "teacher_fingerprint":
                     found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
     assert found == ["teacher.py CotCache teacher_fingerprint"]
+
+
+def test_prompts_are_built_in_one_place():
+    """No program module but `promptkit.py` renders or calls for an exemplar's
+    block: `assemble_prompt` is the one prompt builder, and the runner, the
+    commands, the benchmark and the scripts reach prompts only through it."""
+    found = []
+    paths = [*(ROOT / "src" / "medharness").glob("*.py"), *(ROOT / "medbench").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
+    for path in sorted(paths):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("block", "_exemplar_block"):
+                    found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
+    assert found == ["promptkit.py CotExemplar _exemplar_block",
+                     "promptkit.py assemble_prompt block"]
