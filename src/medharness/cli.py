@@ -154,10 +154,10 @@ class _Sources:
     teacher and opens no index. Stages parse only the pool items they look
     up: random stages by the ids `CorpusFile.questions` reads, kNN stages at
     the byte offsets the manifest records, each listed exemplar parsed and
-    checked against the cache once, or by the ids of an index built from the
-    pool file's exact bytes. kNN exemplars are built once per test item and
-    kept, so the kNN and ensemble stages of one `ablate` share them; query
-    vectors live only until their item's exemplars are built.
+    its line checked against the cache once, or by the ids of an index built
+    from the pool file's exact bytes. kNN exemplars are built once per test
+    item and kept, so the kNN and ensemble stages of one `ablate` share them;
+    query vectors live only until their item's exemplars are built.
     `outcomes` collects the outcome of every candidate the providers asked
     the teacher about; cache hits are not kept.
 
@@ -290,31 +290,22 @@ class _Sources:
     def manifest(self) -> dict[str, tuple[str, ...]]:
         """Exemplar ids per command item (a dry run's first item) from
         `gen-cot`'s manifest, if it matches, checked against the test split's
-        ids. Each exemplar listed is resolved once, here: its line is parsed
-        into `pool_items` and checked against the CoT cache once, and an item
-        whose exemplars are all cached keeps them in `_knn` now."""
+        ids; each exemplar listed is parsed into `pool_items` once, here."""
         manifest = load_exemplar_manifest(self.manifest_path, self.manifest_header,
                                           self.pool_items, self._listed,
                                           warn_stale=not self.writes_manifest)
         listed = sorted({exemplar_id for ids in manifest.values() for exemplar_id in ids})
         self.store.check_disjoint(self.dataset, listed, self.test_ids)
-        cached = {exemplar_id: self.cache.get(self.pool_items[exemplar_id],
-                                              line=self.pool_items.line(exemplar_id))
-                  for exemplar_id in listed}
-        for item_id, ids in manifest.items():
-            exemplars = [cached[exemplar_id] for exemplar_id in ids]
-            if all(exemplar is not None for exemplar in exemplars):
-                self._knn[item_id] = exemplars
         return manifest
 
     def manifest_exemplars(self, item: McqItem):
-        """The exemplars of an item the manifest lists but did not cover when
-        read, kept; None unless the cache now holds every one of them: a
-        teacher may have verified one since."""
+        """The exemplars the manifest lists for an item, kept; None unless the
+        cache holds every one of them. The cache digests each exemplar's pool
+        line once per command, however many items list it."""
         exemplars = []
         for exemplar_id in self.manifest.get(item.id, ()):
             exemplar = self.cache.get(self.pool_items[exemplar_id],
-                                      line=self.pool_items.line(exemplar_id))
+                                      self.pool_items.line(exemplar_id))
             if exemplar is None:
                 return None
             exemplars.append(exemplar)
@@ -335,11 +326,12 @@ class _Sources:
             )
             self.outcomes.extend(o for o in outcomes if not o.from_cache)
             return lambda item: fixed
-        # Resolved before the workers start, so they share one of each: the
-        # items the manifest and the cache cover take their exemplars now,
-        # and the index is loaded only if one item is not covered.
-        _ = self.manifest
-        if not all(item.id in self._knn for item in items):
+        # Resolved before the workers start, so they share one of each: items
+        # the manifest and the cache cover take their exemplars in order, and
+        # the first that is not covered loads the index; the provider resolves
+        # the items after it.
+        if not all(item.id in self._knn or self.manifest_exemplars(item) is not None
+                   for item in items):
             _ = self.index
         position = {item.id: i for i, item in enumerate(items)}
         ranked: set[str] = set()
@@ -347,9 +339,7 @@ class _Sources:
         lock = threading.Lock()
 
         def provider(item: McqItem):
-            if item.id in self._knn:
-                return self._knn[item.id]
-            exemplars = self.manifest_exemplars(item)
+            exemplars = self._knn.get(item.id) or self.manifest_exemplars(item)
             if exemplars is not None:
                 return exemplars
             # A miss ranks the item with the next unranked ones the manifest

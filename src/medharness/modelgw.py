@@ -82,11 +82,11 @@ def default_max_tokens(exemplars) -> int:
     """Token budget for a completion, sized from the exemplar explanations.
 
     Answer-only prompts get a small fixed budget. When explanations are
-    present the budget is 1.5x their mean whitespace-word count, clamped to
-    [256, 1024] so one terse or rambling exemplar set cannot starve or
-    flood the generation.
+    present the budget is 1.5x the mean `word_count` of the exemplars that
+    have one, clamped to [256, 1024] so one terse or rambling exemplar set
+    cannot starve or flood the generation.
     """
-    lengths = [len(e.explanation.split()) for e in exemplars if e.explanation.strip()]
+    lengths = [e.word_count for e in exemplars if e.word_count]
     if not lengths:
         return ANSWER_ONLY_MAX_TOKENS
     target = math.ceil(1.5 * (sum(lengths) / len(lengths)))

@@ -132,11 +132,14 @@ class CotExemplar:
     item: McqItem
     explanation: str = ""
     verified: bool = False
+    # The explanation's whitespace-separated words, counted once: token budgets sum them.
+    word_count: int = field(init=False, repr=False, compare=False)
     # cot flag -> this exemplar's rendered block
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.verified and not self.explanation.strip():
+        object.__setattr__(self, "word_count", len(self.explanation.split()))
+        if self.verified and not self.word_count:
             raise ConfigError(f"{self.item.id}: verified exemplar without an explanation")
 
     def block(self, cot: bool) -> str:

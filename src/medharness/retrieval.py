@@ -346,8 +346,10 @@ class _SparseRows:
     @cached_property
     def _postings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per bucket, the rows holding it and their weights, rows ascending:
-        bucket b's entries are [start[b], start[b+1])."""
-        order = np.argsort(self.buckets, kind="stable")
+        bucket b's entries are [start[b], start[b+1]). Bucket ids cast to the
+        narrowest unsigned type that holds them sort by radix, in the same order."""
+        order = np.argsort(self.buckets.astype(np.min_scalar_type(self.shape[1] - 1)),
+                           kind="stable")
         start = _offsets(np.bincount(self.buckets, minlength=self.shape[1]))
         rows = np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
         return start, rows[order], self.weights[order]

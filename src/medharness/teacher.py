@@ -7,7 +7,8 @@ bounded number of attempts; a candidate that never verifies is dropped and
 replaced by the next-most-similar pool item (or the next item in the seeded
 random stream for randomly drawn exemplars). Verified explanations persist in
 an on-disk cache keyed by item id and a fingerprint of the teacher model and
-template, so reruns never re-pay teacher calls.
+template, each checked against the digest of its item's pool line, so reruns
+never re-pay teacher calls.
 """
 
 from __future__ import annotations
@@ -75,14 +76,12 @@ class CotCache:
     The teacher's fingerprint (`teacher_fingerprint(teacher_model)`) is fixed
     on construction and names the file, `cot/<fingerprint>.jsonl`, which
     holds one row per verified explanation: the item id, the SHA-256 of the
-    item's canonical JSON, and the explanation. The file is read once per
-    instance, on first use; for an id written twice the last row wins. An
-    entry is a hit only for an item with the recorded digest, so an item
-    re-ingested under the same id with other text misses. `get` first
-    compares the digest of the item's stripped pool line, when the caller
-    has it: a match means the line is the canonical JSON `put` digested, so
-    the item need not be serialized again. Any other line (keys reordered,
-    spaces added) falls back to the canonical digest. The file is an
+    item's stripped pool line, and the explanation. The file is read once per
+    instance, on first use; for an id written twice the last row wins. Each
+    call passes the line its item was parsed from, and a row is a hit only
+    for a line with its digest: an item re-ingested under the same id with
+    other text misses, as does a hand-edited line (keys reordered, spaces
+    added), whose item the teacher is then asked about again. The file is an
     `AppendLog`: a corrupt row reads as a miss and logs a warning. The first
     `put` opens it for appending and later ones write through that one
     handle, each row in one unbuffered write, on disk before `put` returns,
@@ -90,10 +89,10 @@ class CotCache:
 
     The instance keeps the last exemplar per id: the one `get` built, or the
     one `put` made for the explanation it wrote, so the exemplar a teacher
-    just verified is the one later uses of that item object get back.
-    `verify` asks the teacher about each item at most once per instance, and
-    answers an item object it already accepted from what it kept: that
-    exemplar and the cache-hit outcome reporting it, built once.
+    just verified is the one later uses of that item object get back, with
+    no digest. `verify` asks the teacher about each item at most once per
+    instance, and answers an item object it already accepted from what it
+    kept: that exemplar and the cache-hit outcome reporting it, built once.
     """
 
     def __init__(self, cache_dir: str | Path, teacher_model: str):
@@ -119,28 +118,26 @@ class CotCache:
             self._entries = {item_id: (digest, text) for item_id, digest, text in self._log.rows}
         return self._entries
 
-    def get(self, item: McqItem, line: str | None = None) -> CotExemplar | None:
+    def get(self, item: McqItem, line: str) -> CotExemplar | None:
         """The item's cached exemplar, or None; `line` is the stripped pool
-        line `item` was parsed from, if the caller has it."""
+        line `item` was parsed from."""
         with self._lock:
             kept = self._hits.get(item.id)
             if kept is not None and kept[0].item is item:
                 return kept[0]
             entry = self._loaded().get(item.id)
-        if entry is None:
-            return None
-        digest = entry[0]
-        if (line is None or _sha256(line) != digest) and _sha256(item.canonical_json()) != digest:
+        if entry is None or _sha256(line) != entry[0]:
             return None
         hit = CotExemplar(item=item, explanation=entry[1], verified=True)
         with self._lock:
             self._hits[item.id] = hit, None
         return hit
 
-    def put(self, item: McqItem, explanation: str) -> CotExemplar:
-        """Append the item's verified explanation; return the exemplar now kept for it."""
+    def put(self, item: McqItem, line: str, explanation: str) -> CotExemplar:
+        """Append the item's verified explanation under the digest of its
+        stripped pool line `line`; return the exemplar now kept for it."""
         hit = CotExemplar(item=item, explanation=explanation, verified=True)
-        digest = _sha256(item.canonical_json())
+        digest = _sha256(line)
         with self._lock:
             entries = self._loaded()
             if self._append is None:
@@ -156,8 +153,10 @@ class CotCache:
             self._append = None
             self._appending.close()
 
-    def verify(self, item: McqItem, teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
-        """The item's exemplar from the cache, else from the teacher, once per instance.
+    def verify(self, item: McqItem, line: str,
+               teacher) -> tuple[CotExemplar | None, TeacherOutcome]:
+        """The item's exemplar from the cache (`line` as for `get`), else from
+        the teacher, once per instance.
 
         The first caller for an item does the work; callers arriving while it
         runs wait for its outcome. After that an accepted item is a cache hit
@@ -179,13 +178,13 @@ class CotCache:
             exemplar, outcome = verdict.result()
             return exemplar, (outcome if exemplar is None else _cache_hit(exemplar))
         try:
-            hit = self.get(item)
+            hit = self.get(item, line)
             if hit is not None:
                 result = hit, _cache_hit(hit)
             else:
                 outcome = generate_cot(item, teacher)
-                result = (self.put(item, outcome.explanation) if outcome.accepted else None,
-                          outcome)
+                result = (self.put(item, line, outcome.explanation) if outcome.accepted
+                          else None, outcome)
         except BaseException as exc:
             verdict.set_exception(exc)
             raise
@@ -258,24 +257,25 @@ def _teacher_verdict(item: McqItem, teacher) -> tuple[CotExemplar | None, Teache
     return CotExemplar(item=item, explanation=outcome.explanation, verified=True), outcome
 
 
-def _first_verified(candidates, teacher,
+def _first_verified(candidate_ids, pool: Mapping[str, McqItem], teacher,
                     cache: CotCache | None) -> tuple[list[CotExemplar], list[TeacherOutcome]]:
-    """The first `FEWSHOT_SIZE` candidates that verify, in stream order; fewer
-    if the stream runs out. Candidates past the last acceptance are never drawn.
-    A cache of another teacher is refused."""
+    """The first `FEWSHOT_SIZE` candidates (ids in `pool`) that verify, in
+    stream order; fewer if the stream runs out. Candidates past the last
+    acceptance are never drawn. With a cache, which must be the teacher's,
+    `pool` is a `PoolView` and the cache matches each candidate's line."""
     if cache is not None and cache.teacher_model != teacher.model_id:
         raise ValueError(f"{teacher.model_id!r} cannot verify into {cache.teacher_model!r}'s cache")
     exemplars: list[CotExemplar] = []
     outcomes: list[TeacherOutcome] = []
-    candidates = iter(candidates)
+    candidate_ids = iter(candidate_ids)
     while len(exemplars) < FEWSHOT_SIZE:
-        item = next(candidates, None)
-        if item is None:
+        item_id = next(candidate_ids, None)
+        if item_id is None:
             break
         if cache is not None:
-            exemplar, outcome = cache.verify(item, teacher)
+            exemplar, outcome = cache.verify(pool[item_id], pool.line(item_id), teacher)
         else:
-            exemplar, outcome = _teacher_verdict(item, teacher)
+            exemplar, outcome = _teacher_verdict(pool[item_id], teacher)
         outcomes.append(outcome)
         if exemplar is not None:
             exemplars.append(exemplar)
@@ -283,9 +283,9 @@ def _first_verified(candidates, teacher,
 
 
 def _knn_candidates(neighbor_set: NeighborSet, index: VectorIndex,
-                    pool_items: Mapping[str, McqItem]) -> Iterator[McqItem]:
-    """The neighbor set in rank order, then each next-most-similar pool item
-    until the pool runs out."""
+                    pool_items: Mapping[str, McqItem]) -> Iterator[str]:
+    """The ids of the neighbor set in rank order, then of each
+    next-most-similar pool item until the pool runs out."""
     consumed: set[str] = set()
     initial = iter(neighbor_set.ids)
     while True:
@@ -300,7 +300,7 @@ def _knn_candidates(neighbor_set: NeighborSet, index: VectorIndex,
         consumed.add(candidate_id)
         if candidate_id not in pool_items:
             raise DataError(f"pool item {candidate_id} referenced by index but not loaded")
-        yield pool_items[candidate_id]
+        yield candidate_id
 
 
 def build_exemplars(
@@ -315,9 +315,10 @@ def build_exemplars(
     Candidates come from the neighbor set in rank order; a candidate that
     fails verification is replaced by the next-most-similar unconsumed pool
     item. Raises when the pool runs out before enough exemplars verify.
+    With a cache, `pool_items` is a `PoolView`.
     """
     exemplars, outcomes = _first_verified(_knn_candidates(neighbor_set, index, pool_items),
-                                          teacher, cache)
+                                          pool_items, teacher, cache)
     if len(exemplars) < FEWSHOT_SIZE:
         raise DataError(f"{neighbor_set.query_id}: only {len(exemplars)} of {FEWSHOT_SIZE} "
                         f"exemplars verified before the pool ran out")
@@ -346,8 +347,8 @@ def build_random_exemplars(
 
     Without a teacher the first stream items are used as-is, with no
     explanation. With one, each candidate must verify through the teacher;
-    failures are replaced by the next stream item. `pool` maps ids to items;
-    only the stream items drawn are looked up.
+    failures are replaced by the next stream item. `pool` maps ids to items,
+    a `PoolView` with a cache; only the stream items drawn are looked up.
     """
     stream = random_candidate_stream(list(pool), seed)
     if teacher is None:
@@ -355,7 +356,7 @@ def build_random_exemplars(
         if len(exemplars) < FEWSHOT_SIZE:
             raise DataError(f"pool has {len(exemplars)} items, need {FEWSHOT_SIZE} exemplars")
         return exemplars, []
-    exemplars, outcomes = _first_verified((pool[i] for i in stream), teacher, cache)
+    exemplars, outcomes = _first_verified(stream, pool, teacher, cache)
     if len(exemplars) < FEWSHOT_SIZE:
         raise DataError(f"only {len(exemplars)} of {FEWSHOT_SIZE} random exemplars verified "
                         f"before the pool ran out")

@@ -212,6 +212,17 @@ PUBMEDQA_EXEMPLARS = [
     for item_id, context, question, gold, explanation in _PUBMEDQA_POOL_SPEC
 ]
 
+# The PubMedQA random prompts list the exemplars in the seed-0 random stream
+# over their ids (`random_candidate_stream`); the similarity prompt and the
+# ensemble run list them in id order.
+PUBMEDQA_RANDOM_ORDER = ["8000004", "8000005", "8000001", "8000002", "8000003"]
+
+
+def pubmedqa_exemplar(item_id: str, cot: bool) -> CotExemplar:
+    exemplar = next(e for e in PUBMEDQA_EXEMPLARS if e.item.id == item_id)
+    return exemplar if cot else CotExemplar(item=exemplar.item)
+
+
 # Exemplar orders the fixture files were written with: the answer-only and
 # random chain-of-thought prompts list the pool in id order, the similarity
 # prompt lists it in a hand-chosen relevance order.
@@ -223,3 +234,5 @@ KNN_ORDER = ["train-00001", "train-00003", "train-00000", "train-00004", "train-
 SHUFFLE_SEED = 7
 SHUFFLE_RUN = 3
 SHUFFLED_RUN3_PERMUTATION = {"A": "B", "B": "C", "C": "D", "D": "A"}
+# ... and PUBMEDQA_ITEM with the same seed and run: its three words reorder.
+PUBMEDQA_SHUFFLED_RUN3_PERMUTATION = {"A": "A", "B": "C", "C": "B"}

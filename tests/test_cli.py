@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -1184,26 +1185,26 @@ class TestCoveredPass:
         assert main(self.command("gen-cot", config)) == 0
         _, *rows = self.manifest_docs(tmp_path)
         listed = [offset for row in rows for offset in row["offsets"]]
-        split, got = [], []
-        item_lines, get = CorpusFile.item_lines, teacher.CotCache.get
+        split, digested = [], []
+        item_lines, sha256 = CorpusFile.item_lines, teacher._sha256
 
         def split_spy(source):
             split.append(source.path.name)
             return item_lines(source)
 
-        def get_spy(cache, item, line=None):
-            got.append(item.id)
-            return get(cache, item, line)
+        def digest_spy(line):
+            digested.append(json.loads(line)["id"])
+            return sha256(line)
 
         monkeypatch.setattr(CorpusFile, "item_lines", split_spy)
-        monkeypatch.setattr(teacher.CotCache, "get", get_spy)
+        monkeypatch.setattr(teacher, "_sha256", digest_spy)
         parsed.clear()
         assert main(self.command("run", config, "--stage", "knn_fewshot_cot")) == 0
         # 100 listings of at most 30 pool items: each distinct one is parsed
-        # and looked up in the cache once, and the pool is never split.
+        # and its line digested for the cache once, and the pool is never split.
         assert len(set(listed)) < len(listed)
         assert sorted(parsed) == sorted(set(listed))
-        assert sorted(got) == sorted({i for row in rows for i in row["exemplars"]})
+        assert sorted(digested) == sorted({i for row in rows for i in row["exemplars"]})
         assert split == ["test.jsonl"]
 
     def test_partly_covered_run_loads_the_index_before_the_first_target_call(
@@ -1707,8 +1708,8 @@ class TestPromptParts:
 
 
 class TestPoolLineDigest:
-    """A cache hit is checked against the exemplar's pool line; only a line
-    that is not canonical JSON costs the item's canonical JSON."""
+    """A cache hit is checked against the digest of the exemplar's pool line,
+    and no pool item is serialized again to check it."""
 
     @pytest.fixture
     def serialized(self, monkeypatch):
@@ -1739,11 +1740,11 @@ class TestPoolLineDigest:
                                                  "knn_fewshot_cot")) == 0
         assert serialized == []
 
-    def test_non_canonical_lines_of_the_same_items_still_hit(self, tmp_path, monkeypatch,
-                                                            serialized):
+    def test_non_canonical_lines_miss_and_are_asked_again(self, tmp_path, monkeypatch,
+                                                           serialized):
         calls = []
         canonical = TestExemplarManifest().run_alone(tmp_path / "canonical")
-        config, _, _ = build_env(tmp_path, n_test=20, n_pool=30)
+        config, _, pool_items = build_env(tmp_path, n_test=20, n_pool=30)
         assert main(TestExemplarManifest.command("gen-cot", config)) == 0
         # Every third line keeps its canonical form; the others reorder keys,
         # add spaces, or do both with a CRLF ending.
@@ -1763,14 +1764,19 @@ class TestPoolLineDigest:
         wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
         assert main(TestExemplarManifest.command("index", config)) == 0
         assert main(TestExemplarManifest.command("gen-cot", config)) == 0
+        # The exemplars are the same; each one on a rewritten line missed its
+        # row and was asked about once, and the run that follows is covered.
+        used = self.exemplar_ids(tmp_path)
+        assert used & rewritten and used - rewritten
+        by_id = {item.id: item for item in pool_items}
+        assert (sorted(request.prompt for request in calls)
+                == sorted(teacher_prompt(by_id[i]) for i in used & rewritten))
+        calls.clear()
         serialized.clear()
         assert main(TestExemplarManifest.command("run", config, "--stage",
                                                  "knn_fewshot_cot")) == 0
-        assert calls == []
+        assert calls == [] and serialized == []
         assert TestExemplarManifest().prompts(tmp_path) == canonical
-        used = self.exemplar_ids(tmp_path)
-        assert used & rewritten and used - rewritten
-        assert sorted(serialized) == sorted(used & rewritten)
 
     def test_item_reingested_under_the_same_id_misses(self, tmp_path, monkeypatch, index_loads):
         config, _, pool_items = build_env(tmp_path, n_test=20, n_pool=30)
@@ -1781,7 +1787,7 @@ class TestPoolLineDigest:
         original = next(item for item in pool_items if item.id == exemplar_id)
         other = replace(original, question=original.question + " Edited?")
         with closing(teacher.CotCache(tmp_path / "cache", "teacher-x")) as cache:
-            cache.put(other, "About the edited item.")
+            cache.put(other, other.canonical_json(), "About the edited item.")
         calls = []
         wrap_endpoint(monkeypatch, "teacher-x", lambda endpoint: RecordingEndpoint(endpoint, calls))
         index_loads.clear()
@@ -2227,6 +2233,38 @@ class TestUnembeddableQuestion:
         assert "error: test-00002: cannot embed empty text" in capsys.readouterr().err
 
 
+class TestExplanationWords:
+    """Each exemplar counts its explanation's words once, when it is made;
+    token budgets sum those counts and split no explanation again."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The text of each explanation from the teacher or the cache file,
+        once per time it is split."""
+        texts = []
+
+        class Counted(str):
+            def split(self, *args, **kwargs):
+                texts.append(str(self))
+                return super().split(*args, **kwargs)
+
+        extract, entry = teacher.extract_explanation, teacher._cache_entry
+        monkeypatch.setattr(teacher, "extract_explanation", lambda text: Counted(extract(text)))
+        monkeypatch.setattr(teacher, "_cache_entry",
+                            lambda row: (*entry(row)[:2], Counted(entry(row)[2])))
+        return texts
+
+    def test_ladder_splits_each_explanation_at_most_once_per_command(self, tmp_path, splits):
+        config, _, _ = build_env(tmp_path, n_test=8, n_pool=30)
+        ablate = TestRandomPool.command("ablate", config)
+        # A cold cache: the teacher gives the explanations; then a warm one.
+        for _ in range(2):
+            splits.clear()
+            assert main(ablate) == 0
+            assert splits and len(splits) == len(set(splits))
+            shutil.rmtree(tmp_path / "out")
+
+
 class TestCotCacheHandle:
     """A command appends to the CoT cache through one handle, closed when it
     ends, and writes the bytes one open per row would."""
@@ -2274,8 +2312,8 @@ class TestCotCacheHandle:
         assert len(opened) == 1
         put = teacher.CotCache.put
 
-        def put_and_close(cache, item, explanation):
-            exemplar = put(cache, item, explanation)
+        def put_and_close(cache, item, line, explanation):
+            exemplar = put(cache, item, line, explanation)
             cache.close()
             return exemplar
 

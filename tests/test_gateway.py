@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import socket
 import sys
 import threading
@@ -385,27 +386,47 @@ class TestRequestValidation:
             GenerationRequest(model_id="m", prompt="p", max_tokens=0)
 
 
-class StubExemplar:
-    def __init__(self, explanation):
-        self.explanation = explanation
+def stub_exemplar(explanation):
+    """An unverified exemplar, which may have a blank explanation."""
+    return CotExemplar(item=gd.POOL_ITEMS[0], explanation=explanation)
+
+
+def reference_budget(explanations):
+    """The budget sized from the explanation texts, each split here."""
+    lengths = [len(text.split()) for text in explanations if text.strip()]
+    if not lengths:
+        return 32
+    return max(256, min(1024, math.ceil(1.5 * (sum(lengths) / len(lengths)))))
 
 
 class TestDefaultMaxTokens:
     def test_answer_only_budget(self):
         assert default_max_tokens([]) == 32
-        assert default_max_tokens([StubExemplar("")] * 5) == 32
+        assert default_max_tokens([stub_exemplar("")] * 5) == 32
 
     def test_short_explanations_hit_floor(self):
-        exemplars = [StubExemplar(" ".join(["w"] * 100))] * 5
+        exemplars = [stub_exemplar(" ".join(["w"] * 100))] * 5
         assert default_max_tokens(exemplars) == 256
 
     def test_mid_explanations_scale(self):
-        exemplars = [StubExemplar(" ".join(["w"] * 400))] * 5
+        exemplars = [stub_exemplar(" ".join(["w"] * 400))] * 5
         assert default_max_tokens(exemplars) == 600
 
     def test_long_explanations_hit_ceiling(self):
-        exemplars = [StubExemplar(" ".join(["w"] * 5000))] * 5
+        exemplars = [stub_exemplar(" ".join(["w"] * 5000))] * 5
         assert default_max_tokens(exemplars) == 1024
+
+    @pytest.mark.parametrize("explanations", [
+        ["", " ", "\u2028\t", "\n", ""],
+        ["", " ", "one\u2028two", "three  four\tfive", "\n"],
+        [" ".join(["w"] * n) for n in (170, 171, 172, 600, 683)],
+        [" ".join(["w"] * n) + "\u3000" * n for n in (1, 401, 0, 0, 399)],
+        [gd.EXPLANATIONS[item_id] for item_id in gd.KNN_ORDER],
+    ])
+    def test_budget_from_word_counts_equals_splitting_the_texts(self, explanations):
+        exemplars = [stub_exemplar(text) for text in explanations]
+        assert [e.word_count for e in exemplars] == [len(t.split()) for t in explanations]
+        assert default_max_tokens(exemplars) == reference_budget(explanations)
 
 
 def knn_prompt(item=None):

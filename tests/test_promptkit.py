@@ -48,6 +48,11 @@ class TestGoldenPrompts:
     def assert_matches(self, name: str, text: str):
         assert text.encode("utf-8") + b"\n" == fixture_bytes(name)
 
+    def assert_word_prompt(self, name: str, text: str):
+        """As `assert_matches`, for a fixture beside the acceptance suite's set."""
+        fixture = FIXTURES.parent / "word_prompts" / name
+        assert text.encode("utf-8") + b"\n" == fixture.read_bytes()
+
     def test_zero_shot(self):
         bundle = assemble_prompt(Stage.ZERO_SHOT, gd.MEDQA_INSTRUCTION, [], gd.TEST_ITEM)
         self.assert_matches("medqa_zero_shot.txt", bundle.text)
@@ -91,8 +96,20 @@ class TestGoldenPrompts:
         lives beside the acceptance suite's fixture set, not in it."""
         bundle = assemble_prompt(Stage.KNN_FEWSHOT_COT, gd.PUBMEDQA_INSTRUCTION,
                                  gd.PUBMEDQA_EXEMPLARS, gd.PUBMEDQA_ITEM)
-        fixture = FIXTURES.parent / "word_prompts" / "pubmedqa_knn_fewshot_cot.txt"
-        assert bundle.text.encode("utf-8") + b"\n" == fixture.read_bytes()
+        self.assert_word_prompt("pubmedqa_knn_fewshot_cot.txt", bundle.text)
+
+    @pytest.mark.parametrize("stage", [Stage.RANDOM_FEWSHOT, Stage.RANDOM_FEWSHOT_COT])
+    def test_pubmedqa_random_stages(self, stage):
+        exemplars = [gd.pubmedqa_exemplar(i, stage.cot) for i in gd.PUBMEDQA_RANDOM_ORDER]
+        bundle = assemble_prompt(stage, gd.PUBMEDQA_INSTRUCTION, exemplars, gd.PUBMEDQA_ITEM)
+        self.assert_word_prompt(f"pubmedqa_{stage.value}.txt", bundle.text)
+
+    def test_pubmedqa_ensemble_shuffled(self):
+        shuffled, perm = shuffle_options(gd.PUBMEDQA_ITEM, gd.SHUFFLE_SEED, gd.SHUFFLE_RUN)
+        assert perm == gd.PUBMEDQA_SHUFFLED_RUN3_PERMUTATION
+        bundle = assemble_prompt(Stage.ENSEMBLE, gd.PUBMEDQA_INSTRUCTION, gd.PUBMEDQA_EXEMPLARS,
+                                 shuffled, permutation=perm, run_index=gd.SHUFFLE_RUN)
+        self.assert_word_prompt("pubmedqa_ensemble_shuffled_run3.txt", bundle.text)
 
     def test_teacher_prompts(self):
         self.assert_matches("teacher_medqa.txt", teacher_prompt(gd.TEST_ITEM))

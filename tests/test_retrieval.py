@@ -27,6 +27,7 @@ from medharness.retrieval import (
     next_most_similar,
     token_bucket,
     tokenize,
+    _SparseRows,
 )
 
 
@@ -148,6 +149,25 @@ class TestBuiltinRows:
         index = build_index(pool[:EMBED_BLOCK])
         with pytest.raises(EmbeddingError, match="^test-00009: cannot embed empty text"):
             index.nearest(make_item(9, question="?!"), 3)
+
+    @pytest.mark.parametrize("dim", [256, 65_536, 65_537])
+    def test_postings_equal_the_int32_stable_argsort(self, dim):
+        """The narrow-type radix sort orders each bucket's postings as the
+        stable sort of the int32 bucket ids does, at each type's last
+        bucket and one past it."""
+        rng = np.random.default_rng(dim)
+        counts = rng.integers(0, 40, size=300)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        buckets = rng.integers(0, dim, size=int(indptr[-1])).astype(np.int32)
+        buckets[:3] = dim - 1, 0, dim - 1
+        weights = rng.random(len(buckets))
+        rows = _SparseRows(indptr, buckets, weights, dim)
+        start, post_rows, post_weights = rows._postings
+        order = np.argsort(buckets, kind="stable")
+        row_of = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        assert np.array_equal(start, np.searchsorted(buckets[order], np.arange(dim + 1)))
+        assert post_rows.dtype == np.int32 and np.array_equal(post_rows, row_of[order])
+        assert np.array_equal(post_weights, weights[order])
 
 
 class TestNearest:

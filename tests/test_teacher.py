@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_item
 from medharness import corpus
-from medharness.corpus import Split
+from medharness.corpus import CorpusFile, PoolView, Split, write_normalized
 from medharness.errors import DataError, EndpointError
 from medharness.modelgw import (
     FlakyGoldPolicy,
@@ -59,6 +59,21 @@ def caches_closed(monkeypatch):
     yield
     for cache in made:
         cache.close()
+
+
+def line(item):
+    """The item's line in a normalized pool file."""
+    return item.canonical_json()
+
+
+def pool_view(tmp_path, pool):
+    """The pool as a command reads it through a cache: a `PoolView` of its
+    normalized file, every item mapped."""
+    path = tmp_path / "train.jsonl"
+    write_normalized(pool, path)
+    view = PoolView(CorpusFile(path))
+    view.learn([item.id for item in pool])
+    return view
 
 
 @pytest.fixture
@@ -125,7 +140,7 @@ class TestGenerateCot:
 
     def test_transport_failure_stops_build_exemplars(self, tiny_pool, ranked, tmp_path):
         index, neighbors, full = ranked
-        pool_items = {it.id: it for it in tiny_pool}
+        pool_items = pool_view(tmp_path, tiny_pool)
         dead = pool_items[full[1]].question
         answers = {it.question: it.gold_text for it in tiny_pool if it.question != dead}
         with pytest.raises(EndpointError):
@@ -145,9 +160,9 @@ class TestCotCache:
     def test_round_trip(self, tmp_path, tiny_pool):
         cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "Because the phrenic nerve fires.")
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "Because the phrenic nerve fires.")
         for reader in (cache, CotCache(tmp_path, "teach-1")):
-            hit = reader.get(tiny_pool[0])
+            hit = reader.get(tiny_pool[0], line(tiny_pool[0]))
             assert hit is not None
             assert hit.verified
             assert hit.explanation == "Because the phrenic nerve fires."
@@ -157,7 +172,7 @@ class TestCotCache:
         cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
         for item in tiny_pool[:3]:
-            cache.put(item, f"Explained {item.id}.")
+            cache.put(item, line(item), f"Explained {item.id}.")
         assert [p.name for p in (tmp_path / "cot").iterdir()] == [f"{fp}.jsonl"]
         rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
         assert [sorted(row) for row in rows] == [["explanation", "id", "item_sha256"]] * 3
@@ -165,136 +180,140 @@ class TestCotCache:
         assert tiny_pool[0].question not in "".join(cache_rows(tmp_path, fp))
 
     def test_absent_entry_misses(self, tmp_path, tiny_pool):
-        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]) is None
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0], line(tiny_pool[0])) is None
 
     def test_corrupt_entry_misses_with_warning(self, tmp_path, tiny_pool, caplog):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fine.")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[1], "Fine too.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "Fine.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[1], line(tiny_pool[1]), "Fine too.")
         good = cache_rows(tmp_path, fp)[1]
         blank = json.dumps({"id": tiny_pool[2].id, "item_sha256": "x", "explanation": " "})
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_text("{not json\n" + good + "\n" + blank + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             cache = CotCache(tmp_path, "teach-1")
-            assert cache.get(tiny_pool[0]) is None
-            assert cache.get(tiny_pool[2]) is None
-        assert cache.get(tiny_pool[1]).explanation == "Fine too."
+            assert cache.get(tiny_pool[0], line(tiny_pool[0])) is None
+            assert cache.get(tiny_pool[2], line(tiny_pool[2])) is None
+        assert cache.get(tiny_pool[1], line(tiny_pool[1])).explanation == "Fine too."
         assert caplog.text.count("corrupt cache row") == 2
 
     def test_row_that_is_not_utf8_misses_with_warning(self, tmp_path, tiny_pool, caplog):
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fièvre — 症状.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "Fièvre — 症状.")
         path = tmp_path / "cot" / f"{teacher_fingerprint('teach-1')}.jsonl"
         path.write_bytes(b'{"id": "\xff"}\n' + path.read_bytes())
         with caplog.at_level("WARNING"):
             cache = CotCache(tmp_path, "teach-1")
-            assert cache.get(tiny_pool[0]).explanation == "Fièvre — 症状."
+            assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Fièvre — 症状."
         assert caplog.text.count("corrupt cache row") == 1
 
     def test_wrong_item_in_entry_misses(self, tmp_path, tiny_pool):
         """An item re-ingested under the same id with other text is a miss."""
         cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "Fine.")
-        assert cache.get(tiny_pool[0]).explanation == "Fine."
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "Fine.")
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Fine."
         edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
-        assert cache.get(edited) is None
-        assert CotCache(tmp_path, "teach-1").get(edited) is None
-        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]).explanation == "Fine."
+        assert cache.get(edited, line(edited)) is None
+        assert CotCache(tmp_path, "teach-1").get(edited, line(edited)) is None
+        fresh = CotCache(tmp_path, "teach-1")
+        assert fresh.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Fine."
 
     def test_canonical_pool_line_hits_without_serializing_the_item(self, tmp_path, tiny_pool,
                                                                     monkeypatch):
-        fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "Fine.")
-        line = tiny_pool[0].canonical_json()
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "Fine.")
+        pool_line = line(tiny_pool[0])
 
         def refuse(item):
             raise AssertionError("serialized the item")
 
         monkeypatch.setattr(type(tiny_pool[0]), "canonical_json", refuse)
-        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0], line=line).explanation == "Fine."
+        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0], pool_line).explanation == "Fine."
 
     @pytest.mark.parametrize("rewrite", [
         lambda obj: json.dumps(dict(reversed(obj.items()))),
         lambda obj: json.dumps(obj, indent=2),
         lambda obj: json.dumps(obj, ensure_ascii=True, sort_keys=True),
     ])
-    def test_other_lines_of_the_same_item_fall_back_to_its_canonical_json(
-            self, tmp_path, tiny_pool, rewrite):
+    def test_other_lines_of_the_same_item_miss(self, tmp_path, tiny_pool, rewrite):
+        """A hand-edited line holds the same item in other bytes: it misses,
+        and the row `put` then writes under it hits."""
         item = replace(tiny_pool[0], question="Which nerve fires \u2014 phrenic?")
-        fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(item, "Fine.")
-        line = rewrite(json.loads(item.canonical_json()))
-        assert line != item.canonical_json()
-        assert CotCache(tmp_path, "teach-1").get(item, line=line).explanation == "Fine."
+        CotCache(tmp_path, "teach-1").put(item, line(item), "Fine.")
+        edited_line = rewrite(json.loads(line(item)))
+        assert edited_line != line(item)
+        assert CotCache(tmp_path, "teach-1").get(item, edited_line) is None
+        CotCache(tmp_path, "teach-1").put(item, edited_line, "Asked again.")
+        cache = CotCache(tmp_path, "teach-1")
+        assert cache.get(item, edited_line).explanation == "Asked again."
+        assert CotCache(tmp_path, "teach-1").get(item, line(item)) is None
 
     def test_line_of_an_item_reingested_under_the_same_id_misses(self, tmp_path, tiny_pool):
-        fp = teacher_fingerprint("teach-1")
         edited = replace(tiny_pool[0], question=tiny_pool[0].question + " Edited?")
-        CotCache(tmp_path, "teach-1").put(edited, "About the edited item.")
+        CotCache(tmp_path, "teach-1").put(edited, line(edited), "About the edited item.")
         cache = CotCache(tmp_path, "teach-1")
-        assert cache.get(tiny_pool[0], line=tiny_pool[0].canonical_json()) is None
-        assert cache.get(edited, line=edited.canonical_json()) is not None
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])) is None
+        assert cache.get(edited, line(edited)) is not None
 
     def test_torn_last_row_misses_and_is_cut_before_the_next_put(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[1], "Second.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "First.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[1], line(tiny_pool[1]), "Second.")
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_bytes(path.read_bytes()[:-9])
         cache = CotCache(tmp_path, "teach-1")
-        assert cache.get(tiny_pool[0]).explanation == "First."
-        assert cache.get(tiny_pool[1]) is None
-        cache.put(tiny_pool[2], "Third.")
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "First."
+        assert cache.get(tiny_pool[1], line(tiny_pool[1])) is None
+        cache.put(tiny_pool[2], line(tiny_pool[2]), "Third.")
         fresh = CotCache(tmp_path, "teach-1")
-        assert [fresh.get(it) is not None for it in tiny_pool[:3]] == [True, False, True]
+        assert [fresh.get(it, line(it)) is not None for it in tiny_pool[:3]] == [True, False, True]
         assert len(cache_rows(tmp_path, fp)) == 2
 
     def test_last_row_without_newline_gets_it_back(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "First.")
         path = tmp_path / "cot" / f"{fp}.jsonl"
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         cache = CotCache(tmp_path, "teach-1")
-        assert cache.get(tiny_pool[0]).explanation == "First."
-        cache.put(tiny_pool[1], "Second.")
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "First."
+        cache.put(tiny_pool[1], line(tiny_pool[1]), "Second.")
         fresh = CotCache(tmp_path, "teach-1")
-        assert fresh.get(tiny_pool[0]).explanation == "First."
-        assert fresh.get(tiny_pool[1]).explanation == "Second."
+        assert fresh.get(tiny_pool[0], line(tiny_pool[0])).explanation == "First."
+        assert fresh.get(tiny_pool[1], line(tiny_pool[1])).explanation == "Second."
 
     def test_fingerprints_partition_the_cache(self, tmp_path, tiny_pool):
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "From teacher one.")
-        assert CotCache(tmp_path, "teach-2").get(tiny_pool[0]) is None
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "From teacher one.")
+        assert CotCache(tmp_path, "teach-2").get(tiny_pool[0], line(tiny_pool[0])) is None
         assert teacher_fingerprint("teach-1") != teacher_fingerprint("teach-2")
 
     def test_overwrite_leaves_one_valid_entry(self, tmp_path, tiny_pool):
         """Both rows stay in the append-only file; the last one wins."""
         cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(tiny_pool[0], "First.")
-        cache.put(tiny_pool[0], "Second.")
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "First.")
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "Second.")
         rows = [json.loads(line) for line in cache_rows(tmp_path, fp)]
         assert [row["explanation"] for row in rows] == ["First.", "Second."]
-        assert cache.get(tiny_pool[0]).explanation == "Second."
-        assert CotCache(tmp_path, "teach-1").get(tiny_pool[0]).explanation == "Second."
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Second."
+        fresh = CotCache(tmp_path, "teach-1")
+        assert fresh.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Second."
 
     def test_entries_read_once_per_instance(self, tmp_path, tiny_pool):
         fp = teacher_fingerprint("teach-1")
-        CotCache(tmp_path, "teach-1").put(tiny_pool[0], "First.")
+        CotCache(tmp_path, "teach-1").put(tiny_pool[0], line(tiny_pool[0]), "First.")
         cache = CotCache(tmp_path, "teach-1")
-        assert cache.get(tiny_pool[0]).explanation == "First."
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "First."
         (tmp_path / "cot" / f"{fp}.jsonl").unlink()
-        assert cache.get(tiny_pool[0]).explanation == "First."
-        cache.put(tiny_pool[0], "Second.")
-        assert cache.get(tiny_pool[0]).explanation == "Second."
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "First."
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "Second.")
+        assert cache.get(tiny_pool[0], line(tiny_pool[0])).explanation == "Second."
 
     def test_hostile_item_ids_round_trip(self, tmp_path, tiny_pool):
         item = replace(tiny_pool[0], id='a/b c*d\n"\u2028')
         cache = CotCache(tmp_path, "teach-1")
         fp = teacher_fingerprint("teach-1")
-        cache.put(item, "Safe.")
+        cache.put(item, line(item), "Safe.")
         assert len(cache_rows(tmp_path, fp)) == 1
-        hit = CotCache(tmp_path, "teach-1").get(item)
+        hit = CotCache(tmp_path, "teach-1").get(item, line(item))
         assert hit is not None and hit.explanation == "Safe."
 
 
@@ -321,14 +340,14 @@ class TestAppendHandle:
         fp = teacher_fingerprint("teach-1")
         assert opened == []
         for n, item in enumerate(tiny_pool[:3], start=1):
-            cache.put(item, f"Explained {item.id}.")
+            cache.put(item, line(item), f"Explained {item.id}.")
             assert len(cache_rows(tmp_path, fp)) == n
         assert len(opened) == 1 and not opened[0].closed
 
     def test_close_is_idempotent_and_leaves_no_open_file(self, tmp_path, tiny_pool, opened):
         cache = CotCache(tmp_path, "teach-1")
         cache.close()
-        cache.put(tiny_pool[0], "First.")
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "First.")
         cache.close()
         assert [f.closed for f in opened] == [True]
         cache.close()
@@ -336,23 +355,24 @@ class TestAppendHandle:
 
     def test_put_after_close_opens_the_file_again(self, tmp_path, tiny_pool, opened):
         cache = CotCache(tmp_path, "teach-1")
-        cache.put(tiny_pool[0], "First.")
+        cache.put(tiny_pool[0], line(tiny_pool[0]), "First.")
         cache.close()
-        cache.put(tiny_pool[1], "Second.")
+        cache.put(tiny_pool[1], line(tiny_pool[1]), "Second.")
         assert [f.closed for f in opened] == [True, False]
         cache.close()
         assert all(f.closed for f in opened)
         fresh = CotCache(tmp_path, "teach-1")
-        assert [fresh.get(it).explanation for it in tiny_pool[:2]] == ["First.", "Second."]
+        assert [fresh.get(it, line(it)).explanation
+                for it in tiny_pool[:2]] == ["First.", "Second."]
 
     def test_one_handle_writes_the_bytes_of_one_open_per_put(self, tmp_path, tiny_pool):
         texts = ["Fièvre — 症状.", "Second.", "Third\u2028line."]
         kept = CotCache(tmp_path / "kept", "teach-1")
         for item, text in zip(tiny_pool, texts):
-            kept.put(item, text)
+            kept.put(item, line(item), text)
             # A cache of its own per row: one open, one write, one close.
             each = CotCache(tmp_path / "each", "teach-1")
-            each.put(item, text)
+            each.put(item, line(item), text)
             each.close()
         kept.close()
         fp = teacher_fingerprint("teach-1")
@@ -381,7 +401,7 @@ class TestVerifyOnce:
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(cache.verify(item, SlowTeacher()))
+            results.append(cache.verify(item, line(item), SlowTeacher()))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -406,16 +426,16 @@ class TestVerifyOnce:
         teacher = gold_teacher(tiny_pool)
         cache = CotCache(tmp_path, teacher.model_id)
         fp = teacher_fingerprint(teacher.model_id)
-        exemplar, outcome = cache.verify(tiny_pool[0], teacher)
+        exemplar, outcome = cache.verify(tiny_pool[0], line(tiny_pool[0]), teacher)
         assert teacher.call_count == 1 and not outcome.from_cache
-        again, reused = cache.verify(tiny_pool[0], teacher)
-        assert again is exemplar and cache.get(tiny_pool[0]) is exemplar
+        again, reused = cache.verify(tiny_pool[0], line(tiny_pool[0]), teacher)
+        assert again is exemplar and cache.get(tiny_pool[0], line(tiny_pool[0])) is exemplar
         assert reused.from_cache and reused.explanation == exemplar.explanation
-        assert cache.verify(tiny_pool[0], teacher)[1] is reused
+        assert cache.verify(tiny_pool[0], line(tiny_pool[0]), teacher)[1] is reused
         assert teacher.call_count == 1
         # An equal item that is another object is checked against the cache.
         twin = replace(tiny_pool[0])
-        hit, _ = cache.verify(twin, teacher)
+        hit, _ = cache.verify(twin, line(twin), teacher)
         assert hit is not exemplar and hit.item is twin and hit == exemplar
         assert teacher.call_count == 1
 
@@ -429,7 +449,7 @@ class TestVerifyOnce:
     def test_rejection_is_reused(self, tiny_pool, ranked, tmp_path):
         """A teacher that would accept on a later try is not asked again."""
         index, neighbors, full = ranked
-        pool_items = {it.id: it for it in tiny_pool}
+        pool_items = pool_view(tmp_path, tiny_pool)
         teacher = flaky_teacher(tiny_pool, {pool_items[full[1]].question}, n_wrong=3)
         cache = CotCache(tmp_path, "mock")
         first, _ = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
@@ -480,7 +500,7 @@ class TestBuildExemplars:
 
     def test_cache_prevents_repeat_teacher_calls(self, tiny_pool, ranked, tmp_path):
         index, neighbors, full = ranked
-        pool_items = {it.id: it for it in tiny_pool}
+        pool_items = pool_view(tmp_path, tiny_pool)
         teacher = gold_teacher(tiny_pool)
         cache = CotCache(tmp_path, "mock")
         first, _ = build_exemplars(neighbors, index, pool_items, teacher, cache=cache)
@@ -551,11 +571,10 @@ class TestBuildRandomExemplars:
     def test_cot_cache_warm_start(self, tiny_pool, tmp_path):
         teacher = gold_teacher(tiny_pool)
         cache = CotCache(tmp_path, "mock")
-        first, _ = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                          cache=cache)
+        pool = pool_view(tmp_path, tiny_pool)
+        first, _ = build_random_exemplars(pool, seed=3, teacher=teacher, cache=cache)
         calls = teacher.call_count
-        second, outcomes = build_random_exemplars(keyed(tiny_pool), seed=3, teacher=teacher,
-                                                  cache=cache)
+        second, outcomes = build_random_exemplars(pool, seed=3, teacher=teacher, cache=cache)
         assert teacher.call_count == calls
         assert second == first
         assert all(o.from_cache for o in outcomes)

@@ -358,3 +358,38 @@ def test_prompts_are_built_in_one_place():
                     found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
     assert found == ["promptkit.py CotExemplar _exemplar_block",
                      "promptkit.py assemble_prompt block"]
+
+
+def test_only_write_normalized_serializes_an_item():
+    """Within the package only `corpus.write_normalized` calls
+    `canonical_json`: the CoT cache digests the pool line it is given, so no
+    other module knows how a normalized line is written."""
+    found = []
+    for path in sorted((ROOT / "src" / "medharness").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "canonical_json":
+                    found.append(f"{path.name} {getattr(top, 'name', '<module>')} {name}")
+    assert found == ["corpus.py write_normalized canonical_json"]
+
+
+def test_cli_looks_up_the_cot_cache_in_one_place():
+    """In `cli.py` only `_Sources.manifest_exemplars` calls the CoT cache's
+    `get`: every exemplar the manifest lists resolves through it, and every
+    other exemplar is verified through `teacher.py`."""
+    found = []
+    tree = ast.parse((ROOT / "src" / "medharness" / "cli.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for inner in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for node in ast.walk(inner):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                receiver = node.func.value
+                if node.func.attr == "get" and getattr(receiver, "attr",
+                                                       getattr(receiver, "id", None)) == "cache":
+                    found.append(f"{getattr(top, 'name', '<module>')}."
+                                 f"{getattr(inner, 'name', '<body>')}")
+    assert found == ["_Sources.manifest_exemplars"]
